@@ -54,7 +54,6 @@ from .game import (
     perception_prob,
     replicator_step,
     run_dynamics,
-    strategy_payoff,
 )
 from .geometry import (
     NodeSet,

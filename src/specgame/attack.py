@@ -11,6 +11,7 @@ users) to save power and hide.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
@@ -64,8 +65,9 @@ def observe(counts, area: float) -> DensityEstimates:
 @dataclass(frozen=True)
 class InducingTemplate:
     """Knobs of the inducing phase: Aloha access probability, withdrawal
-    hysteresis (consecutive above-cap observations), and the perception
-    saturation the jamming advertises to secondary users."""
+    hysteresis (consecutive above-cap observations; an int, or per-cell ints
+    in a batch), and the perception saturation the jamming advertises to
+    secondary users."""
 
     mu_access_prob: float = 0.5
     hysteresis: int = 5
@@ -74,7 +76,7 @@ class InducingTemplate:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu_access_prob <= 1.0:
             raise ValueError("mu_access_prob must lie in [0, 1]")
-        if self.hysteresis < 1:
+        if np.any(np.asarray(self.hysteresis) < 1):
             raise ValueError("hysteresis must be at least 1")
         if not 0.0 <= self.inducement <= 1.0:
             raise ValueError("inducement must lie in [0, 1]")
@@ -98,6 +100,30 @@ class PhaseEvent:
     old_phase: AttackPhase
     new_phase: AttackPhase
     trigger: float
+    cell: int = 0
+
+
+# phase codes of the array machine: index into PHASES
+PHASES = tuple(AttackPhase)
+INITIAL, INDUCING, INACTIVE, ABORTED = (PHASES.index(p) for p in PHASES)
+
+
+def advance_phases(phase, above_cap_run, observed, density_cap: float, hysteresis, launch: Optional[bool]):
+    """One observation of the phase machine for every cell at once.
+
+    `phase` holds codes into PHASES; the arguments broadcast per cell.
+    INITIAL leaves only via a launch decision (True -> INDUCING, False ->
+    ABORTED, None -> keep observing). INDUCING moves to INACTIVE after
+    `hysteresis` consecutive observations above the density cap. Terminal
+    phases stay as they are. Returns the new (phase, above_cap_run); the run
+    counts consecutive above-cap observations while inducing and is 0 in
+    every other phase.
+    """
+    run = (above_cap_run + 1) * ((phase == INDUCING) & (observed > density_cap))
+    new = np.where(run >= hysteresis, INACTIVE, phase)
+    if launch is not None:
+        new = np.where(phase == INITIAL, INDUCING if launch else ABORTED, new)
+    return new, run
 
 
 def step_phase(
@@ -108,31 +134,20 @@ def step_phase(
     launch: Optional[bool] = None,
     slot: int = 0,
 ) -> Tuple[AttackState, Optional[PhaseEvent]]:
-    """Advance the phase machine by one observation.
+    """Advance one controller state by one observation (see advance_phases).
 
-    INITIAL leaves only via a launch decision (True -> INDUCING, False ->
-    ABORTED, None -> keep observing). INDUCING moves to INACTIVE after
-    `hysteresis` consecutive observations above the density cap. Terminal
-    phases reject further steps.
+    Terminal phases reject further steps.
     """
     if state.phase in TERMINAL_PHASES:
         raise PhaseError(f"cannot step terminal phase {state.phase.value}")
-    if state.phase is AttackPhase.INITIAL:
-        if launch is None:
-            return replace(state, observed_mutant_density=observed_mutant_density,
-                           slots_in_phase=state.slots_in_phase + 1), None
-        new_phase = AttackPhase.INDUCING if launch else AttackPhase.ABORTED
+    code, run = advance_phases(np.asarray(PHASES.index(state.phase)), state.above_cap_run,
+                               observed_mutant_density, density_cap, hysteresis, launch)
+    new_phase = PHASES[int(code)]
+    event = None
+    if new_phase is not state.phase:
         event = PhaseEvent(slot, state.phase, new_phase, observed_mutant_density)
-        return replace(state, phase=new_phase, observed_mutant_density=observed_mutant_density,
-                       slots_in_phase=0, above_cap_run=0), event
-    # INDUCING
-    run = state.above_cap_run + 1 if observed_mutant_density > density_cap else 0
-    if run >= hysteresis:
-        event = PhaseEvent(slot, state.phase, AttackPhase.INACTIVE, observed_mutant_density)
-        return replace(state, phase=AttackPhase.INACTIVE, observed_mutant_density=observed_mutant_density,
-                       slots_in_phase=0, above_cap_run=run), event
-    return replace(state, observed_mutant_density=observed_mutant_density,
-                   slots_in_phase=state.slots_in_phase + 1, above_cap_run=run), None
+    return replace(state, phase=new_phase, observed_mutant_density=observed_mutant_density,
+                   slots_in_phase=0 if event else state.slots_in_phase + 1, above_cap_run=int(run)), event
 
 
 def mu_action(state: AttackState, rng: np.random.Generator) -> bool:
@@ -147,10 +162,12 @@ class AttackController:
     """Stateful schedule driving the game: call with (step, observed active
     secondary density) to get the MuDrive for that step.
 
-    The launch decision may be resolved at construction (mean-field oracle) or
-    later via resolve_launch once estimates exist (Monte Carlo observation).
-    Phase transitions are logged to `events`; `phase_history` records the
-    phase in force at each step.
+    Drives one cell for a scalar density, or every cell of a batch for an
+    array of densities; phase and above-cap run are kept per cell, sized by
+    the first call. The launch decision may be resolved at construction
+    (mean-field oracle) or later via resolve_launch once estimates exist
+    (Monte Carlo observation). Phase transitions are logged to `events`;
+    `phase_history` records the phase codes in force at each step.
     """
 
     def __init__(
@@ -169,41 +186,48 @@ class AttackController:
         self.density_cap = density_cap
         self.inactive_behavior = inactive_behavior
         self.lambda_su = lambda_su
-        self.state = AttackState(mu_access_prob=template.mu_access_prob)
         self._launch = launch
+        self._awaiting_launch = True  # some cell is still INITIAL
+        inactive_density = 0.0 if inactive_behavior == "silent" else math.nan  # mimic: set per call
+        # drive per phase code: active MU density and advertised inducement
+        self._density = np.array([0.0, lambda_mu * template.mu_access_prob, inactive_density, 0.0])
+        self._inducement = np.array([0.0, template.inducement, 0.0, 0.0])
+        self.phases = np.asarray(INITIAL)
+        self.above_cap_run = np.asarray(0)
         self.events: List[PhaseEvent] = []
-        self.phase_history: List[AttackPhase] = []
+        self.phase_history: List[np.ndarray] = []
 
     @property
     def phase(self) -> AttackPhase:
-        return self.state.phase
+        """Phase in force for a one-cell controller."""
+        if self.phases.size != 1:
+            raise ValueError("a batched controller has one phase per cell; read `phases`")
+        return PHASES[int(self.phases.flat[0])]
 
     def resolve_launch(self, launch: bool) -> None:
         self._launch = launch
 
-    def _drive(self, observed: float) -> MuDrive:
-        if self.state.phase is AttackPhase.INDUCING:
-            return MuDrive(self.lambda_mu * self.template.mu_access_prob, self.template.inducement)
-        if self.state.phase is AttackPhase.INACTIVE and self.inactive_behavior == "mimic-su":
+    def __call__(self, t: int, observed_active_su_density) -> MuDrive:
+        observed = np.asarray(observed_active_su_density, dtype=float)
+        old = self.phases
+        launch = self._launch if self._awaiting_launch else None
+        self.phases, self.above_cap_run = advance_phases(
+            old, self.above_cap_run, observed, self.density_cap, self.template.hysteresis, launch)
+        if launch is not None:
+            self._awaiting_launch = False
+        changed = self.phases != old
+        if np.count_nonzero(changed):
+            old, trigger = (np.broadcast_to(a, changed.shape) for a in (old, observed))
+            for cell in np.flatnonzero(changed):
+                self.events.append(PhaseEvent(t, PHASES[old.flat[cell]], PHASES[self.phases.flat[cell]],
+                                              float(trigger.flat[cell]), int(cell)))
+        self.phase_history.append(self.phases)
+        density = self._density[self.phases]
+        if self.inactive_behavior == "mimic-su":
             # blend in: adopt the population's transmit-weighted access rate
             rate = observed / self.lambda_su if self.lambda_su > 0 else 0.0
-            return MuDrive(self.lambda_mu * rate, 0.0)
-        return MuDrive(0.0, 0.0)
-
-    def __call__(self, t: int, observed_active_su_density: float) -> MuDrive:
-        if self.state.phase not in TERMINAL_PHASES:
-            self.state, event = step_phase(
-                self.state,
-                observed_active_su_density,
-                self.density_cap,
-                self.template.hysteresis,
-                launch=self._launch if self.state.phase is AttackPhase.INITIAL else None,
-                slot=t,
-            )
-            if event is not None:
-                self.events.append(event)
-        self.phase_history.append(self.state.phase)
-        return self._drive(observed_active_su_density)
+            density = np.where(self.phases == INACTIVE, self.lambda_mu * rate, density)
+        return MuDrive(density[()], self._inducement[self.phases][()])
 
 
 def make_template_schedule(

@@ -14,7 +14,8 @@ homogeneous PPPs, and it is cross-checked against Monte Carlo in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,6 +46,9 @@ class ChannelParams:
     min_distance: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in dataclass_fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.alpha > 2:
             raise ValueError("alpha must exceed 2")
         if not self.noise > 0:
@@ -62,16 +66,25 @@ class ChannelParams:
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in (0, 1)")
 
+    @cached_property
+    def field_const(self) -> float:
+        """C(alpha), computed once per parameter set."""
+        return field_constant(self.alpha)
+
 
 @dataclass(frozen=True)
 class InterfererField:
-    """A homogeneous field of active transmitters: density (nodes/m^2) and power (W)."""
+    """A homogeneous field of active transmitters: density (nodes/m^2) and power (W).
+
+    The density may be an array (one field per cell or per step); the closed
+    forms below then broadcast over it.
+    """
 
     density: float
     power: float
 
     def __post_init__(self) -> None:
-        if self.density < 0:
+        if np.count_nonzero(np.asarray(self.density) < 0):
             raise ValueError("field density must be nonnegative")
         if not self.power > 0:
             raise ValueError("field power must be positive")
@@ -139,21 +152,31 @@ def sinr(
     return signal / (params.noise + interference)
 
 
+def _field_coef(link_distance: float, link_power: float, field_power: float, params: ChannelParams) -> float:
+    """Interference exponent per unit field density at unit threshold:
+    pi * r^2 * (P_k/P)^(2/alpha) * C(alpha)."""
+    return (math.pi * link_distance ** 2 * (field_power / link_power) ** (2.0 / params.alpha)
+            * params.field_const)
+
+
 def success_prob(
     link_distance: float,
     link_power: float,
     eta: float,
     fields: Sequence[InterfererField],
     params: ChannelParams,
-) -> float:
-    """P[SINR >= eta] for a Rayleigh link over independent Poisson interferer fields."""
+):
+    """P[SINR >= eta] for a Rayleigh link over independent Poisson interferer fields.
+
+    A float for scalar field densities; an array shaped like the densities otherwise.
+    """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    c = field_constant(params.alpha)
     exponent = eta * params.noise * link_distance ** params.alpha / link_power
+    scale = eta ** (2.0 / params.alpha)
     for f in fields:
-        exponent += f.density * math.pi * link_distance ** 2 * (eta * f.power / link_power) ** (2.0 / params.alpha) * c
-    return math.exp(-exponent)
+        exponent = exponent + f.density * (_field_coef(link_distance, link_power, f.power, params) * scale)
+    return np.exp(-exponent) if np.ndim(exponent) else math.exp(-exponent)
 
 
 def max_allowable_su_density(params: ChannelParams) -> float:
@@ -170,7 +193,7 @@ def max_allowable_su_density(params: ChannelParams) -> float:
         math.pi
         * params.pt_link_distance ** 2
         * (params.pr_sinr_threshold * params.su_power / params.pt_power) ** (2.0 / params.alpha)
-        * field_constant(params.alpha)
+        * params.field_const
     )
     return budget / denom
 
@@ -180,31 +203,39 @@ def median_sinr(
     link_power: float,
     fields: Sequence[InterfererField],
     params: ChannelParams,
-    rel_tol: float = 1e-6,
-) -> float:
-    """SINR level eta* with success_prob(eta*) = 0.5, by bisection on log eta.
+):
+    """SINR level eta* with success_prob(eta*) = 0.5.
 
-    Serves as the analytic stand-in for a time-averaged SINR; strictly
-    decreasing in every field density. Raises if no median exists inside
-    [1e-6, 1e9] (e.g. zero noise and zero interference).
+    success_prob(eta) = exp(-(a*eta + b*eta^k)) with k = 2/alpha, a the noise
+    term and b the summed field term, so eta* solves a*eta + b*eta^k = ln 2.
+    The left side is convex and increasing in u = ln eta; Newton's method
+    started above the root (at the smaller of the two one-term roots) descends
+    onto it monotonically. Broadcasts over array field densities. Serves as the
+    analytic stand-in for a time-averaged SINR; strictly decreasing in every
+    field density. Raises if no median lies inside [1e-6, 1e9] (e.g. vanishing
+    noise and no interference).
     """
-    lo, hi = 1e-6, 1e9
-
-    def s(eta: float) -> float:
-        return success_prob(link_distance, link_power, eta, fields, params)
-
-    if s(lo) < 0.5 or s(hi) > 0.5:
+    k = 2.0 / params.alpha
+    a = params.noise * link_distance ** params.alpha / link_power
+    b = 0.0
+    for f in fields:
+        b = b + f.density * _field_coef(link_distance, link_power, f.power, params)
+    b = np.asarray(b, dtype=float)
+    ln2 = math.log(2.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.minimum(math.log(ln2 / a), np.log(ln2 / b) / k)
+        for _ in range(100):
+            ta, tb = a * np.exp(u), b * np.exp(k * u)
+            du = (ta + tb - ln2) / (ta + k * tb)
+            # each entry stops on its own, so its value does not depend on the others
+            moving = np.abs(du) > 1e-13 * np.maximum(1.0, np.abs(u))
+            if not np.any(moving):
+                break
+            u = np.where(moving, u - du, u)
+        eta = np.exp(u)
+    if not np.all((eta >= 1e-6) & (eta <= 1e9)):
         raise ValueError("median SINR outside bracket [1e-6, 1e9]")
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(200):
-        mid = 0.5 * (llo + lhi)
-        if s(math.exp(mid)) >= 0.5:
-            llo = mid
-        else:
-            lhi = mid
-        if lhi - llo <= rel_tol and abs(s(math.exp(0.5 * (llo + lhi))) - 0.5) <= 1e-7:
-            break
-    return math.exp(0.5 * (llo + lhi))
+    return eta if eta.ndim else float(eta)
 
 
 def empirical_success_prob(

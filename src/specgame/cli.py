@@ -63,6 +63,9 @@ def build_presets() -> Dict[str, ScenarioConfig]:
     }
 
 
+JOBS_HELP = "accepted and ignored: the grid runs as one vectorised batch"
+
+
 class UsageError(Exception):
     pass
 
@@ -163,10 +166,10 @@ def events_csv_text(result: RunResult) -> str:
 def region_csv_text(cells: Sequence[SweepCell]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta", "nu", "kappa", "classification", "terminal_mutant_share"])
+    writer.writerow(["delta", "nu", "kappa", "classification", "terminal_mutant_share", "error"])
     for c in cells:
         writer.writerow([_fmt(c.delta), _fmt(c.nu), _fmt(c.kappa), c.classification,
-                         _fmt(c.terminal_mutant_share)])
+                         _fmt(c.terminal_mutant_share), c.error])
     return buf.getvalue()
 
 
@@ -187,7 +190,7 @@ def write_run_outputs(result: RunResult, out_dir: str, preset: Optional[str]) ->
     _atomic_write(os.path.join(out_dir, "run-manifest.json"), manifest_text(result.config, preset))
 
 
-def run_preset(name_or_path: str, overrides: Sequence[str], out_dir: str, jobs: int = 1) -> int:
+def run_preset(name_or_path: str, overrides: Sequence[str], out_dir: str) -> int:
     """Resolve a preset or config file, run it, and write the output bundle."""
     presets = build_presets()
     preset_name = None
@@ -203,8 +206,7 @@ def run_preset(name_or_path: str, overrides: Sequence[str], out_dir: str, jobs: 
     if overrides:
         config = apply_overrides(config, overrides)
     if preset_name == "fig6-region":
-        cells = sweep_region(PRESET_GRID["deltas"], PRESET_GRID["nus"], PRESET_GRID["kappas"],
-                             config, jobs=jobs)
+        cells = sweep_region(PRESET_GRID["deltas"], PRESET_GRID["nus"], PRESET_GRID["kappas"], config)
         _atomic_write(os.path.join(out_dir, "region.csv"), region_csv_text(cells))
         _atomic_write(os.path.join(out_dir, "run-manifest.json"), manifest_text(config, preset_name))
         return 0
@@ -288,7 +290,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--mode", choices=["meanfield", "montecarlo"], default=None)
     p_run.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted-path config override")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker threads for grid presets")
+    p_run.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="classify a (delta, nu, kappa) grid")
     p_sweep.add_argument("--config", default=None, help="template config file (defaults apply)")
@@ -296,7 +298,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--nu", type=float, nargs="+", default=PRESET_GRID["nus"])
     p_sweep.add_argument("--kappa", type=float, nargs="+", default=PRESET_GRID["kappas"])
     p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_sweep.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
 
     p_plot = sub.add_parser("plotdata", help="emit gnuplot series from a metrics CSV")
@@ -316,14 +318,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 overrides.append(f"seed={args.seed}")
             if args.mode is not None:
                 overrides.append(f"mode={args.mode}")
-            return run_preset(args.scenario, overrides, args.out, jobs=args.jobs)
+            return run_preset(args.scenario, overrides, args.out)
         if args.command == "sweep":
             config = load_config(args.config) if args.config else ScenarioConfig.from_dict(
                 {"launch_policy": "always", "steps": 400}
             )
             if args.overrides:
                 config = apply_overrides(config, args.overrides)
-            cells = sweep_region(args.delta, args.nu, args.kappa, config, jobs=args.jobs)
+            cells = sweep_region(args.delta, args.nu, args.kappa, config)
             _atomic_write(os.path.join(args.out, "region.csv"), region_csv_text(cells))
             _atomic_write(os.path.join(args.out, "run-manifest.json"), manifest_text(config, None))
             return 0
@@ -338,6 +340,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (SimulationError, ValueError, RuntimeError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # anything else is a runtime failure too: one line, no traceback
+        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence, Tuple
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from .attack import (
     AttackController,
+    PHASES,
     AttackPhase,
     DensityEstimates,
     InducingTemplate,
@@ -30,7 +31,6 @@ from .channel import ChannelParams, max_allowable_su_density
 from .game import (
     DynamicsParams,
     GameEnv,
-    MuDrive,
     PayoffParams,
     StrategySet,
     classify_operating_point,
@@ -83,6 +83,14 @@ class ScenarioConfig:
     extinction_tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):  # types are the annotation strings
+            value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.launch_policy not in LAUNCH_POLICIES:
@@ -122,7 +130,7 @@ class ScenarioConfig:
     def strategies(self) -> StrategySet:
         return StrategySet(self.access_probs)
 
-    def game_env(self, mu: MuDrive = MuDrive(0.0, 0.0)) -> GameEnv:
+    def game_env(self) -> GameEnv:
         return GameEnv(
             channel=self.channel,
             payoffs=self.payoffs,
@@ -130,7 +138,6 @@ class ScenarioConfig:
             lambda_su=self.lambda_su,
             lambda_pt=self.lambda_pt,
             sensing_radius=self.sensing_radius,
-            mu=mu,
             include_pt_at_su=self.include_pt_interference_at_su,
             include_pt_at_pr=self.include_pt_interference_at_pr,
         )
@@ -167,7 +174,7 @@ class ScenarioConfig:
                     raise ConfigError(f"unknown {key} keys: {sorted(sub_unknown)}")
                 try:
                     kwargs[key] = sub_cls(**sub)
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
         for key in ("access_probs", "x0"):
             if key in kwargs and kwargs[key] is not None:
@@ -265,30 +272,31 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
         config.lambda_mu, config.template(), cap, launch=launch,
         inactive_behavior=config.inactive_mu_behavior, lambda_su=config.lambda_su,
     )
-    env = config.game_env()
     traj = run_dynamics(
-        np.asarray(config.x0), env, controller, steps=config.steps, h=config.step_size,
+        np.asarray(config.x0), config.game_env(), controller, steps=config.steps, h=config.step_size,
         compute_sinr=True, freeze_shares=config.freeze_shares,
     )
+    pr_ok = traj.s_pr >= 1.0 - ch.pr_outage_constraint
+    su_ok = traj.s_su >= 1.0 - ch.su_outage_constraint
     records = []
-    for rec, phase in zip(traj.records, controller.phase_history):
-        pr_db = _to_db(rec.pr_median_sinr)
-        su_db = _to_db(rec.su_median_sinr)
+    for t, phase in enumerate(controller.phase_history):
+        pr_db = _to_db(float(traj.pr_median_sinr[t]))
+        su_db = _to_db(float(traj.su_median_sinr[t]))
         records.append(MetricsRecord(
-            t_update=rec.t,
-            t_slot=rec.t * config.window,
-            shares=tuple(rec.shares.tolist()),
-            active_su_density=rec.active_su_density,
-            mu_phase=phase.value,
-            pr_success=1.0 if rec.s_pr >= 1.0 - ch.pr_outage_constraint else 0.0,
-            su_success=1.0 if rec.s_su >= 1.0 - ch.su_outage_constraint else 0.0,
+            t_update=t,
+            t_slot=t * config.window,
+            shares=tuple(traj.shares[t].tolist()),
+            active_su_density=float(traj.active_su_density[t]),
+            mu_phase=PHASES[phase.item()].value,
+            pr_success=1.0 if pr_ok[t] else 0.0,
+            su_success=1.0 if su_ok[t] else 0.0,
             pr_sinr_db_mean=pr_db,
             pr_sinr_db_median=pr_db,
             su_sinr_db_mean=su_db,
             su_sinr_db_median=su_db,
-            payoffs=tuple(rec.payoffs.tolist()),
-            pr_success_raw=rec.s_pr,
-            su_success_raw=rec.s_su,
+            payoffs=tuple(traj.payoffs[t].tolist()),
+            pr_success_raw=float(traj.s_pr[t]),
+            su_success_raw=float(traj.s_su[t]),
         ))
     return RunResult(config, records, controller.events, cap)
 
@@ -527,6 +535,7 @@ class SweepCell:
     kappa: float
     classification: str
     terminal_mutant_share: float
+    error: str = ""  # why the cell failed, for classification "error"
 
 
 def sweep_region(
@@ -534,36 +543,25 @@ def sweep_region(
     nus: Sequence[float],
     kappas: Sequence[float],
     config: ScenarioConfig,
-    jobs: int = 1,
 ) -> List[SweepCell]:
     """Classify every (delta, nu, kappa) cell under the standard inducing template.
 
-    Cells are independent; results are emitted in grid order regardless of the
-    number of worker threads. Per-cell errors are recorded, not fatal.
+    All cells run as one batch, one row per cell, and come back in grid order.
+    A cell whose dynamics fail is labelled "error" with the reason; the other
+    cells are unaffected.
     """
-    cells = [(d, n, k) for d in deltas for n in nus for k in kappas]
-    if not cells:
+    grid = [(float(d), float(n), float(k)) for d in deltas for n in nus for k in kappas]
+    if not grid:
         raise ConfigError("sweep grid is empty")
+    try:
+        payoffs = PayoffParams(*(np.array(column) for column in zip(*grid)))
+    except ValueError as exc:
+        raise ConfigError(f"sweep grid: {exc}") from exc
     cap = max_allowable_su_density(config.channel)
-    dynamics = config.dynamics()
-
-    def work(cell: Tuple[float, float, float]) -> SweepCell:
-        d, n, k = cell
-        try:
-            env = config.game_env()
-            env = replace(env, payoffs=PayoffParams(delta=d, nu=n, kappa=k))
-            factory = make_template_schedule(
-                config.lambda_mu, config.template(), cap,
-                inactive_behavior=config.inactive_mu_behavior, lambda_su=config.lambda_su,
-            )
-            cls = classify_operating_point(env, factory, dynamics, density_cap=cap)
-            return SweepCell(d, n, k, cls.label, cls.terminal_mutant_share)
-        except Exception:
-            return SweepCell(d, n, k, "error", math.nan)
-
-    if jobs <= 1:
-        results = [work(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, cells))
-    return results
+    factory = make_template_schedule(
+        config.lambda_mu, config.template(), cap,
+        inactive_behavior=config.inactive_mu_behavior, lambda_su=config.lambda_su,
+    )
+    env = replace(config.game_env(), payoffs=payoffs)
+    results = classify_operating_point(env, factory, config.dynamics(), density_cap=cap)
+    return [SweepCell(d, n, k, r.label, r.terminal_mutant_share, r.error) for (d, n, k), r in zip(grid, results)]

@@ -6,18 +6,26 @@ other active non-primary transmitter (otherwise transgression pays zero), and
 then earns delta on a successful transmission or loses nu on a failed one.
 Success probabilities come from the closed-form Poisson-field channel model;
 population shares evolve under discrete-step replicator dynamics.
+
+The dynamics run a batch of cells at once: shares of shape (cells, m), with
+per-cell incentives and per-cell attacker drive. A single run is the batch of
+one cell, reported without the cell axis.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .channel import ChannelParams, InterfererField, max_allowable_su_density, median_sinr, success_prob
 
 SIMPLEX_TOL = 1e-9
+MAX_HALVINGS = 40
+NONNEGATIVE_FAILURE = "replicator step could not keep shares nonnegative"
+NONFINITE_FAILURE = NONNEGATIVE_FAILURE + ": non-finite payoffs"
 
 
 @dataclass(frozen=True)
@@ -39,26 +47,40 @@ class StrategySet:
     def __len__(self) -> int:
         return len(self.access_probs)
 
-    @property
+    @cached_property
     def probs(self) -> np.ndarray:
-        return np.asarray(self.access_probs)
+        probs = np.asarray(self.access_probs)
+        probs.flags.writeable = False
+        return probs
 
 
 @dataclass(frozen=True)
 class PayoffParams:
-    """Incentive triple: delta rewards success, nu prices failure, kappa pays compliance."""
+    """Incentive triple: delta rewards success, nu prices failure, kappa pays compliance.
+
+    Each value is a float, or a per-cell array for a batched run.
+    """
 
     delta: float = 10.0
     nu: float = 1.0
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
+        values = {name: np.asarray(getattr(self, name), dtype=float) for name in ("delta", "nu", "kappa")}
+        for name, v in values.items():
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
+        if not np.all(values["delta"] > 0):
             raise ValueError("delta must be positive")
-        if self.nu < 0:
+        if np.any(values["nu"] < 0):
             raise ValueError("nu must be nonnegative")
-        if self.kappa < 0:
+        if np.any(values["kappa"] < 0):
             raise ValueError("kappa must be nonnegative")
+
+    @cached_property
+    def batch_shape(self) -> Tuple[int, ...]:
+        """() for scalar incentives, (cells,) for per-cell ones."""
+        return np.broadcast_shapes(np.shape(self.delta), np.shape(self.nu), np.shape(self.kappa))
 
 
 @dataclass(frozen=True)
@@ -69,6 +91,7 @@ class MuDrive:
     proximity perception). inducement: probability that a secondary user
     perceives an advertised accomplice regardless of local density -- the
     mechanism by which sparse attackers open the transgression payoff gate.
+    Both are floats, or per-cell arrays in a batched run.
     """
 
     active_density: float = 0.0
@@ -77,8 +100,8 @@ class MuDrive:
 
 IDLE_MU = MuDrive(0.0, 0.0)
 
-# (step index, currently observed active SU density) -> MuDrive
-MuSchedule = Callable[[int, float], MuDrive]
+# (step index, currently observed active SU density per cell) -> MuDrive
+MuSchedule = Callable[[int, np.ndarray], MuDrive]
 
 
 @dataclass(frozen=True)
@@ -101,141 +124,151 @@ class GameEnv:
         if not self.sensing_radius > 0:
             raise ValueError("sensing radius must be positive")
 
+    @cached_property
+    def _pt_fields(self) -> List[InterfererField]:
+        """The primary transmitter field, as a list that is empty without primaries."""
+        return [InterfererField(self.lambda_pt, self.channel.pt_power)] if self.lambda_pt > 0 else []
+
 
 def validate_shares(shares, m: int) -> np.ndarray:
+    """Shares as a float array of shape (m,) or (cells, m), every row on the simplex."""
     x = np.asarray(shares, dtype=float)
-    if x.shape != (m,):
+    if x.ndim not in (1, 2) or x.shape[-1] != m:
         raise ValueError(f"expected {m} strategy shares, got shape {x.shape}")
-    if np.any(x < 0) or abs(float(x.sum()) - 1.0) > SIMPLEX_TOL:
+    if not np.all(x >= 0) or np.any(np.abs(x.sum(axis=-1) - 1.0) > SIMPLEX_TOL):
         raise ValueError("shares must be a simplex vector")
     return x
 
 
-def perception_prob(other_active_density: float, sensing_radius: float) -> float:
+def perception_prob(other_active_density, sensing_radius: float):
     """Probability that at least one active transmitter of a PPP falls inside
-    the sensing disk: 1 - exp(-density * pi * R^2)."""
-    if other_active_density < 0:
+    the sensing disk: 1 - exp(-density * pi * R^2). Broadcasts over densities."""
+    d = np.asarray(other_active_density, dtype=float)
+    if np.count_nonzero(d < 0):
         raise ValueError("density must be nonnegative")
-    return -math.expm1(-other_active_density * math.pi * sensing_radius ** 2)
+    q = -np.expm1(d * (-math.pi * sensing_radius ** 2))
+    return q if q.ndim else float(q)
 
 
-def active_su_density(shares, env: GameEnv) -> float:
-    """Transmit-weighted secondary density lambda_SU * sum_i x_i p_i."""
-    x = np.asarray(shares, dtype=float)
-    return float(env.lambda_su * float(x @ env.strategies.probs))
+def active_su_density(shares, env: GameEnv):
+    """Transmit-weighted secondary density lambda_SU * sum_i x_i p_i (per row)."""
+    return env.lambda_su * (np.asarray(shares, dtype=float) @ env.strategies.probs)
 
 
-def _interferer_fields(active_su: float, env: GameEnv, at_su: bool) -> List[InterfererField]:
+def _interferer_fields(active_su, mu_density, env: GameEnv) -> Tuple[List[InterfererField], ...]:
+    """(fields at an SU receiver, fields at a PR receiver): the active SU and
+    MU fields, plus the PT field where included. An empty field adds exactly
+    zero to the success exponent."""
     ch = env.channel
-    fields = []
-    if active_su > 0:
-        fields.append(InterfererField(active_su, ch.su_power))
-    if env.mu.active_density > 0:
-        fields.append(InterfererField(env.mu.active_density, ch.mu_power))
-    include_pt = env.include_pt_at_su if at_su else env.include_pt_at_pr
-    if include_pt and env.lambda_pt > 0:
-        fields.append(InterfererField(env.lambda_pt, ch.pt_power))
-    return fields
+    shared = [InterfererField(active_su, ch.su_power), InterfererField(mu_density, ch.mu_power)]
+    pt = env._pt_fields
+    return (shared + pt if env.include_pt_at_su else shared), (shared + pt if env.include_pt_at_pr else shared)
 
 
-def link_success_probs(shares, env: GameEnv) -> Tuple[float, float]:
-    """(secondary, primary) link success probabilities under the current field."""
-    act = active_su_density(shares, env)
-    ch = env.channel
-    s_su = success_prob(ch.su_link_distance, ch.su_power, ch.su_sinr_threshold,
-                        _interferer_fields(act, env, at_su=True), ch)
-    s_pr = success_prob(ch.pt_link_distance, ch.pt_power, ch.pr_sinr_threshold,
-                        _interferer_fields(act, env, at_su=False), ch)
-    return s_su, s_pr
-
-
-def perceived_prob(shares, env: GameEnv) -> float:
-    """Probability a transmitting SU perceives an accomplice: proximity perception
-    of the active SU+MU field, OR'd with the MU inducement signal."""
-    act = active_su_density(shares, env)
-    q_local = perception_prob(act + env.mu.active_density, env.sensing_radius)
-    return 1.0 - (1.0 - q_local) * (1.0 - env.mu.inducement)
-
-
-def access_payoff(p: float, q: float, s: float, payoffs: PayoffParams) -> float:
+def access_payoff(p, q, s, payoffs: PayoffParams):
     """Expected payoff of access probability p given perception prob q and
     transmission success prob s: (1-p)*kappa + p*q*(delta*s - nu*(1-s))."""
     return (1.0 - p) * payoffs.kappa + p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))
 
 
-def payoff_vector(shares, env: GameEnv) -> Tuple[np.ndarray, float, float, float]:
-    """Per-strategy mean-field payoffs plus the (q, s_su, s_pr) diagnostics."""
-    x = np.asarray(shares, dtype=float)
-    q = perceived_prob(x, env)
-    s_su, s_pr = link_success_probs(x, env)
-    pi = np.array([access_payoff(p, q, s_su, env.payoffs) for p in env.strategies.access_probs])
-    return pi, q, s_su, s_pr
+def payoff_vector(shares, env: GameEnv, mu: Optional[MuDrive] = None):
+    """Per-strategy mean-field payoffs plus the (q, s_su, s_pr) diagnostics.
 
-
-def strategy_payoff(i: int, shares, env: GameEnv) -> float:
-    """Mean-field payoff of strategy i at population state `shares`."""
-    pi, _, _, _ = payoff_vector(shares, env)
-    return float(pi[i])
+    `shares` is (m,) or (cells, m); `mu` (default env.mu) and env.payoffs may
+    hold per-cell arrays. The payoffs come back as (m,) or (cells, m), the
+    diagnostics as floats or (cells,) arrays.
+    """
+    mu = env.mu if mu is None else mu
+    ch = env.channel
+    act = active_su_density(shares, env)
+    q_local = perception_prob(act + mu.active_density, env.sensing_radius)
+    q = 1.0 - (1.0 - q_local) * (1.0 - mu.inducement)
+    at_su, at_pr = _interferer_fields(act, mu.active_density, env)
+    s_su = success_prob(ch.su_link_distance, ch.su_power, ch.su_sinr_threshold, at_su, ch)
+    s_pr = success_prob(ch.pt_link_distance, ch.pt_power, ch.pr_sinr_threshold, at_pr, ch)
+    cell_dims = max(np.ndim(q), len(env.payoffs.batch_shape))
+    p = env.strategies.probs.reshape((-1,) + (1,) * cell_dims)
+    return access_payoff(p, q, s_su, env.payoffs).T, q, s_su, s_pr
 
 
 def replicator_step(shares, payoffs, h: float) -> np.ndarray:
     """One Euler step of continuous replicator dynamics, renormalized to the simplex.
 
+    Takes one (m,) share vector or a (cells, m) batch, stepped row by row.
     Payoffs are anchored to the first strategy before averaging so a common
-    additive shift cancels structurally, not just in exact arithmetic. If the
-    step would drive a share negative, h is halved (at most 40 times).
+    additive shift cancels structurally, not just in exact arithmetic. Where a
+    step would drive a share negative, that row's h is halved (at most 40
+    times). A row that cannot be stepped -- non-finite payoffs, or still
+    negative after the last halving -- raises ValueError for a single vector
+    and comes back as NaN in a batch, so that one bad cell stops no other.
     """
     x = np.asarray(shares, dtype=float)
     pi = np.asarray(payoffs, dtype=float)
     if not h > 0:
         raise ValueError("step size must be positive")
-    if not np.all(np.isfinite(pi)):
-        raise ValueError("replicator step could not keep shares nonnegative: non-finite payoffs")
-    rel = pi - pi[0]
-    mean_rel = float(x @ rel)
-    dev = rel - mean_rel
-    step = h
-    for _ in range(41):
-        factors = 1.0 + step * dev
-        if np.all(factors[x > 0] >= 0.0):
-            break
-        step *= 0.5
-    else:
-        raise ValueError("replicator step could not keep shares nonnegative")
-    new = x * factors
-    return new / new.sum()
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Pre-update state of one dynamics step plus derived channel metrics."""
-
-    t: int
-    shares: np.ndarray
-    payoffs: np.ndarray
-    q: float
-    s_su: float
-    s_pr: float
-    active_su_density: float
-    mu: MuDrive
-    pr_median_sinr: float = math.nan
-    su_median_sinr: float = math.nan
+    rows = x.reshape(-1, x.shape[-1])
+    pi = pi.reshape(rows.shape)
+    finite = np.isfinite(pi)
+    all_finite = np.count_nonzero(finite) == finite.size
+    if not all_finite:
+        if x.ndim == 1:
+            raise ValueError(NONFINITE_FAILURE)
+        finite = finite.all(axis=1)
+        pi = np.where(finite[:, None], pi, 0.0)  # stepped flat, blanked below
+    rel = pi - pi[:, :1]
+    dev = rel - (rows * rel).sum(axis=1)[:, None]
+    factors = 1.0 + h * dev
+    if np.count_nonzero(factors >= 0.0) != factors.size:
+        vacant = rows <= 0
+        step = np.full((len(rows), 1), float(h))
+        for _ in range(MAX_HALVINGS + 1):
+            factors = 1.0 + step * dev
+            pending = ~((factors >= 0.0) | vacant).all(axis=1)
+            if not np.count_nonzero(pending):
+                break
+            step[pending] *= 0.5
+        else:
+            if x.ndim == 1:
+                raise ValueError(NONNEGATIVE_FAILURE)
+            factors[pending] = math.nan
+    if not all_finite:
+        factors[~finite] = math.nan
+    new = rows * factors
+    new /= new.sum(axis=1)[:, None]
+    return new.reshape(x.shape)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    records: List[StepRecord]
+    """Pre-update state of every step, stacked along a leading step axis.
+
+    For a batch a cell axis follows the step axis: shares and payoffs are
+    (steps, cells, m) and the diagnostics (steps, cells); a single run has no
+    cell axis. The SINR medians are NaN unless computed. `errors` holds, per
+    cell, why that cell was frozen ("" for cells that ran to the end).
+    """
+
+    shares: np.ndarray
+    payoffs: np.ndarray
+    s_su: np.ndarray
+    s_pr: np.ndarray
+    active_su_density: np.ndarray
+    mu_density: np.ndarray
+    inducement: np.ndarray
+    pr_median_sinr: np.ndarray
+    su_median_sinr: np.ndarray
     final_shares: np.ndarray
+    errors: Tuple[str, ...]
 
 
-def transmitting_share(shares, env: Optional[GameEnv] = None, probs: Optional[np.ndarray] = None) -> float:
-    """Total share on strategies with positive access probability."""
+def transmitting_share(shares, env: Optional[GameEnv] = None, probs: Optional[np.ndarray] = None):
+    """Total share on strategies with positive access probability (per row)."""
     x = np.asarray(shares, dtype=float)
     if probs is None:
         if env is None:
             raise ValueError("need either env or probs")
         probs = env.strategies.probs
-    return float(x[np.asarray(probs) > 0].sum())
+    return x[..., np.asarray(probs) > 0].sum(axis=-1)
 
 
 def run_dynamics(
@@ -249,32 +282,62 @@ def run_dynamics(
 ) -> Trajectory:
     """Iterate payoff evaluation and replicator steps under a malicious-user schedule.
 
-    The schedule is consulted before each step with the currently observed
-    active secondary density, so withdrawal rules react to the population the
-    attacker has just seen. Records hold the pre-update state of every step.
+    Every cell runs in the same loop: the cells are the rows of x0 ((m,) or
+    (cells, m)) broadcast against per-cell incentives in env.payoffs. The
+    schedule is consulted before each step with the currently observed active
+    secondary density of every cell, so withdrawal rules react to the
+    population the attacker has just seen. The SINR medians of all steps are
+    solved in one call after the loop.
+
+    A cell whose payoffs turn non-finite, or whose replicator step fails, is
+    frozen at its last shares with the reason in `errors`, and the other cells
+    run on; a single run (1-D x0, scalar incentives) raises ValueError instead.
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    x = validate_shares(x0, len(env.strategies))
-    ch = env.channel
-    records: List[StepRecord] = []
+    m = len(env.strategies)
+    x0 = validate_shares(x0, m)
+    batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
+    single = batch == ()
+    x = np.array(np.broadcast_to(x0, batch + (m,)), ndmin=2)
+    cells = len(x)
+    shares = np.empty((steps, cells, m))
+    payoffs = np.empty((steps, cells, m))
+    s_su, s_pr, act, mu_density, inducement = np.empty((5, steps, cells))
+    errors = [""] * cells
+    live = np.ones(cells, dtype=bool)
+    all_live = True
     for t in range(steps):
-        act = active_su_density(x, env)
-        drive = mu_schedule(t, act)
-        env_t = replace(env, mu=drive)
-        pi, q, s_su, s_pr = payoff_vector(x, env_t)
-        if compute_sinr:
-            pr_med = median_sinr(ch.pt_link_distance, ch.pt_power, _interferer_fields(act, env_t, at_su=False), ch)
-            su_med = median_sinr(ch.su_link_distance, ch.su_power, _interferer_fields(act, env_t, at_su=True), ch)
-        else:
-            pr_med = su_med = math.nan
-        records.append(
-            StepRecord(t=t, shares=x.copy(), payoffs=pi, q=q, s_su=s_su, s_pr=s_pr,
-                       active_su_density=act, mu=drive, pr_median_sinr=pr_med, su_median_sinr=su_med)
-        )
-        if not freeze_shares:
-            x = replicator_step(x, pi, h)
-    return Trajectory(records=records, final_shares=x)
+        act[t] = active_su_density(x, env)
+        drive = mu_schedule(t, act[t])
+        pi, _, s_su[t], s_pr[t] = payoff_vector(x, env, drive)
+        mu_density[t], inducement[t] = drive.active_density, drive.inducement
+        shares[t], payoffs[t] = x, pi
+        if freeze_shares:
+            continue
+        new = replicator_step(x, pi if all_live else np.where(live[:, None], pi, 0.0), h)
+        failed = np.isnan(new[:, 0]) & live
+        if np.count_nonzero(failed):
+            for c in np.flatnonzero(failed):
+                reason = NONNEGATIVE_FAILURE if np.isfinite(pi[c]).all() else NONFINITE_FAILURE
+                if single:
+                    raise ValueError(reason)
+                errors[c] = f"{reason} (step {t})"
+            live &= ~failed
+            all_live = False
+        x = new if all_live else np.where(live[:, None], new, x)
+    if compute_sinr:
+        ch = env.channel
+        at_su, at_pr = _interferer_fields(act, mu_density, env)
+        pr_med = median_sinr(ch.pt_link_distance, ch.pt_power, at_pr, ch)
+        su_med = median_sinr(ch.su_link_distance, ch.su_power, at_su, ch)
+    else:
+        pr_med = su_med = np.full((steps, cells), math.nan)
+    per_step = [shares, payoffs, s_su, s_pr, act, mu_density, inducement, pr_med, su_med]
+    if single:
+        per_step = [a[:, 0] for a in per_step]
+        x = x[0]
+    return Trajectory(*per_step, final_shares=x, errors=tuple(errors))
 
 
 @dataclass(frozen=True)
@@ -289,10 +352,11 @@ class DynamicsParams:
 
 @dataclass(frozen=True)
 class Classification:
-    label: str  # "robust" | "fragile"
+    label: str  # "robust" | "fragile" | "error"
     terminal_mutant_share: float
     peak_mutant_share: float
     boundary: bool = False
+    error: str = ""  # why the cell failed, for label "error"
 
 
 def classify_operating_point(
@@ -300,37 +364,43 @@ def classify_operating_point(
     schedule_factory: Callable[[], MuSchedule],
     dynamics: DynamicsParams,
     density_cap: Optional[float] = None,
-) -> Classification:
+) -> Union[Classification, List[Classification]]:
     """Run the attack template from the configured start and classify the rest state.
 
     Fragile if the terminal transmit-weighted density violates the primary
     outage cap; robust if induced transmitters go extinct; otherwise the sign
     of the terminal payoff drift decides, with zero drift counted fragile
     (conservative from the defender's side).
+
+    With per-cell incentives in env.payoffs every cell is classified in one
+    batched run and a list comes back, in cell order; a failed cell is
+    labelled "error" with its reason. Scalar incentives give one
+    Classification, and a failure raises ValueError.
     """
     cap = max_allowable_su_density(env.channel) if density_cap is None else density_cap
     traj = run_dynamics(np.asarray(dynamics.x0), env, schedule_factory(), dynamics.steps, dynamics.h,
                         compute_sinr=False)
     probs = env.strategies.probs
-    x_T = traj.final_shares
+    x_T = np.atleast_2d(traj.final_shares)
     terminal = transmitting_share(x_T, probs=probs)
-    peak = max(transmitting_share(r.shares, probs=probs) for r in traj.records)
-    peak = max(peak, terminal)
-    active_T = active_su_density(x_T, env)
-    if active_T > cap:
-        return Classification("fragile", terminal, peak)
-    if terminal < dynamics.extinction_tol:
-        return Classification("robust", terminal, peak)
-    last_mu = traj.records[-1].mu
-    pi, _, _, _ = payoff_vector(x_T, replace(env, mu=last_mu))
-    mean_pay = float(x_T @ pi)
-    transmit_pay = float(x_T[probs > 0] @ pi[probs > 0]) / terminal
-    drift = transmit_pay - mean_pay
-    if drift > 0:
-        return Classification("fragile", terminal, peak)
-    if drift < 0:
-        return Classification("robust", terminal, peak)
-    return Classification("fragile", terminal, peak, boundary=True)
+    peak = np.maximum(transmitting_share(traj.shares, probs=probs).max(axis=0), terminal)
+    last_mu = MuDrive(traj.mu_density[-1], traj.inducement[-1])
+    weighted = x_T * payoff_vector(x_T, env, last_mu)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = weighted[:, probs > 0].sum(axis=1) / terminal - weighted.sum(axis=1)
+    fragile = active_su_density(x_T, env) > cap
+    robust = ~fragile & (terminal < dynamics.extinction_tol)
+    out = []
+    for c, error in enumerate(traj.errors):
+        if error:
+            out.append(Classification("error", math.nan, math.nan, error=error))
+        elif fragile[c] or (not robust[c] and drift[c] > 0):
+            out.append(Classification("fragile", float(terminal[c]), float(peak[c])))
+        elif robust[c] or drift[c] < 0:
+            out.append(Classification("robust", float(terminal[c]), float(peak[c])))
+        else:
+            out.append(Classification("fragile", float(terminal[c]), float(peak[c]), boundary=True))
+    return out if traj.final_shares.ndim == 2 else out[0]
 
 
 def find_rest_points(env: GameEnv, grid: int = 2001, tol: float = 1e-9) -> List[Tuple[float, str]]:
@@ -351,7 +421,7 @@ def find_rest_points(env: GameEnv, grid: int = 2001, tol: float = 1e-9) -> List[
         return float(pi[1] - pi[0])
 
     xs = np.linspace(0.0, 1.0, grid)
-    gs = np.array([g(x) for x in xs])
+    gs = np.diff(payoff_vector(np.stack([1.0 - xs, xs], axis=1), env)[0], axis=1)[:, 0]
     out: List[Tuple[float, str]] = []
 
     g0, g1 = gs[0], gs[-1]
@@ -378,16 +448,12 @@ def find_rest_points(env: GameEnv, grid: int = 2001, tol: float = 1e-9) -> List[
 
 
 def _rest_points_multistart(env: GameEnv, starts: int = 8, steps: int = 4000, h: float = 0.1):
-    rng = np.random.default_rng(0)
-    m = len(env.strategies)
+    x0 = np.random.default_rng(0).dirichlet(np.ones(len(env.strategies)), size=starts)
+    traj = run_dynamics(x0, env, lambda t, observed: env.mu, steps, h, compute_sinr=False)
     limits: List[Tuple[float, str]] = []
     seen: List[np.ndarray] = []
-    for _ in range(starts):
-        x = rng.dirichlet(np.ones(m))
-        for _ in range(steps):
-            pi, _, _, _ = payoff_vector(x, env)
-            x = replicator_step(x, pi, h)
+    for x in traj.final_shares:
         if not any(np.allclose(x, s, atol=1e-4) for s in seen):
-            seen.append(x.copy())
-            limits.append((transmitting_share(x, probs=env.strategies.probs), "stable"))
+            seen.append(x)
+            limits.append((float(transmitting_share(x, probs=env.strategies.probs)), "stable"))
     return limits

@@ -173,7 +173,7 @@ def test_criterion_6_robust_fragile_region():
     start = time.time()
     config = ScenarioConfig.from_dict({"launch_policy": "always", "steps": 400})
     cells = sweep_region([2.0, 5.0, 10.0, 20.0], [0.5, 1.0, 2.0],
-                         [0.0, 2.0, 4.0, 6.0, 8.0, 10.0], config, jobs=2)
+                         [0.0, 2.0, 4.0, 6.0, 8.0, 10.0], config)
     elapsed = time.time() - start
     table = {(c.delta, c.nu, c.kappa): c.classification for c in cells}
     anchors = table[(10.0, 1.0, 0.0)] == "fragile" and table[(10.0, 1.0, 8.0)] == "robust"

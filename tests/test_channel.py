@@ -29,12 +29,17 @@ def test_channel_params_invariants():
         ChannelParams(pr_outage_constraint=1.0)
     with pytest.raises(ValueError):
         ChannelParams(su_power=-0.1)
+    with pytest.raises(ValueError, match="finite"):
+        ChannelParams(pt_link_distance=math.inf)
 
 
 def test_interferer_field_invariants():
     InterfererField(0.0, 0.1)
+    InterfererField(np.array([0.0, 1e-5]), 0.1)
     with pytest.raises(ValueError):
         InterfererField(-1e-9, 0.1)
+    with pytest.raises(ValueError):
+        InterfererField(np.array([1e-5, -1e-9]), 0.1)
     with pytest.raises(ValueError):
         InterfererField(1e-5, 0.0)
 
@@ -181,6 +186,45 @@ def test_median_sinr_decreases_with_fields():
     denser = median_sinr(15.0, 0.3, [InterfererField(1e-4, 0.1)], PARAMS)
     assert with_field < base
     assert denser < with_field
+
+
+def _bisection_median(link_distance, link_power, fields, params, rel_tol=1e-6):
+    """Oracle: success_prob(eta) = 0.5 by bisection on log eta over [1e-6, 1e9]."""
+    def s(eta):
+        return success_prob(link_distance, link_power, eta, fields, params)
+
+    lo, hi = math.log(1e-6), math.log(1e9)
+    assert s(1e-6) >= 0.5 >= s(1e9)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if s(math.exp(mid)) >= 0.5:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_tol and abs(s(math.exp(0.5 * (lo + hi))) - 0.5) <= 1e-7:
+            break
+    return math.exp(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0])
+def test_median_sinr_matches_bisection_oracle(alpha):
+    params = ChannelParams(alpha=alpha)
+    densities = np.concatenate([[0.0], np.geomspace(1e-7, 1e-2, 40)])
+    fields = [InterfererField(densities, 0.1), InterfererField(1e-5, 0.3)]
+    medians = median_sinr(15.0, 0.3, fields, params)
+    assert medians.shape == densities.shape
+    for d, got in zip(densities, medians):
+        oracle = _bisection_median(15.0, 0.3, [InterfererField(d, 0.1), InterfererField(1e-5, 0.3)], params)
+        assert got == pytest.approx(oracle, rel=1e-6)
+        assert median_sinr(15.0, 0.3, [InterfererField(d, 0.1), InterfererField(1e-5, 0.3)], params) == got
+
+
+def test_success_prob_broadcasts_and_decreases_in_density():
+    densities = np.linspace(0.0, 1e-4, 11)
+    probs = success_prob(10.0, 0.1, 3.0, [InterfererField(densities, 0.1)], PARAMS)
+    assert probs.shape == densities.shape
+    assert np.all(np.diff(probs) < 0)
+    assert probs[4] == success_prob(10.0, 0.1, 3.0, [InterfererField(densities[4], 0.1)], PARAMS)
 
 
 def test_median_sinr_bracket_failure():

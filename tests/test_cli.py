@@ -111,7 +111,7 @@ def test_run_preset_fig3_outputs(tmp_path):
 
 def test_run_preset_fig6_region(tmp_path):
     out = tmp_path / "fig6"
-    assert run_preset("fig6-region", [], str(out), jobs=2) == 0
+    assert run_preset("fig6-region", [], str(out)) == 0
     with open(out / "region.csv") as fh:
         rows = list(csv.DictReader(fh))
     table = {(float(r["delta"]), float(r["nu"]), float(r["kappa"])): r["classification"] for r in rows}
@@ -233,3 +233,45 @@ def test_sweep_subcommand_thread_invariance(tmp_path):
     assert main(base + ["--out", str(out1), "--jobs", "1"]) == 0
     assert main(base + ["--out", str(out2), "--jobs", "4"]) == 0
     assert (out1 / "region.csv").read_bytes() == (out2 / "region.csv").read_bytes()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--set", "steps=2.5"],
+    ["--set", "window=true"],
+    ["--set", "lambda_su=NaN"],
+    ["--set", "payoffs.nu=NaN"],
+    ["--set", "lambda_pt=Infinity"],
+    ["--set", "sensing_radius=Infinity"],
+    ["--set", "channel.noise=-Infinity"],
+    ["--set", "x0=[NaN, 1.0]"],
+    ["--mode", "montecarlo", "--set", "seed=-1"],
+])
+def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    assert main(["run", "fig3-population", *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unexpected_failure_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
+    import specgame.cli as cli
+
+    def broken(config):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "run", broken)
+    assert main(["run", "fig3-population", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "runtime failure: TypeError: unsupported operand\n"
+
+
+def test_sweep_region_csv_reports_failed_cells(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--delta", "10", "1e308", "--nu", "1", "--kappa", "0", "--set", "steps=100",
+                 "--out", str(out)]) == 0
+    with open(out / "region.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["classification"], r["error"]) for r in rows][0] == ("fragile", "")
+    assert rows[1]["classification"] == "error"
+    assert rows[1]["error"].startswith("replicator step could not keep shares nonnegative")

@@ -228,16 +228,45 @@ def test_metrics_columns_schema():
 
 def test_sweep_region_anchors_and_order_insensitivity():
     cfg = mf_config(launch_policy="always", steps=400)
-    cells = sweep_region([10.0], [1.0], [0.0, 8.0], cfg, jobs=1)
+    cells = sweep_region([10.0], [1.0], [0.0, 8.0], cfg)
     by_kappa = {c.kappa: c.classification for c in cells}
     assert by_kappa[0.0] == "fragile"
     assert by_kappa[8.0] == "robust"
-    threaded = sweep_region([10.0], [1.0], [0.0, 8.0], cfg, jobs=4)
-    assert [(c.delta, c.nu, c.kappa, c.classification) for c in threaded] == [
+    one_by_one = [sweep_region([10.0], [1.0], [kappa], cfg)[0] for kappa in (0.0, 8.0)]
+    assert [(c.delta, c.nu, c.kappa, c.classification) for c in one_by_one] == [
         (c.delta, c.nu, c.kappa, c.classification) for c in cells
     ]
 
 
+def test_sweep_region_failed_cell_leaves_the_others_unchanged():
+    # delta = 1e308 drives the replicator step negative for every halving
+    cfg = mf_config(launch_policy="always", steps=400)
+    clean = sweep_region([2.0, 10.0], [1.0], [0.0, 8.0], cfg)
+    mixed = sweep_region([2.0, 1e308, 10.0], [1.0], [0.0, 8.0], cfg)
+    kept = mixed[:2] + mixed[4:]
+    assert [(c.delta, c.kappa, c.classification, c.terminal_mutant_share, c.error) for c in kept] == [
+        (c.delta, c.kappa, c.classification, c.terminal_mutant_share, c.error) for c in clean
+    ]
+    for c in mixed[2:4]:
+        assert c.classification == "error" and math.isnan(c.terminal_mutant_share)
+        assert c.error.startswith("replicator step could not keep shares nonnegative")
+
+
+def test_sweep_region_rejects_invalid_grid_values():
+    with pytest.raises(ConfigError, match="delta"):
+        sweep_region([10.0, -1.0], [1.0], [0.0], mf_config())
+    with pytest.raises(ConfigError, match="nu"):
+        sweep_region([10.0], [math.nan], [0.0], mf_config())
+
+
+def test_config_rejects_non_finite_and_non_integer_numbers():
+    for bad in ({"lambda_su": math.nan}, {"region_side": math.inf}, {"steps": 2.5}, {"hysteresis": True},
+                {"seed": -1}, {"seed": 1.0}, {"channel": {"alpha": math.nan}},
+                {"payoffs": {"delta": math.inf}}, {"x0": [math.nan, 1.0]}, {"channel": {"noise": "loud"}}):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict(bad)
+
+
 def test_sweep_region_empty_grid_rejected():
     with pytest.raises(ConfigError):
-        sweep_region([], [1.0], [0.0], mf_config(), jobs=1)
+        sweep_region([], [1.0], [0.0], mf_config())

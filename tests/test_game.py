@@ -20,7 +20,6 @@ from specgame.game import (
     payoff_vector,
     replicator_step,
     run_dynamics,
-    strategy_payoff,
     transmitting_share,
 )
 
@@ -83,13 +82,13 @@ def test_perception_prob_against_sampled_disks():
 
 def test_silent_strategy_earns_compliance_reward():
     env = env_with(kappa=3.5)
-    assert strategy_payoff(0, np.array([0.9, 0.1]), env) == pytest.approx(3.5, abs=1e-15)
+    assert payoff_vector(np.array([0.9, 0.1]), env)[0][0] == pytest.approx(3.5, abs=1e-15)
 
 
 def test_transmit_alone_earns_nothing():
     # nothing active anywhere, no inducement: perception gate closed
     env = env_with(kappa=0.0)
-    assert strategy_payoff(1, np.array([1.0, 0.0]), env) == 0.0
+    assert payoff_vector(np.array([1.0, 0.0]), env)[0][1] == 0.0
 
 
 def test_forced_failure_costs_nu():
@@ -176,8 +175,7 @@ def test_dominance_fixation_within_budget():
 def test_run_dynamics_silent_rest_point():
     env = env_with(kappa=2.0)
     traj = run_dynamics(np.array([1.0, 0.0]), env, idle_schedule, steps=50, h=0.1)
-    for rec in traj.records:
-        assert rec.shares[0] == 1.0 and rec.shares[1] == 0.0
+    assert np.all(traj.shares[:, 0] == 1.0) and np.all(traj.shares[:, 1] == 0.0)
     assert traj.final_shares[0] == 1.0
 
 
@@ -185,7 +183,7 @@ def test_run_dynamics_kappa0_fixation_with_template():
     env = env_with(kappa=0.0)
     factory = make_template_schedule(1e-7, InducingTemplate(), CAP, lambda_su=env.lambda_su)
     traj = run_dynamics(np.array([0.99, 0.01]), env, factory(), steps=120, h=0.1, compute_sinr=False)
-    shares = [r.shares[1] for r in traj.records]
+    shares = traj.shares[:, 1].tolist()
     assert all(b >= a - 1e-15 for a, b in zip(shares, shares[1:]))  # monotone rise
     assert max(shares) > CAP / env.lambda_su  # crosses the admissible share
     assert traj.final_shares[1] >= 0.99
@@ -195,7 +193,7 @@ def test_run_dynamics_kappa8_rise_then_decline():
     env = env_with(kappa=8.0)
     factory = make_template_schedule(1e-7, InducingTemplate(), CAP, lambda_su=env.lambda_su)
     traj = run_dynamics(np.array([0.99, 0.01]), env, factory(), steps=120, h=0.1, compute_sinr=False)
-    shares = [r.shares[1] for r in traj.records] + [traj.final_shares[1]]
+    shares = traj.shares[:, 1].tolist() + [traj.final_shares[1]]
     peak = max(shares)
     assert peak > shares[0]
     assert shares[-1] < peak
@@ -205,8 +203,8 @@ def test_run_dynamics_kappa8_rise_then_decline():
 def test_run_dynamics_records_sinr_metrics():
     env = env_with(kappa=0.0)
     traj = run_dynamics(np.array([0.99, 0.01]), env, idle_schedule, steps=3, h=0.1)
-    assert all(math.isfinite(r.pr_median_sinr) for r in traj.records)
-    assert all(math.isfinite(r.su_median_sinr) for r in traj.records)
+    assert np.all(np.isfinite(traj.pr_median_sinr)) and traj.pr_median_sinr.shape == (3,)
+    assert np.all(np.isfinite(traj.su_median_sinr)) and traj.su_median_sinr.shape == (3,)
 
 
 def test_find_rest_points_kappa0_origin_neutral():
