@@ -12,13 +12,10 @@ __version__ = "0.1.0"
 from .attack import (
     AttackController,
     AttackPhase,
-    AttackState,
     DensityEstimates,
     InducingTemplate,
     decide_launch,
-    mu_action,
     observe,
-    step_phase,
 )
 from .channel import (
     ChannelParams,
@@ -27,9 +24,7 @@ from .channel import (
     field_constant,
     max_allowable_su_density,
     median_sinr,
-    path_loss,
-    sample_fading,
-    sinr,
+    path_gain,
     success_prob,
 )
 from .engine import (

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -32,13 +32,6 @@ class AttackPhase(Enum):
     INDUCING = "inducing"
     INACTIVE = "inactive"
     ABORTED = "aborted"
-
-
-TERMINAL_PHASES = (AttackPhase.INACTIVE, AttackPhase.ABORTED)
-
-
-class PhaseError(RuntimeError):
-    """Raised on an illegal phase transition request."""
 
 
 @dataclass(frozen=True)
@@ -83,18 +76,6 @@ class InducingTemplate:
 
 
 @dataclass(frozen=True)
-class AttackState:
-    """Controller state: phase, gathered estimates, and withdrawal bookkeeping."""
-
-    phase: AttackPhase = AttackPhase.INITIAL
-    estimates: DensityEstimates = DensityEstimates()
-    observed_mutant_density: float = 0.0
-    mu_access_prob: float = 0.5
-    slots_in_phase: int = 0
-    above_cap_run: int = 0
-
-
-@dataclass(frozen=True)
 class PhaseEvent:
     slot: int
     old_phase: AttackPhase
@@ -116,46 +97,14 @@ def advance_phases(phase, above_cap_run, observed, density_cap: float, hysteresi
     ABORTED, None -> keep observing). INDUCING moves to INACTIVE after
     `hysteresis` consecutive observations above the density cap. Terminal
     phases stay as they are. Returns the new (phase, above_cap_run); the run
-    counts consecutive above-cap observations while inducing and is 0 in
-    every other phase.
+    counts consecutive above-cap observations made while inducing and is 0
+    after an observation made in any other phase.
     """
     run = (above_cap_run + 1) * ((phase == INDUCING) & (observed > density_cap))
     new = np.where(run >= hysteresis, INACTIVE, phase)
     if launch is not None:
         new = np.where(phase == INITIAL, INDUCING if launch else ABORTED, new)
     return new, run
-
-
-def step_phase(
-    state: AttackState,
-    observed_mutant_density: float,
-    density_cap: float,
-    hysteresis: int,
-    launch: Optional[bool] = None,
-    slot: int = 0,
-) -> Tuple[AttackState, Optional[PhaseEvent]]:
-    """Advance one controller state by one observation (see advance_phases).
-
-    Terminal phases reject further steps.
-    """
-    if state.phase in TERMINAL_PHASES:
-        raise PhaseError(f"cannot step terminal phase {state.phase.value}")
-    code, run = advance_phases(np.asarray(PHASES.index(state.phase)), state.above_cap_run,
-                               observed_mutant_density, density_cap, hysteresis, launch)
-    new_phase = PHASES[int(code)]
-    event = None
-    if new_phase is not state.phase:
-        event = PhaseEvent(slot, state.phase, new_phase, observed_mutant_density)
-    return replace(state, phase=new_phase, observed_mutant_density=observed_mutant_density,
-                   slots_in_phase=0 if event else state.slots_in_phase + 1, above_cap_run=int(run)), event
-
-
-def mu_action(state: AttackState, rng: np.random.Generator) -> bool:
-    """Whether one attacker transmits this slot: Aloha(mu_access_prob) while
-    inducing, silent in every other phase."""
-    if state.phase is AttackPhase.INDUCING:
-        return bool(rng.random() < state.mu_access_prob)
-    return False
 
 
 class AttackController:

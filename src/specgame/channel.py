@@ -1,5 +1,5 @@
-"""Radio channel model: power-law path loss, Rayleigh fading, SINR, and
-closed-form link success probabilities over Poisson interferer fields.
+"""Radio channel model: power-law path loss, Rayleigh fading, and closed-form
+link success probabilities over Poisson interferer fields.
 
 Received power over distance d is P * G * d^-alpha with G ~ Exp(1) per link.
 A link of distance r, power P and SINR threshold eta facing independent
@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .geometry import Region, toroidal_distances
 
 
 @dataclass(frozen=True)
@@ -90,18 +88,13 @@ class InterfererField:
             raise ValueError("field power must be positive")
 
 
-def path_loss(d, alpha: float):
-    """Distance gain d^-alpha (fading applied separately). d must be positive."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("path loss undefined for nonpositive distance")
-    out = d ** (-alpha)
-    return float(out) if out.ndim == 0 else out
-
-
-def sample_fading(rng: np.random.Generator, size=None):
-    """Unit-mean exponential fading gain(s)."""
-    return rng.exponential(1.0, size=size)
+def path_gain(d, params: ChannelParams):
+    """Distance gain max(d, min_distance)^-alpha of every entry of d (fading
+    applied separately). The clamp keeps the singular power law inside its
+    far-field validity range."""
+    g = np.maximum(d, params.min_distance)
+    g **= -params.alpha
+    return g
 
 
 def field_constant(alpha: float) -> float:
@@ -110,46 +103,6 @@ def field_constant(alpha: float) -> float:
         raise ValueError("alpha must exceed 2 for convergent interference")
     x = 2.0 * math.pi / alpha
     return x / math.sin(x)
-
-
-def sinr(
-    receiver,
-    desired_tx,
-    desired_power: float,
-    interferers: Sequence,
-    params: ChannelParams,
-    region: Region,
-    rng: np.random.Generator,
-    desired_fading: Optional[float] = None,
-    interferer_fading: Optional[np.ndarray] = None,
-) -> float:
-    """One SINR realization at `receiver` with fresh Exp(1) fading per link.
-
-    `interferers` is a sequence of (point, power) pairs. All distances are
-    toroidal and clamped below at params.min_distance, which keeps the
-    singular d^-alpha law inside its far-field validity range.
-    Fading may be overridden for deterministic checks.
-    """
-    receiver = np.asarray(receiver, dtype=float)
-    desired_tx = np.asarray(desired_tx, dtype=float)
-    d0 = toroidal_distances(desired_tx[None, :], receiver, region)[0]
-    if d0 <= 0:
-        raise ValueError("receiver and desired transmitter coincide")
-    d0 = max(d0, params.min_distance)
-    g0 = float(sample_fading(rng)) if desired_fading is None else float(desired_fading)
-    signal = desired_power * g0 * d0 ** (-params.alpha)
-
-    interference = 0.0
-    if interferers:
-        points = np.asarray([p for p, _ in interferers], dtype=float)
-        powers = np.asarray([w for _, w in interferers], dtype=float)
-        dists = np.maximum(toroidal_distances(points, receiver, region), params.min_distance)
-        if interferer_fading is None:
-            gains = sample_fading(rng, size=len(interferers))
-        else:
-            gains = np.asarray(interferer_fading, dtype=float)
-        interference = float(np.sum(powers * gains * dists ** (-params.alpha)))
-    return signal / (params.noise + interference)
 
 
 def _field_coef(link_distance: float, link_power: float, field_power: float, params: ChannelParams) -> float:
@@ -279,9 +232,7 @@ def empirical_success_prob(
             # receiver at the center of the fundamental domain: wrapped distance
             # equals plain Euclidean distance for every point of the square
             xy = rng.uniform(-half, half, size=(npts, 2))
-            d = np.hypot(xy[:, 0], xy[:, 1])
-            np.maximum(d, params.min_distance, out=d)
-            gains_parts.append(d ** (-alpha))
+            gains_parts.append(path_gain(np.hypot(xy[:, 0], xy[:, 1]), params))
             topo_parts.append(np.repeat(np.arange(nb), counts))
             power_parts.append(np.full(npts, f.power))
         if gains_parts:

@@ -63,9 +63,6 @@ def build_presets() -> Dict[str, ScenarioConfig]:
     }
 
 
-JOBS_HELP = "accepted and ignored: the grid runs as one vectorised batch"
-
-
 class UsageError(Exception):
     pass
 
@@ -290,7 +287,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--mode", choices=["meanfield", "montecarlo"], default=None)
     p_run.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted-path config override")
-    p_run.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p_sweep = sub.add_parser("sweep", help="classify a (delta, nu, kappa) grid")
     p_sweep.add_argument("--config", default=None, help="template config file (defaults apply)")
@@ -298,7 +294,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--nu", type=float, nargs="+", default=PRESET_GRID["nus"])
     p_sweep.add_argument("--kappa", type=float, nargs="+", default=PRESET_GRID["kappas"])
     p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_sweep.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
 
     p_plot = sub.add_parser("plotdata", help="emit gnuplot series from a metrics CSV")

@@ -27,7 +27,7 @@ from .attack import (
     make_template_schedule,
     observe,
 )
-from .channel import ChannelParams, max_allowable_su_density
+from .channel import ChannelParams, max_allowable_su_density, path_gain
 from .game import (
     DynamicsParams,
     GameEnv,
@@ -302,49 +302,38 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
 
 
 class _Topology:
-    """Precomputed gain/adjacency matrices for one sampled world."""
+    """Interference gains and sensing adjacency of one sampled world.
+
+    `gain[r, t]` is the path gain from transmitter t to receiver r. Rows are
+    every receiver (the PRs, then the SU receivers); columns are every
+    transmitter (the SUs, then the MUs, then the PTs). A receiver's own link
+    and the PT columns the config excludes are zero, so one product with the
+    stacked transmit loads gives every receiver's interference.
+    `sense[i, j]` is 1 where transmitter j (the SUs, then the MUs) lies within
+    the sensing radius of SU i, and 0 on the diagonal.
+    """
 
     def __init__(self, world, config: ScenarioConfig):
-        ch = config.channel
-        region = world.region
-        alpha = ch.alpha
-        dmin = ch.min_distance
-
-        def gains(rx, tx, exclude_diag=False):
-            if len(rx) == 0 or len(tx) == 0:
-                return np.zeros((len(rx), len(tx)))
-            d = pairwise_toroidal(rx, tx, region)
-            np.maximum(d, dmin, out=d)
-            g = d ** (-alpha)
-            if exclude_diag:
-                np.fill_diagonal(g, 0.0)
-            return g
-
         self.world = world
-        self.n_pt = len(world.pts)
-        self.n_su = len(world.sus)
-        self.n_mu = len(world.mus)
-        pr = world.prs.positions
-        su_rx = world.su_receivers.positions
-        self.g_pr_su = gains(pr, world.sus.positions)
-        self.g_pr_mu = gains(pr, world.mus.positions)
-        self.g_pr_pt = gains(pr, world.pts.positions)
-        if self.n_pt:
-            np.fill_diagonal(self.g_pr_pt, 0.0)  # own transmitter is the desired link
-        self.g_su_su = gains(su_rx, world.sus.positions, exclude_diag=True)
-        self.g_su_pt = gains(su_rx, world.pts.positions)
-        self.g_su_mu = gains(su_rx, world.mus.positions)
-        if self.n_su:
-            d_su = pairwise_toroidal(world.sus.positions, world.sus.positions, region)
-            adj = d_su <= config.sensing_radius
-            np.fill_diagonal(adj, False)
-            self.adj_su_su = adj.astype(float)
-            if self.n_mu:
-                self.adj_su_mu = (
-                    pairwise_toroidal(world.sus.positions, world.mus.positions, region) <= config.sensing_radius
-                ).astype(float)
-            else:
-                self.adj_su_mu = np.zeros((self.n_su, 0))
+        n_pt, n_su, n_mu = self.n_pt, self.n_su, self.n_mu = len(world.pts), len(world.sus), len(world.mus)
+        self.receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
+        senders = np.concatenate([world.sus.positions, world.mus.positions])
+        transmitters = np.concatenate([senders, world.pts.positions])
+        # sense only counts neighbours, which float32 does exactly in half the
+        # memory; built first, so the gain matrix's larger distance temporaries
+        # coexist with it rather than with the gain matrix
+        self.sense = (pairwise_toroidal(world.sus.positions, senders, world.region)
+                      <= config.sensing_radius).astype(np.float32)
+        np.fill_diagonal(self.sense, 0.0)
+        self.gain = path_gain(pairwise_toroidal(self.receivers, transmitters, world.region), config.channel)
+        at_pr, at_su, pt_cols = slice(0, n_pt), slice(n_pt, None), slice(n_su + n_mu, None)
+        np.fill_diagonal(self.gain[at_su, :n_su], 0.0)  # own links carry the signal
+        if config.include_pt_interference_at_pr:
+            np.fill_diagonal(self.gain[at_pr, pt_cols], 0.0)
+        else:
+            self.gain[at_pr, pt_cols] = 0.0
+        if not config.include_pt_interference_at_su:
+            self.gain[at_su, pt_cols] = 0.0
 
 
 def _sample_topology(config: ScenarioConfig, rng: np.random.Generator) -> _Topology:
@@ -419,53 +408,44 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
         fade_pr_des = rng.exponential(1.0, size=(n_pt, w_slots))
         fade_su_des = rng.exponential(1.0, size=(n_su, w_slots))
 
-        if n_mu and inducing:
+        if inducing:
             mu_tx = rng.random((n_mu, w_slots)) < config.mu_access_prob
-        elif n_mu and mimic:
+        elif mimic:
             mu_assign = rng.choice(m, size=n_mu, p=shares)
             mu_tx = rng.random((n_mu, w_slots)) < probs[mu_assign][:, None]
         else:
             mu_tx = np.zeros((n_mu, w_slots), dtype=bool)
-        fade_mu_tx = rng.exponential(1.0, size=(n_mu, w_slots)) if n_mu else np.zeros((0, w_slots))
+        fade_mu_tx = rng.exponential(1.0, size=(n_mu, w_slots))
 
-        su_load = access * (ch.su_power * fade_su_tx)
-        i_pr = topo.g_pr_su @ su_load
-        i_su = topo.g_su_su @ su_load
-        if n_mu:
-            mu_load = mu_tx * (ch.mu_power * fade_mu_tx)
-            i_pr += topo.g_pr_mu @ mu_load
-            i_su += topo.g_su_mu @ mu_load
-        pt_load = ch.pt_power * fade_pt_tx  # primaries transmit every slot
-        if config.include_pt_interference_at_pr and n_pt:
-            i_pr += topo.g_pr_pt @ pt_load
-        if config.include_pt_interference_at_su and n_pt:
-            i_su += topo.g_su_pt @ pt_load
+        load = np.concatenate([
+            access * (ch.su_power * fade_su_tx),
+            mu_tx * (ch.mu_power * fade_mu_tx),
+            ch.pt_power * fade_pt_tx,  # primaries transmit every slot
+        ])
+        interference = topo.gain @ load
 
         # ephemeral attacker field: no discrete attackers were sampled, so the
         # active density enters per slot as a freshly drawn Poisson field
         field_density = drive.active_density if n_mu == 0 else 0.0
         ephem_within = np.zeros((n_su, w_slots), dtype=bool)
         if field_density > 0:
+            region = topo.world.region
             for s in range(w_slots):
                 k = rng.poisson(field_density * area)
                 if k == 0:
                     continue
                 pos = rng.uniform(0.0, config.region_side, size=(k, 2))
-                d_pr = pairwise_toroidal(topo.world.prs.positions, pos, topo.world.region)
-                d_su = pairwise_toroidal(topo.world.su_receivers.positions, pos, topo.world.region)
+                field_gain = path_gain(pairwise_toroidal(topo.receivers, pos, region), ch)
                 f = rng.exponential(1.0, size=k)
-                i_pr[:, s] += (np.maximum(d_pr, ch.min_distance) ** (-ch.alpha)) @ (ch.mu_power * f)
-                i_su[:, s] += (np.maximum(d_su, ch.min_distance) ** (-ch.alpha)) @ (ch.mu_power * f)
-                d_prox = pairwise_toroidal(topo.world.sus.positions, pos, topo.world.region)
+                interference[:, s] += field_gain @ (ch.mu_power * f)
+                d_prox = pairwise_toroidal(topo.world.sus.positions, pos, region)
                 ephem_within[:, s] = (d_prox <= config.sensing_radius).any(axis=1)
 
-        sinr_pr = (ch.pt_power * pr_desired_gain * fade_pr_des) / (ch.noise + i_pr)
-        sinr_su = (ch.su_power * su_desired_gain * fade_su_des) / (ch.noise + i_su)
+        sinr_pr = (ch.pt_power * pr_desired_gain * fade_pr_des) / (ch.noise + interference[:n_pt])
+        sinr_su = (ch.su_power * su_desired_gain * fade_su_des) / (ch.noise + interference[n_pt:])
         su_ok = sinr_su >= ch.su_sinr_threshold
 
-        neighbor_active = (topo.adj_su_su @ access) > 0
-        if n_mu:
-            neighbor_active |= (topo.adj_su_mu @ mu_tx) > 0
+        neighbor_active = (topo.sense @ np.concatenate([access, mu_tx])) > 0
         neighbor_active |= ephem_within
         if inducing and drive.inducement > 0:
             if drive.inducement >= 1.0:

@@ -79,13 +79,6 @@ def toroidal_distance(p, q, region: Region) -> float:
     return float(np.hypot(d[..., 0], d[..., 1]))
 
 
-def toroidal_distances(points: np.ndarray, q, region: Region) -> np.ndarray:
-    """Wrapped distances from each row of `points` to the single point `q`."""
-    d = np.abs(points - np.asarray(q, dtype=float)) % region.side
-    d = np.minimum(d, region.side - d)
-    return np.hypot(d[:, 0], d[:, 1])
-
-
 def pairwise_toroidal(a: np.ndarray, b: np.ndarray, region: Region) -> np.ndarray:
     """Wrapped distance matrix of shape (len(a), len(b))."""
     d = np.abs(a[:, None, :] - b[None, :, :]) % region.side

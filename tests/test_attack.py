@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from specgame.attack import (
+    ABORTED,
+    INACTIVE,
+    INDUCING,
+    INITIAL,
     AttackController,
     AttackPhase,
-    AttackState,
     DensityEstimates,
     InducingTemplate,
-    PhaseError,
+    advance_phases,
     decide_launch,
     forecast_operating_point,
-    mu_action,
     observe,
-    step_phase,
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
 from specgame.game import DynamicsParams, GameEnv, PayoffParams
@@ -58,83 +59,58 @@ def test_observe_unbiased_over_sampled_worlds():
 
 
 def test_initial_phase_transitions():
-    state = AttackState()
-    holding, ev = step_phase(state, 0.0, CAP, 5, launch=None)
-    assert holding.phase is AttackPhase.INITIAL and ev is None
-
-    inducing, ev = step_phase(state, 0.0, CAP, 5, launch=True, slot=3)
-    assert inducing.phase is AttackPhase.INDUCING
-    assert (ev.slot, ev.old_phase, ev.new_phase) == (3, AttackPhase.INITIAL, AttackPhase.INDUCING)
-
-    aborted, ev = step_phase(state, 0.0, CAP, 5, launch=False)
-    assert aborted.phase is AttackPhase.ABORTED and ev.new_phase is AttackPhase.ABORTED
+    for launch, expected in ((None, INITIAL), (True, INDUCING), (False, ABORTED)):
+        phase, run = advance_phases(np.asarray(INITIAL), 0, 0.0, CAP, 5, launch)
+        assert (phase, run) == (expected, 0)
 
 
 def test_inducing_requires_consecutive_run():
-    state, _ = step_phase(AttackState(), 0.0, CAP, 3, launch=True)
+    phase, run = np.asarray(INDUCING), 0
     high, low = CAP * 1.1, CAP * 0.5
     # two highs, a reset, then three highs
-    for density, expected in ((high, AttackPhase.INDUCING), (high, AttackPhase.INDUCING),
-                              (low, AttackPhase.INDUCING), (high, AttackPhase.INDUCING),
-                              (high, AttackPhase.INDUCING), (high, AttackPhase.INACTIVE)):
-        state, _ = step_phase(state, density, CAP, 3)
-        assert state.phase is expected
+    for density, expected, expected_run in ((high, INDUCING, 1), (high, INDUCING, 2), (low, INDUCING, 0),
+                                            (high, INDUCING, 1), (high, INDUCING, 2), (high, INACTIVE, 3)):
+        phase, run = advance_phases(phase, run, density, CAP, 3, None)
+        assert (phase, run) == (expected, expected_run)
 
 
-def test_inducing_below_threshold_keeps_phase_and_counts_slots():
-    state, _ = step_phase(AttackState(), 0.0, CAP, 5, launch=True)
-    before = state.slots_in_phase
-    state, ev = step_phase(state, CAP * 0.9, CAP, 5)
-    assert state.phase is AttackPhase.INDUCING
-    assert ev is None
-    assert state.slots_in_phase == before + 1
+def test_inducing_below_threshold_keeps_phase_and_zero_run():
+    phase, run = advance_phases(np.asarray(INDUCING), 0, CAP * 0.9, CAP, 5, None)
+    assert (phase, run) == (INDUCING, 0)
+    # a launch decision only moves cells still in INITIAL
+    phase, run = advance_phases(np.asarray(INDUCING), 2, CAP * 0.9, CAP, 5, False)
+    assert (phase, run) == (INDUCING, 0)
 
 
-def test_terminal_phases_reject_steps():
-    inactive = AttackState(phase=AttackPhase.INACTIVE)
-    aborted = AttackState(phase=AttackPhase.ABORTED)
-    for state in (inactive, aborted):
-        with pytest.raises(PhaseError):
-            step_phase(state, 0.0, CAP, 5)
+def test_terminal_phases_stay_put():
+    for terminal in (INACTIVE, ABORTED):
+        for density in (0.0, CAP * 2.0):
+            for launch in (None, True, False):
+                phase, run = advance_phases(np.asarray(terminal), 4, density, CAP, 1, launch)
+                assert (phase, run) == (terminal, 0)
 
 
 def test_phase_graph_exhaustive_small_sequences():
     # enumerate every launch decision and density pattern up to length 6 and
     # confirm only the allowed transitions ever occur
     allowed = {
-        (AttackPhase.INITIAL, AttackPhase.INITIAL),
-        (AttackPhase.INITIAL, AttackPhase.INDUCING),
-        (AttackPhase.INITIAL, AttackPhase.ABORTED),
-        (AttackPhase.INDUCING, AttackPhase.INDUCING),
-        (AttackPhase.INDUCING, AttackPhase.INACTIVE),
+        (INITIAL, INITIAL),
+        (INITIAL, INDUCING),
+        (INITIAL, ABORTED),
+        (INDUCING, INDUCING),
+        (INDUCING, INACTIVE),
+        (INACTIVE, INACTIVE),
+        (ABORTED, ABORTED),
     }
     high, low = CAP * 2.0, CAP * 0.5
     for launch in (None, True, False):
         for pattern in itertools.product((high, low), repeat=6):
-            state = AttackState()
-            for i, density in enumerate(pattern):
-                if state.phase in (AttackPhase.INACTIVE, AttackPhase.ABORTED):
-                    break
-                old = state.phase
-                state, _ = step_phase(state, density, CAP, 2,
-                                      launch=launch if old is AttackPhase.INITIAL else None, slot=i)
-                assert (old, state.phase) in allowed
-
-
-def test_mu_action_silent_phases():
-    rng = np.random.default_rng(0)
-    for phase in (AttackPhase.INITIAL, AttackPhase.INACTIVE, AttackPhase.ABORTED):
-        state = AttackState(phase=phase, mu_access_prob=1.0)
-        assert not any(mu_action(state, rng) for _ in range(100))
-
-
-def test_mu_action_inducing_rates():
-    always = AttackState(phase=AttackPhase.INDUCING, mu_access_prob=1.0)
-    assert all(mu_action(always, np.random.default_rng(1)) for _ in range(100))
-    half = AttackState(phase=AttackPhase.INDUCING, mu_access_prob=0.5)
-    rng = np.random.default_rng(2)
-    rate = np.mean([mu_action(half, rng) for _ in range(10_000)])
-    assert abs(rate - 0.5) <= 0.01
+            phase, run = np.asarray(INITIAL), 0
+            for density in pattern:
+                old = int(phase)
+                phase, run = advance_phases(phase, run, density, CAP, 2, launch if old == INITIAL else None)
+                assert (old, int(phase)) in allowed
+                assert run == 0 or old == INDUCING
 
 
 def test_controller_emits_template_density_while_inducing():

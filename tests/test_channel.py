@@ -10,12 +10,9 @@ from specgame.channel import (
     field_constant,
     max_allowable_su_density,
     median_sinr,
-    path_loss,
-    sample_fading,
-    sinr,
+    path_gain,
     success_prob,
 )
-from specgame.geometry import Region
 
 PARAMS = ChannelParams()  # production parameter set
 
@@ -44,65 +41,13 @@ def test_interferer_field_invariants():
         InterfererField(1e-5, 0.0)
 
 
-def test_path_loss_values():
-    assert path_loss(1.0, 4.0) == 1.0
-    assert path_loss(10.0, 4.0) == pytest.approx(1e-4, rel=1e-12)
-    assert path_loss(15.0, 4.0) == pytest.approx(1.0 / 50625.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        path_loss(0.0, 4.0)
-    with pytest.raises(ValueError):
-        path_loss(-3.0, 4.0)
-
-
-def test_fading_moments():
-    rng = np.random.default_rng(17)
-    draws = sample_fading(rng, size=1_000_000)
-    assert np.all(draws >= 0.0)
-    assert 0.997 <= draws.mean() <= 1.003
-    assert abs(draws.var() - 1.0) <= 0.01
-    assert abs(np.mean(draws <= 1.0) - (1.0 - math.exp(-1.0))) <= 0.002
-
-
-def test_sinr_no_interferers_forced_fading():
-    region = Region(3000.0)
-    rng = np.random.default_rng(0)
-    value = sinr(
-        receiver=(15.0, 0.0), desired_tx=(0.0, 0.0), desired_power=0.3,
-        interferers=[], params=PARAMS, region=region, rng=rng, desired_fading=1.0,
-    )
-    expected = 0.3 * 15.0 ** -4 / 1e-9  # direct arithmetic
-    assert value == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(5.926e3, rel=1e-3)
-
-
-def test_sinr_vanishes_with_noise():
-    region = Region(3000.0)
-    loud = ChannelParams(noise=1e3)
-    value = sinr((15.0, 0.0), (0.0, 0.0), 0.3, [], loud, region, np.random.default_rng(0), desired_fading=1.0)
-    assert value < 1e-8
-
-
-def test_sinr_symmetric_interferer_below_one():
-    # one interferer mirrored at the desired link's distance and power,
-    # fading forced equal on both links
-    region = Region(3000.0)
-    value = sinr(
-        (0.0, 0.0), (15.0, 0.0), 0.3,
-        interferers=[((-15.0, 0.0), 0.3)],
-        params=PARAMS, region=region, rng=np.random.default_rng(0),
-        desired_fading=1.0, interferer_fading=np.array([1.0]),
-    )
-    s = 0.3 * 15.0 ** -4
-    assert value == pytest.approx(s / (1e-9 + s), rel=1e-12)
-    assert value < 1.0
-
-
-def test_sinr_deterministic_given_seed():
-    region = Region(3000.0)
-    interferers = [((100.0, 50.0), 0.1), ((800.0, 2900.0), 0.1)]
-    a = sinr((15.0, 0.0), (0.0, 0.0), 0.3, interferers, PARAMS, region, np.random.default_rng(5))
-    b = sinr((15.0, 0.0), (0.0, 0.0), 0.3, interferers, PARAMS, region, np.random.default_rng(5))
-    assert a == b
+def test_path_gain_values():
+    assert path_gain(1.0, PARAMS) == 1.0
+    assert path_gain(10.0, PARAMS) == pytest.approx(1e-4, rel=1e-12)
+    assert path_gain(15.0, PARAMS) == pytest.approx(1.0 / 50625.0, rel=1e-12)
+    # distances below min_distance are clamped to it
+    clamped = path_gain(np.array([0.0, 0.5, 1.0, 2.0]), ChannelParams(min_distance=2.0))
+    assert clamped.tolist() == [2.0 ** -4] * 4
 
 
 def test_field_constant():

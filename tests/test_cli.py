@@ -227,12 +227,12 @@ def test_exit_codes(tmp_path):
     assert main(["run", "fig3-population", "--set", "steps=2", "--out", str(tmp_path / "o3")]) == 0
 
 
-def test_sweep_subcommand_thread_invariance(tmp_path):
-    base = ["sweep", "--delta", "10", "--nu", "1", "--kappa", "0", "8", "--set", "steps=300"]
-    out1, out2 = tmp_path / "j1", tmp_path / "j4"
-    assert main(base + ["--out", str(out1), "--jobs", "1"]) == 0
-    assert main(base + ["--out", str(out2), "--jobs", "4"]) == 0
-    assert (out1 / "region.csv").read_bytes() == (out2 / "region.csv").read_bytes()
+@pytest.mark.parametrize("command", [["run", "fig3-population"], ["sweep"]])
+def test_jobs_option_rejected(command, tmp_path, capsys):
+    # the grid runs as one vectorised batch; there is no worker count to set
+    assert main(command + ["--jobs", "4", "--out", str(tmp_path / "out")]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra", [

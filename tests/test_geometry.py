@@ -10,7 +10,6 @@ from specgame.geometry import (
     sample_ppp,
     sample_world,
     toroidal_distance,
-    toroidal_distances,
 )
 
 
@@ -153,13 +152,9 @@ def test_vectorized_distances_agree_with_scalar():
     region = Region(77.0)
     rng = np.random.default_rng(9)
     pts = rng.uniform(0.0, 77.0, size=(50, 2))
-    q = rng.uniform(0.0, 77.0, size=2)
-    vec = toroidal_distances(pts, q, region)
-    ref = np.array([toroidal_distance(p, q, region) for p in pts])
-    assert np.allclose(vec, ref, atol=1e-12)
     mat = pairwise_toroidal(pts[:5], pts, region)
-    for i in range(5):
-        assert np.allclose(mat[i], toroidal_distances(pts, pts[i], region), atol=1e-12)
+    ref = np.array([[toroidal_distance(p, q, region) for q in pts] for p in pts[:5]])
+    assert np.allclose(mat, ref, atol=1e-12)
 
 
 def test_sample_world_structure():
