@@ -43,6 +43,7 @@ from .geometry import Region, pairwise_toroidal, sample_world
 MODES = ("meanfield", "montecarlo")
 LAUNCH_POLICIES = ("forecast", "always", "never")
 INACTIVE_BEHAVIORS = ("silent", "mimic-su")
+TOPOLOGY_BLOCK_ROWS = 64  # rows of a topology matrix filled per distance call
 
 
 class ConfigError(ValueError):
@@ -301,6 +302,15 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     return RunResult(config, records, controller.events, cap)
 
 
+def _fill_rows(out, rows, cols, region, law):
+    """Fill out[i, j] = law(wrapped distance from rows[i] to cols[j]) a block
+    of rows at a time, so the distance temporaries stay a few rows tall."""
+    for lo in range(0, len(rows), TOPOLOGY_BLOCK_ROWS):
+        hi = lo + TOPOLOGY_BLOCK_ROWS
+        out[lo:hi] = law(pairwise_toroidal(rows[lo:hi], cols, region))
+    return out
+
+
 class _Topology:
     """Interference gains and sensing adjacency of one sampled world.
 
@@ -319,13 +329,12 @@ class _Topology:
         self.receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
         senders = np.concatenate([world.sus.positions, world.mus.positions])
         transmitters = np.concatenate([senders, world.pts.positions])
-        # sense only counts neighbours, which float32 does exactly in half the
-        # memory; built first, so the gain matrix's larger distance temporaries
-        # coexist with it rather than with the gain matrix
-        self.sense = (pairwise_toroidal(world.sus.positions, senders, world.region)
-                      <= config.sensing_radius).astype(np.float32)
+        # sense only counts neighbours, which float32 does exactly in half the memory
+        self.sense = _fill_rows(np.empty((n_su, n_su + n_mu), dtype=np.float32), world.sus.positions, senders,
+                                world.region, lambda d: d <= config.sensing_radius)
         np.fill_diagonal(self.sense, 0.0)
-        self.gain = path_gain(pairwise_toroidal(self.receivers, transmitters, world.region), config.channel)
+        self.gain = _fill_rows(np.empty((n_pt + n_su, len(transmitters))), self.receivers, transmitters,
+                               world.region, lambda d: path_gain(d, config.channel))
         at_pr, at_su, pt_cols = slice(0, n_pt), slice(n_pt, None), slice(n_su + n_mu, None)
         np.fill_diagonal(self.gain[at_su, :n_su], 0.0)  # own links carry the signal
         if config.include_pt_interference_at_pr:

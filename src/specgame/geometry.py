@@ -80,10 +80,22 @@ def toroidal_distance(p, q, region: Region) -> float:
 
 
 def pairwise_toroidal(a: np.ndarray, b: np.ndarray, region: Region) -> np.ndarray:
-    """Wrapped distance matrix of shape (len(a), len(b))."""
-    d = np.abs(a[:, None, :] - b[None, :, :]) % region.side
-    d = np.minimum(d, region.side - d)
-    return np.hypot(d[:, :, 0], d[:, :, 1])
+    """Wrapped distance matrix of shape (len(a), len(b)).
+
+    Every coordinate must lie in [0, side]. Then each axis offset |a - b| is
+    in [0, side] and needs no remainder: an offset of exactly side (a point
+    that `attach_receivers` wrapped onto the seam) wraps to 0 through the
+    minimum, as it would through `% side`. Each axis is one (len(a), len(b))
+    array updated in place, so no (len(a), len(b), 2) array exists.
+    """
+    side = region.side
+    dx, dy = (np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1))
+    wrapped = np.empty_like(dx)
+    for d in (dx, dy):
+        np.abs(d, out=d)
+        np.subtract(side, d, out=wrapped)
+        np.minimum(d, wrapped, out=d)
+    return np.hypot(dx, dy, out=dx)
 
 
 @dataclass(frozen=True)

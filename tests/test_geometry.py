@@ -151,10 +151,16 @@ def test_toroidal_distance_is_metric():
 def test_vectorized_distances_agree_with_scalar():
     region = Region(77.0)
     rng = np.random.default_rng(9)
-    pts = rng.uniform(0.0, 77.0, size=(50, 2))
-    mat = pairwise_toroidal(pts[:5], pts, region)
-    ref = np.array([[toroidal_distance(p, q, region) for q in pts] for p in pts[:5]])
-    assert np.allclose(mat, ref, atol=1e-12)
+    # seam points: coordinates at 0 and at exactly side (which
+    # `attach_receivers` can produce), and pairs exactly side / 2 apart
+    seams = [[0.0, 0.0], [77.0, 0.0], [0.0, 77.0], [77.0, 77.0], [38.5, 0.0], [77.0, 38.5],
+             [10.0, 3.0], [48.5, 3.0], [10.0, 41.5], [48.5, 41.5], [77.0, 3.0]]
+    pts = np.concatenate([seams, rng.uniform(0.0, 77.0, size=(40, 2))])
+    mat = pairwise_toroidal(pts[:15], pts, region)
+    ref = np.array([[toroidal_distance(p, q, region) for q in pts] for p in pts[:15]])
+    assert mat.tolist() == ref.tolist()
+    assert mat[0, :4].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert mat[6, 7:10].tolist() == [38.5, 38.5, math.hypot(38.5, 38.5)]
 
 
 def test_sample_world_structure():

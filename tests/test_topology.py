@@ -1,11 +1,13 @@
 """The Monte Carlo window's interference gain and sensing matrices."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgame.channel import ChannelParams, path_gain
-from specgame.engine import ScenarioConfig, _Topology
+from specgame.engine import TOPOLOGY_BLOCK_ROWS, ScenarioConfig, _sample_topology, _Topology
 from specgame.geometry import NodeSet, Region, World, pairwise_toroidal
 
 
@@ -96,3 +98,57 @@ def test_gain_product_matches_class_sums(n_pt, n_su, n_mu, side, min_distance, a
                           world.region)
     within = (d <= config.sensing_radius) & ~np.eye(n_su, n_su + n_mu, dtype=bool)
     assert topo.sense.tolist() == within.astype(float).tolist()
+
+
+def _whole_matrices(world, config):
+    """`gain` and `sense` built from one distance call each, zeroed as `_Topology` does."""
+    n_pt, n_su, n_mu = len(world.pts), len(world.sus), len(world.mus)
+    receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
+    senders = np.concatenate([world.sus.positions, world.mus.positions])
+    transmitters = np.concatenate([senders, world.pts.positions])
+    gain = path_gain(pairwise_toroidal(receivers, transmitters, world.region), config.channel)
+    np.fill_diagonal(gain[n_pt:, :n_su], 0.0)
+    pt_cols = slice(n_su + n_mu, None)
+    if config.include_pt_interference_at_pr:
+        np.fill_diagonal(gain[:n_pt, pt_cols], 0.0)
+    else:
+        gain[:n_pt, pt_cols] = 0.0
+    if not config.include_pt_interference_at_su:
+        gain[n_pt:, pt_cols] = 0.0
+    sense = (pairwise_toroidal(world.sus.positions, senders, world.region) <= config.sensing_radius).astype(np.float32)
+    np.fill_diagonal(sense, 0.0)
+    return gain, sense
+
+
+@pytest.mark.parametrize("at_su", [True, False])
+@pytest.mark.parametrize("at_pr", [True, False])
+@pytest.mark.parametrize("n_pt,n_mu", [(0, 0), (3, 2)])
+@pytest.mark.parametrize("n_su", [1, 63, 64, 65, 129])
+def test_blocked_build_matches_whole_matrices(n_su, n_pt, n_mu, at_pr, at_su):
+    # row counts on both sides of each block edge, with the PR rows shifting
+    # where the SU receivers start
+    assert TOPOLOGY_BLOCK_ROWS == 64
+    side = 300.0
+    rng = np.random.default_rng(1000 * n_su + 10 * n_pt + n_mu)
+    world = _world(side, *(rng.uniform(0.0, side, size=(n, 2)) for n in (n_pt, n_pt, n_su, n_su, n_mu)))
+    config = _config(include_pt_interference_at_pr=at_pr, include_pt_interference_at_su=at_su)
+    topo = _Topology(world, config)
+    gain, sense = _whole_matrices(world, config)
+    assert (topo.gain.shape, topo.gain.dtype) == (gain.shape, gain.dtype)
+    assert (topo.sense.shape, topo.sense.dtype) == (sense.shape, sense.dtype)
+    assert topo.gain.tobytes() == gain.tobytes()
+    assert topo.sense.tobytes() == sense.tobytes()
+
+
+def test_topology_build_holds_no_full_size_distance_temporaries():
+    # ~1,023 SUs: a distance temporary the size of a whole matrix would add
+    # at least gain.nbytes on top of what the build keeps
+    config = ScenarioConfig(mode="montecarlo", region_side=1000.0, seed=4)
+    tracemalloc.start()
+    try:
+        topo = _sample_topology(config, np.random.default_rng(config.seed))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert topo.n_su > 1000
+    assert peak <= 1.5 * (topo.gain.nbytes + topo.sense.nbytes)
