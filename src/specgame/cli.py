@@ -170,7 +170,7 @@ def region_csv_text(cells: Sequence[SweepCell]) -> str:
     return buf.getvalue()
 
 
-def manifest_text(config: ScenarioConfig, preset: Optional[str]) -> str:
+def manifest_text(config: ScenarioConfig, preset: Optional[str], topology: Optional[Dict[str, int]] = None) -> str:
     cap = max_allowable_su_density(config.channel)
     manifest = {
         "artifact_version": __version__,
@@ -178,13 +178,15 @@ def manifest_text(config: ScenarioConfig, preset: Optional[str]) -> str:
         "su_density_cap": cap,
         "config": config.to_dict(),
     }
+    if topology is not None:
+        manifest["topology"] = topology
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def write_run_outputs(result: RunResult, out_dir: str, preset: Optional[str]) -> None:
     _atomic_write(os.path.join(out_dir, "metrics.csv"), metrics_csv_text(result))
     _atomic_write(os.path.join(out_dir, "phase_events.csv"), events_csv_text(result))
-    _atomic_write(os.path.join(out_dir, "run-manifest.json"), manifest_text(result.config, preset))
+    _atomic_write(os.path.join(out_dir, "run-manifest.json"), manifest_text(result.config, preset, result.topology))
 
 
 def run_preset(name_or_path: str, overrides: Sequence[str], out_dir: str) -> int:

@@ -12,7 +12,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,12 +38,12 @@ from .game import (
     run_dynamics,
     validate_shares,
 )
-from .geometry import Region, pairwise_toroidal, sample_world
+from .geometry import Region, pairs_within, pairwise_toroidal, sample_world
 
 MODES = ("meanfield", "montecarlo")
 LAUNCH_POLICIES = ("forecast", "always", "never")
 INACTIVE_BEHAVIORS = ("silent", "mimic-su")
-TOPOLOGY_BLOCK_ROWS = 64  # rows of a topology matrix filled per distance call
+TOPOLOGY_BLOCK_ROWS = 64  # rows of the gain matrix filled per distance call
 
 
 class ConfigError(ValueError):
@@ -222,6 +222,8 @@ class RunResult:
     records: List[MetricsRecord]
     events: List[PhaseEvent]
     density_cap: float
+    # Monte Carlo only: node counts and sensing pairs of the first sampled topology
+    topology: Optional[Dict[str, int]] = None
 
 
 def metrics_columns(m: int) -> List[str]:
@@ -311,16 +313,26 @@ def _fill_rows(out, rows, cols, region, law):
     return out
 
 
+def _sensing_neighbours(sus, senders, radius, region):
+    """Row pointers and column indices of the SU x sender sensing relation:
+    SU i senses `indices[indptr[i]:indptr[i + 1]]`, in ascending order, every
+    sender within the radius except itself (the senders start with the SUs)."""
+    rows, cols = pairs_within(sus, senders, radius, region)
+    off_diagonal = rows != cols
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[off_diagonal], minlength=len(sus)))])
+    return indptr, cols[off_diagonal]
+
+
 class _Topology:
-    """Interference gains and sensing adjacency of one sampled world.
+    """Interference gains and sensing neighbours of one sampled world.
 
     `gain[r, t]` is the path gain from transmitter t to receiver r. Rows are
     every receiver (the PRs, then the SU receivers); columns are every
     transmitter (the SUs, then the MUs, then the PTs). A receiver's own link
     and the PT columns the config excludes are zero, so one product with the
     stacked transmit loads gives every receiver's interference.
-    `sense[i, j]` is 1 where transmitter j (the SUs, then the MUs) lies within
-    the sensing radius of SU i, and 0 on the diagonal.
+    SU i senses the senders (the SUs, then the MUs)
+    `sense_indices[sense_indptr[i]:sense_indptr[i + 1]]`.
     """
 
     def __init__(self, world, config: ScenarioConfig):
@@ -329,10 +341,8 @@ class _Topology:
         self.receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
         senders = np.concatenate([world.sus.positions, world.mus.positions])
         transmitters = np.concatenate([senders, world.pts.positions])
-        # sense only counts neighbours, which float32 does exactly in half the memory
-        self.sense = _fill_rows(np.empty((n_su, n_su + n_mu), dtype=np.float32), world.sus.positions, senders,
-                                world.region, lambda d: d <= config.sensing_radius)
-        np.fill_diagonal(self.sense, 0.0)
+        self.sense_indptr, self.sense_indices = _sensing_neighbours(world.sus.positions, senders,
+                                                                    config.sensing_radius, world.region)
         self.gain = _fill_rows(np.empty((n_pt + n_su, len(transmitters))), self.receivers, transmitters,
                                world.region, lambda d: path_gain(d, config.channel))
         at_pr, at_su, pt_cols = slice(0, n_pt), slice(n_pt, None), slice(n_su + n_mu, None)
@@ -343,6 +353,22 @@ class _Topology:
             self.gain[at_pr, pt_cols] = 0.0
         if not config.include_pt_interference_at_su:
             self.gain[at_su, pt_cols] = 0.0
+
+    def neighbor_active(self, tx: np.ndarray) -> np.ndarray:
+        """(n_su, slots) bool: whether any sender SU i senses transmits in the
+        slot, given the senders' (n_su + n_mu, slots) bool transmit flags.
+
+        The slots are packed eight to a byte and each SU ORs its neighbours'
+        bytes. `reduceat` gives an empty segment the row at its start instead
+        of zero, so SUs with no neighbours are left out and stay zero.
+        """
+        packed = np.packbits(tx, axis=1)
+        out = np.zeros((self.n_su, packed.shape[1]), dtype=np.uint8)
+        starts = self.sense_indptr[:-1]
+        sensing = starts < self.sense_indptr[1:]
+        if sensing.any():
+            out[sensing] = np.bitwise_or.reduceat(packed[self.sense_indices], starts[sensing], axis=0)
+        return np.unpackbits(out, axis=1, count=tx.shape[1]).view(bool)
 
 
 def _sample_topology(config: ScenarioConfig, rng: np.random.Generator) -> _Topology:
@@ -373,6 +399,8 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     cap = max_allowable_su_density(ch)
     rng = np.random.default_rng(config.seed)
     topo = _sample_topology(config, rng)
+    first_topology = {"n_pt": topo.n_pt, "n_su": topo.n_su, "n_mu": topo.n_mu,
+                      "sensing_pairs": len(topo.sense_indices)}
     area = config.region_side ** 2
 
     strategies = config.strategies()
@@ -447,14 +475,14 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
                 field_gain = path_gain(pairwise_toroidal(topo.receivers, pos, region), ch)
                 f = rng.exponential(1.0, size=k)
                 interference[:, s] += field_gain @ (ch.mu_power * f)
-                d_prox = pairwise_toroidal(topo.world.sus.positions, pos, region)
-                ephem_within[:, s] = (d_prox <= config.sensing_radius).any(axis=1)
+                near, _ = pairs_within(topo.world.sus.positions, pos, config.sensing_radius, region)
+                ephem_within[near, s] = True
 
         sinr_pr = (ch.pt_power * pr_desired_gain * fade_pr_des) / (ch.noise + interference[:n_pt])
         sinr_su = (ch.su_power * su_desired_gain * fade_su_des) / (ch.noise + interference[n_pt:])
         su_ok = sinr_su >= ch.su_sinr_threshold
 
-        neighbor_active = (topo.sense @ np.concatenate([access, mu_tx])) > 0
+        neighbor_active = topo.neighbor_active(np.concatenate([access, mu_tx]))
         neighbor_active |= ephem_within
         if inducing and drive.inducement > 0:
             if drive.inducement >= 1.0:
@@ -510,7 +538,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             shares = replicator_step(shares, strat_pay, config.step_size)
         observed_density = active_density_win
 
-    return RunResult(config, records, controller.events, cap)
+    return RunResult(config, records, controller.events, cap, first_topology)
 
 
 def run(config: ScenarioConfig) -> RunResult:

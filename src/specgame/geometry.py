@@ -7,8 +7,9 @@ formulas without guard zones or edge corrections.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -79,23 +80,76 @@ def toroidal_distance(p, q, region: Region) -> float:
     return float(np.hypot(d[..., 0], d[..., 1]))
 
 
-def pairwise_toroidal(a: np.ndarray, b: np.ndarray, region: Region) -> np.ndarray:
-    """Wrapped distance matrix of shape (len(a), len(b)).
+def _wrapped_hypot(dx: np.ndarray, dy: np.ndarray, side: float) -> np.ndarray:
+    """Wrapped distance from per-axis offsets, overwriting both arrays.
 
-    Every coordinate must lie in [0, side]. Then each axis offset |a - b| is
-    in [0, side] and needs no remainder: an offset of exactly side (a point
-    that `attach_receivers` wrapped onto the seam) wraps to 0 through the
-    minimum, as it would through `% side`. Each axis is one (len(a), len(b))
-    array updated in place, so no (len(a), len(b), 2) array exists.
+    Each offset must lie in [-side, side]. Its absolute value then needs no
+    remainder: an offset of exactly side wraps to 0 through the minimum, as it
+    would through `% side`. `pairwise_toroidal` and `pairs_within` both use
+    this arithmetic, so their distances agree bit for bit.
     """
-    side = region.side
-    dx, dy = (np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1))
     wrapped = np.empty_like(dx)
     for d in (dx, dy):
         np.abs(d, out=d)
         np.subtract(side, d, out=wrapped)
         np.minimum(d, wrapped, out=d)
     return np.hypot(dx, dy, out=dx)
+
+
+def pairwise_toroidal(a: np.ndarray, b: np.ndarray, region: Region) -> np.ndarray:
+    """Wrapped distance matrix of shape (len(a), len(b)).
+
+    Every coordinate must lie in [0, side] (`attach_receivers` can wrap a
+    point onto the seam at exactly side). Each axis is one (len(a), len(b))
+    array updated in place, so no (len(a), len(b), 2) array exists.
+    """
+    dx, dy = (np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1))
+    return _wrapped_hypot(dx, dy, region.side)
+
+
+def pairs_within(a: np.ndarray, b: np.ndarray, radius: float, region: Region) -> Tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair with wrapped distance <= radius,
+    equal to `np.nonzero(pairwise_toroidal(a, b, region) <= radius)`.
+
+    The points of b are binned into an nc x nc grid of cells wider than the
+    radius (and no more cells than points), so a point of a finds every
+    partner in the 3 x 3 block of cells around its own, and only those
+    candidates get a distance. Every coordinate must lie in [0, side]; one at
+    exactly side falls in cell 0.
+    """
+    side = region.side
+    # the margin keeps the cells wider than the radius after rounding
+    nc = max(1, min(math.ceil(side / (radius * (1.0 + 1e-9))) - 1, math.isqrt(len(b))))
+
+    def cells(p):
+        c = (p * (nc / side)).astype(np.intp) % nc
+        return c[:, 0], c[:, 1]
+
+    bx, by = cells(b)
+    cell_b = bx * nc + by
+    order = np.argsort(cell_b)
+    counts = np.bincount(cell_b, minlength=nc * nc)
+    starts = np.cumsum(counts) - counts
+    ax, ay = cells(a)
+    rows = np.arange(len(a))
+    found = []
+    # one neighbour cell of every point of a at a time; the unique offsets
+    # reach each cell once on a grid of one or two cells per axis
+    steps = np.unique(np.array([-1, 0, 1]) % nc)
+    for ox in steps:
+        for oy in steps:
+            cell = ((ax + ox) % nc) * nc + (ay + oy) % nc
+            sizes = counts[cell]
+            ia = rows.repeat(sizes)
+            # ragged ranges: candidate k of a cell's run reads order[start + k]
+            at = np.repeat(starts[cell] - (np.cumsum(sizes) - sizes), sizes)
+            at += np.arange(len(at))
+            jb = order[at]
+            keep = _wrapped_hypot(a[ia, 0] - b[jb, 0], a[ia, 1] - b[jb, 1], side) <= radius
+            found.append((ia[keep], jb[keep]))
+    ia, jb = (np.concatenate(part) for part in zip(*found))
+    sort = np.lexsort((jb, ia))
+    return ia[sort], jb[sort]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from specgame.cli import (
@@ -13,7 +14,8 @@ from specgame.cli import (
     run_preset,
     write_config,
 )
-from specgame.engine import ConfigError, ScenarioConfig
+from specgame.engine import ConfigError, ScenarioConfig, _sample_topology
+from specgame.geometry import pairwise_toroidal
 
 
 def test_empty_config_yields_production_defaults(tmp_path):
@@ -107,6 +109,7 @@ def test_run_preset_fig3_outputs(tmp_path):
     assert manifest["preset"] == "fig3-population"
     assert manifest["config"]["payoffs"]["kappa"] == 0.0
     assert "su_density_cap" in manifest
+    assert "topology" not in manifest  # mean-field runs sample none
 
 
 def test_run_preset_fig6_region(tmp_path):
@@ -174,6 +177,23 @@ def test_cli_determinism_montecarlo(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
     assert (out1 / "phase_events.csv").read_bytes() == (out2 / "phase_events.csv").read_bytes()
+
+
+def test_montecarlo_manifest_reports_first_topology(tmp_path):
+    # resampling draws a new topology every update; the manifest reports the first
+    out = tmp_path / "mc"
+    overrides = ["mode=montecarlo", "seed=7", "region_side=500", "steps=3", "window=5",
+                 "lambda_mu=2e-5", "resample_topology=true"]
+    assert run_preset("fig3-population", overrides, str(out)) == 0
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    config = ScenarioConfig.from_dict(manifest["config"])
+    world = _sample_topology(config, np.random.default_rng(7)).world
+    senders = np.concatenate([world.sus.positions, world.mus.positions])
+    within = pairwise_toroidal(world.sus.positions, senders, world.region) <= config.sensing_radius
+    pairs = int(within.sum()) - len(world.sus)  # every SU is within range of itself
+    assert manifest["topology"] == {"n_pt": len(world.pts), "n_su": len(world.sus), "n_mu": len(world.mus),
+                                    "sensing_pairs": pairs}
+    assert len(world.pts) > 0 and len(world.mus) > 0 and pairs > 0
 
 
 def test_plotdata_series(tmp_path):

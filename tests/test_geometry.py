@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specgame.geometry import (
     Region,
     attach_receivers,
+    pairs_within,
     pairwise_toroidal,
     sample_ppp,
     sample_world,
@@ -161,6 +164,65 @@ def test_vectorized_distances_agree_with_scalar():
     assert mat.tolist() == ref.tolist()
     assert mat[0, :4].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert mat[6, 7:10].tolist() == [38.5, 38.5, math.hypot(38.5, 38.5)]
+
+
+@st.composite
+def _torus_pairs_case(draw):
+    side = draw(st.integers(1, 60))
+    radius = draw(st.one_of(st.integers(1, side).map(float), st.floats(0.01, 1.5 * side)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def points(max_size):
+        # half on integer coordinates: points at exactly 0 and side, and pairs
+        # exactly an integer radius apart along one axis, across the seam too
+        n = draw(st.integers(0, max_size))
+        pts = rng.uniform(0.0, side, size=(n, 2))
+        on_grid = rng.random(n) < 0.5
+        pts[on_grid] = rng.integers(0, side + 1, size=(int(on_grid.sum()), 2))
+        return pts
+
+    # up to 300 points of b, so that small radii get grids of many cells
+    return float(side), points(20), points(300), radius
+
+
+def _assert_pairs_exact(side, a, b, radius):
+    i, j = pairs_within(a, b, radius, Region(side))
+    ref_i, ref_j = np.nonzero(pairwise_toroidal(a, b, Region(side)) <= radius)
+    assert (i.tolist(), j.tolist()) == (ref_i.tolist(), ref_j.tolist())
+    return i, j
+
+
+SEAM = np.array([[0.0, 0.0], [30.0, 0.0], [10.0, 30.0], [20.0, 5.0], [25.0, 25.0], [15.0, 15.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_torus_pairs_case())
+@example((30.0, np.empty((0, 2)), SEAM, 5.0))
+@example((30.0, SEAM, np.empty((0, 2)), 5.0))
+@example((30.0, SEAM, SEAM, 10.0))  # side / 3: two cells per axis
+@example((30.0, SEAM, SEAM, 15.0))  # side / 2: one cell per axis
+def test_pairs_within_equals_dense_threshold(case):
+    _assert_pairs_exact(*case)
+
+
+def test_pairs_within_keeps_pairs_exactly_radius_apart():
+    side, r = 100.0, 10.0
+    a = np.array([[0.0, 50.0], [100.0, 50.0], [95.0, 20.0], [40.0, 0.0]])
+    # 10 m along x, 10 m across the x seam, 10 m along y across the y seam,
+    # and one point just beyond
+    b = np.array([[10.0, 50.0], [90.0, 50.0], [5.0, 20.0], [40.0, 90.0], [40.0, 10.000000001]])
+    i, j = _assert_pairs_exact(side, a, b, r)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3)]
+
+
+def test_pairs_within_tiny_radius_keeps_the_grid_small():
+    # cells wider than 1e-6 m would number ~1e19 on a 3000 m torus; the grid
+    # never has more cells than b has points
+    rng = np.random.default_rng(2)
+    a = np.concatenate([rng.uniform(0.0, 3000.0, size=(40, 2)), [[3000.0, 7.0]]])
+    b = np.concatenate([a[:3], [[0.0, 7.0]], rng.uniform(0.0, 3000.0, size=(40, 2))])
+    i, j = _assert_pairs_exact(3000.0, a, b, 1e-6)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 0), (1, 1), (2, 2), (40, 3)]
 
 
 def test_sample_world_structure():

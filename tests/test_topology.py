@@ -1,4 +1,4 @@
-"""The Monte Carlo window's interference gain and sensing matrices."""
+"""The Monte Carlo window's interference gain matrix and sensing neighbour list."""
 import tracemalloc
 
 import numpy as np
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgame.channel import ChannelParams, path_gain
-from specgame.engine import TOPOLOGY_BLOCK_ROWS, ScenarioConfig, _sample_topology, _Topology
+from specgame.engine import TOPOLOGY_BLOCK_ROWS, ScenarioConfig, _sample_topology, _sensing_neighbours, _Topology
 from specgame.geometry import NodeSet, Region, World, pairwise_toroidal
 
 
@@ -17,6 +17,14 @@ def _world(side, pts, prs, sus, su_rx, mus):
 
     return World(Region(side), nodes(pts, "PT"), nodes(prs, "PR"), nodes(sus, "SU"),
                  nodes(su_rx, "SU_RX"), nodes(mus, "MU"))
+
+
+def _dense_sense(topo):
+    """The neighbour list expanded to a float32 SU x (SU + MU) 0/1 matrix."""
+    sense = np.zeros((topo.n_su, topo.n_su + topo.n_mu), dtype=np.float32)
+    rows = np.repeat(np.arange(topo.n_su), np.diff(topo.sense_indptr))
+    sense[rows, topo.sense_indices] = 1.0
+    return sense
 
 
 def _config(**kwargs):
@@ -45,7 +53,8 @@ def test_hand_placed_gain_and_sense(at_pr, at_su):
     ]
     assert topo.gain.tolist() == expected
     # rows: SU1, SU2; columns: SU1, SU2, MU (SU1-SU2 is 60 m, beyond 50 m)
-    assert topo.sense.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+    assert (topo.sense_indptr.tolist(), topo.sense_indices.tolist()) == ([0, 1, 2], [2, 2])
+    assert _dense_sense(topo).tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
 
 
 def test_pr_pt_columns_follow_the_flag():
@@ -97,7 +106,7 @@ def test_gain_product_matches_class_sums(n_pt, n_su, n_mu, side, min_distance, a
     d = pairwise_toroidal(world.sus.positions, np.concatenate([world.sus.positions, world.mus.positions]),
                           world.region)
     within = (d <= config.sensing_radius) & ~np.eye(n_su, n_su + n_mu, dtype=bool)
-    assert topo.sense.tolist() == within.astype(float).tolist()
+    assert _dense_sense(topo).tolist() == within.astype(float).tolist()
 
 
 def _whole_matrices(world, config):
@@ -135,9 +144,8 @@ def test_blocked_build_matches_whole_matrices(n_su, n_pt, n_mu, at_pr, at_su):
     topo = _Topology(world, config)
     gain, sense = _whole_matrices(world, config)
     assert (topo.gain.shape, topo.gain.dtype) == (gain.shape, gain.dtype)
-    assert (topo.sense.shape, topo.sense.dtype) == (sense.shape, sense.dtype)
     assert topo.gain.tobytes() == gain.tobytes()
-    assert topo.sense.tobytes() == sense.tobytes()
+    assert _dense_sense(topo).tobytes() == sense.tobytes()
 
 
 def test_topology_build_holds_no_full_size_distance_temporaries():
@@ -151,4 +159,42 @@ def test_topology_build_holds_no_full_size_distance_temporaries():
     finally:
         tracemalloc.stop()
     assert topo.n_su > 1000
-    assert peak <= 1.5 * (topo.gain.nbytes + topo.sense.nbytes)
+    assert peak <= 1.5 * (topo.gain.nbytes + topo.sense_indptr.nbytes + topo.sense_indices.nbytes)
+
+
+def test_sensing_build_allocates_no_su_by_su_array():
+    # a dense SU x SU array, even one byte per entry, would take n_su ** 2 bytes
+    config = ScenarioConfig(mode="montecarlo", region_side=1000.0, seed=4)
+    world = _sample_topology(config, np.random.default_rng(config.seed)).world
+    senders = np.concatenate([world.sus.positions, world.mus.positions])
+    args = (world.sus.positions, senders, config.sensing_radius, world.region)
+    _sensing_neighbours(*args)  # first calls allocate numpy's own caches
+    tracemalloc.start()
+    try:
+        indptr, indices = _sensing_neighbours(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(world.sus) > 1000 and len(indices) > 5 * len(world.sus)
+    assert peak < len(world.sus) ** 2
+
+
+@pytest.mark.parametrize("n_mu", [0, 4])
+@pytest.mark.parametrize("window", [1, 7, 8, 9, 20, 65])
+def test_packed_perception_matches_dense_product(window, n_mu):
+    # a crowd of SUs in one corner, so most sense someone, and lone SUs far
+    # apart, which sense nobody
+    side = 1000.0
+    rng = np.random.default_rng(100 * window + n_mu)
+    crowd = rng.uniform(0.0, 80.0, size=(30, 2))
+    lone = [[300.0, 300.0], [500.0, 700.0], [800.0, 400.0]]
+    sus = np.concatenate([crowd, lone])
+    world = _world(side, [], [], sus, sus + 10.0, rng.uniform(0.0, 80.0, size=(n_mu, 2)))
+    topo = _Topology(world, _config())
+    assert (topo.n_su, topo.n_mu) == (33, n_mu)
+    assert np.diff(topo.sense_indptr)[-3:].tolist() == [0, 0, 0]
+    for density in (0.05, 0.5, 1.0):
+        tx = rng.random((33 + n_mu, window)) < density
+        got = topo.neighbor_active(tx)
+        assert (got.shape, got.dtype) == ((33, window), np.bool_)
+        assert got.tolist() == ((_dense_sense(topo) @ tx) > 0).tolist()
