@@ -88,13 +88,40 @@ class InterfererField:
             raise ValueError("field power must be positive")
 
 
-def path_gain(d, params: ChannelParams):
+def path_gain(d, params: ChannelParams, out=None):
     """Distance gain max(d, min_distance)^-alpha of every entry of d (fading
-    applied separately). The clamp keeps the singular power law inside its
-    far-field validity range."""
-    g = np.maximum(d, params.min_distance)
+    applied separately), written to `out` if given (which may be d). The
+    clamp keeps the singular power law inside its far-field validity range."""
+    g = np.maximum(d, params.min_distance, out=out)
     g **= -params.alpha
     return g
+
+
+def torus_tail(cutoff: float, side: float, alpha: float) -> float:
+    """Integral of r^-alpha over the torus square [-side/2, side/2]^2 outside
+    the disk of radius cutoff:
+
+        T = int_cutoff^(side/sqrt2) r^(1-alpha) theta(r) dr,
+
+    where theta(r) = 2*pi for r <= side/2 and 2*pi - 8*arccos(side/2r) beyond
+    (the arcs of the circle inside the square). A sender placed uniformly on
+    the torus adds, on average, T / side^2 times its load beyond the cutoff.
+    The full circle integrates in closed form; the four corner arcs, in
+    phi = arccos(side/2r) where the integrand is smooth, by Simpson's rule
+    on 257 nodes (within 3e-10 relative of 64-point Gauss-Legendre for alpha
+    in [2.1, 6], without importing numpy.polynomial into every run). The law
+    is unclamped, so the cutoff must exceed min_distance.
+    """
+    half, corner = side / 2.0, side / math.sqrt(2.0)
+    if cutoff >= corner:
+        return 0.0
+    k = 2.0 - alpha
+    circles = 2.0 * math.pi * (corner ** k - cutoff ** k) / k
+    # r = half / cos(phi): r^(1-alpha) * phi * dr = half^k * phi * tan(phi) * cos(phi)^(alpha-2) * dphi
+    phi = np.linspace(math.acos(half / max(cutoff, half)), math.pi / 4, 257)
+    f = phi * np.tan(phi) * np.cos(phi) ** (alpha - 2)
+    arcs = half ** k * (phi[1] - phi[0]) / 3 * float(f[0] + f[-1] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum())
+    return circles - 8.0 * arcs
 
 
 def field_constant(alpha: float) -> float:

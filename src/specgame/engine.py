@@ -27,7 +27,7 @@ from .attack import (
     make_template_schedule,
     observe,
 )
-from .channel import ChannelParams, max_allowable_su_density, path_gain
+from .channel import ChannelParams, max_allowable_su_density, path_gain, torus_tail
 from .game import (
     DynamicsParams,
     GameEnv,
@@ -38,12 +38,13 @@ from .game import (
     run_dynamics,
     validate_shares,
 )
-from .geometry import Region, pairs_within, pairwise_toroidal, sample_world
+from .geometry import CellGrid, Region, cells_per_axis, pairs_within, pairwise_toroidal, sample_world
 
 MODES = ("meanfield", "montecarlo")
 LAUNCH_POLICIES = ("forecast", "always", "never")
 INACTIVE_BEHAVIORS = ("silent", "mimic-su")
-TOPOLOGY_BLOCK_ROWS = 64  # rows of the gain matrix filled per distance call
+BUILD_CHUNK_ENTRIES = 1 << 16  # block entries given distances per call while building
+INTERFERENCE_CUTOFF = 200.0  # m: Monte Carlo pairs within are exact, the mean tail covers the rest
 
 
 class ConfigError(ValueError):
@@ -111,6 +112,17 @@ class ScenarioConfig:
             raise ConfigError("step_size must be positive")
         if not self.sensing_radius > 0:
             raise ConfigError("sensing_radius must be positive")
+        if not math.isfinite(self.sensing_radius * self.sensing_radius):
+            raise ConfigError("sensing_radius is too large: its square overflows")
+        ch = self.channel
+        if self.mode == "montecarlo":
+            for name in ("pt_link_distance", "su_link_distance"):
+                if not getattr(ch, name) < self.region_side / 2:
+                    raise ConfigError(f"channel.{name} must be below region_side / 2 in Monte Carlo mode")
+            for name in ("pt_link_distance", "su_link_distance", "min_distance"):
+                if not getattr(ch, name) < INTERFERENCE_CUTOFF:
+                    raise ConfigError(f"channel.{name} must be below the {INTERFERENCE_CUTOFF:g} m interference "
+                                      "cutoff in Monte Carlo mode")
         if not 0.0 <= self.mu_access_prob <= 1.0:
             raise ConfigError("mu_access_prob must lie in [0, 1]")
         if self.hysteresis < 1:
@@ -222,7 +234,8 @@ class RunResult:
     records: List[MetricsRecord]
     events: List[PhaseEvent]
     density_cap: float
-    # Monte Carlo only: node counts and sensing pairs of the first sampled topology
+    # Monte Carlo only: node counts, sensing and near-field interference pairs
+    # of the first sampled topology
     topology: Optional[Dict[str, int]] = None
 
 
@@ -304,15 +317,6 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     return RunResult(config, records, controller.events, cap)
 
 
-def _fill_rows(out, rows, cols, region, law):
-    """Fill out[i, j] = law(wrapped distance from rows[i] to cols[j]) a block
-    of rows at a time, so the distance temporaries stay a few rows tall."""
-    for lo in range(0, len(rows), TOPOLOGY_BLOCK_ROWS):
-        hi = lo + TOPOLOGY_BLOCK_ROWS
-        out[lo:hi] = law(pairwise_toroidal(rows[lo:hi], cols, region))
-    return out
-
-
 def _sensing_neighbours(sus, senders, radius, region):
     """Row pointers and column indices of the SU x sender sensing relation:
     SU i senses `indices[indptr[i]:indptr[i + 1]]`, in ascending order, every
@@ -324,35 +328,95 @@ def _sensing_neighbours(sus, senders, radius, region):
 
 
 class _Topology:
-    """Interference gains and sensing neighbours of one sampled world.
+    """Interference blocks and sensing neighbours of one sampled world.
 
-    `gain[r, t]` is the path gain from transmitter t to receiver r. Rows are
-    every receiver (the PRs, then the SU receivers); columns are every
-    transmitter (the SUs, then the MUs, then the PTs). A receiver's own link
-    and the PT columns the config excludes are zero, so one product with the
-    stacked transmit loads gives every receiver's interference.
-    SU i senses the senders (the SUs, then the MUs)
-    `sense_indices[sense_indptr[i]:sense_indptr[i + 1]]`.
+    Receivers are the PRs, then the SU receivers; transmitters are the
+    senders (the SUs, then the MUs), then the PTs. Receivers and senders are
+    binned into one nc x nc torus grid of cells at least
+    `INTERFERENCE_CUTOFF` wide. Block b of `gain` has a row per receiver of
+    cell b (receiver i is row `rx_pos[i]` of the blocks stacked into one
+    matrix) and a column per transmitter `cols[b]`: the senders in the 3 x 3
+    cells around it, padding (index n_su + n_mu + n_pt), then every PT. A
+    sender entry is the path gain within the cutoff, and 0 beyond it, on a
+    receiver's own link and in the padding; `far` is the mean tail beyond
+    the cutoff per unit of sender load. A grid the 3 x 3 neighbourhood would
+    cover anyway is one cell, whose block holds every pair exactly, with no
+    cutoff and no tail. PT entries are exact at any distance, and 0 where
+    the config excludes them.
+    SU i senses the senders `sense_indices[sense_indptr[i]:sense_indptr[i + 1]]`.
     """
 
     def __init__(self, world, config: ScenarioConfig):
         self.world = world
+        region, ch, cutoff = world.region, config.channel, INTERFERENCE_CUTOFF
         n_pt, n_su, n_mu = self.n_pt, self.n_su, self.n_mu = len(world.pts), len(world.sus), len(world.mus)
         self.receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
         senders = np.concatenate([world.sus.positions, world.mus.positions])
-        transmitters = np.concatenate([senders, world.pts.positions])
         self.sense_indptr, self.sense_indices = _sensing_neighbours(world.sus.positions, senders,
-                                                                    config.sensing_radius, world.region)
-        self.gain = _fill_rows(np.empty((n_pt + n_su, len(transmitters))), self.receivers, transmitters,
-                               world.region, lambda d: path_gain(d, config.channel))
-        at_pr, at_su, pt_cols = slice(0, n_pt), slice(n_pt, None), slice(n_su + n_mu, None)
-        np.fill_diagonal(self.gain[at_su, :n_su], 0.0)  # own links carry the signal
+                                                                    config.sensing_radius, region)
+
+        nc = cells_per_axis(region.side, cutoff)
+        nc = 1 if nc <= 3 else nc  # the 3 x 3 neighbourhood would cover the grid anyway
+        self.far = torus_tail(cutoff, region.side, ch.alpha) / region.area if nc > 1 else 0.0
+        rx_grid, tx_grid = CellGrid(self.receivers, nc, region.side), CellGrid(senders, nc, region.side)
+        blocks = np.arange(nc * nc)
+        around = tx_grid.around(blocks // nc, blocks % nc)
+        col_block, col_of = tx_grid.members(around.ravel())
+        col_block //= around.shape[1]
+        n_cols = np.bincount(col_block, minlength=len(blocks))
+        col_start = np.cumsum(n_cols) - n_cols
+        width = n_cols.max()
+        self.cols = np.full((len(blocks), width + n_pt), len(senders) + n_pt)
+        self.cols[col_block, np.arange(len(col_of)) - col_start[col_block]] = col_of
+        self.cols[:, width:] = len(senders) + np.arange(n_pt)
+        # receiver i's row in the blocks stacked to (blocks * rows per block, columns)
+        n_rows, row_start, row_of = rx_grid.counts, rx_grid.starts, rx_grid.order
+        self.rx_pos = np.empty(len(self.receivers), dtype=np.intp)
+        self.rx_pos[row_of] = np.repeat(blocks * n_rows.max() - row_start, n_rows) + np.arange(len(row_of))
+
+        self.gain = np.zeros((len(blocks), n_rows.max(), width + n_pt))
+        own = np.arange(len(self.receivers)) - n_pt  # each SU receiver's own sender
+        self.interference_pairs = 0
+        for b in np.flatnonzero(n_rows * n_cols):
+            c = col_of[col_start[b]:col_start[b] + n_cols[b]]
+            step = max(1, BUILD_CHUNK_ENTRIES // len(c))
+            for lo in range(0, n_rows[b], step):
+                r = row_of[row_start[b] + lo:row_start[b] + min(lo + step, n_rows[b])]
+                d = pairwise_toroidal(self.receivers[r], senders[c], region)
+                near = c != own[r, None]
+                if nc > 1:
+                    near &= d <= cutoff
+                np.multiply(path_gain(d, ch, out=d), near, out=self.gain[b, lo:lo + len(r), :len(c)])
+                self.interference_pairs += int(np.count_nonzero(near))
+
+        pt = path_gain(pairwise_toroidal(self.receivers, world.pts.positions, region), ch)
         if config.include_pt_interference_at_pr:
-            np.fill_diagonal(self.gain[at_pr, pt_cols], 0.0)
+            np.fill_diagonal(pt[:n_pt], 0.0)  # a PR's own PT carries the signal
         else:
-            self.gain[at_pr, pt_cols] = 0.0
+            pt[:n_pt] = 0.0
         if not config.include_pt_interference_at_su:
-            self.gain[at_su, pt_cols] = 0.0
+            pt[n_pt:] = 0.0
+        self.gain.reshape(-1, width + n_pt)[self.rx_pos, width:] = pt
+
+    def interference(self, load: np.ndarray) -> np.ndarray:
+        """(receivers, slots) interference from the (transmitters, slots) loads.
+
+        One batched product of the blocks with each block's transmitter loads,
+        gathered back to receiver order. Beyond the cutoff every receiver gets
+        the mean field: `far` times the slot's summed sender load, less its
+        own SU's.
+        """
+        n_senders = self.n_su + self.n_mu
+        if len(self.gain) == 1:  # one unpadded block: both gathers would copy in order
+            out = self.gain[0] @ load
+        else:
+            # the padding index clips to the last transmitter, whose load meets a zero gain
+            near = np.matmul(self.gain, np.take(load, self.cols, axis=0, mode="clip"))
+            out = np.take(near.reshape(-1, load.shape[1]), self.rx_pos, axis=0)
+        if self.far:
+            out += self.far * (np.ones(n_senders) @ load[:n_senders])  # a BLAS sum over the senders
+            out[self.n_pt:] -= self.far * load[:self.n_su]
+        return out
 
     def neighbor_active(self, tx: np.ndarray) -> np.ndarray:
         """(n_su, slots) bool: whether any sender SU i senses transmits in the
@@ -400,7 +464,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     rng = np.random.default_rng(config.seed)
     topo = _sample_topology(config, rng)
     first_topology = {"n_pt": topo.n_pt, "n_su": topo.n_su, "n_mu": topo.n_mu,
-                      "sensing_pairs": len(topo.sense_indices)}
+                      "sensing_pairs": len(topo.sense_indices), "interference_pairs": topo.interference_pairs}
     area = config.region_side ** 2
 
     strategies = config.strategies()
@@ -459,7 +523,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             mu_tx * (ch.mu_power * fade_mu_tx),
             ch.pt_power * fade_pt_tx,  # primaries transmit every slot
         ])
-        interference = topo.gain @ load
+        interference = topo.interference(load)
 
         # ephemeral attacker field: no discrete attackers were sampled, so the
         # active density enters per slot as a freshly drawn Poisson field

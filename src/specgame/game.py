@@ -355,7 +355,6 @@ class Classification:
     label: str  # "robust" | "fragile" | "error"
     terminal_mutant_share: float
     peak_mutant_share: float
-    boundary: bool = False
     error: str = ""  # why the cell failed, for label "error"
 
 
@@ -394,12 +393,10 @@ def classify_operating_point(
     for c, error in enumerate(traj.errors):
         if error:
             out.append(Classification("error", math.nan, math.nan, error=error))
-        elif fragile[c] or (not robust[c] and drift[c] > 0):
-            out.append(Classification("fragile", float(terminal[c]), float(peak[c])))
-        elif robust[c] or drift[c] < 0:
+        elif not fragile[c] and (robust[c] or drift[c] < 0):
             out.append(Classification("robust", float(terminal[c]), float(peak[c])))
         else:
-            out.append(Classification("fragile", float(terminal[c]), float(peak[c]), boundary=True))
+            out.append(Classification("fragile", float(terminal[c]), float(peak[c])))
     return out if traj.final_shares.ndim == 2 else out[0]
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -107,46 +107,71 @@ def pairwise_toroidal(a: np.ndarray, b: np.ndarray, region: Region) -> np.ndarra
     return _wrapped_hypot(dx, dy, region.side)
 
 
+def cells_per_axis(side: float, width: float) -> int:
+    """Cells per axis of the finest square grid over the torus whose cells are
+    wider than `width`, so that two points at most `width` apart lie in the
+    same or adjacent cells."""
+    # the margin keeps the cells wider than width after rounding
+    return max(1, math.ceil(side / (width * (1.0 + 1e-9))) - 1)
+
+
+class CellGrid:
+    """Points binned into an nc x nc grid of equal cells over the torus.
+
+    Every coordinate must lie in [0, side]; one at exactly side falls in
+    cell 0. Cells are numbered cx * nc + cy.
+    """
+
+    def __init__(self, points: np.ndarray, nc: int, side: float):
+        self.nc, self.side = nc, side
+        cx, cy = self.locate(points)
+        cell = cx * nc + cy
+        self.order = np.argsort(cell, kind="stable")  # point indices, by cell
+        self.counts = np.bincount(cell, minlength=nc * nc)
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    def locate(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Cell coordinates (cx, cy) of every point."""
+        c = (points * (self.nc / self.side)).astype(np.intp) % self.nc
+        return c[:, 0], c[:, 1]
+
+    def around(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """(len(cx), k) cell numbers of the 3 x 3 block around each cell. Each
+        cell appears once, also on a grid of one or two cells per axis, where
+        fewer than three offsets are distinct (k < 9)."""
+        steps = np.arange(-1, min(self.nc, 3) - 1) % self.nc
+        near_x = (cx[:, None] + steps) % self.nc
+        near_y = (cy[:, None] + steps) % self.nc
+        return (near_x[:, :, None] * self.nc + near_y[:, None, :]).reshape(len(cx), len(steps) ** 2)
+
+    def members(self, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(entry, point): for each entry of `cells` in turn, every point
+        binned in that cell, in ascending order."""
+        sizes = self.counts[cells]
+        entry = np.arange(len(cells)).repeat(sizes)
+        # ragged ranges: point k of an entry's run reads order[start + k]
+        at = np.repeat(self.starts[cells] - (np.cumsum(sizes) - sizes), sizes)
+        at += np.arange(len(at))
+        return entry, self.order[at]
+
+
 def pairs_within(a: np.ndarray, b: np.ndarray, radius: float, region: Region) -> Tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j) of every pair with wrapped distance <= radius,
     equal to `np.nonzero(pairwise_toroidal(a, b, region) <= radius)`.
 
-    The points of b are binned into an nc x nc grid of cells wider than the
+    The points of b are binned into a `CellGrid` of cells wider than the
     radius (and no more cells than points), so a point of a finds every
     partner in the 3 x 3 block of cells around its own, and only those
-    candidates get a distance. Every coordinate must lie in [0, side]; one at
-    exactly side falls in cell 0.
+    candidates get a distance. Every coordinate must lie in [0, side].
     """
     side = region.side
-    # the margin keeps the cells wider than the radius after rounding
-    nc = max(1, min(math.ceil(side / (radius * (1.0 + 1e-9))) - 1, math.isqrt(len(b))))
-
-    def cells(p):
-        c = (p * (nc / side)).astype(np.intp) % nc
-        return c[:, 0], c[:, 1]
-
-    bx, by = cells(b)
-    cell_b = bx * nc + by
-    order = np.argsort(cell_b)
-    counts = np.bincount(cell_b, minlength=nc * nc)
-    starts = np.cumsum(counts) - counts
-    ax, ay = cells(a)
-    rows = np.arange(len(a))
+    grid = CellGrid(b, min(cells_per_axis(side, radius), max(1, math.isqrt(len(b)))), side)
     found = []
-    # one neighbour cell of every point of a at a time; the unique offsets
-    # reach each cell once on a grid of one or two cells per axis
-    steps = np.unique(np.array([-1, 0, 1]) % nc)
-    for ox in steps:
-        for oy in steps:
-            cell = ((ax + ox) % nc) * nc + (ay + oy) % nc
-            sizes = counts[cell]
-            ia = rows.repeat(sizes)
-            # ragged ranges: candidate k of a cell's run reads order[start + k]
-            at = np.repeat(starts[cell] - (np.cumsum(sizes) - sizes), sizes)
-            at += np.arange(len(at))
-            jb = order[at]
-            keep = _wrapped_hypot(a[ia, 0] - b[jb, 0], a[ia, 1] - b[jb, 1], side) <= radius
-            found.append((ia[keep], jb[keep]))
+    # one neighbour cell of every point of a at a time
+    for cells in grid.around(*grid.locate(a)).T:
+        ia, jb = grid.members(cells)
+        keep = _wrapped_hypot(a[ia, 0] - b[jb, 0], a[ia, 1] - b[jb, 1], side) <= radius
+        found.append((ia[keep], jb[keep]))
     ia, jb = (np.concatenate(part) for part in zip(*found))
     sort = np.lexsort((jb, ia))
     return ia[sort], jb[sort]
@@ -154,7 +179,7 @@ def pairs_within(a: np.ndarray, b: np.ndarray, radius: float, region: Region) ->
 
 @dataclass(frozen=True)
 class World:
-    """One sampled topology: all node classes plus the seed that produced them."""
+    """One sampled topology: all node classes."""
 
     region: Region
     pts: NodeSet
@@ -162,7 +187,6 @@ class World:
     sus: NodeSet
     su_receivers: NodeSet
     mus: NodeSet
-    seed: Optional[int] = None
 
 
 def sample_world(
@@ -172,19 +196,13 @@ def sample_world(
     lambda_mu: float,
     pt_link_distance: float,
     su_link_distance: float,
-    seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> World:
-    """Sample every node class for one simulation topology.
-
-    Either a seed or an existing generator may be supplied; with a seed the
-    result is bit-exact reproducible.
-    """
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    """Sample every node class for one simulation topology, bit-exact
+    reproducible for a fixed generator state."""
     pts = sample_ppp(lambda_pt, region, rng, tag=PT)
     prs = attach_receivers(pts, pt_link_distance, region, rng, tag=PR)
     sus = sample_ppp(lambda_su, region, rng, tag=SU)
     su_rx = attach_receivers(sus, su_link_distance, region, rng, tag=SU_RX)
     mus = sample_ppp(lambda_mu, region, rng, tag=MU)
-    return World(region=region, pts=pts, prs=prs, sus=sus, su_receivers=su_rx, mus=mus, seed=seed)
+    return World(region=region, pts=pts, prs=prs, sus=sus, su_receivers=su_rx, mus=mus)

@@ -14,7 +14,7 @@ from specgame.cli import (
     run_preset,
     write_config,
 )
-from specgame.engine import ConfigError, ScenarioConfig, _sample_topology
+from specgame.engine import INTERFERENCE_CUTOFF, ConfigError, ScenarioConfig, _sample_topology
 from specgame.geometry import pairwise_toroidal
 
 
@@ -182,7 +182,7 @@ def test_cli_determinism_montecarlo(tmp_path):
 def test_montecarlo_manifest_reports_first_topology(tmp_path):
     # resampling draws a new topology every update; the manifest reports the first
     out = tmp_path / "mc"
-    overrides = ["mode=montecarlo", "seed=7", "region_side=500", "steps=3", "window=5",
+    overrides = ["mode=montecarlo", "seed=7", "region_side=900", "steps=3", "window=5",
                  "lambda_mu=2e-5", "resample_topology=true"]
     assert run_preset("fig3-population", overrides, str(out)) == 0
     manifest = json.loads((out / "run-manifest.json").read_text())
@@ -191,9 +191,17 @@ def test_montecarlo_manifest_reports_first_topology(tmp_path):
     senders = np.concatenate([world.sus.positions, world.mus.positions])
     within = pairwise_toroidal(world.sus.positions, senders, world.region) <= config.sensing_radius
     pairs = int(within.sum()) - len(world.sus)  # every SU is within range of itself
+    # receivers (the PRs, then the SU receivers) and senders within the
+    # cutoff, less each SU receiver's own link
+    receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
+    near = pairwise_toroidal(receivers, senders, world.region) <= INTERFERENCE_CUTOFF
+    interference_pairs = int(near.sum()) - len(world.sus)
     assert manifest["topology"] == {"n_pt": len(world.pts), "n_su": len(world.sus), "n_mu": len(world.mus),
-                                    "sensing_pairs": pairs}
+                                    "sensing_pairs": pairs, "interference_pairs": interference_pairs}
     assert len(world.pts) > 0 and len(world.mus) > 0 and pairs > 0
+    # a 900 m torus has 4 x 4 cells of at least 200 m, so the pairs beyond
+    # the cutoff are left to the tail
+    assert 0 < interference_pairs < len(receivers) * len(senders) - len(world.sus)
 
 
 def test_plotdata_series(tmp_path):
@@ -265,6 +273,13 @@ def test_jobs_option_rejected(command, tmp_path, capsys):
     ["--set", "channel.noise=-Infinity"],
     ["--set", "x0=[NaN, 1.0]"],
     ["--mode", "montecarlo", "--set", "seed=-1"],
+    ["--mode", "montecarlo", "--set", "region_side=20"],
+    ["--mode", "montecarlo", "--set", "channel.su_link_distance=1e6"],
+    ["--mode", "montecarlo", "--set", "region_side=300", "--set", "channel.su_link_distance=160"],
+    ["--set", "sensing_radius=1e300"],
+    ["--mode", "montecarlo", "--set", "channel.su_link_distance=250"],
+    ["--mode", "montecarlo", "--set", "channel.pt_link_distance=200"],
+    ["--mode", "montecarlo", "--set", "channel.min_distance=300"],
 ])
 def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
     out = tmp_path / "out"
@@ -272,6 +287,16 @@ def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--set", "channel.su_link_distance=250"],
+    ["--set", "channel.min_distance=300"],
+])
+def test_interference_cutoff_binds_only_montecarlo(tmp_path, extra):
+    # mean-field mode has no interference cutoff, so these load and run
+    assert main(["run", "fig3-population", *extra, "--set", "steps=2", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "metrics.csv").exists()
 
 
 def test_unexpected_failure_is_one_line_exit_3(tmp_path, capsys, monkeypatch):

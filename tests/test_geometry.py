@@ -227,12 +227,11 @@ def test_pairs_within_tiny_radius_keeps_the_grid_small():
 
 def test_sample_world_structure():
     region = Region(1500.0)
-    world = sample_world(region, 1e-5, 1e-3, 1e-7, 15.0, 10.0, seed=4)
+    world = sample_world(region, 1e-5, 1e-3, 1e-7, 15.0, 10.0, rng=np.random.default_rng(4))
     assert len(world.prs) == len(world.pts)
     assert len(world.su_receivers) == len(world.sus)
-    assert world.seed == 4
     for cls in (world.pts, world.prs, world.sus, world.su_receivers, world.mus):
         if len(cls):
             assert np.all(cls.positions >= 0.0) and np.all(cls.positions < region.side)
-    again = sample_world(region, 1e-5, 1e-3, 1e-7, 15.0, 10.0, seed=4)
+    again = sample_world(region, 1e-5, 1e-3, 1e-7, 15.0, 10.0, rng=np.random.default_rng(4))
     assert again.sus.positions.tobytes() == world.sus.positions.tobytes()

@@ -1,13 +1,16 @@
-"""The Monte Carlo window's interference gain matrix and sensing neighbour list."""
+"""The Monte Carlo window's near-field interference blocks, far-field tail and
+sensing neighbour list."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgame.channel import ChannelParams, path_gain
-from specgame.engine import TOPOLOGY_BLOCK_ROWS, ScenarioConfig, _sample_topology, _sensing_neighbours, _Topology
+from specgame import engine
+from specgame.channel import ChannelParams, path_gain, torus_tail
+from specgame.engine import ScenarioConfig, _sample_topology, _sensing_neighbours, _Topology
 from specgame.geometry import NodeSet, Region, World, pairwise_toroidal
 
 
@@ -31,6 +34,16 @@ def _config(**kwargs):
     return ScenarioConfig(mode="montecarlo", channel=ChannelParams(min_distance=2.0), sensing_radius=50.0, **kwargs)
 
 
+def _dense_gain(topo):
+    """The blocks expanded to a receiver x transmitter (SUs, MUs, PTs) matrix."""
+    n_tx = topo.n_su + topo.n_mu + topo.n_pt
+    dense = np.zeros((len(topo.receivers), n_tx + 1))  # the last column collects the padding
+    cols = topo.cols[topo.rx_pos // topo.gain.shape[1]]
+    np.put_along_axis(dense, cols, topo.gain.reshape(-1, topo.gain.shape[2])[topo.rx_pos], axis=1)
+    assert not dense[:, n_tx].any()
+    return dense[:, :n_tx]
+
+
 # every node on the x axis of a 1000 m torus, so each distance is exact:
 # the PT at x = 990 serves its receiver at x = 5 (15 m across the seam), SU1
 # at 100 serves 110, SU2 at 160 serves 150, and the MU sits at 110.5, 0.5 m
@@ -40,21 +53,30 @@ HAND = _world(1000.0, [[990, 0]], [[5, 0]], [[100, 0], [160, 0]], [[110, 0], [15
 
 @pytest.mark.parametrize("at_su", [True, False])
 @pytest.mark.parametrize("at_pr", [True, False])
-def test_hand_placed_gain_and_sense(at_pr, at_su):
-    topo = _Topology(HAND, _config(include_pt_interference_at_pr=at_pr, include_pt_interference_at_su=at_su))
-    assert (topo.n_pt, topo.n_su, topo.n_mu) == (1, 2, 1)
-    pt = 1.0 if at_su else 0.0
-    # rows: PR, SU1 rx, SU2 rx; columns: SU1, SU2, MU, PT. The PR's only PT is
-    # its own transmitter, so its PT column is 0 under either flag.
-    expected = [
-        [95.0 ** -4, 155.0 ** -4, 105.5 ** -4, 0.0],
-        [0.0, 50.0 ** -4, 2.0 ** -4, pt * 120.0 ** -4],
-        [50.0 ** -4, 0.0, 39.5 ** -4, pt * 160.0 ** -4],
-    ]
-    assert topo.gain.tolist() == expected
-    # rows: SU1, SU2; columns: SU1, SU2, MU (SU1-SU2 is 60 m, beyond 50 m)
-    assert (topo.sense_indptr.tolist(), topo.sense_indices.tolist()) == ([0, 1, 2], [2, 2])
-    assert _dense_sense(topo).tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+def test_hand_placed_gain_and_sense(at_pr, at_su, monkeypatch):
+    # a 1000 m torus has 10 x 10 cells of at least 95 m, 9 x 9 of at least
+    # 100 m, and 3 x 3 of at least 300 m, which make one block with no
+    # cutoff; the PR is exactly 95 m from SU1
+    for cutoff, blocks in ((95.0, 100), (100.0, 81), (300.0, 1)):
+        monkeypatch.setattr(engine, "INTERFERENCE_CUTOFF", cutoff)
+        topo = _Topology(HAND, _config(include_pt_interference_at_pr=at_pr, include_pt_interference_at_su=at_su))
+        assert (topo.n_pt, topo.n_su, topo.n_mu) == (1, 2, 1)
+        assert topo.gain.shape[0] == blocks
+        assert (topo.far > 0.0) == (blocks > 1)
+        near = 1.0 if blocks == 1 else 0.0  # the pairs 100 m or more apart
+        pt = 1.0 if at_su else 0.0
+        # rows: PR, SU1 rx, SU2 rx; columns: SU1, SU2, MU, PT. The PT column is
+        # exact at any distance; the PR's only PT is its own transmitter, so
+        # its PT entry is 0 under either flag.
+        assert _dense_gain(topo).tolist() == [
+            [95.0 ** -4, near * 155.0 ** -4, near * 105.5 ** -4, 0.0],
+            [0.0, 50.0 ** -4, 2.0 ** -4, pt * 120.0 ** -4],
+            [50.0 ** -4, 0.0, 39.5 ** -4, pt * 160.0 ** -4],
+        ]
+        assert topo.interference_pairs == (7 if blocks == 1 else 5)
+        # rows: SU1, SU2; columns: SU1, SU2, MU (SU1-SU2 is 60 m, beyond 50 m)
+        assert (topo.sense_indptr.tolist(), topo.sense_indices.tolist()) == ([0, 1, 2], [2, 2])
+        assert _dense_sense(topo).tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
 
 
 def test_pr_pt_columns_follow_the_flag():
@@ -62,27 +84,36 @@ def test_pr_pt_columns_follow_the_flag():
     world = _world(1000.0, [[0, 0], [40, 0]], [[15, 0], [25, 0]], [[500, 0]], [[510, 0]], [])
     on = _Topology(world, _config(include_pt_interference_at_pr=True))
     off = _Topology(world, _config(include_pt_interference_at_pr=False))
-    assert on.gain[:2, 1:].tolist() == [[0.0, 25.0 ** -4], [25.0 ** -4, 0.0]]
-    assert off.gain[:2, 1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert _dense_gain(on)[:2, 1:].tolist() == [[0.0, 25.0 ** -4], [25.0 ** -4, 0.0]]
+    assert _dense_gain(off)[:2, 1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    load = np.array([[0.0], [1.0], [1.0]])  # the SU silent, both PTs on
+    assert on.interference(load)[:2, 0].tolist() == [25.0 ** -4, 25.0 ** -4]
+    assert off.interference(load)[:2, 0].tolist() == [0.0, 0.0]
 
 
-def _class_sums(world, config, load_su, load_mu, load_pt):
-    """Interference at the PRs and the SU receivers, one class pair at a time."""
+def _class_sums(world, config, load_su, load_mu, load_pt, cutoff=np.inf):
+    """Interference at the PRs and the SU receivers, one class pair at a time,
+    from SUs and MUs within the cutoff and from every PT."""
     ch, region = config.channel, world.region
 
-    def term(rx, tx, load, skip_own=False):
-        g = path_gain(pairwise_toroidal(rx.positions, tx.positions, region), ch)
+    def term(rx, tx, load, skip_own=False, cut=cutoff):
+        d = pairwise_toroidal(rx.positions, tx.positions, region)
+        g = np.where(d <= cut, path_gain(d, ch), 0.0)
         if skip_own:
             g[np.arange(len(rx)), np.arange(len(rx))] = 0.0
         return g @ load
 
     i_pr = term(world.prs, world.sus, load_su) + term(world.prs, world.mus, load_mu)
     if config.include_pt_interference_at_pr:
-        i_pr += term(world.prs, world.pts, load_pt, skip_own=True)
+        i_pr += term(world.prs, world.pts, load_pt, skip_own=True, cut=np.inf)
     i_su = term(world.su_receivers, world.sus, load_su, skip_own=True) + term(world.su_receivers, world.mus, load_mu)
     if config.include_pt_interference_at_su:
-        i_su += term(world.su_receivers, world.pts, load_pt)
+        i_su += term(world.su_receivers, world.pts, load_pt, cut=np.inf)
     return i_pr, i_su
+
+
+def _loads(rng, *counts, slots=3):
+    return [rng.exponential(size=(n, slots)) * (rng.random((n, slots)) < 0.7) for n in counts]
 
 
 @settings(max_examples=40, deadline=None)
@@ -92,15 +123,18 @@ def _class_sums(world, config, load_su, load_mu, load_pt):
     at_pr=st.booleans(), at_su=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_gain_product_matches_class_sums(n_pt, n_su, n_mu, side, min_distance, at_pr, at_su, seed):
+    # a torus under 4 cutoffs wide is one unpadded block with no cutoff and
+    # no tail: the dense product up to summation order
     rng = np.random.default_rng(seed)
     world = _world(side, *(rng.uniform(0.0, side, size=(n, 2)) for n in (n_pt, n_pt, n_su, n_su, n_mu)))
     config = ScenarioConfig(mode="montecarlo", channel=ChannelParams(min_distance=min_distance),
                             include_pt_interference_at_pr=at_pr, include_pt_interference_at_su=at_su)
-    topo = _Topology(world, config)
-    load_su, load_mu, load_pt = (rng.exponential(size=(n, 3)) * (rng.random((n, 3)) < 0.7)
-                                 for n in (n_su, n_mu, n_pt))
+    with mock.patch.object(engine, "INTERFERENCE_CUTOFF", max(side / 4.0, 16.0)):
+        topo = _Topology(world, config)
+    assert topo.gain.shape == (1, n_pt + n_su, n_su + n_mu + n_pt) and topo.far == 0.0
+    load_su, load_mu, load_pt = _loads(rng, n_su, n_mu, n_pt)
     i_pr, i_su = _class_sums(world, config, load_su, load_mu, load_pt)
-    got = topo.gain @ np.concatenate([load_su, load_mu, load_pt])
+    got = topo.interference(np.concatenate([load_su, load_mu, load_pt]))
     np.testing.assert_allclose(got, np.concatenate([i_pr, i_su]), rtol=1e-12, atol=0.0)
 
     d = pairwise_toroidal(world.sus.positions, np.concatenate([world.sus.positions, world.mus.positions]),
@@ -109,13 +143,44 @@ def test_gain_product_matches_class_sums(n_pt, n_su, n_mu, side, min_distance, a
     assert _dense_sense(topo).tolist() == within.astype(float).tolist()
 
 
-def _whole_matrices(world, config):
-    """`gain` and `sense` built from one distance call each, zeroed as `_Topology` does."""
+@settings(max_examples=30, deadline=None)
+@given(
+    n_pt=st.integers(0, 4), n_su=st.integers(1, 80), n_mu=st.integers(0, 5),
+    side=st.floats(100.0, 1000.0), cutoff_share=st.floats(0.03, 0.24),
+    at_pr=st.booleans(), at_su=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_blocked_product_matches_truncated_sums_plus_tail(n_pt, n_su, n_mu, side, cutoff_share, at_pr, at_su,
+                                                          seed):
+    # at least 4 x 4 cells: the product equals the pairs within the cutoff,
+    # the exact PT columns, and the mean tail of every other sender
+    rng = np.random.default_rng(seed)
+    world = _world(side, *(rng.uniform(0.0, side, size=(n, 2)) for n in (n_pt, n_pt, n_su, n_su, n_mu)))
+    cutoff = max(20.0, cutoff_share * side)
+    config = ScenarioConfig(mode="montecarlo", region_side=side,
+                            include_pt_interference_at_pr=at_pr, include_pt_interference_at_su=at_su)
+    with mock.patch.object(engine, "INTERFERENCE_CUTOFF", cutoff):
+        topo = _Topology(world, config)
+    assert len(topo.gain) >= 16
+    far = torus_tail(cutoff, side, config.channel.alpha) / side ** 2
+    assert topo.far == far > 0.0
+    load_su, load_mu, load_pt = _loads(rng, n_su, n_mu, n_pt, slots=4)
+    i_pr, i_su = _class_sums(world, config, load_su, load_mu, load_pt, cutoff=cutoff)
+    total = load_su.sum(axis=0) + load_mu.sum(axis=0)
+    want = np.concatenate([i_pr + far * total, i_su + far * (total - load_su)])
+    got = topo.interference(np.concatenate([load_su, load_mu, load_pt]))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _whole_matrices(world, config, cutoff):
+    """`gain` (receivers x SUs, MUs, PTs) and `sense` built from one distance
+    call each, zeroed as `_Topology` documents."""
     n_pt, n_su, n_mu = len(world.pts), len(world.sus), len(world.mus)
     receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
     senders = np.concatenate([world.sus.positions, world.mus.positions])
     transmitters = np.concatenate([senders, world.pts.positions])
-    gain = path_gain(pairwise_toroidal(receivers, transmitters, world.region), config.channel)
+    d = pairwise_toroidal(receivers, transmitters, world.region)
+    gain = path_gain(d, config.channel)
+    gain[:, :n_su + n_mu][d[:, :n_su + n_mu] > cutoff] = 0.0
     np.fill_diagonal(gain[n_pt:, :n_su], 0.0)
     pt_cols = slice(n_su + n_mu, None)
     if config.include_pt_interference_at_pr:
@@ -133,24 +198,62 @@ def _whole_matrices(world, config):
 @pytest.mark.parametrize("at_pr", [True, False])
 @pytest.mark.parametrize("n_pt,n_mu", [(0, 0), (3, 2)])
 @pytest.mark.parametrize("n_su", [1, 63, 64, 65, 129])
-def test_blocked_build_matches_whole_matrices(n_su, n_pt, n_mu, at_pr, at_su):
-    # row counts on both sides of each block edge, with the PR rows shifting
-    # where the SU receivers start
-    assert TOPOLOGY_BLOCK_ROWS == 64
+def test_blocked_build_matches_whole_matrices(n_su, n_pt, n_mu, at_pr, at_su, monkeypatch):
+    # a 300 m torus in 4 x 4 cells of at least 60 m: the blocks expand to
+    # the whole matrices, byte for byte
     side = 300.0
     rng = np.random.default_rng(1000 * n_su + 10 * n_pt + n_mu)
     world = _world(side, *(rng.uniform(0.0, side, size=(n, 2)) for n in (n_pt, n_pt, n_su, n_su, n_mu)))
+    monkeypatch.setattr(engine, "INTERFERENCE_CUTOFF", 60.0)
     config = _config(include_pt_interference_at_pr=at_pr, include_pt_interference_at_su=at_su)
     topo = _Topology(world, config)
-    gain, sense = _whole_matrices(world, config)
-    assert (topo.gain.shape, topo.gain.dtype) == (gain.shape, gain.dtype)
-    assert topo.gain.tobytes() == gain.tobytes()
+    gain, sense = _whole_matrices(world, config, 60.0)
+    n_blocks, rows_per_block, _ = topo.gain.shape
+    assert n_blocks == 16
+    assert _dense_gain(topo).tobytes() == gain.tobytes()
+    assert topo.interference_pairs == np.count_nonzero(gain[:, :n_su + n_mu])
     assert _dense_sense(topo).tobytes() == sense.tobytes()
+    # each block: every sender at most once, the padding, then every PT; each
+    # receiver has a row of its own, and the rows no receiver owns are zero
+    n_tx = n_su + n_mu + n_pt
+    for cols in topo.cols:
+        senders = cols[cols < n_su + n_mu]
+        assert len(np.unique(senders)) == len(senders)
+        assert cols[len(senders):].tolist() == [n_tx] * (len(cols) - len(senders) - n_pt) + list(range(n_su + n_mu, n_tx))
+    assert len(np.unique(topo.rx_pos)) == n_pt + n_su
+    padding_rows = np.setdiff1d(np.arange(n_blocks * rows_per_block), topo.rx_pos)
+    assert not topo.gain.reshape(n_blocks * rows_per_block, -1)[padding_rows].any()
+    # distances are computed a few rows of a block at a time; the rows per
+    # call do not change a byte
+    monkeypatch.setattr(engine, "BUILD_CHUNK_ENTRIES", 7)
+    assert _Topology(world, config).gain.tobytes() == topo.gain.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0])
+@pytest.mark.parametrize("cutoff", [0.2, 0.45, 0.55, 0.6])
+def test_torus_tail_matches_midpoint_grid(alpha, cutoff):
+    # the integral of r^-alpha over the unit torus square outside the disk,
+    # by the midpoint rule on one quadrant (cutoffs on both sides of side/2)
+    n = 2000
+    h = 0.5 / n
+    x = (np.arange(n) + 0.5) * h
+    r = np.hypot(x[:, None], x[None, :])
+    brute = 4.0 * h * h * float(np.sum(r[r > cutoff] ** -alpha))
+    unit = torus_tail(cutoff, 1.0, alpha)
+    assert unit == pytest.approx(brute, rel=1e-4)
+    # T scales as side^(2 - alpha) at a fixed cutoff / side
+    assert torus_tail(cutoff * 300.0, 300.0, alpha) == pytest.approx(unit * 300.0 ** (2.0 - alpha), rel=1e-12)
+
+
+def test_torus_tail_vanishes_beyond_the_corner():
+    assert torus_tail(1.0 / np.sqrt(2.0), 1.0, 4.0) == 0.0
+    assert torus_tail(5.0, 1.0, 4.0) == 0.0
+    assert 0.0 < torus_tail(0.7, 1.0, 4.0) < torus_tail(0.6, 1.0, 4.0)
 
 
 def test_topology_build_holds_no_full_size_distance_temporaries():
-    # ~1,023 SUs: a distance temporary the size of a whole matrix would add
-    # at least gain.nbytes on top of what the build keeps
+    # ~1,023 SUs in 16 blocks: a distance temporary the size of a block
+    # column, let alone a dense matrix, would exceed the bound
     config = ScenarioConfig(mode="montecarlo", region_side=1000.0, seed=4)
     tracemalloc.start()
     try:
@@ -158,8 +261,9 @@ def test_topology_build_holds_no_full_size_distance_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert topo.n_su > 1000
-    assert peak <= 1.5 * (topo.gain.nbytes + topo.sense_indptr.nbytes + topo.sense_indices.nbytes)
+    assert topo.n_su > 1000 and topo.gain.shape[0] == 16
+    stored = topo.gain.nbytes + topo.cols.nbytes + topo.rx_pos.nbytes + topo.sense_indptr.nbytes + topo.sense_indices.nbytes
+    assert peak <= 1.5 * stored
 
 
 def test_sensing_build_allocates_no_su_by_su_array():
