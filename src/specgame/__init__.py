@@ -45,7 +45,6 @@ from .game import (
     PayoffParams,
     StrategySet,
     classify_operating_point,
-    find_rest_points,
     perception_prob,
     replicator_step,
     run_dynamics,

@@ -19,7 +19,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .game import (
-    Classification,
     DynamicsParams,
     GameEnv,
     MuDrive,
@@ -196,19 +195,6 @@ def make_template_schedule(
     return factory
 
 
-def forecast_operating_point(
-    estimates: DensityEstimates,
-    env_template: GameEnv,
-    template: InducingTemplate,
-    dynamics: DynamicsParams,
-    density_cap: float,
-) -> Classification:
-    """Mean-field forecast of the attack outcome from the attacker's estimates."""
-    env = replace(env_template, lambda_su=estimates.lambda_su, lambda_pt=estimates.lambda_pt)
-    factory = make_template_schedule(estimates.lambda_mu, template, density_cap, lambda_su=estimates.lambda_su)
-    return classify_operating_point(env, factory, dynamics, density_cap=density_cap)
-
-
 def decide_launch(
     estimates: DensityEstimates,
     env_template: GameEnv,
@@ -218,8 +204,12 @@ def decide_launch(
 ) -> bool:
     """Launch iff the mean-field forecast under the inducing template ends fragile.
 
-    Pure in its inputs; with nobody to induce the answer is immediately no.
+    The forecast runs the template on env_template with the estimated SU and
+    PT densities. Pure in its inputs; with nobody to induce the answer is
+    immediately no.
     """
     if estimates.lambda_su <= 0:
         return False
-    return forecast_operating_point(estimates, env_template, template, dynamics, density_cap).label == "fragile"
+    env = replace(env_template, lambda_su=estimates.lambda_su, lambda_pt=estimates.lambda_pt)
+    factory = make_template_schedule(estimates.lambda_mu, template, density_cap, lambda_su=estimates.lambda_su)
+    return classify_operating_point(env, factory, dynamics, density_cap=density_cap).label == "fragile"

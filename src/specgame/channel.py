@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -132,11 +132,69 @@ def field_constant(alpha: float) -> float:
     return x / math.sin(x)
 
 
-def _field_coef(link_distance: float, link_power: float, field_power: float, params: ChannelParams) -> float:
-    """Interference exponent per unit field density at unit threshold:
-    pi * r^2 * (P_k/P)^(2/alpha) * C(alpha)."""
-    return (math.pi * link_distance ** 2 * (field_power / link_power) ** (2.0 / params.alpha)
-            * params.field_const)
+class LinkBudget(NamedTuple):
+    """The success exponent of one link class over independent Poisson fields.
+
+    At SINR threshold v * threshold the link succeeds with probability
+    exp(-(noise * v + b * v^k)), k = 2/alpha, where the field term b sums
+    density_k * coefs_k over the fields in order. `noise` and `coefs` are
+    taken at the threshold itself. `threshold`, `noise` and each coefficient
+    may be arrays over several links, which broadcast against the densities.
+    The caller checks that the densities are nonnegative.
+    """
+
+    threshold: float
+    k: float
+    noise: float
+    coefs: Tuple[float, ...]
+
+    @classmethod
+    def of(cls, link_distance: float, link_power: float, eta: float, powers,
+           params: ChannelParams) -> "LinkBudget":
+        """The budget at threshold eta over fields of the given powers: noise
+        eta*N*r^alpha/P, and pi*r^2*(P_k/P)^(2/alpha)*C(alpha)*eta^(2/alpha)
+        per unit density of each field."""
+        k = 2.0 / params.alpha
+        area, scale = math.pi * link_distance ** 2, eta ** k
+        return cls(eta, k, eta * params.noise * link_distance ** params.alpha / link_power,
+                   tuple(area * (p / link_power) ** k * params.field_const * scale for p in powers))
+
+    def exponent(self, densities, start):
+        """start + density_k * coefs_k, added field by field; broadcasts over array densities."""
+        for d, c in zip(densities, self.coefs, strict=True):
+            start = start + d * c
+        return start
+
+    def success(self, densities):
+        """P[SINR >= threshold]: a float for scalar densities, else an array."""
+        exponent = self.exponent(densities, self.noise)
+        return np.exp(-exponent) if np.ndim(exponent) else math.exp(-exponent)
+
+    def median(self, densities):
+        """The SINR level with success probability 0.5: threshold * v for the
+        root v of noise*v + b*v^k = ln 2, per entry of the field term b.
+
+        The left side is convex and increasing in u = ln v; Newton's method
+        started above the root (at the smaller of the two one-term roots)
+        descends onto it monotonically. Raises if a median falls outside
+        [1e-6, 1e9].
+        """
+        a, b, k = self.noise, np.asarray(self.exponent(densities, 0.0), dtype=float), self.k
+        ln2 = math.log(2.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u = np.minimum(np.log(ln2 / a), np.log(ln2 / b) / k)
+            for _ in range(100):
+                ta, tb = a * np.exp(u), b * np.exp(k * u)
+                du = (ta + tb - ln2) / (ta + k * tb)
+                # each entry stops on its own, so its value does not depend on the others
+                moving = np.abs(du) > 1e-13 * np.maximum(1.0, np.abs(u))
+                if not np.any(moving):
+                    break
+                u = np.where(moving, u - du, u)
+            eta = self.threshold * np.exp(u)
+        if not np.all((eta >= 1e-6) & (eta <= 1e9)):
+            raise ValueError("median SINR outside bracket [1e-6, 1e9]")
+        return eta if eta.ndim else float(eta)
 
 
 def success_prob(
@@ -152,30 +210,21 @@ def success_prob(
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    exponent = eta * params.noise * link_distance ** params.alpha / link_power
-    scale = eta ** (2.0 / params.alpha)
-    for f in fields:
-        exponent = exponent + f.density * (_field_coef(link_distance, link_power, f.power, params) * scale)
-    return np.exp(-exponent) if np.ndim(exponent) else math.exp(-exponent)
+    budget = LinkBudget.of(link_distance, link_power, eta, [f.power for f in fields], params)
+    return budget.success([f.density for f in fields])
 
 
 def max_allowable_su_density(params: ChannelParams) -> float:
     """Largest active secondary density for which the primary outage constraint
-    P[SINR_PR < eta_PR] <= eps_PR still holds; algebraic inversion of success_prob.
+    P[SINR_PR < eta_PR] <= eps_PR still holds: the PR link budget over the SU
+    field alone, inverted for its density.
     """
-    noise_term = (
-        params.pr_sinr_threshold * params.noise * params.pt_link_distance ** params.alpha / params.pt_power
-    )
-    budget = -math.log1p(-params.pr_outage_constraint) - noise_term
+    pr = LinkBudget.of(params.pt_link_distance, params.pt_power, params.pr_sinr_threshold,
+                       (params.su_power,), params)
+    budget = -math.log1p(-params.pr_outage_constraint) - pr.noise
     if budget <= 0:
         raise ValueError("noise-limited: no SU density admissible")
-    denom = (
-        math.pi
-        * params.pt_link_distance ** 2
-        * (params.pr_sinr_threshold * params.su_power / params.pt_power) ** (2.0 / params.alpha)
-        * params.field_const
-    )
-    return budget / denom
+    return budget / pr.coefs[0]
 
 
 def median_sinr(
@@ -188,34 +237,13 @@ def median_sinr(
 
     success_prob(eta) = exp(-(a*eta + b*eta^k)) with k = 2/alpha, a the noise
     term and b the summed field term, so eta* solves a*eta + b*eta^k = ln 2.
-    The left side is convex and increasing in u = ln eta; Newton's method
-    started above the root (at the smaller of the two one-term roots) descends
-    onto it monotonically. Broadcasts over array field densities. Serves as the
-    analytic stand-in for a time-averaged SINR; strictly decreasing in every
-    field density. Raises if no median lies inside [1e-6, 1e9] (e.g. vanishing
-    noise and no interference).
+    Broadcasts over array field densities. Serves as the analytic stand-in for
+    a time-averaged SINR; strictly decreasing in every field density. Raises
+    if no median lies inside [1e-6, 1e9] (e.g. vanishing noise and no
+    interference).
     """
-    k = 2.0 / params.alpha
-    a = params.noise * link_distance ** params.alpha / link_power
-    b = 0.0
-    for f in fields:
-        b = b + f.density * _field_coef(link_distance, link_power, f.power, params)
-    b = np.asarray(b, dtype=float)
-    ln2 = math.log(2.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = np.minimum(math.log(ln2 / a), np.log(ln2 / b) / k)
-        for _ in range(100):
-            ta, tb = a * np.exp(u), b * np.exp(k * u)
-            du = (ta + tb - ln2) / (ta + k * tb)
-            # each entry stops on its own, so its value does not depend on the others
-            moving = np.abs(du) > 1e-13 * np.maximum(1.0, np.abs(u))
-            if not np.any(moving):
-                break
-            u = np.where(moving, u - du, u)
-        eta = np.exp(u)
-    if not np.all((eta >= 1e-6) & (eta <= 1e9)):
-        raise ValueError("median SINR outside bracket [1e-6, 1e9]")
-    return eta if eta.ndim else float(eta)
+    budget = LinkBudget.of(link_distance, link_power, 1.0, [f.power for f in fields], params)
+    return budget.median([f.density for f in fields])
 
 
 def empirical_success_prob(

@@ -143,12 +143,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def metrics_csv_text(result: RunResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(metrics_columns(len(result.config.access_probs)))
-    for rec in result.records:
-        writer.writerow([_fmt(v) for v in record_row(rec)])
-    return buf.getvalue()
+    """One line per record; '%.12g' writes floats exactly as _fmt does, nan included."""
+    columns = metrics_columns(len(result.config.access_probs))
+    line = ",".join("%s" if c == "mu_phase" else "%d" if c.startswith("t_") else "%.12g" for c in columns) + "\n"
+    return ",".join(columns) + "\n" + "".join(line % tuple(record_row(rec)) for rec in result.records)
 
 
 def events_csv_text(result: RunResult) -> str:

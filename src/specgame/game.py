@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .channel import ChannelParams, InterfererField, max_allowable_su_density, median_sinr, success_prob
+from .channel import ChannelParams, LinkBudget, max_allowable_su_density
 
 SIMPLEX_TOL = 1e-9
 MAX_HALVINGS = 40
@@ -125,9 +125,18 @@ class GameEnv:
             raise ValueError("sensing radius must be positive")
 
     @cached_property
-    def _pt_fields(self) -> List[InterfererField]:
-        """The primary transmitter field, as a list that is empty without primaries."""
-        return [InterfererField(self.lambda_pt, self.channel.pt_power)] if self.lambda_pt > 0 else []
+    def link_budget(self) -> LinkBudget:
+        """The SU link and the PR link, stacked on a last axis of length 2,
+        over the active SU, active MU and PT fields; the PT coefficient is 0
+        at a receiver that the PT field does not reach."""
+        ch = self.channel
+        powers = (ch.su_power, ch.mu_power, ch.pt_power)
+        su = LinkBudget.of(ch.su_link_distance, ch.su_power, ch.su_sinr_threshold, powers, ch)
+        pr = LinkBudget.of(ch.pt_link_distance, ch.pt_power, ch.pr_sinr_threshold, powers, ch)
+        coefs = np.array([su.coefs, pr.coefs])  # (link, field)
+        coefs[:, 2] *= [self.include_pt_at_su, self.include_pt_at_pr]
+        return LinkBudget(np.array([su.threshold, pr.threshold]), su.k, np.array([su.noise, pr.noise]),
+                          tuple(coefs.T))
 
 
 def validate_shares(shares, m: int) -> np.ndarray:
@@ -155,14 +164,10 @@ def active_su_density(shares, env: GameEnv):
     return env.lambda_su * (np.asarray(shares, dtype=float) @ env.strategies.probs)
 
 
-def _interferer_fields(active_su, mu_density, env: GameEnv) -> Tuple[List[InterfererField], ...]:
-    """(fields at an SU receiver, fields at a PR receiver): the active SU and
-    MU fields, plus the PT field where included. An empty field adds exactly
-    zero to the success exponent."""
-    ch = env.channel
-    shared = [InterfererField(active_su, ch.su_power), InterfererField(mu_density, ch.mu_power)]
-    pt = env._pt_fields
-    return (shared + pt if env.include_pt_at_su else shared), (shared + pt if env.include_pt_at_pr else shared)
+def _field_densities(active_su, mu_density, env: GameEnv):
+    """The active SU, active MU and PT densities that env.link_budget takes,
+    with a trailing axis to broadcast against its two links."""
+    return np.asarray(active_su)[..., None], np.asarray(mu_density)[..., None], env.lambda_pt
 
 
 def access_payoff(p, q, s, payoffs: PayoffParams):
@@ -171,21 +176,21 @@ def access_payoff(p, q, s, payoffs: PayoffParams):
     return (1.0 - p) * payoffs.kappa + p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))
 
 
-def payoff_vector(shares, env: GameEnv, mu: Optional[MuDrive] = None):
+def payoff_vector(shares, env: GameEnv, mu: Optional[MuDrive] = None, act=None):
     """Per-strategy mean-field payoffs plus the (q, s_su, s_pr) diagnostics.
 
     `shares` is (m,) or (cells, m); `mu` (default env.mu) and env.payoffs may
-    hold per-cell arrays. The payoffs come back as (m,) or (cells, m), the
+    hold per-cell arrays. `act`, the active SU density of `shares`, is
+    computed when not given. The payoffs come back as (m,) or (cells, m), the
     diagnostics as floats or (cells,) arrays.
     """
     mu = env.mu if mu is None else mu
-    ch = env.channel
-    act = active_su_density(shares, env)
+    act = active_su_density(shares, env) if act is None else act
+    if np.count_nonzero(np.minimum(act, mu.active_density) < 0):
+        raise ValueError("field density must be nonnegative")
     q_local = perception_prob(act + mu.active_density, env.sensing_radius)
     q = 1.0 - (1.0 - q_local) * (1.0 - mu.inducement)
-    at_su, at_pr = _interferer_fields(act, mu.active_density, env)
-    s_su = success_prob(ch.su_link_distance, ch.su_power, ch.su_sinr_threshold, at_su, ch)
-    s_pr = success_prob(ch.pt_link_distance, ch.pt_power, ch.pr_sinr_threshold, at_pr, ch)
+    s_su, s_pr = env.link_budget.success(_field_densities(act, mu.active_density, env)).T
     cell_dims = max(np.ndim(q), len(env.payoffs.batch_shape))
     p = env.strategies.probs.reshape((-1,) + (1,) * cell_dims)
     return access_payoff(p, q, s_su, env.payoffs).T, q, s_su, s_pr
@@ -310,7 +315,7 @@ def run_dynamics(
     for t in range(steps):
         act[t] = active_su_density(x, env)
         drive = mu_schedule(t, act[t])
-        pi, _, s_su[t], s_pr[t] = payoff_vector(x, env, drive)
+        pi, _, s_su[t], s_pr[t] = payoff_vector(x, env, drive, act[t])
         mu_density[t], inducement[t] = drive.active_density, drive.inducement
         shares[t], payoffs[t] = x, pi
         if freeze_shares:
@@ -327,10 +332,7 @@ def run_dynamics(
             all_live = False
         x = new if all_live else np.where(live[:, None], new, x)
     if compute_sinr:
-        ch = env.channel
-        at_su, at_pr = _interferer_fields(act, mu_density, env)
-        pr_med = median_sinr(ch.pt_link_distance, ch.pt_power, at_pr, ch)
-        su_med = median_sinr(ch.su_link_distance, ch.su_power, at_su, ch)
+        su_med, pr_med = np.moveaxis(env.link_budget.median(_field_densities(act, mu_density, env)), -1, 0)
     else:
         pr_med = su_med = np.full((steps, cells), math.nan)
     per_step = [shares, payoffs, s_su, s_pr, act, mu_density, inducement, pr_med, su_med]
@@ -398,59 +400,3 @@ def classify_operating_point(
         else:
             out.append(Classification("fragile", float(terminal[c]), float(peak[c])))
     return out if traj.final_shares.ndim == 2 else out[0]
-
-
-def find_rest_points(env: GameEnv, grid: int = 2001, tol: float = 1e-9) -> List[Tuple[float, str]]:
-    """Rest points of the two-strategy dynamics as (mutant share, stability tag).
-
-    Scans the payoff gap g(x) = pi_transmit - pi_silent for sign changes and
-    refines each by bisection; endpoints are tagged from the adjacent gap sign.
-    For more than two strategies, falls back to multi-start dynamics and
-    reports the distinct limits reached.
-    """
-    probs = env.strategies.probs
-    if len(probs) != 2:
-        return _rest_points_multistart(env)
-
-    def g(x: float) -> float:
-        shares = np.array([1.0 - x, x])
-        pi, _, _, _ = payoff_vector(shares, env)
-        return float(pi[1] - pi[0])
-
-    xs = np.linspace(0.0, 1.0, grid)
-    gs = np.diff(payoff_vector(np.stack([1.0 - xs, xs], axis=1), env)[0], axis=1)[:, 0]
-    out: List[Tuple[float, str]] = []
-
-    g0, g1 = gs[0], gs[-1]
-    out.append((0.0, "stable" if g0 < -tol else ("unstable" if g0 > tol else "neutral")))
-    for i in range(grid - 1):
-        a, b = gs[i], gs[i + 1]
-        if a == 0.0 and 0 < i:  # grid point exactly on a root
-            out.append((float(xs[i]), "neutral"))
-            continue
-        if a * b < 0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            glo = a
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                gm = g(mid)
-                if glo * gm <= 0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            root = 0.5 * (lo + hi)
-            out.append((root, "stable" if a > 0 else "unstable"))
-    out.append((1.0, "stable" if g1 > tol else ("unstable" if g1 < -tol else "neutral")))
-    return out
-
-
-def _rest_points_multistart(env: GameEnv, starts: int = 8, steps: int = 4000, h: float = 0.1):
-    x0 = np.random.default_rng(0).dirichlet(np.ones(len(env.strategies)), size=starts)
-    traj = run_dynamics(x0, env, lambda t, observed: env.mu, steps, h, compute_sinr=False)
-    limits: List[Tuple[float, str]] = []
-    seen: List[np.ndarray] = []
-    for x in traj.final_shares:
-        if not any(np.allclose(x, s, atol=1e-4) for s in seen):
-            seen.append(x)
-            limits.append((float(transmitting_share(x, probs=env.strategies.probs)), "stable"))
-    return limits

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from specgame.attack import (
     InducingTemplate,
     advance_phases,
     decide_launch,
-    forecast_operating_point,
+    make_template_schedule,
     observe,
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
-from specgame.game import DynamicsParams, GameEnv, PayoffParams
+from specgame.game import DynamicsParams, GameEnv, PayoffParams, classify_operating_point
 from specgame.geometry import Region, sample_world
 
 CH = ChannelParams()
@@ -159,8 +160,12 @@ def test_decide_launch_baseline_payoffs():
 
 def test_decide_launch_kappa8_forecast_still_rises_first():
     est = DensityEstimates(1e-5, 1e-3, 1e-7)
-    forecast = forecast_operating_point(est, baseline_env(kappa=8.0), InducingTemplate(),
-                                        DynamicsParams(steps=400), CAP)
+    env, template, dynamics = baseline_env(kappa=8.0), InducingTemplate(), DynamicsParams(steps=400)
+    assert decide_launch(est, env, template, dynamics, CAP) is False
+    # the forecast decide_launch runs: the template on the estimated densities
+    factory = make_template_schedule(est.lambda_mu, template, CAP, lambda_su=est.lambda_su)
+    forecast = classify_operating_point(replace(env, lambda_su=est.lambda_su, lambda_pt=est.lambda_pt),
+                                        factory, dynamics, density_cap=CAP)
     assert forecast.label == "robust"
     assert forecast.peak_mutant_share > 0.01
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgame.channel import (
     ChannelParams,
@@ -13,6 +15,7 @@ from specgame.channel import (
     path_gain,
     success_prob,
 )
+from specgame.game import GameEnv, PayoffParams
 
 PARAMS = ChannelParams()  # production parameter set
 
@@ -185,3 +188,94 @@ def test_empirical_success_prob_matches_closed_form_smoke():
     emp = empirical_success_prob(15.0, 0.3, 3.0, fields, PARAMS, region_side=1000.0,
                                  n_topologies=3000, n_fading=40, rng=np.random.default_rng(21))
     assert abs(closed - emp) <= 0.01
+
+
+@st.composite
+def _budget_case(draw):
+    """Random valid channel, SU and MU densities (scalars or arrays of one
+    shape), and a primary field reaching either receiver or neither."""
+    uniform = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    params = ChannelParams(
+        alpha=draw(uniform(2.2, 6.0)),
+        noise=10.0 ** draw(uniform(-13.0, -8.0)),
+        pt_power=draw(uniform(0.01, 2.0)),
+        pt_link_distance=draw(uniform(1.0, 50.0)),
+        pr_sinr_threshold=draw(uniform(0.1, 10.0)),
+        pr_outage_constraint=draw(uniform(0.01, 0.5)),
+        su_power=draw(uniform(0.01, 2.0)),
+        su_link_distance=draw(uniform(1.0, 50.0)),
+        su_sinr_threshold=draw(uniform(0.1, 10.0)),
+        mu_power=draw(uniform(0.01, 2.0)),
+    )
+    n = draw(st.integers(0, 4))  # 0: scalar densities
+    density = uniform(0.0, 1e-3)
+    su, mu = (draw(density) if n == 0 else np.array(draw(st.lists(density, min_size=n, max_size=n)))
+              for _ in range(2))
+    env = GameEnv(params, PayoffParams(), lambda_pt=draw(uniform(0.0, 1e-4)),
+                  include_pt_at_su=draw(st.booleans()), include_pt_at_pr=draw(st.booleans()))
+    return env, su, mu
+
+
+def _closed_form(r, power, eta, fields, ch):
+    """Oracle: the module docstring's success probability, its exponent added
+    term by term in the order the kernel promises (noise, then each field)."""
+    k = 2.0 / ch.alpha
+    exponent = eta * ch.noise * r ** ch.alpha / power
+    for f in fields:
+        exponent = exponent + f.density * (math.pi * r ** 2 * (f.power / power) ** k * field_constant(ch.alpha)
+                                           * eta ** k)
+    return np.exp(-exponent) if np.ndim(exponent) else math.exp(-exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_budget_case())
+def test_link_budget_matches_general_kernel(case):
+    env, su, mu = case
+    ch = env.channel
+    links = [(ch.su_link_distance, ch.su_power, ch.su_sinr_threshold, env.include_pt_at_su),
+             (ch.pt_link_distance, ch.pt_power, ch.pr_sinr_threshold, env.include_pt_at_pr)]
+    shape = np.broadcast(su, mu).shape
+    # the SU and PR links side by side on a trailing axis
+    densities = (np.asarray(su)[..., None], np.asarray(mu)[..., None], env.lambda_pt)
+    budget = env.link_budget
+    success = budget.success(densities)
+    try:
+        medians = budget.median(densities)
+    except ValueError:
+        medians = None
+
+    def fields(pt_reaches, d_su, d_mu):
+        pt = [InterfererField(env.lambda_pt, ch.pt_power)] if pt_reaches else []
+        return [InterfererField(d_su, ch.su_power), InterfererField(d_mu, ch.mu_power)] + pt
+
+    for i, (r, power, eta, pt_reaches) in enumerate(links):
+        # the same products summed in the same order: bit for bit where both
+        # take np.exp, and within an ulp where the general kernel takes
+        # math.exp of a scalar
+        want = success_prob(r, power, eta, fields(pt_reaches, su, mu), ch)
+        np.testing.assert_array_equal(want, _closed_form(r, power, eta, fields(pt_reaches, su, mu), ch))
+        np.testing.assert_allclose(success[..., i], want, rtol=0 if shape else 1e-15, atol=0)
+        if medians is None:
+            continue
+        # Newton stops once its step is below 1e-13 * |ln eta| (<= 21 in the
+        # bracket); solved at the link threshold rather than at 1, the two
+        # medians differ by up to that step each
+        np.testing.assert_allclose(medians[..., i], median_sinr(r, power, fields(pt_reaches, su, mu), ch),
+                                   rtol=5e-12)
+        for j in np.ndindex(shape):
+            d_su, d_mu, eta_j = (np.broadcast_to(a, shape)[j] for a in (su, mu, medians[..., i]))
+            assert success_prob(r, power, eta_j, fields(pt_reaches, d_su, d_mu), ch) == pytest.approx(0.5, abs=5e-12)
+    if medians is None:  # some median left the bracket: the general kernel agrees
+        with pytest.raises(ValueError, match="bracket"):
+            for r, power, _, pt_reaches in links:
+                median_sinr(r, power, fields(pt_reaches, su, mu), ch)
+    try:
+        cap = max_allowable_su_density(ch)
+    except ValueError as exc:
+        assert "noise-limited" in str(exc)
+        return
+    # the cap sits on the primary outage constraint of the same PR budget
+    s_pr = budget.success((cap, 0.0, 0.0))[1]
+    assert s_pr == pytest.approx(1.0 - ch.pr_outage_constraint, rel=1e-14)
+    assert s_pr == pytest.approx(success_prob(ch.pt_link_distance, ch.pt_power, ch.pr_sinr_threshold,
+                                              [InterfererField(cap, ch.su_power)], ch), rel=1e-15)

@@ -15,7 +15,6 @@ from specgame.game import (
     access_payoff,
     active_su_density,
     classify_operating_point,
-    find_rest_points,
     perception_prob,
     payoff_vector,
     replicator_step,
@@ -102,6 +101,16 @@ def test_payoff_interpolates_in_access_probability():
     pi, q, s_su, _ = payoff_vector(x, env)
     assert pi[1] == pytest.approx(0.5 * pi[0] + 0.5 * pi[2], rel=1e-12)
     assert 0.0 < q < 1.0 and 0.0 < s_su < 1.0
+
+
+def test_payoff_vector_rejects_negative_field_density():
+    env = env_with(kappa=0.0)
+    x = np.array([0.5, 0.5])
+    # each field is checked, not only their sum (which perception sees)
+    with pytest.raises(ValueError, match="nonnegative"):
+        payoff_vector(x, env, MuDrive(-0.1 * active_su_density(x, env), 0.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        payoff_vector(np.array([[0.5, 0.5], [1.5, -0.5]]), env)
 
 
 def test_replicator_hand_step():
@@ -205,6 +214,61 @@ def test_run_dynamics_records_sinr_metrics():
     traj = run_dynamics(np.array([0.99, 0.01]), env, idle_schedule, steps=3, h=0.1)
     assert np.all(np.isfinite(traj.pr_median_sinr)) and traj.pr_median_sinr.shape == (3,)
     assert np.all(np.isfinite(traj.su_median_sinr)) and traj.su_median_sinr.shape == (3,)
+
+
+def find_rest_points(env, grid=2001, tol=1e-9):
+    """Oracle: rest points of the two-strategy dynamics as (mutant share, stability tag).
+
+    Scans the payoff gap g(x) = pi_transmit - pi_silent for sign changes and
+    refines each by bisection; endpoints are tagged from the adjacent gap sign.
+    For more than two strategies, falls back to multi-start dynamics and
+    reports the distinct limits reached.
+    """
+    probs = env.strategies.probs
+    if len(probs) != 2:
+        return _rest_points_multistart(env)
+
+    def g(x):
+        shares = np.array([1.0 - x, x])
+        pi, _, _, _ = payoff_vector(shares, env)
+        return float(pi[1] - pi[0])
+
+    xs = np.linspace(0.0, 1.0, grid)
+    gs = np.diff(payoff_vector(np.stack([1.0 - xs, xs], axis=1), env)[0], axis=1)[:, 0]
+    out = []
+
+    g0, g1 = gs[0], gs[-1]
+    out.append((0.0, "stable" if g0 < -tol else ("unstable" if g0 > tol else "neutral")))
+    for i in range(grid - 1):
+        a, b = gs[i], gs[i + 1]
+        if a == 0.0 and 0 < i:  # grid point exactly on a root
+            out.append((float(xs[i]), "neutral"))
+            continue
+        if a * b < 0:
+            lo, hi = float(xs[i]), float(xs[i + 1])
+            glo = a
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                gm = g(mid)
+                if glo * gm <= 0:
+                    hi = mid
+                else:
+                    lo, glo = mid, gm
+            root = 0.5 * (lo + hi)
+            out.append((root, "stable" if a > 0 else "unstable"))
+    out.append((1.0, "stable" if g1 > tol else ("unstable" if g1 < -tol else "neutral")))
+    return out
+
+
+def _rest_points_multistart(env, starts=8, steps=4000, h=0.1):
+    x0 = np.random.default_rng(0).dirichlet(np.ones(len(env.strategies)), size=starts)
+    traj = run_dynamics(x0, env, lambda t, observed: env.mu, steps, h, compute_sinr=False)
+    limits, seen = [], []
+    for x in traj.final_shares:
+        if not any(np.allclose(x, s, atol=1e-4) for s in seen):
+            seen.append(x)
+            limits.append((float(transmitting_share(x, probs=env.strategies.probs)), "stable"))
+    return limits
 
 
 def test_find_rest_points_kappa0_origin_neutral():

@@ -1,0 +1,64 @@
+"""Mean-field presets against the benchmark's reference outputs.
+
+benchmarks/reference/ pins the fig3, fig5 and fig6 outputs; the tolerances
+are those benchmarks/README.md states for the benchmark's output checks, so
+mean-field drift fails here as well as there. fig4 runs fig3's configuration
+and is checked against fig3's files.
+"""
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from specgame.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
+EXACT = ("t_update", "t_slot", "mu_phase")
+SINR = ("pr_sinr_db_mean", "pr_sinr_db_median", "su_sinr_db_mean", "su_sinr_db_median")
+SINR_DB = 1e-5  # absolute, dB
+REL, ABS = 1e-9, 1e-12  # every other column, and phase-event triggers
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _close(got, ref, rel, abs_tol):
+    a, b = float(got), float(ref)
+    return math.isnan(a) and math.isnan(b) or math.isclose(a, b, rel_tol=rel, abs_tol=abs_tol)
+
+
+@pytest.mark.parametrize("preset, reference", [
+    ("fig3-population", "fig3-population"),
+    ("fig4-sinr-kappa0", "fig3-population"),
+    ("fig5-sinr-kappa8", "fig5-sinr-kappa8"),
+])
+def test_run_preset_matches_reference(tmp_path, preset, reference):
+    assert main(["run", preset, "--out", str(tmp_path)]) == 0
+    got, ref = _rows(tmp_path / "metrics.csv"), _rows(REFERENCE / reference / "metrics.csv")
+    assert len(got) == len(ref)
+    for i, (row, expected) in enumerate(zip(got, ref)):
+        for col, want in expected.items():
+            if col in EXACT:
+                ok = row[col] == want
+            elif col in SINR:
+                ok = _close(row[col], want, 0.0, SINR_DB)
+            else:
+                ok = _close(row[col], want, REL, ABS)
+            assert ok, f"row {i} {col}: {row[col]} != reference {want}"
+    events, ref_events = _rows(tmp_path / "phase_events.csv"), _rows(REFERENCE / reference / "phase_events.csv")
+    key = ("slot", "old_phase", "new_phase")
+    assert [[e[k] for k in key] for e in events] == [[e[k] for k in key] for e in ref_events]
+    for e, want in zip(events, ref_events):
+        assert _close(e["trigger"], want["trigger"], REL, ABS)
+
+
+def test_region_sweep_matches_reference(tmp_path):
+    assert main(["run", "fig6-region", "--out", str(tmp_path)]) == 0
+    key = ("delta", "nu", "kappa", "classification")
+    got = [[r[k] for k in key] for r in _rows(tmp_path / "region.csv")]
+    ref = [[r[k] for k in key] for r in _rows(REFERENCE / "fig6-region" / "region.csv")]
+    assert got == ref
+    assert len(got) == 72 and sum(r[3] == "fragile" for r in got) == 36
