@@ -50,7 +50,6 @@ from .game import (
     run_dynamics,
 )
 from .geometry import (
-    NodeSet,
     Region,
     World,
     attach_receivers,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -115,7 +115,8 @@ class AttackController:
     the first call. The launch decision may be resolved at construction
     (mean-field oracle) or later via resolve_launch once estimates exist
     (Monte Carlo observation). Phase transitions are logged to `events`;
-    `phase_history` records the phase codes in force at each step.
+    `phases` holds the phase codes in force (index into PHASES) and
+    `phase_history` those of each step.
     """
 
     def __init__(
@@ -135,7 +136,6 @@ class AttackController:
         self.inactive_behavior = inactive_behavior
         self.lambda_su = lambda_su
         self._launch = launch
-        self._awaiting_launch = True  # some cell is still INITIAL
         inactive_density = 0.0 if inactive_behavior == "silent" else math.nan  # mimic: set per call
         # drive per phase code: active MU density and advertised inducement
         self._density = np.array([0.0, lambda_mu * template.mu_access_prob, inactive_density, 0.0])
@@ -145,24 +145,15 @@ class AttackController:
         self.events: List[PhaseEvent] = []
         self.phase_history: List[np.ndarray] = []
 
-    @property
-    def phase(self) -> AttackPhase:
-        """Phase in force for a one-cell controller."""
-        if self.phases.size != 1:
-            raise ValueError("a batched controller has one phase per cell; read `phases`")
-        return PHASES[int(self.phases.flat[0])]
-
     def resolve_launch(self, launch: bool) -> None:
         self._launch = launch
 
     def __call__(self, t: int, observed_active_su_density) -> MuDrive:
         observed = np.asarray(observed_active_su_density, dtype=float)
         old = self.phases
-        launch = self._launch if self._awaiting_launch else None
+        # a resolved launch moves only INITIAL cells, so after the first call it changes nothing
         self.phases, self.above_cap_run = advance_phases(
-            old, self.above_cap_run, observed, self.density_cap, self.template.hysteresis, launch)
-        if launch is not None:
-            self._awaiting_launch = False
+            old, self.above_cap_run, observed, self.density_cap, self.template.hysteresis, self._launch)
         changed = self.phases != old
         if np.count_nonzero(changed):
             old, trigger = (np.broadcast_to(a, changed.shape) for a in (old, observed))
@@ -178,23 +169,6 @@ class AttackController:
         return MuDrive(density[()], self._inducement[self.phases][()])
 
 
-def make_template_schedule(
-    lambda_mu: float,
-    template: InducingTemplate,
-    density_cap: float,
-    inactive_behavior: str = "silent",
-    lambda_su: float = 0.0,
-) -> Callable[[], AttackController]:
-    """Factory of fresh always-launching controllers: the standard inducing
-    template used by forecasts and region sweeps."""
-
-    def factory() -> AttackController:
-        return AttackController(lambda_mu, template, density_cap, launch=True,
-                                inactive_behavior=inactive_behavior, lambda_su=lambda_su)
-
-    return factory
-
-
 def decide_launch(
     estimates: DensityEstimates,
     env_template: GameEnv,
@@ -204,12 +178,17 @@ def decide_launch(
 ) -> bool:
     """Launch iff the mean-field forecast under the inducing template ends fragile.
 
-    The forecast runs the template on env_template with the estimated SU and
-    PT densities. Pure in its inputs; with nobody to induce the answer is
-    immediately no.
+    The forecast runs the template, launched at once, on env_template with the
+    estimated SU and PT densities. Pure in its inputs; with nobody to induce
+    the answer is immediately no. Raises ValueError, with the reason, if the
+    forecast's dynamics fail.
     """
     if estimates.lambda_su <= 0:
         return False
     env = replace(env_template, lambda_su=estimates.lambda_su, lambda_pt=estimates.lambda_pt)
-    factory = make_template_schedule(estimates.lambda_mu, template, density_cap, lambda_su=estimates.lambda_su)
-    return classify_operating_point(env, factory, dynamics, density_cap=density_cap).label == "fragile"
+    controller = AttackController(estimates.lambda_mu, template, density_cap, launch=True,
+                                  lambda_su=estimates.lambda_su)
+    forecast = classify_operating_point(env, controller, dynamics, density_cap=density_cap)[0]
+    if forecast.label == "error":
+        raise ValueError(forecast.error)
+    return forecast.label == "fragile"

@@ -183,14 +183,17 @@ class LinkBudget(NamedTuple):
         ln2 = math.log(2.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = np.minimum(np.log(ln2 / a), np.log(ln2 / b) / k)
+            moving = np.ones(np.shape(u), dtype=bool)
             for _ in range(100):
                 ta, tb = a * np.exp(u), b * np.exp(k * u)
                 du = (ta + tb - ln2) / (ta + k * tb)
-                # each entry stops on its own, so its value does not depend on the others
-                moving = np.abs(du) > 1e-13 * np.maximum(1.0, np.abs(u))
+                # each entry takes its first step below tolerance, then stops
+                # on its own, so its value does not depend on the others
+                above = np.abs(du) > 1e-13 * np.maximum(1.0, np.abs(u))
+                u = np.where(moving, u - du, u)
+                moving &= above
                 if not np.any(moving):
                     break
-                u = np.where(moving, u - du, u)
             eta = self.threshold * np.exp(u)
         if not np.all((eta >= 1e-6) & (eta <= 1e9)):
             raise ValueError("median SINR outside bracket [1e-6, 1e9]")

@@ -90,10 +90,6 @@ def load_config(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-def write_config(config: ScenarioConfig, path: str) -> None:
-    _atomic_write(path, json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
 def _parse_set_value(raw: str):
     try:
         return json.loads(raw)
@@ -121,11 +117,7 @@ def apply_overrides(config: ScenarioConfig, pairs: Sequence[str]) -> ScenarioCon
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".12g")
-    return str(value)
+    return "%.12g" % value if isinstance(value, float) else str(value)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -143,7 +135,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def metrics_csv_text(result: RunResult) -> str:
-    """One line per record; '%.12g' writes floats exactly as _fmt does, nan included."""
+    """One line per record, floats written with '%.12g' as _fmt writes them."""
     columns = metrics_columns(len(result.config.access_probs))
     line = ",".join("%s" if c == "mu_phase" else "%d" if c.startswith("t_") else "%.12g" for c in columns) + "\n"
     return ",".join(columns) + "\n" + "".join(line % tuple(record_row(rec)) for rec in result.records)

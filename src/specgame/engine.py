@@ -24,7 +24,6 @@ from .attack import (
     InducingTemplate,
     PhaseEvent,
     decide_launch,
-    make_template_schedule,
     observe,
 )
 from .channel import ChannelParams, max_allowable_su_density, path_gain, torus_tail
@@ -36,6 +35,7 @@ from .game import (
     classify_operating_point,
     replicator_step,
     run_dynamics,
+    step_failure,
     validate_shares,
 )
 from .geometry import CellGrid, Region, cells_per_axis, pairs_within, pairwise_toroidal, sample_world
@@ -276,7 +276,8 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
 
     The controller is granted oracle density estimates, so the launch decision
     resolves before the first step. Success columns report whether the
-    closed-form outage constraint of each link class currently holds.
+    closed-form outage constraint of each link class currently holds. Raises
+    ValueError, with the reason, if the dynamics fail.
     """
     if config.mode != "meanfield":
         raise ConfigError("run_meanfield requires mode='meanfield'")
@@ -292,27 +293,29 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
         np.asarray(config.x0), config.game_env(), controller, steps=config.steps, h=config.step_size,
         compute_sinr=True, freeze_shares=config.freeze_shares,
     )
+    if traj.errors[0]:
+        raise ValueError(traj.errors[0])
     pr_ok = traj.s_pr >= 1.0 - ch.pr_outage_constraint
     su_ok = traj.s_su >= 1.0 - ch.su_outage_constraint
     records = []
     for t, phase in enumerate(controller.phase_history):
-        pr_db = _to_db(float(traj.pr_median_sinr[t]))
-        su_db = _to_db(float(traj.su_median_sinr[t]))
+        pr_db = _to_db(float(traj.pr_median_sinr[t, 0]))
+        su_db = _to_db(float(traj.su_median_sinr[t, 0]))
         records.append(MetricsRecord(
             t_update=t,
             t_slot=t * config.window,
-            shares=tuple(traj.shares[t].tolist()),
-            active_su_density=float(traj.active_su_density[t]),
+            shares=tuple(traj.shares[t, 0].tolist()),
+            active_su_density=float(traj.active_su_density[t, 0]),
             mu_phase=PHASES[phase.item()].value,
-            pr_success=1.0 if pr_ok[t] else 0.0,
-            su_success=1.0 if su_ok[t] else 0.0,
+            pr_success=1.0 if pr_ok[t, 0] else 0.0,
+            su_success=1.0 if su_ok[t, 0] else 0.0,
             pr_sinr_db_mean=pr_db,
             pr_sinr_db_median=pr_db,
             su_sinr_db_mean=su_db,
             su_sinr_db_median=su_db,
-            payoffs=tuple(traj.payoffs[t].tolist()),
-            pr_success_raw=float(traj.s_pr[t]),
-            su_success_raw=float(traj.s_su[t]),
+            payoffs=tuple(traj.payoffs[t, 0].tolist()),
+            pr_success_raw=float(traj.s_pr[t, 0]),
+            su_success_raw=float(traj.s_su[t, 0]),
         ))
     return RunResult(config, records, controller.events, cap)
 
@@ -350,10 +353,10 @@ class _Topology:
         self.world = world
         region, ch, cutoff = world.region, config.channel, INTERFERENCE_CUTOFF
         n_pt, n_su, n_mu = self.n_pt, self.n_su, self.n_mu = len(world.pts), len(world.sus), len(world.mus)
-        self.receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
-        senders = np.concatenate([world.sus.positions, world.mus.positions])
-        self.sense_indptr, self.sense_indices = _sensing_neighbours(world.sus.positions, senders,
-                                                                    config.sensing_radius, region)
+        self.receivers = np.concatenate([world.prs, world.su_receivers])
+        senders = np.concatenate([world.sus, world.mus])
+        self.sense_indptr, self.sense_indices = _sensing_neighbours(world.sus, senders, config.sensing_radius,
+                                                                    region)
 
         nc = cells_per_axis(region.side, cutoff)
         nc = 1 if nc <= 3 else nc  # the 3 x 3 neighbourhood would cover the grid anyway
@@ -389,7 +392,7 @@ class _Topology:
                 np.multiply(path_gain(d, ch, out=d), near, out=self.gain[b, lo:lo + len(r), :len(c)])
                 self.interference_pairs += int(np.count_nonzero(near))
 
-        pt = path_gain(pairwise_toroidal(self.receivers, world.pts.positions, region), ch)
+        pt = path_gain(pairwise_toroidal(self.receivers, world.pts, region), ch)
         if config.include_pt_interference_at_pr:
             np.fill_diagonal(pt[:n_pt], 0.0)  # a PR's own PT carries the signal
         else:
@@ -453,8 +456,9 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     Each update window: strategies are re-assigned per current shares, access
     and fading are drawn per slot, SINRs are evaluated at every primary and
     secondary receiver, per-user payoffs are scored, and the replicator then
-    consumes per-strategy window means. The attack controller sees windowed
-    density estimates. Fading is drawn per transmitter per slot plus per
+    consumes per-strategy window means; a replicator step that fails raises
+    ValueError with the reason. The attack controller sees windowed density
+    estimates. Fading is drawn per transmitter per slot plus per
     receiver for the desired link, which preserves the per-link marginal law.
     """
     if config.mode != "montecarlo":
@@ -493,8 +497,9 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             controller.resolve_launch(_resolve_launch(config, estimates, cap))
             launch_resolved = True
         drive = controller(w, observed_density)
-        inducing = controller.phase is AttackPhase.INDUCING
-        mimic = controller.phase is AttackPhase.INACTIVE and config.inactive_mu_behavior == "mimic-su"
+        phase = PHASES[int(controller.phases)]
+        inducing = phase is AttackPhase.INDUCING
+        mimic = phase is AttackPhase.INACTIVE and config.inactive_mu_behavior == "mimic-su"
 
         if config.resample_topology and w > 0:
             topo = _sample_topology(config, rng)
@@ -539,7 +544,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
                 field_gain = path_gain(pairwise_toroidal(topo.receivers, pos, region), ch)
                 f = rng.exponential(1.0, size=k)
                 interference[:, s] += field_gain @ (ch.mu_power * f)
-                near, _ = pairs_within(topo.world.sus.positions, pos, config.sensing_radius, region)
+                near, _ = pairs_within(topo.world.sus, pos, config.sensing_radius, region)
                 ephem_within[near, s] = True
 
         sinr_pr = (ch.pt_power * pr_desired_gain * fade_pr_des) / (ch.noise + interference[:n_pt])
@@ -585,7 +590,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             t_slot=(w + 1) * w_slots - 1,
             shares=tuple(shares.tolist()),
             active_su_density=active_density_win,
-            mu_phase=controller.phase.value,
+            mu_phase=phase.value,
             pr_success=pr_ok_frac,
             su_success=su_ok_frac,
             pr_sinr_db_mean=_to_db(float(sinr_pr.mean())) if n_pt else math.nan,
@@ -600,6 +605,8 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
 
         if not config.freeze_shares:
             shares = replicator_step(shares, strat_pay, config.step_size)
+            if np.isnan(shares[0]):
+                raise ValueError(step_failure(strat_pay))
         observed_density = active_density_win
 
     return RunResult(config, records, controller.events, cap, first_topology)
@@ -639,10 +646,10 @@ def sweep_region(
     except ValueError as exc:
         raise ConfigError(f"sweep grid: {exc}") from exc
     cap = max_allowable_su_density(config.channel)
-    factory = make_template_schedule(
-        config.lambda_mu, config.template(), cap,
+    controller = AttackController(
+        config.lambda_mu, config.template(), cap, launch=True,
         inactive_behavior=config.inactive_mu_behavior, lambda_su=config.lambda_su,
     )
     env = replace(config.game_env(), payoffs=payoffs)
-    results = classify_operating_point(env, factory, config.dynamics(), density_cap=cap)
+    results = classify_operating_point(env, controller, config.dynamics(), density_cap=cap)
     return [SweepCell(d, n, k, r.label, r.terminal_mutant_share, r.error) for (d, n, k), r in zip(grid, results)]

@@ -9,14 +9,15 @@ population shares evolve under discrete-step replicator dynamics.
 
 The dynamics run a batch of cells at once: shares of shape (cells, m), with
 per-cell incentives and per-cell attacker drive. A single run is the batch of
-one cell, reported without the cell axis.
+one cell, and a cell that cannot be stepped is reported in `errors`, never
+raised.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,9 +98,6 @@ class MuDrive:
     active_density: float = 0.0
     inducement: float = 0.0
 
-
-IDLE_MU = MuDrive(0.0, 0.0)
-
 # (step index, currently observed active SU density per cell) -> MuDrive
 MuSchedule = Callable[[int, np.ndarray], MuDrive]
 
@@ -114,7 +112,6 @@ class GameEnv:
     lambda_su: float = 1e-3
     lambda_pt: float = 1e-5
     sensing_radius: float = 50.0
-    mu: MuDrive = IDLE_MU
     include_pt_at_su: bool = True
     include_pt_at_pr: bool = False
 
@@ -176,15 +173,15 @@ def access_payoff(p, q, s, payoffs: PayoffParams):
     return (1.0 - p) * payoffs.kappa + p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))
 
 
-def payoff_vector(shares, env: GameEnv, mu: Optional[MuDrive] = None, act=None):
-    """Per-strategy mean-field payoffs plus the (q, s_su, s_pr) diagnostics.
+def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
+    """Per-strategy mean-field payoffs under the attacker drive `mu`, plus the
+    (q, s_su, s_pr) diagnostics.
 
-    `shares` is (m,) or (cells, m); `mu` (default env.mu) and env.payoffs may
-    hold per-cell arrays. `act`, the active SU density of `shares`, is
-    computed when not given. The payoffs come back as (m,) or (cells, m), the
-    diagnostics as floats or (cells,) arrays.
+    `shares` is (m,) or (cells, m); `mu` and env.payoffs may hold per-cell
+    arrays. `act`, the active SU density of `shares`, is computed when not
+    given. The payoffs come back as (m,) or (cells, m), the diagnostics as
+    floats or (cells,) arrays.
     """
-    mu = env.mu if mu is None else mu
     act = active_su_density(shares, env) if act is None else act
     if np.count_nonzero(np.minimum(act, mu.active_density) < 0):
         raise ValueError("field density must be nonnegative")
@@ -204,8 +201,8 @@ def replicator_step(shares, payoffs, h: float) -> np.ndarray:
     additive shift cancels structurally, not just in exact arithmetic. Where a
     step would drive a share negative, that row's h is halved (at most 40
     times). A row that cannot be stepped -- non-finite payoffs, or still
-    negative after the last halving -- raises ValueError for a single vector
-    and comes back as NaN in a batch, so that one bad cell stops no other.
+    negative after the last halving -- comes back as NaN, so that one bad
+    cell stops no other; `step_failure` says why.
     """
     x = np.asarray(shares, dtype=float)
     pi = np.asarray(payoffs, dtype=float)
@@ -216,8 +213,6 @@ def replicator_step(shares, payoffs, h: float) -> np.ndarray:
     finite = np.isfinite(pi)
     all_finite = np.count_nonzero(finite) == finite.size
     if not all_finite:
-        if x.ndim == 1:
-            raise ValueError(NONFINITE_FAILURE)
         finite = finite.all(axis=1)
         pi = np.where(finite[:, None], pi, 0.0)  # stepped flat, blanked below
     rel = pi - pi[:, :1]
@@ -233,8 +228,6 @@ def replicator_step(shares, payoffs, h: float) -> np.ndarray:
                 break
             step[pending] *= 0.5
         else:
-            if x.ndim == 1:
-                raise ValueError(NONNEGATIVE_FAILURE)
             factors[pending] = math.nan
     if not all_finite:
         factors[~finite] = math.nan
@@ -243,14 +236,20 @@ def replicator_step(shares, payoffs, h: float) -> np.ndarray:
     return new.reshape(x.shape)
 
 
+def step_failure(payoffs) -> str:
+    """Why `replicator_step` returned NaN for a row with these payoffs."""
+    return NONNEGATIVE_FAILURE if np.isfinite(payoffs).all() else NONFINITE_FAILURE
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Pre-update state of every step, stacked along a leading step axis.
 
-    For a batch a cell axis follows the step axis: shares and payoffs are
-    (steps, cells, m) and the diagnostics (steps, cells); a single run has no
-    cell axis. The SINR medians are NaN unless computed. `errors` holds, per
-    cell, why that cell was frozen ("" for cells that ran to the end).
+    A cell axis follows the step axis, also for a single run: shares and
+    payoffs are (steps, cells, m), the diagnostics (steps, cells) and
+    final_shares (cells, m). The SINR medians are NaN unless computed.
+    `errors` holds, per cell, why that cell was frozen ("" for cells that ran
+    to the end).
     """
 
     shares: np.ndarray
@@ -266,14 +265,9 @@ class Trajectory:
     errors: Tuple[str, ...]
 
 
-def transmitting_share(shares, env: Optional[GameEnv] = None, probs: Optional[np.ndarray] = None):
-    """Total share on strategies with positive access probability (per row)."""
-    x = np.asarray(shares, dtype=float)
-    if probs is None:
-        if env is None:
-            raise ValueError("need either env or probs")
-        probs = env.strategies.probs
-    return x[..., np.asarray(probs) > 0].sum(axis=-1)
+def transmitting_share(shares, probs) -> np.ndarray:
+    """Total share on strategies with positive access probability `probs` (per row)."""
+    return np.asarray(shares, dtype=float)[..., np.asarray(probs) > 0].sum(axis=-1)
 
 
 def run_dynamics(
@@ -294,16 +288,15 @@ def run_dynamics(
     population the attacker has just seen. The SINR medians of all steps are
     solved in one call after the loop.
 
-    A cell whose payoffs turn non-finite, or whose replicator step fails, is
-    frozen at its last shares with the reason in `errors`, and the other cells
-    run on; a single run (1-D x0, scalar incentives) raises ValueError instead.
+    A single run (1-D x0, scalar incentives) is a batch of one cell. A cell
+    whose payoffs turn non-finite, or whose replicator step fails, is frozen
+    at its last shares with the reason in `errors`, and the other cells run on.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     m = len(env.strategies)
     x0 = validate_shares(x0, m)
     batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
-    single = batch == ()
     x = np.array(np.broadcast_to(x0, batch + (m,)), ndmin=2)
     cells = len(x)
     shares = np.empty((steps, cells, m))
@@ -324,10 +317,7 @@ def run_dynamics(
         failed = np.isnan(new[:, 0]) & live
         if np.count_nonzero(failed):
             for c in np.flatnonzero(failed):
-                reason = NONNEGATIVE_FAILURE if np.isfinite(pi[c]).all() else NONFINITE_FAILURE
-                if single:
-                    raise ValueError(reason)
-                errors[c] = f"{reason} (step {t})"
+                errors[c] = f"{step_failure(pi[c])} (step {t})"
             live &= ~failed
             all_live = False
         x = new if all_live else np.where(live[:, None], new, x)
@@ -335,11 +325,8 @@ def run_dynamics(
         su_med, pr_med = np.moveaxis(env.link_budget.median(_field_densities(act, mu_density, env)), -1, 0)
     else:
         pr_med = su_med = np.full((steps, cells), math.nan)
-    per_step = [shares, payoffs, s_su, s_pr, act, mu_density, inducement, pr_med, su_med]
-    if single:
-        per_step = [a[:, 0] for a in per_step]
-        x = x[0]
-    return Trajectory(*per_step, final_shares=x, errors=tuple(errors))
+    return Trajectory(shares, payoffs, s_su, s_pr, act, mu_density, inducement, pr_med, su_med,
+                      final_shares=x, errors=tuple(errors))
 
 
 @dataclass(frozen=True)
@@ -362,10 +349,10 @@ class Classification:
 
 def classify_operating_point(
     env: GameEnv,
-    schedule_factory: Callable[[], MuSchedule],
+    schedule: MuSchedule,
     dynamics: DynamicsParams,
     density_cap: Optional[float] = None,
-) -> Union[Classification, List[Classification]]:
+) -> List[Classification]:
     """Run the attack template from the configured start and classify the rest state.
 
     Fragile if the terminal transmit-weighted density violates the primary
@@ -373,16 +360,15 @@ def classify_operating_point(
     of the terminal payoff drift decides, with zero drift counted fragile
     (conservative from the defender's side).
 
-    With per-cell incentives in env.payoffs every cell is classified in one
-    batched run and a list comes back, in cell order; a failed cell is
-    labelled "error" with its reason. Scalar incentives give one
-    Classification, and a failure raises ValueError.
+    Every cell of env.payoffs is classified in one batched run, driven by the
+    fresh `schedule` (typically an AttackController), and one Classification
+    per cell comes back, in cell order: a list of one for scalar incentives.
+    A failed cell is labelled "error" with its reason.
     """
     cap = max_allowable_su_density(env.channel) if density_cap is None else density_cap
-    traj = run_dynamics(np.asarray(dynamics.x0), env, schedule_factory(), dynamics.steps, dynamics.h,
-                        compute_sinr=False)
+    traj = run_dynamics(np.asarray(dynamics.x0), env, schedule, dynamics.steps, dynamics.h, compute_sinr=False)
     probs = env.strategies.probs
-    x_T = np.atleast_2d(traj.final_shares)
+    x_T = traj.final_shares
     terminal = transmitting_share(x_T, probs=probs)
     peak = np.maximum(transmitting_share(traj.shares, probs=probs).max(axis=0), terminal)
     last_mu = MuDrive(traj.mu_density[-1], traj.inducement[-1])
@@ -399,4 +385,4 @@ def classify_operating_point(
             out.append(Classification("robust", float(terminal[c]), float(peak[c])))
         else:
             out.append(Classification("fragile", float(terminal[c]), float(peak[c])))
-    return out if traj.final_shares.ndim == 2 else out[0]
+    return out

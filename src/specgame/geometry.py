@@ -13,12 +13,6 @@ from typing import Tuple
 
 import numpy as np
 
-PT = "PT"
-PR = "PR"
-SU = "SU"
-SU_RX = "SU_RX"
-MU = "MU"
-
 
 @dataclass(frozen=True)
 class Region:
@@ -35,32 +29,21 @@ class Region:
         return self.side * self.side
 
 
-@dataclass(frozen=True)
-class NodeSet:
-    """Positions of one node class, shape (n, 2), coordinates in [0, side)."""
-
-    positions: np.ndarray
-    tag: str
-
-    def __len__(self) -> int:
-        return int(self.positions.shape[0])
-
-
-def sample_ppp(density: float, region: Region, rng: np.random.Generator, tag: str = SU) -> NodeSet:
-    """Sample a homogeneous PPP: count ~ Poisson(density * area), positions i.i.d. uniform.
+def sample_ppp(density: float, region: Region, rng: np.random.Generator) -> np.ndarray:
+    """Sample a homogeneous PPP: count ~ Poisson(density * area), positions
+    i.i.d. uniform, as an (n, 2) array with coordinates in [0, side).
 
     Deterministic for a fixed generator state; density is in nodes/m^2.
     """
     if density < 0:
         raise ValueError("density must be nonnegative")
     count = int(rng.poisson(density * region.area))
-    positions = rng.uniform(0.0, region.side, size=(count, 2))
-    return NodeSet(positions=positions, tag=tag)
+    return rng.uniform(0.0, region.side, size=(count, 2))
 
 
 def attach_receivers(
-    transmitters: NodeSet, link_distance: float, region: Region, rng: np.random.Generator, tag: str = PR
-) -> NodeSet:
+    transmitters: np.ndarray, link_distance: float, region: Region, rng: np.random.Generator
+) -> np.ndarray:
     """Place one receiver per transmitter at exact toroidal distance link_distance,
     bearing uniform on [0, 2*pi). Preserves ordering: receiver i pairs with transmitter i.
     """
@@ -69,8 +52,7 @@ def attach_receivers(
     n = len(transmitters)
     bearings = rng.uniform(0.0, 2.0 * np.pi, size=n)
     offsets = link_distance * np.stack([np.cos(bearings), np.sin(bearings)], axis=1)
-    positions = np.mod(transmitters.positions + offsets, region.side)
-    return NodeSet(positions=positions, tag=tag)
+    return np.mod(transmitters + offsets, region.side)
 
 
 def toroidal_distance(p, q, region: Region) -> float:
@@ -179,14 +161,16 @@ def pairs_within(a: np.ndarray, b: np.ndarray, radius: float, region: Region) ->
 
 @dataclass(frozen=True)
 class World:
-    """One sampled topology: all node classes."""
+    """One sampled topology: the (n, 2) positions of every node class.
+    Receiver i of `prs` and `su_receivers` pairs with transmitter i of `pts`
+    and `sus`."""
 
     region: Region
-    pts: NodeSet
-    prs: NodeSet
-    sus: NodeSet
-    su_receivers: NodeSet
-    mus: NodeSet
+    pts: np.ndarray
+    prs: np.ndarray
+    sus: np.ndarray
+    su_receivers: np.ndarray
+    mus: np.ndarray
 
 
 def sample_world(
@@ -200,9 +184,9 @@ def sample_world(
 ) -> World:
     """Sample every node class for one simulation topology, bit-exact
     reproducible for a fixed generator state."""
-    pts = sample_ppp(lambda_pt, region, rng, tag=PT)
-    prs = attach_receivers(pts, pt_link_distance, region, rng, tag=PR)
-    sus = sample_ppp(lambda_su, region, rng, tag=SU)
-    su_rx = attach_receivers(sus, su_link_distance, region, rng, tag=SU_RX)
-    mus = sample_ppp(lambda_mu, region, rng, tag=MU)
+    pts = sample_ppp(lambda_pt, region, rng)
+    prs = attach_receivers(pts, pt_link_distance, region, rng)
+    sus = sample_ppp(lambda_su, region, rng)
+    su_rx = attach_receivers(sus, su_link_distance, region, rng)
+    mus = sample_ppp(lambda_mu, region, rng)
     return World(region=region, pts=pts, prs=prs, sus=sus, su_receivers=su_rx, mus=mus)

@@ -11,7 +11,6 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from specgame.attack import InducingTemplate, make_template_schedule
 from specgame.channel import (
     ChannelParams,
     InterfererField,
@@ -273,9 +272,8 @@ def test_criterion_8_geometry_statistics():
     _, p_poisson = scipy_stats.chisquare(obs, exp * obs.sum() / exp.sum())
 
     pos = rng.uniform(300.0, 700.0, size=(10_000, 2))
-    tx = type(sample_ppp(0.0, region, rng))(positions=pos, tag="PT")
-    rx = attach_receivers(tx, 15.0, region, rng)
-    delta = rx.positions - tx.positions
+    rx = attach_receivers(pos, 15.0, region, rng)
+    delta = rx - pos
     bearings = np.mod(np.arctan2(delta[:, 1], delta[:, 0]), 2 * np.pi)
     hist, _ = np.histogram(bearings, bins=36, range=(0.0, 2 * np.pi))
     _, p_bearing = scipy_stats.chisquare(hist)

@@ -9,13 +9,13 @@ from specgame.attack import (
     INACTIVE,
     INDUCING,
     INITIAL,
+    PHASES,
     AttackController,
     AttackPhase,
     DensityEstimates,
     InducingTemplate,
     advance_phases,
     decide_launch,
-    make_template_schedule,
     observe,
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
@@ -118,7 +118,7 @@ def test_controller_emits_template_density_while_inducing():
     template = InducingTemplate(mu_access_prob=0.5, hysteresis=5, inducement=1.0)
     ctl = AttackController(1e-7, template, CAP, launch=True, lambda_su=1e-3)
     drive = ctl(0, 0.0)
-    assert ctl.phase is AttackPhase.INDUCING
+    assert PHASES[int(ctl.phases)] is AttackPhase.INDUCING
     assert drive.active_density == pytest.approx(1e-7 * 0.5, rel=1e-15)
     assert drive.inducement == 1.0
 
@@ -129,7 +129,7 @@ def test_controller_withdraws_and_goes_silent():
     ctl(0, 0.0)
     ctl(1, CAP * 2)
     drive = ctl(2, CAP * 2)
-    assert ctl.phase is AttackPhase.INACTIVE
+    assert PHASES[int(ctl.phases)] is AttackPhase.INACTIVE
     assert drive.active_density == 0.0 and drive.inducement == 0.0
     assert [(e.old_phase, e.new_phase) for e in ctl.events] == [
         (AttackPhase.INITIAL, AttackPhase.INDUCING),
@@ -143,7 +143,7 @@ def test_controller_mimic_behavior_after_withdrawal():
                            inactive_behavior="mimic-su", lambda_su=1e-3)
     ctl(0, 0.0)
     drive = ctl(1, CAP * 2)
-    assert ctl.phase is AttackPhase.INACTIVE
+    assert PHASES[int(ctl.phases)] is AttackPhase.INACTIVE
     observed = 4e-4
     drive = ctl(2, observed)
     assert drive.active_density == pytest.approx(1e-6 * observed / 1e-3, rel=1e-12)
@@ -163,11 +163,18 @@ def test_decide_launch_kappa8_forecast_still_rises_first():
     env, template, dynamics = baseline_env(kappa=8.0), InducingTemplate(), DynamicsParams(steps=400)
     assert decide_launch(est, env, template, dynamics, CAP) is False
     # the forecast decide_launch runs: the template on the estimated densities
-    factory = make_template_schedule(est.lambda_mu, template, CAP, lambda_su=est.lambda_su)
-    forecast = classify_operating_point(replace(env, lambda_su=est.lambda_su, lambda_pt=est.lambda_pt),
-                                        factory, dynamics, density_cap=CAP)
+    controller = AttackController(est.lambda_mu, template, CAP, launch=True, lambda_su=est.lambda_su)
+    [forecast] = classify_operating_point(replace(env, lambda_su=est.lambda_su, lambda_pt=est.lambda_pt),
+                                          controller, dynamics, density_cap=CAP)
     assert forecast.label == "robust"
     assert forecast.peak_mutant_share > 0.01
+
+
+def test_decide_launch_raises_on_a_failed_forecast():
+    est = DensityEstimates(1e-5, 1e-3, 1e-7)
+    env = GameEnv(channel=CH, payoffs=PayoffParams(delta=1e308, nu=1.0, kappa=0.0))
+    with pytest.raises(ValueError, match=r"^replicator step could not keep shares nonnegative \(step 0\)$"):
+        decide_launch(est, env, InducingTemplate(), DynamicsParams(steps=50), CAP)
 
 
 def test_decide_launch_nobody_to_induce():

@@ -1,5 +1,6 @@
 """The batched dynamics core: a batch equals its cells run one at a time,
-replicator rows behave like single vectors, and a failing cell is isolated."""
+replicator rows behave like single vectors, and a failing cell is isolated,
+also when it is a batch of one."""
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgame.attack import AttackController, InducingTemplate, make_template_schedule
+from specgame.attack import AttackController, InducingTemplate
 from specgame.channel import ChannelParams, max_allowable_su_density
 from specgame.game import (
     DynamicsParams,
@@ -17,6 +18,7 @@ from specgame.game import (
     classify_operating_point,
     replicator_step,
     run_dynamics,
+    step_failure,
 )
 
 CH = ChannelParams()
@@ -51,9 +53,9 @@ def test_batch_equals_cells_run_one_at_a_time(cells):
     for c in range(len(cells)):
         ctl = _controller(int(hyst[c]))
         one = run_dynamics(x0[c], _env(PayoffParams(d[c], n[c], k[c])), ctl, STEPS, 0.1)
-        np.testing.assert_allclose(batch.shares[:, c], one.shares, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(batch.final_shares[c], one.final_shares, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(batch.su_median_sinr[:, c], one.su_median_sinr, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(batch.shares[:, c], one.shares[:, 0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(batch.final_shares[c], one.final_shares[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(batch.su_median_sinr[:, c], one.su_median_sinr[:, 0], rtol=1e-12, atol=0.0)
         assert [int(p[c]) for p in batch_ctl.phase_history] == [int(p.item()) for p in ctl.phase_history]
         assert [(e.slot, e.new_phase) for e in batch_ctl.events if e.cell == c] == [
             (e.slot, e.new_phase) for e in ctl.events
@@ -65,10 +67,13 @@ def test_batch_equals_cells_run_one_at_a_time(cells):
 def test_batched_classification_equals_single_cells(cells):
     d, n, k, _, _ = (np.array(col) for col in zip(*cells))
     dynamics = DynamicsParams(steps=150)
-    factory = make_template_schedule(1e-7, InducingTemplate(), CAP, lambda_su=1e-3)
-    batched = classify_operating_point(_env(PayoffParams(d, n, k)), factory, dynamics, density_cap=CAP)
-    singles = [classify_operating_point(_env(PayoffParams(d[c], n[c], k[c])), factory, dynamics, density_cap=CAP)
-               for c in range(len(cells))]
+
+    def controller():
+        return AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=1e-3)
+
+    batched = classify_operating_point(_env(PayoffParams(d, n, k)), controller(), dynamics, density_cap=CAP)
+    singles = [classify_operating_point(_env(PayoffParams(d[c], n[c], k[c])), controller(), dynamics,
+                                        density_cap=CAP)[0] for c in range(len(cells))]
     assert [r.label for r in batched] == [r.label for r in singles]
     np.testing.assert_allclose([r.terminal_mutant_share for r in batched],
                                [r.terminal_mutant_share for r in singles], rtol=1e-12, atol=0.0)
@@ -103,10 +108,10 @@ def test_replicator_batch_marks_unsteppable_rows_nan():
     new = replicator_step(x, pi, 0.1)
     assert new[0] == pytest.approx(replicator_step(x[0], pi[0], 0.1), abs=0.0)
     assert np.isnan(new[1]).all() and np.isnan(new[2]).all()
-    with pytest.raises(ValueError, match="non-finite"):
-        replicator_step(x[1], pi[1], 0.1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        replicator_step(x[2], pi[2], 0.1)
+    for row in (1, 2):  # a single vector fails the same way as its row
+        assert np.isnan(replicator_step(x[row], pi[row], 0.1)).all()
+    assert step_failure(pi[0]) == step_failure(pi[2]) == "replicator step could not keep shares nonnegative"
+    assert step_failure(pi[1]) == "replicator step could not keep shares nonnegative: non-finite payoffs"
 
 
 def test_failed_cell_is_frozen_and_the_others_run_on():
@@ -125,7 +130,8 @@ def test_failed_cell_is_frozen_and_the_others_run_on():
     for c in (0, 2):
         one = run_dynamics(np.array([0.9, 0.1]), _env(PayoffParams(10.0, 1.0, float(payoffs.kappa[c]))),
                            lambda t, observed: MuDrive(5e-7, 0.0), 20, 0.1, compute_sinr=False)
-        np.testing.assert_allclose(traj.final_shares[c], one.final_shares, rtol=1e-12, atol=0.0)
-    with pytest.raises(ValueError, match="non-finite payoffs"):
-        run_dynamics(np.array([0.9, 0.1]), _env(PayoffParams()),
-                     lambda t, observed: MuDrive(5e-7, math.nan if t >= 3 else 0.0), 20, 0.1)
+        np.testing.assert_allclose(traj.final_shares[c], one.final_shares[0], rtol=1e-12, atol=0.0)
+    one = run_dynamics(np.array([0.9, 0.1]), _env(PayoffParams()),
+                       lambda t, observed: MuDrive(5e-7, math.nan if t >= 3 else 0.0), 20, 0.1)
+    assert one.errors == (traj.errors[1],)  # a single run reports its failure the same way
+    assert np.array_equal(one.final_shares, one.shares[3])

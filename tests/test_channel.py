@@ -257,11 +257,11 @@ def test_link_budget_matches_general_kernel(case):
         np.testing.assert_allclose(success[..., i], want, rtol=0 if shape else 1e-15, atol=0)
         if medians is None:
             continue
-        # Newton stops once its step is below 1e-13 * |ln eta| (<= 21 in the
-        # bracket); solved at the link threshold rather than at 1, the two
-        # medians differ by up to that step each
+        # Newton stops after its first step below 1e-13 * |ln eta| (<= 21 in
+        # the bracket), and converges quadratically, so the medians solved at
+        # the link threshold and at 1 agree to a few ulps
         np.testing.assert_allclose(medians[..., i], median_sinr(r, power, fields(pt_reaches, su, mu), ch),
-                                   rtol=5e-12)
+                                   rtol=2e-14)
         for j in np.ndindex(shape):
             d_su, d_mu, eta_j = (np.broadcast_to(a, shape)[j] for a in (su, mu, medians[..., i]))
             assert success_prob(r, power, eta_j, fields(pt_reaches, d_su, d_mu), ch) == pytest.approx(0.5, abs=5e-12)

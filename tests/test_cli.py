@@ -12,7 +12,6 @@ from specgame.cli import (
     load_config,
     main,
     run_preset,
-    write_config,
 )
 from specgame.engine import INTERFERENCE_CUTOFF, ConfigError, ScenarioConfig, _sample_topology
 from specgame.geometry import pairwise_toroidal
@@ -70,7 +69,7 @@ def test_config_write_read_round_trip(tmp_path):
         "launch_policy": "always",
     })
     path = tmp_path / "cfg.json"
-    write_config(cfg, str(path))
+    path.write_text(json.dumps(cfg.to_dict()))
     assert load_config(str(path)) == cfg
 
 
@@ -188,12 +187,12 @@ def test_montecarlo_manifest_reports_first_topology(tmp_path):
     manifest = json.loads((out / "run-manifest.json").read_text())
     config = ScenarioConfig.from_dict(manifest["config"])
     world = _sample_topology(config, np.random.default_rng(7)).world
-    senders = np.concatenate([world.sus.positions, world.mus.positions])
-    within = pairwise_toroidal(world.sus.positions, senders, world.region) <= config.sensing_radius
+    senders = np.concatenate([world.sus, world.mus])
+    within = pairwise_toroidal(world.sus, senders, world.region) <= config.sensing_radius
     pairs = int(within.sum()) - len(world.sus)  # every SU is within range of itself
     # receivers (the PRs, then the SU receivers) and senders within the
     # cutoff, less each SU receiver's own link
-    receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
+    receivers = np.concatenate([world.prs, world.su_receivers])
     near = pairwise_toroidal(receivers, senders, world.region) <= INTERFERENCE_CUTOFF
     interference_pairs = int(near.sum()) - len(world.sus)
     assert manifest["topology"] == {"n_pt": len(world.pts), "n_su": len(world.sus), "n_mu": len(world.mus),
@@ -253,6 +252,23 @@ def test_exit_codes(tmp_path):
     }))
     assert main(["run", str(degenerate), "--out", str(tmp_path / "o2")]) == 3
     assert main(["run", "fig3-population", "--set", "steps=2", "--out", str(tmp_path / "o3")]) == 0
+
+
+NONNEGATIVE = "replicator step could not keep shares nonnegative"
+
+
+@pytest.mark.parametrize("extra,reason", [
+    # the launch forecast fails, before the run starts
+    (["fig3-population"], NONNEGATIVE + " (step 0)"),
+    # the mean-field run fails
+    (["fig5-sinr-kappa8"], NONNEGATIVE + " (step 0)"),
+    # a Monte Carlo replicator step fails
+    (["fig5-sinr-kappa8", "--mode", "montecarlo", "--set", "region_side=600", "--set", "steps=3"], NONNEGATIVE),
+])
+def test_failed_dynamics_exit_3_with_one_line(tmp_path, capsys, extra, reason):
+    assert main(["run", *extra, "--set", "payoffs.delta=1e300", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"runtime failure: {reason}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["run", "fig3-population"], ["sweep"]])

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specgame.attack import InducingTemplate, make_template_schedule
+from specgame.attack import AttackController, InducingTemplate
 from specgame.channel import ChannelParams, max_allowable_su_density
 from specgame.game import (
     DynamicsParams,
@@ -19,19 +19,26 @@ from specgame.game import (
     payoff_vector,
     replicator_step,
     run_dynamics,
+    step_failure,
     transmitting_share,
 )
 
 CH = ChannelParams()
 CAP = max_allowable_su_density(CH)
+IDLE = MuDrive(0.0, 0.0)
 
 
-def env_with(kappa=0.0, delta=10.0, nu=1.0, mu=MuDrive(0.0, 0.0), **kw):
-    return GameEnv(channel=CH, payoffs=PayoffParams(delta=delta, nu=nu, kappa=kappa), mu=mu, **kw)
+def env_with(kappa=0.0, delta=10.0, nu=1.0, **kw):
+    return GameEnv(channel=CH, payoffs=PayoffParams(delta=delta, nu=nu, kappa=kappa), **kw)
 
 
 def idle_schedule(t, density):
-    return MuDrive(0.0, 0.0)
+    return IDLE
+
+
+def template_controller(env):
+    """The standard inducing template, launched at once."""
+    return AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=env.lambda_su)
 
 
 def test_strategy_set_invariants():
@@ -81,13 +88,13 @@ def test_perception_prob_against_sampled_disks():
 
 def test_silent_strategy_earns_compliance_reward():
     env = env_with(kappa=3.5)
-    assert payoff_vector(np.array([0.9, 0.1]), env)[0][0] == pytest.approx(3.5, abs=1e-15)
+    assert payoff_vector(np.array([0.9, 0.1]), env, IDLE)[0][0] == pytest.approx(3.5, abs=1e-15)
 
 
 def test_transmit_alone_earns_nothing():
     # nothing active anywhere, no inducement: perception gate closed
     env = env_with(kappa=0.0)
-    assert payoff_vector(np.array([1.0, 0.0]), env)[0][1] == 0.0
+    assert payoff_vector(np.array([1.0, 0.0]), env, IDLE)[0][1] == 0.0
 
 
 def test_forced_failure_costs_nu():
@@ -96,9 +103,9 @@ def test_forced_failure_costs_nu():
 
 
 def test_payoff_interpolates_in_access_probability():
-    env = replace(env_with(kappa=2.0, mu=MuDrive(1e-5, 0.5)), strategies=StrategySet((0.0, 0.5, 1.0)))
+    env = replace(env_with(kappa=2.0), strategies=StrategySet((0.0, 0.5, 1.0)))
     x = np.array([0.5, 0.2, 0.3])
-    pi, q, s_su, _ = payoff_vector(x, env)
+    pi, q, s_su, _ = payoff_vector(x, env, MuDrive(1e-5, 0.5))
     assert pi[1] == pytest.approx(0.5 * pi[0] + 0.5 * pi[2], rel=1e-12)
     assert 0.0 < q < 1.0 and 0.0 < s_su < 1.0
 
@@ -110,7 +117,7 @@ def test_payoff_vector_rejects_negative_field_density():
     with pytest.raises(ValueError, match="nonnegative"):
         payoff_vector(x, env, MuDrive(-0.1 * active_su_density(x, env), 0.0))
     with pytest.raises(ValueError, match="nonnegative"):
-        payoff_vector(np.array([[0.5, 0.5], [1.5, -0.5]]), env)
+        payoff_vector(np.array([[0.5, 0.5], [1.5, -0.5]]), env, IDLE)
 
 
 def test_replicator_hand_step():
@@ -145,8 +152,10 @@ def test_replicator_step_halving_keeps_simplex():
     x = replicator_step(np.array([0.5, 0.5]), np.array([0.0, -1e6]), 0.1)
     assert np.all(x >= 0.0)
     assert abs(x.sum() - 1.0) <= 1e-9
-    with pytest.raises(ValueError):
-        replicator_step(np.array([0.5, 0.5]), np.array([0.0, -math.inf]), 0.1)
+    # a vector it cannot step comes back NaN, with the reason from step_failure
+    pi = np.array([0.0, -math.inf])
+    assert np.isnan(replicator_step(np.array([0.5, 0.5]), pi, 0.1)).all()
+    assert step_failure(pi).endswith("non-finite payoffs")
 
 
 def test_replicator_shift_invariance_bit_exact():
@@ -184,25 +193,26 @@ def test_dominance_fixation_within_budget():
 def test_run_dynamics_silent_rest_point():
     env = env_with(kappa=2.0)
     traj = run_dynamics(np.array([1.0, 0.0]), env, idle_schedule, steps=50, h=0.1)
-    assert np.all(traj.shares[:, 0] == 1.0) and np.all(traj.shares[:, 1] == 0.0)
-    assert traj.final_shares[0] == 1.0
+    assert traj.shares.shape == (50, 1, 2) and traj.final_shares.shape == (1, 2)  # a batch of one cell
+    assert np.all(traj.shares[:, 0, 0] == 1.0) and np.all(traj.shares[:, 0, 1] == 0.0)
+    assert traj.final_shares[0, 0] == 1.0
 
 
 def test_run_dynamics_kappa0_fixation_with_template():
     env = env_with(kappa=0.0)
-    factory = make_template_schedule(1e-7, InducingTemplate(), CAP, lambda_su=env.lambda_su)
-    traj = run_dynamics(np.array([0.99, 0.01]), env, factory(), steps=120, h=0.1, compute_sinr=False)
-    shares = traj.shares[:, 1].tolist()
+    traj = run_dynamics(np.array([0.99, 0.01]), env, template_controller(env), steps=120, h=0.1,
+                        compute_sinr=False)
+    shares = traj.shares[:, 0, 1].tolist()
     assert all(b >= a - 1e-15 for a, b in zip(shares, shares[1:]))  # monotone rise
     assert max(shares) > CAP / env.lambda_su  # crosses the admissible share
-    assert traj.final_shares[1] >= 0.99
+    assert traj.final_shares[0, 1] >= 0.99
 
 
 def test_run_dynamics_kappa8_rise_then_decline():
     env = env_with(kappa=8.0)
-    factory = make_template_schedule(1e-7, InducingTemplate(), CAP, lambda_su=env.lambda_su)
-    traj = run_dynamics(np.array([0.99, 0.01]), env, factory(), steps=120, h=0.1, compute_sinr=False)
-    shares = traj.shares[:, 1].tolist() + [traj.final_shares[1]]
+    traj = run_dynamics(np.array([0.99, 0.01]), env, template_controller(env), steps=120, h=0.1,
+                        compute_sinr=False)
+    shares = traj.shares[:, 0, 1].tolist() + [traj.final_shares[0, 1]]
     peak = max(shares)
     assert peak > shares[0]
     assert shares[-1] < peak
@@ -212,12 +222,13 @@ def test_run_dynamics_kappa8_rise_then_decline():
 def test_run_dynamics_records_sinr_metrics():
     env = env_with(kappa=0.0)
     traj = run_dynamics(np.array([0.99, 0.01]), env, idle_schedule, steps=3, h=0.1)
-    assert np.all(np.isfinite(traj.pr_median_sinr)) and traj.pr_median_sinr.shape == (3,)
-    assert np.all(np.isfinite(traj.su_median_sinr)) and traj.su_median_sinr.shape == (3,)
+    assert np.all(np.isfinite(traj.pr_median_sinr)) and traj.pr_median_sinr.shape == (3, 1)
+    assert np.all(np.isfinite(traj.su_median_sinr)) and traj.su_median_sinr.shape == (3, 1)
 
 
-def find_rest_points(env, grid=2001, tol=1e-9):
-    """Oracle: rest points of the two-strategy dynamics as (mutant share, stability tag).
+def find_rest_points(env, mu=IDLE, grid=2001, tol=1e-9):
+    """Oracle: rest points of the two-strategy dynamics under the constant
+    attacker drive `mu`, as (mutant share, stability tag).
 
     Scans the payoff gap g(x) = pi_transmit - pi_silent for sign changes and
     refines each by bisection; endpoints are tagged from the adjacent gap sign.
@@ -226,15 +237,15 @@ def find_rest_points(env, grid=2001, tol=1e-9):
     """
     probs = env.strategies.probs
     if len(probs) != 2:
-        return _rest_points_multistart(env)
+        return _rest_points_multistart(env, mu)
 
     def g(x):
         shares = np.array([1.0 - x, x])
-        pi, _, _, _ = payoff_vector(shares, env)
+        pi, _, _, _ = payoff_vector(shares, env, mu)
         return float(pi[1] - pi[0])
 
     xs = np.linspace(0.0, 1.0, grid)
-    gs = np.diff(payoff_vector(np.stack([1.0 - xs, xs], axis=1), env)[0], axis=1)[:, 0]
+    gs = np.diff(payoff_vector(np.stack([1.0 - xs, xs], axis=1), env, mu)[0], axis=1)[:, 0]
     out = []
 
     g0, g1 = gs[0], gs[-1]
@@ -260,14 +271,14 @@ def find_rest_points(env, grid=2001, tol=1e-9):
     return out
 
 
-def _rest_points_multistart(env, starts=8, steps=4000, h=0.1):
+def _rest_points_multistart(env, mu, starts=8, steps=4000, h=0.1):
     x0 = np.random.default_rng(0).dirichlet(np.ones(len(env.strategies)), size=starts)
-    traj = run_dynamics(x0, env, lambda t, observed: env.mu, steps, h, compute_sinr=False)
+    traj = run_dynamics(x0, env, lambda t, observed: mu, steps, h, compute_sinr=False)
     limits, seen = [], []
     for x in traj.final_shares:
         if not any(np.allclose(x, s, atol=1e-4) for s in seen):
             seen.append(x)
-            limits.append((float(transmitting_share(x, probs=env.strategies.probs)), "stable"))
+            limits.append((float(transmitting_share(x, env.strategies.probs)), "stable"))
     return limits
 
 
@@ -292,7 +303,7 @@ def test_find_rest_points_interior_root_and_scan_oracle():
     assert len(interior) == 2  # unstable entry gate, stable congestion point
 
     def gap(x):
-        pi, _, _, _ = payoff_vector(np.array([1.0 - x, x]), env)
+        pi, _, _, _ = payoff_vector(np.array([1.0 - x, x]), env, IDLE)
         return pi[1] - pi[0]
 
     # residual at reported roots
@@ -329,15 +340,13 @@ def test_classify_baseline_anchors():
     dynamics = DynamicsParams(steps=400)
     for kappa, label in ((0.0, "fragile"), (8.0, "robust")):
         env = env_with(kappa=kappa)
-        factory = make_template_schedule(1e-7, InducingTemplate(), CAP, lambda_su=env.lambda_su)
-        cls = classify_operating_point(env, factory, dynamics, density_cap=CAP)
+        [cls] = classify_operating_point(env, template_controller(env), dynamics, density_cap=CAP)
         assert cls.label == label, (kappa, cls)
 
 
 def test_classify_kappa8_forecast_shows_initial_rise():
     env = env_with(kappa=8.0)
-    factory = make_template_schedule(1e-7, InducingTemplate(), CAP, lambda_su=env.lambda_su)
-    cls = classify_operating_point(env, factory, DynamicsParams(steps=400), density_cap=CAP)
+    [cls] = classify_operating_point(env, template_controller(env), DynamicsParams(steps=400), density_cap=CAP)
     assert cls.label == "robust"
     assert cls.peak_mutant_share > 0.01  # transient outbreak before collapse
 
@@ -349,13 +358,41 @@ def test_kappa_above_delta_always_robust():
         for s in np.linspace(0.0, 1.0, 21):
             assert access_payoff(1.0, q, s, pay) < pay.kappa
     env = env_with(kappa=6.0, delta=5.0, nu=0.7)
-    factory = make_template_schedule(1e-7, InducingTemplate(), CAP, lambda_su=env.lambda_su)
-    cls = classify_operating_point(env, factory, DynamicsParams(steps=300), density_cap=CAP)
+    [cls] = classify_operating_point(env, template_controller(env), DynamicsParams(steps=300), density_cap=CAP)
     assert cls.label == "robust"
 
 
 def test_transmitting_share_and_density_helpers():
     env = replace(env_with(), strategies=StrategySet((0.0, 0.5, 1.0)))
     x = np.array([0.5, 0.2, 0.3])
-    assert transmitting_share(x, env) == pytest.approx(0.5)
+    assert transmitting_share(x, env.strategies.probs) == pytest.approx(0.5)
     assert active_su_density(x, env) == pytest.approx(env.lambda_su * (0.2 * 0.5 + 0.3 * 1.0))
+
+
+def test_fig6_converged_cells_rest_on_a_stable_rest_point():
+    """The ESS analysis as an oracle for the simulated classification: every
+    fig6 cell whose last step moved its shares by less than 1e-6 ends within
+    1e-4 of a stable rest point of the game in force at that step, and is
+    fragile exactly when that rest point's active density exceeds the cap."""
+    from specgame.cli import PRESET_GRID, build_presets
+    from specgame.engine import sweep_region
+
+    config = build_presets()["fig6-region"]
+    grid = [(d, n, k) for d in PRESET_GRID["deltas"] for n in PRESET_GRID["nus"] for k in PRESET_GRID["kappas"]]
+    labels = [c.classification for c in sweep_region(PRESET_GRID["deltas"], PRESET_GRID["nus"],
+                                                     PRESET_GRID["kappas"], config)]
+    env = config.game_env()
+    controller = AttackController(config.lambda_mu, config.template(), CAP, launch=True, lambda_su=config.lambda_su)
+    payoffs = PayoffParams(*(np.array(column) for column in zip(*grid)))
+    traj = run_dynamics(np.array(config.x0), replace(env, payoffs=payoffs), controller, config.steps,
+                        config.step_size, compute_sinr=False)
+    converged = np.flatnonzero(np.abs(traj.final_shares - traj.shares[-1]).max(axis=1) < 1e-6)
+    assert len(converged) == 66  # of 72
+    for c in converged:
+        mu = MuDrive(float(traj.mu_density[-1, c]), float(traj.inducement[-1, c]))
+        stable = [x for x, tag in find_rest_points(replace(env, payoffs=PayoffParams(*grid[c])), mu)
+                  if tag == "stable"]
+        terminal = float(transmitting_share(traj.final_shares[c], env.strategies.probs))
+        point = min(stable, key=lambda x: abs(x - terminal))
+        assert abs(point - terminal) <= 1e-4, (grid[c], terminal, stable)
+        assert (env.lambda_su * point > CAP) == (labels[c] == "fragile"), (grid[c], point, labels[c])

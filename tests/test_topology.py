@@ -11,15 +11,11 @@ from hypothesis import strategies as st
 from specgame import engine
 from specgame.channel import ChannelParams, path_gain, torus_tail
 from specgame.engine import ScenarioConfig, _sample_topology, _sensing_neighbours, _Topology
-from specgame.geometry import NodeSet, Region, World, pairwise_toroidal
+from specgame.geometry import Region, World, pairwise_toroidal
 
 
 def _world(side, pts, prs, sus, su_rx, mus):
-    def nodes(xs, tag):
-        return NodeSet(np.asarray(xs, dtype=float).reshape(-1, 2), tag)
-
-    return World(Region(side), nodes(pts, "PT"), nodes(prs, "PR"), nodes(sus, "SU"),
-                 nodes(su_rx, "SU_RX"), nodes(mus, "MU"))
+    return World(Region(side), *(np.asarray(xs, dtype=float).reshape(-1, 2) for xs in (pts, prs, sus, su_rx, mus)))
 
 
 def _dense_sense(topo):
@@ -97,7 +93,7 @@ def _class_sums(world, config, load_su, load_mu, load_pt, cutoff=np.inf):
     ch, region = config.channel, world.region
 
     def term(rx, tx, load, skip_own=False, cut=cutoff):
-        d = pairwise_toroidal(rx.positions, tx.positions, region)
+        d = pairwise_toroidal(rx, tx, region)
         g = np.where(d <= cut, path_gain(d, ch), 0.0)
         if skip_own:
             g[np.arange(len(rx)), np.arange(len(rx))] = 0.0
@@ -137,7 +133,7 @@ def test_gain_product_matches_class_sums(n_pt, n_su, n_mu, side, min_distance, a
     got = topo.interference(np.concatenate([load_su, load_mu, load_pt]))
     np.testing.assert_allclose(got, np.concatenate([i_pr, i_su]), rtol=1e-12, atol=0.0)
 
-    d = pairwise_toroidal(world.sus.positions, np.concatenate([world.sus.positions, world.mus.positions]),
+    d = pairwise_toroidal(world.sus, np.concatenate([world.sus, world.mus]),
                           world.region)
     within = (d <= config.sensing_radius) & ~np.eye(n_su, n_su + n_mu, dtype=bool)
     assert _dense_sense(topo).tolist() == within.astype(float).tolist()
@@ -175,9 +171,9 @@ def _whole_matrices(world, config, cutoff):
     """`gain` (receivers x SUs, MUs, PTs) and `sense` built from one distance
     call each, zeroed as `_Topology` documents."""
     n_pt, n_su, n_mu = len(world.pts), len(world.sus), len(world.mus)
-    receivers = np.concatenate([world.prs.positions, world.su_receivers.positions])
-    senders = np.concatenate([world.sus.positions, world.mus.positions])
-    transmitters = np.concatenate([senders, world.pts.positions])
+    receivers = np.concatenate([world.prs, world.su_receivers])
+    senders = np.concatenate([world.sus, world.mus])
+    transmitters = np.concatenate([senders, world.pts])
     d = pairwise_toroidal(receivers, transmitters, world.region)
     gain = path_gain(d, config.channel)
     gain[:, :n_su + n_mu][d[:, :n_su + n_mu] > cutoff] = 0.0
@@ -189,7 +185,7 @@ def _whole_matrices(world, config, cutoff):
         gain[:n_pt, pt_cols] = 0.0
     if not config.include_pt_interference_at_su:
         gain[n_pt:, pt_cols] = 0.0
-    sense = (pairwise_toroidal(world.sus.positions, senders, world.region) <= config.sensing_radius).astype(np.float32)
+    sense = (pairwise_toroidal(world.sus, senders, world.region) <= config.sensing_radius).astype(np.float32)
     np.fill_diagonal(sense, 0.0)
     return gain, sense
 
@@ -270,8 +266,8 @@ def test_sensing_build_allocates_no_su_by_su_array():
     # a dense SU x SU array, even one byte per entry, would take n_su ** 2 bytes
     config = ScenarioConfig(mode="montecarlo", region_side=1000.0, seed=4)
     world = _sample_topology(config, np.random.default_rng(config.seed)).world
-    senders = np.concatenate([world.sus.positions, world.mus.positions])
-    args = (world.sus.positions, senders, config.sensing_radius, world.region)
+    senders = np.concatenate([world.sus, world.mus])
+    args = (world.sus, senders, config.sensing_radius, world.region)
     _sensing_neighbours(*args)  # first calls allocate numpy's own caches
     tracemalloc.start()
     try:
