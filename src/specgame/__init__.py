@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 from .attack import (
     AttackController,
     AttackPhase,
-    DensityEstimates,
     InducingTemplate,
     decide_launch,
-    observe,
 )
 from .channel import (
     ChannelParams,

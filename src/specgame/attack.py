@@ -1,4 +1,4 @@
-"""Malicious-user controller: estimate the environment, decide whether an
+"""Malicious-user controller: forecast from estimated densities whether an
 inducement attack pays off, jam-and-advertise while inducing, and withdraw
 once the induced population is dense enough to keep the damage self-sustaining.
 
@@ -12,12 +12,13 @@ users) to save power and hide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
 
 import numpy as np
 
+from .channel import max_allowable_su_density
 from .game import (
     DynamicsParams,
     GameEnv,
@@ -31,27 +32,6 @@ class AttackPhase(Enum):
     INDUCING = "inducing"
     INACTIVE = "inactive"
     ABORTED = "aborted"
-
-
-@dataclass(frozen=True)
-class DensityEstimates:
-    """Per-class density estimates (nodes/m^2) gathered during observation."""
-
-    lambda_pt: float = 0.0
-    lambda_su: float = 0.0
-    lambda_mu: float = 0.0
-
-
-def observe(counts, area: float) -> DensityEstimates:
-    """Unbiased density estimates from class counts over an observation window:
-    lambda_hat = count / area. `counts` maps class names ('pt', 'su', 'mu') to counts."""
-    if not area > 0:
-        raise ValueError("observation window area must be positive")
-    return DensityEstimates(
-        lambda_pt=counts.get("pt", 0) / area,
-        lambda_su=counts.get("su", 0) / area,
-        lambda_mu=counts.get("mu", 0) / area,
-    )
 
 
 @dataclass(frozen=True)
@@ -169,26 +149,20 @@ class AttackController:
         return MuDrive(density[()], self._inducement[self.phases][()])
 
 
-def decide_launch(
-    estimates: DensityEstimates,
-    env_template: GameEnv,
-    template: InducingTemplate,
-    dynamics: DynamicsParams,
-    density_cap: float,
-) -> bool:
+def decide_launch(env: GameEnv, lambda_mu: float, template: InducingTemplate, dynamics: DynamicsParams) -> bool:
     """Launch iff the mean-field forecast under the inducing template ends fragile.
 
-    The forecast runs the template, launched at once, on env_template with the
-    estimated SU and PT densities. Pure in its inputs; with nobody to induce
+    The forecast runs the template of `lambda_mu` attackers, launched at once,
+    on env: its SU and PT densities are the attackers' estimates, and its
+    channel sets the density cap. Pure in its inputs; with nobody to induce
     the answer is immediately no. Raises ValueError, with the reason, if the
     forecast's dynamics fail.
     """
-    if estimates.lambda_su <= 0:
+    if env.lambda_su <= 0:
         return False
-    env = replace(env_template, lambda_su=estimates.lambda_su, lambda_pt=estimates.lambda_pt)
-    controller = AttackController(estimates.lambda_mu, template, density_cap, launch=True,
-                                  lambda_su=estimates.lambda_su)
-    forecast = classify_operating_point(env, controller, dynamics, density_cap=density_cap)[0]
+    controller = AttackController(lambda_mu, template, max_allowable_su_density(env.channel), launch=True,
+                                  lambda_su=env.lambda_su)
+    forecast = classify_operating_point(env, controller, dynamics)[0]
     if forecast.label == "error":
         raise ValueError(forecast.error)
     return forecast.label == "fragile"

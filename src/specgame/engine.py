@@ -20,11 +20,9 @@ from .attack import (
     AttackController,
     PHASES,
     AttackPhase,
-    DensityEstimates,
     InducingTemplate,
     PhaseEvent,
     decide_launch,
-    observe,
 )
 from .channel import ChannelParams, max_allowable_su_density, path_gain, torus_tail
 from .game import (
@@ -131,6 +129,10 @@ class ScenarioConfig:
             raise ConfigError("inducing_perception must lie in [0, 1]")
         if not self.extinction_tolerance > 0:
             raise ConfigError("extinction_tolerance must be positive")
+        try:
+            max_allowable_su_density(ch)
+        except ValueError as exc:
+            raise ConfigError(f"channel: {exc}") from exc
         strategies = StrategySet(self.access_probs)
         x0 = tuple(float(v) for v in self.x0)
         object.__setattr__(self, "x0", x0)
@@ -160,6 +162,12 @@ class ScenarioConfig:
 
     def dynamics(self) -> DynamicsParams:
         return DynamicsParams(self.x0, self.step_size, self.steps, self.extinction_tolerance)
+
+    def controller(self, launch: Optional[bool]) -> AttackController:
+        """A fresh controller held to the channel's density cap; launch None defers to resolve_launch."""
+        return AttackController(self.lambda_mu, self.template(), max_allowable_su_density(self.channel),
+                                launch=launch, inactive_behavior=self.inactive_mu_behavior,
+                                lambda_su=self.lambda_su)
 
     def to_dict(self) -> Dict:
         d = dataclasses.asdict(self)
@@ -233,7 +241,6 @@ class RunResult:
     config: ScenarioConfig
     records: List[MetricsRecord]
     events: List[PhaseEvent]
-    density_cap: float
     # Monte Carlo only: node counts, sensing and near-field interference pairs
     # of the first sampled topology
     topology: Optional[Dict[str, int]] = None
@@ -263,12 +270,12 @@ def _to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-def _resolve_launch(config: ScenarioConfig, estimates: DensityEstimates, cap: float) -> bool:
+def _resolve_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> bool:
     if config.launch_policy == "always":
         return True
     if config.launch_policy == "never":
         return False
-    return decide_launch(estimates, config.game_env(), config.template(), config.dynamics(), cap)
+    return decide_launch(env, lambda_mu, config.template(), config.dynamics())
 
 
 def run_meanfield(config: ScenarioConfig) -> RunResult:
@@ -282,15 +289,10 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     if config.mode != "meanfield":
         raise ConfigError("run_meanfield requires mode='meanfield'")
     ch = config.channel
-    cap = max_allowable_su_density(ch)
-    estimates = DensityEstimates(config.lambda_pt, config.lambda_su, config.lambda_mu)
-    launch = _resolve_launch(config, estimates, cap)
-    controller = AttackController(
-        config.lambda_mu, config.template(), cap, launch=launch,
-        inactive_behavior=config.inactive_mu_behavior, lambda_su=config.lambda_su,
-    )
+    env = config.game_env()
+    controller = config.controller(_resolve_launch(config, env, config.lambda_mu))
     traj = run_dynamics(
-        np.asarray(config.x0), config.game_env(), controller, steps=config.steps, h=config.step_size,
+        np.asarray(config.x0), env, controller, steps=config.steps, h=config.step_size,
         compute_sinr=True, freeze_shares=config.freeze_shares,
     )
     if traj.errors[0]:
@@ -317,7 +319,7 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
             pr_success_raw=float(traj.s_pr[t, 0]),
             su_success_raw=float(traj.s_su[t, 0]),
         ))
-    return RunResult(config, records, controller.events, cap)
+    return RunResult(config, records, controller.events)
 
 
 def _sensing_neighbours(sus, senders, radius, region):
@@ -410,12 +412,9 @@ class _Topology:
         own SU's.
         """
         n_senders = self.n_su + self.n_mu
-        if len(self.gain) == 1:  # one unpadded block: both gathers would copy in order
-            out = self.gain[0] @ load
-        else:
-            # the padding index clips to the last transmitter, whose load meets a zero gain
-            near = np.matmul(self.gain, np.take(load, self.cols, axis=0, mode="clip"))
-            out = np.take(near.reshape(-1, load.shape[1]), self.rx_pos, axis=0)
+        # the padding index clips to the last transmitter, whose load meets a zero gain
+        near = np.matmul(self.gain, np.take(load, self.cols, axis=0, mode="clip"))
+        out = np.take(near.reshape(-1, load.shape[1]), self.rx_pos, axis=0)
         if self.far:
             out += self.far * (np.ones(n_senders) @ load[:n_senders])  # a BLAS sum over the senders
             out[self.n_pt:] -= self.far * load[:self.n_su]
@@ -464,7 +463,6 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     if config.mode != "montecarlo":
         raise ConfigError("run_montecarlo requires mode='montecarlo'")
     ch = config.channel
-    cap = max_allowable_su_density(ch)
     rng = np.random.default_rng(config.seed)
     topo = _sample_topology(config, rng)
     first_topology = {"n_pt": topo.n_pt, "n_su": topo.n_su, "n_mu": topo.n_mu,
@@ -476,12 +474,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     m = len(strategies)
     shares = validate_shares(np.asarray(config.x0), m)
 
-    controller = AttackController(
-        config.lambda_mu, config.template(), cap, launch=None,
-        inactive_behavior=config.inactive_mu_behavior, lambda_su=config.lambda_su,
-    )
-    estimates = observe({"pt": topo.n_pt, "su": topo.n_su, "mu": topo.n_mu}, area)
-    launch_resolved = False
+    controller = config.controller(launch=None)
 
     w_slots = config.window
     su_desired_gain = ch.su_link_distance ** (-ch.alpha)
@@ -491,11 +484,12 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     observed_density = 0.0
 
     for w in range(config.steps):
-        if not launch_resolved and w >= 1:
-            # one observation window has passed; the colluding controller now
-            # owns its estimates and can evaluate the launch decision
-            controller.resolve_launch(_resolve_launch(config, estimates, cap))
-            launch_resolved = True
+        if w == 1:
+            # one observation window has passed; the colluding attackers now
+            # estimate each density as its count in the first topology over the area
+            n = first_topology
+            estimates = replace(config.game_env(), lambda_pt=n["n_pt"] / area, lambda_su=n["n_su"] / area)
+            controller.resolve_launch(_resolve_launch(config, estimates, n["n_mu"] / area))
         drive = controller(w, observed_density)
         phase = PHASES[int(controller.phases)]
         inducing = phase is AttackPhase.INDUCING
@@ -609,7 +603,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
                 raise ValueError(step_failure(strat_pay))
         observed_density = active_density_win
 
-    return RunResult(config, records, controller.events, cap, first_topology)
+    return RunResult(config, records, controller.events, first_topology)
 
 
 def run(config: ScenarioConfig) -> RunResult:
@@ -645,11 +639,6 @@ def sweep_region(
         payoffs = PayoffParams(*(np.array(column) for column in zip(*grid)))
     except ValueError as exc:
         raise ConfigError(f"sweep grid: {exc}") from exc
-    cap = max_allowable_su_density(config.channel)
-    controller = AttackController(
-        config.lambda_mu, config.template(), cap, launch=True,
-        inactive_behavior=config.inactive_mu_behavior, lambda_su=config.lambda_su,
-    )
     env = replace(config.game_env(), payoffs=payoffs)
-    results = classify_operating_point(env, controller, config.dynamics(), density_cap=cap)
+    results = classify_operating_point(env, config.controller(launch=True), config.dynamics())
     return [SweepCell(d, n, k, r.label, r.terminal_mutant_share, r.error) for (d, n, k), r in zip(grid, results)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -343,46 +343,38 @@ class DynamicsParams:
 class Classification:
     label: str  # "robust" | "fragile" | "error"
     terminal_mutant_share: float
-    peak_mutant_share: float
     error: str = ""  # why the cell failed, for label "error"
 
 
-def classify_operating_point(
-    env: GameEnv,
-    schedule: MuSchedule,
-    dynamics: DynamicsParams,
-    density_cap: Optional[float] = None,
-) -> List[Classification]:
+def classify_operating_point(env: GameEnv, schedule: MuSchedule, dynamics: DynamicsParams) -> List[Classification]:
     """Run the attack template from the configured start and classify the rest state.
 
     Fragile if the terminal transmit-weighted density violates the primary
-    outage cap; robust if induced transmitters go extinct; otherwise the sign
-    of the terminal payoff drift decides, with zero drift counted fragile
-    (conservative from the defender's side).
+    outage cap of env.channel; robust if induced transmitters go extinct;
+    otherwise the sign of the terminal payoff drift decides, with zero drift
+    counted fragile (conservative from the defender's side).
 
     Every cell of env.payoffs is classified in one batched run, driven by the
     fresh `schedule` (typically an AttackController), and one Classification
     per cell comes back, in cell order: a list of one for scalar incentives.
     A failed cell is labelled "error" with its reason.
     """
-    cap = max_allowable_su_density(env.channel) if density_cap is None else density_cap
     traj = run_dynamics(np.asarray(dynamics.x0), env, schedule, dynamics.steps, dynamics.h, compute_sinr=False)
     probs = env.strategies.probs
     x_T = traj.final_shares
     terminal = transmitting_share(x_T, probs=probs)
-    peak = np.maximum(transmitting_share(traj.shares, probs=probs).max(axis=0), terminal)
     last_mu = MuDrive(traj.mu_density[-1], traj.inducement[-1])
     weighted = x_T * payoff_vector(x_T, env, last_mu)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         drift = weighted[:, probs > 0].sum(axis=1) / terminal - weighted.sum(axis=1)
-    fragile = active_su_density(x_T, env) > cap
+    fragile = active_su_density(x_T, env) > max_allowable_su_density(env.channel)
     robust = ~fragile & (terminal < dynamics.extinction_tol)
     out = []
     for c, error in enumerate(traj.errors):
         if error:
-            out.append(Classification("error", math.nan, math.nan, error=error))
+            out.append(Classification("error", math.nan, error=error))
         elif not fragile[c] and (robust[c] or drift[c] < 0):
-            out.append(Classification("robust", float(terminal[c]), float(peak[c])))
+            out.append(Classification("robust", float(terminal[c])))
         else:
-            out.append(Classification("fragile", float(terminal[c]), float(peak[c])))
+            out.append(Classification("fragile", float(terminal[c])))
     return out

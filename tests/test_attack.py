@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,48 +11,29 @@ from specgame.attack import (
     PHASES,
     AttackController,
     AttackPhase,
-    DensityEstimates,
     InducingTemplate,
     advance_phases,
     decide_launch,
-    observe,
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
-from specgame.game import DynamicsParams, GameEnv, PayoffParams, classify_operating_point
+from specgame.game import DynamicsParams, GameEnv, PayoffParams, run_dynamics, transmitting_share
 from specgame.geometry import Region, sample_world
 
 CH = ChannelParams()
 CAP = max_allowable_su_density(CH)
 
 
-def baseline_env(kappa=0.0):
-    return GameEnv(channel=CH, payoffs=PayoffParams(delta=10.0, nu=1.0, kappa=kappa))
+def baseline_env(kappa=0.0, lambda_su=1e-3):
+    return GameEnv(channel=CH, payoffs=PayoffParams(delta=10.0, nu=1.0, kappa=kappa), lambda_su=lambda_su)
 
 
-def test_observe_empty_window():
-    est = observe({}, 9e6)
-    assert est == DensityEstimates(0.0, 0.0, 0.0)
-
-
-def test_observe_count_over_area():
-    est = observe({"pt": 90, "su": 9000, "mu": 1}, 9e6)
-    assert est.lambda_pt == pytest.approx(1e-5)
-    assert est.lambda_su == pytest.approx(1e-3)
-    assert est.lambda_mu == pytest.approx(1.0 / 9e6)
-
-
-def test_observe_zero_area_rejected():
-    with pytest.raises(ValueError):
-        observe({"pt": 1}, 0.0)
-
-
-def test_observe_unbiased_over_sampled_worlds():
+def test_count_over_area_estimates_are_unbiased_over_sampled_worlds():
     region = Region(1500.0)
     rng = np.random.default_rng(3)
     estimates = []
     for _ in range(1000):
         world = sample_world(region, 1e-5, 1e-4, 0.0, 15.0, 10.0, rng=rng)
-        estimates.append(observe({"pt": len(world.pts), "su": len(world.sus)}, region.area).lambda_pt)
+        estimates.append(len(world.pts) / region.area)
     mean = np.mean(estimates)
     stderr = np.std(estimates) / np.sqrt(len(estimates))
     assert abs(mean - 1e-5) <= 2 * stderr + 1e-12
@@ -153,36 +133,32 @@ def test_controller_mimic_behavior_after_withdrawal():
 def test_decide_launch_baseline_payoffs():
     dynamics = DynamicsParams(steps=400)
     template = InducingTemplate()
-    est = DensityEstimates(1e-5, 1e-3, 1e-7)
-    assert decide_launch(est, baseline_env(kappa=0.0), template, dynamics, CAP) is True
-    assert decide_launch(est, baseline_env(kappa=8.0), template, dynamics, CAP) is False
+    assert decide_launch(baseline_env(kappa=0.0), 1e-7, template, dynamics) is True
+    assert decide_launch(baseline_env(kappa=8.0), 1e-7, template, dynamics) is False
 
 
 def test_decide_launch_kappa8_forecast_still_rises_first():
-    est = DensityEstimates(1e-5, 1e-3, 1e-7)
     env, template, dynamics = baseline_env(kappa=8.0), InducingTemplate(), DynamicsParams(steps=400)
-    assert decide_launch(est, env, template, dynamics, CAP) is False
-    # the forecast decide_launch runs: the template on the estimated densities
-    controller = AttackController(est.lambda_mu, template, CAP, launch=True, lambda_su=est.lambda_su)
-    [forecast] = classify_operating_point(replace(env, lambda_su=est.lambda_su, lambda_pt=est.lambda_pt),
-                                          controller, dynamics, density_cap=CAP)
-    assert forecast.label == "robust"
-    assert forecast.peak_mutant_share > 0.01
+    assert decide_launch(env, 1e-7, template, dynamics) is False
+    # the dynamics decide_launch forecasts: the template launched at once on env
+    controller = AttackController(1e-7, template, CAP, launch=True, lambda_su=env.lambda_su)
+    traj = run_dynamics(np.asarray(dynamics.x0), env, controller, dynamics.steps, dynamics.h, compute_sinr=False)
+    transmitting = transmitting_share(traj.shares[:, 0], env.strategies.probs)
+    assert transmitting.max() > 0.01  # transient outbreak before collapse
+    assert transmitting_share(traj.final_shares[0], env.strategies.probs) < dynamics.extinction_tol
 
 
 def test_decide_launch_raises_on_a_failed_forecast():
-    est = DensityEstimates(1e-5, 1e-3, 1e-7)
     env = GameEnv(channel=CH, payoffs=PayoffParams(delta=1e308, nu=1.0, kappa=0.0))
     with pytest.raises(ValueError, match=r"^replicator step could not keep shares nonnegative \(step 0\)$"):
-        decide_launch(est, env, InducingTemplate(), DynamicsParams(steps=50), CAP)
+        decide_launch(env, 1e-7, InducingTemplate(), DynamicsParams(steps=50))
 
 
 def test_decide_launch_nobody_to_induce():
-    est = DensityEstimates(1e-5, 0.0, 1e-7)
-    assert decide_launch(est, baseline_env(kappa=0.0), InducingTemplate(), DynamicsParams(steps=100), CAP) is False
+    env = baseline_env(kappa=0.0, lambda_su=0.0)
+    assert decide_launch(env, 1e-7, InducingTemplate(), DynamicsParams(steps=100)) is False
 
 
 def test_decide_launch_replay_identical():
-    est = DensityEstimates(1e-5, 1e-3, 1e-7)
-    args = (est, baseline_env(kappa=0.0), InducingTemplate(), DynamicsParams(steps=200), CAP)
+    args = (baseline_env(kappa=0.0), 1e-7, InducingTemplate(), DynamicsParams(steps=200))
     assert decide_launch(*args) == decide_launch(*args) == decide_launch(*args)

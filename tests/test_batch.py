@@ -71,9 +71,9 @@ def test_batched_classification_equals_single_cells(cells):
     def controller():
         return AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=1e-3)
 
-    batched = classify_operating_point(_env(PayoffParams(d, n, k)), controller(), dynamics, density_cap=CAP)
-    singles = [classify_operating_point(_env(PayoffParams(d[c], n[c], k[c])), controller(), dynamics,
-                                        density_cap=CAP)[0] for c in range(len(cells))]
+    batched = classify_operating_point(_env(PayoffParams(d, n, k)), controller(), dynamics)
+    singles = [classify_operating_point(_env(PayoffParams(d[c], n[c], k[c])), controller(), dynamics)[0]
+               for c in range(len(cells))]
     assert [r.label for r in batched] == [r.label for r in singles]
     np.testing.assert_allclose([r.terminal_mutant_share for r in batched],
                                [r.terminal_mutant_share for r in singles], rtol=1e-12, atol=0.0)

@@ -240,6 +240,28 @@ def test_plotdata_malformed_row_reports_index(tmp_path):
         emit_plotdata(str(out / "metrics.csv"), str(tmp_path / "plot"))
 
 
+def test_montecarlo_forecast_sees_first_topology_counts_over_area(tmp_path, monkeypatch):
+    import specgame.engine as engine
+
+    seen = []
+    real = engine.decide_launch
+
+    def recording(env, lambda_mu, template, dynamics):
+        seen.append((env.lambda_su, env.lambda_pt, lambda_mu))
+        return real(env, lambda_mu, template, dynamics)
+
+    monkeypatch.setattr(engine, "decide_launch", recording)
+    out = tmp_path / "mc"
+    overrides = ["mode=montecarlo", "seed=7", "region_side=900", "steps=3", "window=5",
+                 "lambda_mu=2e-5", "resample_topology=true"]
+    assert run_preset("fig3-population", overrides, str(out)) == 0
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    area = manifest["config"]["region_side"] ** 2
+    counts = manifest["topology"]
+    assert seen == [(counts["n_su"] / area, counts["n_pt"] / area, counts["n_mu"] / area)]
+    assert counts["n_mu"] > 0
+
+
 def test_exit_codes(tmp_path):
     assert main(["run", "missing-preset"]) == 1
     bad = tmp_path / "bad.json"
@@ -302,6 +324,20 @@ def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
     assert main(["run", "fig3-population", *extra, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "fig3-population"],
+    ["run", "fig3-population", "--mode", "montecarlo"],
+    ["sweep"],
+])
+def test_noise_limited_channel_fails_at_config_load(tmp_path, capsys, command):
+    # noise alone breaks the primary outage constraint, so no SU density is admissible
+    out = tmp_path / "out"
+    assert main([*command, "--set", "channel.noise=1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and "noise-limited" in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -340,15 +340,18 @@ def test_classify_baseline_anchors():
     dynamics = DynamicsParams(steps=400)
     for kappa, label in ((0.0, "fragile"), (8.0, "robust")):
         env = env_with(kappa=kappa)
-        [cls] = classify_operating_point(env, template_controller(env), dynamics, density_cap=CAP)
+        [cls] = classify_operating_point(env, template_controller(env), dynamics)
         assert cls.label == label, (kappa, cls)
 
 
 def test_classify_kappa8_forecast_shows_initial_rise():
-    env = env_with(kappa=8.0)
-    [cls] = classify_operating_point(env, template_controller(env), DynamicsParams(steps=400), density_cap=CAP)
+    env, dynamics = env_with(kappa=8.0), DynamicsParams(steps=400)
+    [cls] = classify_operating_point(env, template_controller(env), dynamics)
     assert cls.label == "robust"
-    assert cls.peak_mutant_share > 0.01  # transient outbreak before collapse
+    traj = run_dynamics(np.asarray(dynamics.x0), env, template_controller(env), dynamics.steps, dynamics.h,
+                        compute_sinr=False)
+    # transient outbreak before collapse
+    assert transmitting_share(traj.shares[:, 0], env.strategies.probs).max() > 0.01 > cls.terminal_mutant_share
 
 
 def test_kappa_above_delta_always_robust():
@@ -358,7 +361,7 @@ def test_kappa_above_delta_always_robust():
         for s in np.linspace(0.0, 1.0, 21):
             assert access_payoff(1.0, q, s, pay) < pay.kappa
     env = env_with(kappa=6.0, delta=5.0, nu=0.7)
-    [cls] = classify_operating_point(env, template_controller(env), DynamicsParams(steps=300), density_cap=CAP)
+    [cls] = classify_operating_point(env, template_controller(env), DynamicsParams(steps=300))
     assert cls.label == "robust"
 
 
@@ -382,7 +385,7 @@ def test_fig6_converged_cells_rest_on_a_stable_rest_point():
     labels = [c.classification for c in sweep_region(PRESET_GRID["deltas"], PRESET_GRID["nus"],
                                                      PRESET_GRID["kappas"], config)]
     env = config.game_env()
-    controller = AttackController(config.lambda_mu, config.template(), CAP, launch=True, lambda_su=config.lambda_su)
+    controller = config.controller(launch=True)
     payoffs = PayoffParams(*(np.array(column) for column in zip(*grid)))
     traj = run_dynamics(np.array(config.x0), replace(env, payoffs=payoffs), controller, config.steps,
                         config.step_size, compute_sinr=False)
