@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from .game import (
     DynamicsParams,
     GameEnv,
     MuDrive,
+    Trajectory,
     classify_operating_point,
+    run_dynamics,
 )
 
 
@@ -149,20 +151,33 @@ class AttackController:
         return MuDrive(density[()], self._inducement[self.phases][()])
 
 
+def launch_verdict(env: GameEnv, forecast: Callable[[], Trajectory], extinction_tol: float) -> bool:
+    """Launch iff the attack can succeed and its forecast ends fragile.
+
+    No attack can succeed where the SU population, every user on its most
+    aggressive strategy, stays within the density cap of env.channel: there
+    the answer is no and `forecast` is not called. Otherwise `forecast()`
+    runs the inducing template, launched at once, on env, and the launch
+    follows its classification. Raises ValueError, with the reason, if the
+    forecast's dynamics failed.
+    """
+    if env.lambda_su * max(env.strategies.access_probs) <= max_allowable_su_density(env.channel):
+        return False
+    [verdict] = classify_operating_point(env, forecast(), extinction_tol)
+    if verdict.label == "error":
+        raise ValueError(verdict.error)
+    return verdict.label == "fragile"
+
+
 def decide_launch(env: GameEnv, lambda_mu: float, template: InducingTemplate, dynamics: DynamicsParams) -> bool:
     """Launch iff the mean-field forecast under the inducing template ends fragile.
 
     The forecast runs the template of `lambda_mu` attackers, launched at once,
     on env: its SU and PT densities are the attackers' estimates, and its
-    channel sets the density cap. Pure in its inputs; with nobody to induce
-    the answer is immediately no. Raises ValueError, with the reason, if the
-    forecast's dynamics fail.
+    channel sets the density cap. Pure in its inputs; the verdict is
+    launch_verdict's.
     """
-    if env.lambda_su <= 0:
-        return False
     controller = AttackController(lambda_mu, template, max_allowable_su_density(env.channel), launch=True,
                                   lambda_su=env.lambda_su)
-    forecast = classify_operating_point(env, controller, dynamics)[0]
-    if forecast.label == "error":
-        raise ValueError(forecast.error)
-    return forecast.label == "fragile"
+    return launch_verdict(env, lambda: run_dynamics(np.asarray(dynamics.x0), env, controller, dynamics.steps,
+                                                    dynamics.h, compute_sinr=False), dynamics.extinction_tol)

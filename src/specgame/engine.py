@@ -23,6 +23,7 @@ from .attack import (
     InducingTemplate,
     PhaseEvent,
     decide_launch,
+    launch_verdict,
 )
 from .channel import ChannelParams, max_allowable_su_density, path_gain, torus_tail
 from .game import (
@@ -30,11 +31,13 @@ from .game import (
     GameEnv,
     PayoffParams,
     StrategySet,
+    Trajectory,
     classify_operating_point,
     replicator_step,
     run_dynamics,
     step_failure,
     validate_shares,
+    with_sinr_medians,
 )
 from .geometry import CellGrid, Region, cells_per_axis, pairs_within, pairwise_toroidal, sample_world
 
@@ -131,8 +134,11 @@ class ScenarioConfig:
             raise ConfigError("extinction_tolerance must be positive")
         try:
             max_allowable_su_density(ch)
+            GameEnv(ch, self.payoffs).link_budget  # both links' budgets: an overflow fails here, not mid-run
         except ValueError as exc:
             raise ConfigError(f"channel: {exc}") from exc
+        except OverflowError as exc:
+            raise ConfigError(f"channel: a link budget overflows: {exc.args[-1]}") from exc
         strategies = StrategySet(self.access_probs)
         x0 = tuple(float(v) for v in self.x0)
         object.__setattr__(self, "x0", x0)
@@ -282,7 +288,11 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     """Deterministic closed-form iteration; consumes no randomness.
 
     The controller is granted oracle density estimates, so the launch decision
-    resolves before the first step. Success columns report whether the
+    resolves before the first step. With `launch_policy="forecast"`, silent
+    withdrawal and moving shares, the attackers' forecast is this run
+    launched at once: it runs once and is kept when it says launch, and only
+    a negative forecast takes a second, unlaunched pass. The SINR medians are
+    solved for the kept pass only. Success columns report whether the
     closed-form outage constraint of each link class currently holds. Raises
     ValueError, with the reason, if the dynamics fail.
     """
@@ -290,13 +300,25 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
         raise ConfigError("run_meanfield requires mode='meanfield'")
     ch = config.channel
     env = config.game_env()
-    controller = config.controller(_resolve_launch(config, env, config.lambda_mu))
-    traj = run_dynamics(
-        np.asarray(config.x0), env, controller, steps=config.steps, h=config.step_size,
-        compute_sinr=True, freeze_shares=config.freeze_shares,
-    )
+    passes = []
+
+    def run_pass(launch: bool) -> Trajectory:
+        controller = config.controller(launch)
+        passes.append((controller, run_dynamics(np.asarray(config.x0), env, controller, config.steps,
+                                                config.step_size, compute_sinr=False,
+                                                freeze_shares=config.freeze_shares)))
+        return passes[-1][1]
+
+    if config.launch_policy == "forecast" and config.inactive_mu_behavior == "silent" and not config.freeze_shares:
+        # decide_launch would run this very controller and these dynamics, launched
+        if not launch_verdict(env, lambda: run_pass(True), config.extinction_tolerance):
+            run_pass(False)
+    else:
+        run_pass(_resolve_launch(config, env, config.lambda_mu))
+    controller, traj = passes[-1]
     if traj.errors[0]:
         raise ValueError(traj.errors[0])
+    traj = with_sinr_medians(traj, env)
     pr_ok = traj.s_pr >= 1.0 - ch.pr_outage_constraint
     su_ok = traj.s_su >= 1.0 - ch.su_outage_constraint
     records = []
@@ -640,5 +662,7 @@ def sweep_region(
     except ValueError as exc:
         raise ConfigError(f"sweep grid: {exc}") from exc
     env = replace(config.game_env(), payoffs=payoffs)
-    results = classify_operating_point(env, config.controller(launch=True), config.dynamics())
+    traj = run_dynamics(np.asarray(config.x0), env, config.controller(launch=True), config.steps, config.step_size,
+                        compute_sinr=False)
+    results = classify_operating_point(env, traj, config.extinction_tolerance)
     return [SweepCell(d, n, k, r.label, r.terminal_mutant_share, r.error) for (d, n, k), r in zip(grid, results)]

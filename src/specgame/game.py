@@ -15,7 +15,7 @@ raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, List, Tuple
 
@@ -286,7 +286,8 @@ def run_dynamics(
     schedule is consulted before each step with the currently observed active
     secondary density of every cell, so withdrawal rules react to the
     population the attacker has just seen. The SINR medians of all steps are
-    solved in one call after the loop.
+    solved in one call after the loop (with_sinr_medians), unless
+    `compute_sinr` is off.
 
     A single run (1-D x0, scalar incentives) is a batch of one cell. A cell
     whose payoffs turn non-finite, or whose replicator step fails, is frozen
@@ -321,12 +322,17 @@ def run_dynamics(
             live &= ~failed
             all_live = False
         x = new if all_live else np.where(live[:, None], new, x)
-    if compute_sinr:
-        su_med, pr_med = np.moveaxis(env.link_budget.median(_field_densities(act, mu_density, env)), -1, 0)
-    else:
-        pr_med = su_med = np.full((steps, cells), math.nan)
-    return Trajectory(shares, payoffs, s_su, s_pr, act, mu_density, inducement, pr_med, su_med,
+    unsolved = np.full((steps, cells), math.nan)
+    traj = Trajectory(shares, payoffs, s_su, s_pr, act, mu_density, inducement, unsolved, unsolved,
                       final_shares=x, errors=tuple(errors))
+    return with_sinr_medians(traj, env) if compute_sinr else traj
+
+
+def with_sinr_medians(traj: Trajectory, env: GameEnv) -> Trajectory:
+    """traj with the PR and SU median SINR of every step and cell, solved in one call."""
+    densities = _field_densities(traj.active_su_density, traj.mu_density, env)
+    su_med, pr_med = np.moveaxis(env.link_budget.median(densities), -1, 0)
+    return replace(traj, pr_median_sinr=pr_med, su_median_sinr=su_med)
 
 
 @dataclass(frozen=True)
@@ -346,20 +352,19 @@ class Classification:
     error: str = ""  # why the cell failed, for label "error"
 
 
-def classify_operating_point(env: GameEnv, schedule: MuSchedule, dynamics: DynamicsParams) -> List[Classification]:
-    """Run the attack template from the configured start and classify the rest state.
+def classify_operating_point(env: GameEnv, traj: Trajectory, extinction_tol: float) -> List[Classification]:
+    """Classify the rest state of every cell of `traj`, a run of the attack
+    template on env from the configured start.
 
     Fragile if the terminal transmit-weighted density violates the primary
-    outage cap of env.channel; robust if induced transmitters go extinct;
-    otherwise the sign of the terminal payoff drift decides, with zero drift
-    counted fragile (conservative from the defender's side).
+    outage cap of env.channel; robust if the transmitting share ends below
+    `extinction_tol`; otherwise the sign of the terminal payoff drift decides,
+    with zero drift counted fragile (conservative from the defender's side).
 
-    Every cell of env.payoffs is classified in one batched run, driven by the
-    fresh `schedule` (typically an AttackController), and one Classification
-    per cell comes back, in cell order: a list of one for scalar incentives.
-    A failed cell is labelled "error" with its reason.
+    Reads only the final shares and the last step's drive. One Classification
+    per cell comes back, in cell order: a list of one for a single run. A
+    cell that failed is labelled "error" with its reason.
     """
-    traj = run_dynamics(np.asarray(dynamics.x0), env, schedule, dynamics.steps, dynamics.h, compute_sinr=False)
     probs = env.strategies.probs
     x_T = traj.final_shares
     terminal = transmitting_share(x_T, probs=probs)
@@ -368,7 +373,7 @@ def classify_operating_point(env: GameEnv, schedule: MuSchedule, dynamics: Dynam
     with np.errstate(divide="ignore", invalid="ignore"):
         drift = weighted[:, probs > 0].sum(axis=1) / terminal - weighted.sum(axis=1)
     fragile = active_su_density(x_T, env) > max_allowable_su_density(env.channel)
-    robust = ~fragile & (terminal < dynamics.extinction_tol)
+    robust = ~fragile & (terminal < extinction_tol)
     out = []
     for c, error in enumerate(traj.errors):
         if error:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from specgame.attack import (
     InducingTemplate,
     advance_phases,
     decide_launch,
+    launch_verdict,
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
-from specgame.game import DynamicsParams, GameEnv, PayoffParams, run_dynamics, transmitting_share
+from specgame.game import DynamicsParams, GameEnv, PayoffParams, StrategySet, run_dynamics, transmitting_share
 from specgame.geometry import Region, sample_world
 
 CH = ChannelParams()
@@ -157,6 +159,23 @@ def test_decide_launch_raises_on_a_failed_forecast():
 def test_decide_launch_nobody_to_induce():
     env = baseline_env(kappa=0.0, lambda_su=0.0)
     assert decide_launch(env, 1e-7, InducingTemplate(), DynamicsParams(steps=100)) is False
+
+
+@pytest.mark.parametrize("cap_multiple, launch", [(0.5, False), (1.0, False), (1.1, True)])
+def test_decide_launch_below_the_cap_never_launches(cap_multiple, launch):
+    # an SU population that stays within the cap even all transmitting cannot break
+    # the primary outage constraint, whatever the forecast's drift says
+    assert decide_launch(baseline_env(kappa=0.0, lambda_su=cap_multiple * CAP), 1e-7, InducingTemplate(),
+                         DynamicsParams(steps=400)) is launch
+
+
+def test_launch_verdict_guard_reads_the_most_aggressive_strategy():
+    def forecast():
+        raise AssertionError("no forecast runs below the cap")
+
+    # 1.5x the cap, but at most half of it can transmit
+    env = replace(baseline_env(kappa=0.0, lambda_su=1.5 * CAP), strategies=StrategySet((0.0, 0.5)))
+    assert launch_verdict(env, forecast, 1e-3) is False
 
 
 def test_decide_launch_replay_identical():

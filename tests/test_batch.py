@@ -68,12 +68,13 @@ def test_batched_classification_equals_single_cells(cells):
     d, n, k, _, _ = (np.array(col) for col in zip(*cells))
     dynamics = DynamicsParams(steps=150)
 
-    def controller():
-        return AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=1e-3)
+    def classify(env):
+        controller = AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=1e-3)
+        traj = run_dynamics(np.asarray(dynamics.x0), env, controller, dynamics.steps, dynamics.h, compute_sinr=False)
+        return classify_operating_point(env, traj, dynamics.extinction_tol)
 
-    batched = classify_operating_point(_env(PayoffParams(d, n, k)), controller(), dynamics)
-    singles = [classify_operating_point(_env(PayoffParams(d[c], n[c], k[c])), controller(), dynamics)[0]
-               for c in range(len(cells))]
+    batched = classify(_env(PayoffParams(d, n, k)))
+    singles = [classify(_env(PayoffParams(d[c], n[c], k[c])))[0] for c in range(len(cells))]
     assert [r.label for r in batched] == [r.label for r in singles]
     np.testing.assert_allclose([r.terminal_mutant_share for r in batched],
                                [r.terminal_mutant_share for r in singles], rtol=1e-12, atol=0.0)

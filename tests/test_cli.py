@@ -280,7 +280,7 @@ NONNEGATIVE = "replicator step could not keep shares nonnegative"
 
 
 @pytest.mark.parametrize("extra,reason", [
-    # the launch forecast fails, before the run starts
+    # the launch forecast fails; in mean-field mode it is the launched run itself
     (["fig3-population"], NONNEGATIVE + " (step 0)"),
     # the mean-field run fails
     (["fig5-sinr-kappa8"], NONNEGATIVE + " (step 0)"),
@@ -318,6 +318,8 @@ def test_jobs_option_rejected(command, tmp_path, capsys):
     ["--mode", "montecarlo", "--set", "channel.su_link_distance=250"],
     ["--mode", "montecarlo", "--set", "channel.pt_link_distance=200"],
     ["--mode", "montecarlo", "--set", "channel.min_distance=300"],
+    ["--set", "channel.pt_link_distance=1e100"],  # the link budget's r^alpha overflows
+    ["--set", "channel.su_link_distance=1e100"],
 ])
 def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
     out = tmp_path / "out"

@@ -1,9 +1,12 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from specgame.channel import ChannelParams, InterfererField, max_allowable_su_density, success_prob
+from specgame.cli import build_presets
 from specgame.engine import (
     ConfigError,
     ScenarioConfig,
@@ -15,6 +18,7 @@ from specgame.engine import (
     run_montecarlo,
     sweep_region,
 )
+from specgame.game import PayoffParams
 
 CAP = max_allowable_su_density(ChannelParams())
 
@@ -105,6 +109,50 @@ def test_meanfield_deterministic():
     a = run_meanfield(mf_config(steps=50))
     b = run_meanfield(mf_config(steps=50))
     assert [record_row(r) for r in a.records] == [record_row(r) for r in b.records]
+
+
+def count_dynamics_passes(monkeypatch):
+    """Wrap run_dynamics in every specgame module that imports it; the returned
+    list grows by one per pass."""
+    import specgame.game
+
+    real, calls = specgame.game.run_dynamics, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("specgame") and getattr(module, "run_dynamics", None) is real:
+            monkeypatch.setattr(module, "run_dynamics", counted)
+    return calls
+
+
+FIG3 = build_presets()["fig3-population"]
+KAPPA8 = replace(FIG3, payoffs=PayoffParams(10.0, 1.0, 8.0))
+
+
+@pytest.mark.parametrize("config, passes", [
+    (FIG3, 1),  # the forecast says launch, so the launched forecast is the run
+    (build_presets()["fig4-sinr-kappa0"], 1),
+    (KAPPA8, 2),  # a robust forecast, then the unlaunched run
+    (replace(FIG3, inactive_mu_behavior="mimic-su"), 2),  # the run's controller is not the forecast's
+    (replace(FIG3, freeze_shares=True), 2),  # nor are its dynamics
+    (replace(FIG3, launch_policy="always"), 1),
+    (replace(FIG3, launch_policy="never"), 1),
+    (replace(FIG3, lambda_su=0.5 * CAP), 1),  # below the cap nothing is forecast
+])
+def test_meanfield_dynamics_passes(monkeypatch, config, passes):
+    calls = count_dynamics_passes(monkeypatch)
+    run_meanfield(config)
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize("config, fixed", [(FIG3, "always"), (KAPPA8, "never")])
+def test_meanfield_forecast_run_equals_its_fixed_launch(config, fixed):
+    forecast, pinned = run_meanfield(config), run_meanfield(replace(config, launch_policy=fixed))
+    assert forecast.records == pinned.records
+    assert forecast.events == pinned.events
 
 
 def test_meanfield_emits_update_and_slot_axes():

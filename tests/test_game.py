@@ -41,6 +41,12 @@ def template_controller(env):
     return AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=env.lambda_su)
 
 
+def template_run(env, dynamics):
+    """The standard inducing template, launched at once, run from dynamics.x0."""
+    return run_dynamics(np.asarray(dynamics.x0), env, template_controller(env), dynamics.steps, dynamics.h,
+                        compute_sinr=False)
+
+
 def test_strategy_set_invariants():
     assert len(StrategySet()) == 2
     StrategySet((0.0, 0.4, 1.0))
@@ -340,16 +346,15 @@ def test_classify_baseline_anchors():
     dynamics = DynamicsParams(steps=400)
     for kappa, label in ((0.0, "fragile"), (8.0, "robust")):
         env = env_with(kappa=kappa)
-        [cls] = classify_operating_point(env, template_controller(env), dynamics)
+        [cls] = classify_operating_point(env, template_run(env, dynamics), dynamics.extinction_tol)
         assert cls.label == label, (kappa, cls)
 
 
 def test_classify_kappa8_forecast_shows_initial_rise():
     env, dynamics = env_with(kappa=8.0), DynamicsParams(steps=400)
-    [cls] = classify_operating_point(env, template_controller(env), dynamics)
+    traj = template_run(env, dynamics)
+    [cls] = classify_operating_point(env, traj, dynamics.extinction_tol)
     assert cls.label == "robust"
-    traj = run_dynamics(np.asarray(dynamics.x0), env, template_controller(env), dynamics.steps, dynamics.h,
-                        compute_sinr=False)
     # transient outbreak before collapse
     assert transmitting_share(traj.shares[:, 0], env.strategies.probs).max() > 0.01 > cls.terminal_mutant_share
 
@@ -361,7 +366,8 @@ def test_kappa_above_delta_always_robust():
         for s in np.linspace(0.0, 1.0, 21):
             assert access_payoff(1.0, q, s, pay) < pay.kappa
     env = env_with(kappa=6.0, delta=5.0, nu=0.7)
-    [cls] = classify_operating_point(env, template_controller(env), DynamicsParams(steps=300))
+    dynamics = DynamicsParams(steps=300)
+    [cls] = classify_operating_point(env, template_run(env, dynamics), dynamics.extinction_tol)
     assert cls.label == "robust"
 
 
