@@ -33,9 +33,7 @@ from .game import (
     StrategySet,
     Trajectory,
     classify_operating_point,
-    replicator_step,
     run_dynamics,
-    step_failure,
     validate_shares,
     with_sinr_medians,
 )
@@ -134,7 +132,9 @@ class ScenarioConfig:
             raise ConfigError("extinction_tolerance must be positive")
         try:
             max_allowable_su_density(ch)
-            GameEnv(ch, self.payoffs).link_budget  # both links' budgets: an overflow fails here, not mid-run
+            budget = GameEnv(ch, self.payoffs).link_budget  # both links' budgets: an overflow fails here, not mid-run
+            if not np.isfinite([budget.noise, *budget.coefs]).all():
+                raise OverflowError("a noise term or field coefficient is not finite")
         except ValueError as exc:
             raise ConfigError(f"channel: {exc}") from exc
         except OverflowError as exc:
@@ -208,9 +208,7 @@ class ScenarioConfig:
                 kwargs[key] = tuple(kwargs[key])
         try:
             return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -277,10 +275,8 @@ def _to_db(value: float) -> float:
 
 
 def _resolve_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> bool:
-    if config.launch_policy == "always":
-        return True
-    if config.launch_policy == "never":
-        return False
+    if config.launch_policy != "forecast":
+        return config.launch_policy == "always"
     return decide_launch(env, lambda_mu, config.template(), config.dynamics())
 
 
@@ -474,13 +470,14 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     """Slotted Monte Carlo run on a sampled topology (static unless resampling
     is requested), with block fading redrawn every slot.
 
-    Each update window: strategies are re-assigned per current shares, access
-    and fading are drawn per slot, SINRs are evaluated at every primary and
-    secondary receiver, per-user payoffs are scored, and the replicator then
-    consumes per-strategy window means; a replicator step that fails raises
-    ValueError with the reason. The attack controller sees windowed density
-    estimates. Fading is drawn per transmitter per slot plus per
-    receiver for the desired link, which preserves the per-link marginal law.
+    Each update is a run_dynamics step whose payoff source is one window:
+    strategies are re-assigned per current shares, access and fading are
+    drawn per slot, SINRs are evaluated at every receiver, and per-user
+    payoffs are scored into per-strategy means. The controller observes the
+    previous window's measured density and resolves its launch after window
+    0. A failed step raises ValueError with the reason; no window follows.
+    Fading is drawn per transmitter per slot plus per receiver for the
+    desired link, which preserves the per-link marginal law.
     """
     if config.mode != "montecarlo":
         raise ConfigError("run_montecarlo requires mode='montecarlo'")
@@ -490,12 +487,8 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     first_topology = {"n_pt": topo.n_pt, "n_su": topo.n_su, "n_mu": topo.n_mu,
                       "sensing_pairs": len(topo.sense_indices), "interference_pairs": topo.interference_pairs}
     area = config.region_side ** 2
-
-    strategies = config.strategies()
-    probs = strategies.probs
-    m = len(strategies)
-    shares = validate_shares(np.asarray(config.x0), m)
-
+    probs = config.strategies().probs
+    m = len(probs)
     controller = config.controller(launch=None)
 
     w_slots = config.window
@@ -503,16 +496,19 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     pr_desired_gain = ch.pt_link_distance ** (-ch.alpha)
 
     records: List[MetricsRecord] = []
-    observed_density = 0.0
 
-    for w in range(config.steps):
+    def schedule(w: int, _analytic_density):
         if w == 1:
             # one observation window has passed; the colluding attackers now
             # estimate each density as its count in the first topology over the area
             n = first_topology
             estimates = replace(config.game_env(), lambda_pt=n["n_pt"] / area, lambda_su=n["n_su"] / area)
             controller.resolve_launch(_resolve_launch(config, estimates, n["n_mu"] / area))
-        drive = controller(w, observed_density)
+        return controller(w, records[-1].active_su_density if records else 0.0)
+
+    def window(x, _env, drive, _analytic_density):
+        nonlocal topo
+        w, shares = len(records), x[0]
         phase = PHASES[int(controller.phases)]
         inducing = phase is AttackPhase.INDUCING
         mimic = phase is AttackPhase.INACTIVE and config.inactive_mu_behavior == "mimic-su"
@@ -585,10 +581,11 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
 
         strat_counts = np.bincount(assign, minlength=m)
         strat_pay = np.zeros(m)
-        window_mean = float(payoff.mean())
-        for i in range(m):
-            mask = assign == i
-            strat_pay[i] = float(payoff[mask].mean()) if strat_counts[i] else window_mean
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails the replicator step
+            window_mean = float(payoff.mean())
+            for i in range(m):
+                mask = assign == i
+                strat_pay[i] = float(payoff[mask].mean()) if strat_counts[i] else window_mean
 
         active_counts = access.sum(axis=0)
         active_density_win = float(active_counts.mean()) / area
@@ -618,13 +615,12 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             su_success_raw=su_raw,
             strategy_counts=tuple(int(c) for c in strat_counts),
         ))
+        return strat_pay, math.nan, su_raw, pr_raw
 
-        if not config.freeze_shares:
-            shares = replicator_step(shares, strat_pay, config.step_size)
-            if np.isnan(shares[0]):
-                raise ValueError(step_failure(strat_pay))
-        observed_density = active_density_win
-
+    traj = run_dynamics(np.asarray(config.x0), config.game_env(), schedule, config.steps, config.step_size,
+                        compute_sinr=False, freeze_shares=config.freeze_shares, payoff_source=window)
+    if traj.errors[0]:
+        raise ValueError(traj.errors[0])
     return RunResult(config, records, controller.events, first_topology)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -243,13 +243,13 @@ def step_failure(payoffs) -> str:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Pre-update state of every step, stacked along a leading step axis.
+    """Pre-update state of every step run, stacked along a leading step axis.
 
     A cell axis follows the step axis, also for a single run: shares and
     payoffs are (steps, cells, m), the diagnostics (steps, cells) and
     final_shares (cells, m). The SINR medians are NaN unless computed.
     `errors` holds, per cell, why that cell was frozen ("" for cells that ran
-    to the end).
+    to the end); a batch whose every cell failed ends at the last failure.
     """
 
     shares: np.ndarray
@@ -278,20 +278,22 @@ def run_dynamics(
     h: float,
     compute_sinr: bool = True,
     freeze_shares: bool = False,
+    payoff_source: Optional[Callable] = None,
 ) -> Trajectory:
     """Iterate payoff evaluation and replicator steps under a malicious-user schedule.
 
     Every cell runs in the same loop: the cells are the rows of x0 ((m,) or
-    (cells, m)) broadcast against per-cell incentives in env.payoffs. The
-    schedule is consulted before each step with the currently observed active
-    secondary density of every cell, so withdrawal rules react to the
-    population the attacker has just seen. The SINR medians of all steps are
-    solved in one call after the loop (with_sinr_medians), unless
-    `compute_sinr` is off.
+    (cells, m)) broadcast against per-cell incentives in env.payoffs. Each
+    step the schedule sees every cell's current active secondary density,
+    then `payoff_source(shares, env, drive, act)` returns the payoffs and
+    (q, s_su, s_pr): the closed-form payoff_vector when None, one window in
+    a Monte Carlo run. The SINR medians of all steps are solved in one call
+    after the loop (with_sinr_medians), unless `compute_sinr` is off.
 
     A single run (1-D x0, scalar incentives) is a batch of one cell. A cell
     whose payoffs turn non-finite, or whose replicator step fails, is frozen
-    at its last shares with the reason in `errors`, and the other cells run on.
+    at its last shares with the reason in `errors`, and the other cells run
+    on; once none is left, the trajectory ends at that step.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -300,8 +302,7 @@ def run_dynamics(
     batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
     x = np.array(np.broadcast_to(x0, batch + (m,)), ndmin=2)
     cells = len(x)
-    shares = np.empty((steps, cells, m))
-    payoffs = np.empty((steps, cells, m))
+    shares, payoffs = np.empty((2, steps, cells, m))
     s_su, s_pr, act, mu_density, inducement = np.empty((5, steps, cells))
     errors = [""] * cells
     live = np.ones(cells, dtype=bool)
@@ -309,7 +310,7 @@ def run_dynamics(
     for t in range(steps):
         act[t] = active_su_density(x, env)
         drive = mu_schedule(t, act[t])
-        pi, _, s_su[t], s_pr[t] = payoff_vector(x, env, drive, act[t])
+        pi, _, s_su[t], s_pr[t] = (payoff_source or payoff_vector)(x, env, drive, act[t])
         mu_density[t], inducement[t] = drive.active_density, drive.inducement
         shares[t], payoffs[t] = x, pi
         if freeze_shares:
@@ -318,13 +319,16 @@ def run_dynamics(
         failed = np.isnan(new[:, 0]) & live
         if np.count_nonzero(failed):
             for c in np.flatnonzero(failed):
-                errors[c] = f"{step_failure(pi[c])} (step {t})"
+                errors[c] = f"{step_failure(payoffs[t, c])} (step {t})"
             live &= ~failed
             all_live = False
+            if not np.count_nonzero(live):
+                break
         x = new if all_live else np.where(live[:, None], new, x)
-    unsolved = np.full((steps, cells), math.nan)
-    traj = Trajectory(shares, payoffs, s_su, s_pr, act, mu_density, inducement, unsolved, unsolved,
-                      final_shares=x, errors=tuple(errors))
+    n = t + 1  # steps run
+    unsolved = np.full((n, cells), math.nan)
+    traj = Trajectory(shares[:n], payoffs[:n], s_su[:n], s_pr[:n], act[:n], mu_density[:n], inducement[:n],
+                      unsolved, unsolved, final_shares=x, errors=tuple(errors))
     return with_sinr_medians(traj, env) if compute_sinr else traj
 
 

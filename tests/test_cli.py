@@ -277,18 +277,22 @@ def test_exit_codes(tmp_path):
 
 
 NONNEGATIVE = "replicator step could not keep shares nonnegative"
+HUGE_DELTA = ["--set", "payoffs.delta=1e300"]
+MC_600 = ["--mode", "montecarlo", "--set", "region_side=600", "--set", "steps=3"]
 
 
 @pytest.mark.parametrize("extra,reason", [
     # the launch forecast fails; in mean-field mode it is the launched run itself
-    (["fig3-population"], NONNEGATIVE + " (step 0)"),
+    (["fig3-population", *HUGE_DELTA], NONNEGATIVE + " (step 0)"),
     # the mean-field run fails
-    (["fig5-sinr-kappa8"], NONNEGATIVE + " (step 0)"),
+    (["fig5-sinr-kappa8", *HUGE_DELTA], NONNEGATIVE + " (step 0)"),
     # a Monte Carlo replicator step fails
-    (["fig5-sinr-kappa8", "--mode", "montecarlo", "--set", "region_side=600", "--set", "steps=3"], NONNEGATIVE),
+    (["fig5-sinr-kappa8", *MC_600, *HUGE_DELTA], NONNEGATIVE + " (step 1)"),
+    # a Monte Carlo window's payoff means overflow: the step fails on them, with no numpy warning
+    (["fig5-sinr-kappa8", *MC_600, "--set", "payoffs.delta=1e308"], NONNEGATIVE + ": non-finite payoffs (step 1)"),
 ])
 def test_failed_dynamics_exit_3_with_one_line(tmp_path, capsys, extra, reason):
-    assert main(["run", *extra, "--set", "payoffs.delta=1e300", "--out", str(tmp_path / "out")]) == 3
+    assert main(["run", *extra, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"runtime failure: {reason}\n"
     assert not (tmp_path / "out").exists()
 
@@ -320,6 +324,9 @@ def test_jobs_option_rejected(command, tmp_path, capsys):
     ["--mode", "montecarlo", "--set", "channel.min_distance=300"],
     ["--set", "channel.pt_link_distance=1e100"],  # the link budget's r^alpha overflows
     ["--set", "channel.su_link_distance=1e100"],
+    ["--set", "channel.mu_power=1e300", "--set", "channel.su_power=1e-300"],  # the power ratio overflows
+    ["--mode", "montecarlo", "--set", "region_side=600", "--set", "channel.mu_power=1e300",
+     "--set", "channel.su_power=1e-300"],
 ])
 def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
     out = tmp_path / "out"

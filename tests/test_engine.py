@@ -130,6 +130,7 @@ def count_dynamics_passes(monkeypatch):
 
 FIG3 = build_presets()["fig3-population"]
 KAPPA8 = replace(FIG3, payoffs=PayoffParams(10.0, 1.0, 8.0))
+FIG3_MC = replace(FIG3, mode="montecarlo", region_side=600.0, steps=5)
 
 
 @pytest.mark.parametrize("config, passes", [
@@ -141,11 +142,29 @@ KAPPA8 = replace(FIG3, payoffs=PayoffParams(10.0, 1.0, 8.0))
     (replace(FIG3, launch_policy="always"), 1),
     (replace(FIG3, launch_policy="never"), 1),
     (replace(FIG3, lambda_su=0.5 * CAP), 1),  # below the cap nothing is forecast
+    (replace(FIG3_MC, launch_policy="always"), 1),  # a Monte Carlo run steps through run_dynamics too
+    (FIG3_MC, 2),  # above the cap: the run and its launch forecast
 ])
 def test_meanfield_dynamics_passes(monkeypatch, config, passes):
     calls = count_dynamics_passes(monkeypatch)
-    run_meanfield(config)
+    run(config)
     assert len(calls) == passes
+
+
+def test_failed_montecarlo_draws_no_window_after_the_failing_one(monkeypatch):
+    from specgame.engine import _Topology
+
+    real, windows = _Topology.interference, []
+
+    def counted(self, load):
+        windows.append(1)
+        return real(self, load)
+
+    monkeypatch.setattr(_Topology, "interference", counted)
+    # the first inducing window, window 1, pays 1e300 and fails the step
+    with pytest.raises(ValueError, match=r"nonnegative \(step 1\)$"):
+        run(replace(FIG3_MC, payoffs=PayoffParams(1e300, 1.0, 8.0), launch_policy="always"))
+    assert len(windows) == 2
 
 
 @pytest.mark.parametrize("config, fixed", [(FIG3, "always"), (KAPPA8, "never")])

@@ -1,9 +1,14 @@
-"""Mean-field presets against the benchmark's reference outputs.
+"""Presets and Monte Carlo runs against pinned reference outputs.
 
 benchmarks/reference/ pins the fig3, fig5 and fig6 outputs; the tolerances
 are those benchmarks/README.md states for the benchmark's output checks, so
 mean-field drift fails here as well as there. fig4 runs fig3's configuration
 and is checked against fig3's files.
+
+tests/reference/ pins three seeded Monte Carlo runs. Their phase events,
+shares, payoffs, densities and success columns must match to the written
+digit; only the SINR dB columns may differ, by 1e-9 relative, since BLAS
+may sum the interference in another order on another machine.
 """
 import csv
 import math
@@ -14,6 +19,7 @@ import pytest
 from specgame.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
+MC_REFERENCE = Path(__file__).resolve().parent / "reference"
 EXACT = ("t_update", "t_slot", "mu_phase")
 SINR = ("pr_sinr_db_mean", "pr_sinr_db_median", "su_sinr_db_mean", "su_sinr_db_median")
 SINR_DB = 1e-5  # absolute, dB
@@ -62,3 +68,26 @@ def test_region_sweep_matches_reference(tmp_path):
     ref = [[r[k] for k in key] for r in _rows(REFERENCE / "fig6-region" / "region.csv")]
     assert got == ref
     assert len(got) == 72 and sum(r[3] == "fragile" for r in got) == 36
+
+
+MC = ["fig3-population", "--mode", "montecarlo"]
+
+
+@pytest.mark.parametrize("reference, extra", [
+    ("mc-600m", ["--set", "region_side=600", "--set", "steps=20", "--seed", "3"]),
+    ("mc-800m-mimic-resample", ["--set", "region_side=800", "--set", "steps=20", "--set",
+                                "inactive_mu_behavior=mimic-su", "--set", "resample_topology=true",
+                                "--set", "lambda_mu=1e-5", "--seed", "7"]),
+    ("mc-800m-always-freeze", ["--set", "region_side=800", "--set", "steps=20", "--set",
+                               "launch_policy=always", "--set", "freeze_shares=true", "--seed", "4"]),
+])
+def test_montecarlo_run_matches_reference(tmp_path, reference, extra):
+    assert main(["run", *MC, *extra, "--out", str(tmp_path)]) == 0
+    assert _rows(tmp_path / "phase_events.csv") == _rows(MC_REFERENCE / reference / "phase_events.csv")
+    got, ref = _rows(tmp_path / "metrics.csv"), _rows(MC_REFERENCE / reference / "metrics.csv")
+    assert len(got) == len(ref)
+    for i, (row, expected) in enumerate(zip(got, ref)):
+        assert list(row) == list(expected)
+        for col, want in expected.items():
+            ok = _close(row[col], want, 1e-9, 0.0) if col in SINR else row[col] == want
+            assert ok, f"row {i} {col}: {row[col]} != reference {want}"
