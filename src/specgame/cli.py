@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -47,7 +48,14 @@ def _preset_config(payoffs: Dict[str, float], **overrides) -> ScenarioConfig:
 
 
 def build_presets() -> Dict[str, ScenarioConfig]:
-    """The four canned scenarios; all default to the mean-field path."""
+    """The four canned scenarios; all default to the mean-field path. Each
+    call hands back a fresh dict over the same frozen configs, which are
+    built and validated once per process, on the first call."""
+    return dict(_presets())
+
+
+@functools.cache
+def _presets() -> Dict[str, ScenarioConfig]:
     return {
         # population takeover when compliance pays nothing
         "fig3-population": _preset_config({"delta": 10.0, "nu": 1.0, "kappa": 0.0}),
@@ -295,8 +303,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, reused by the next
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "run":

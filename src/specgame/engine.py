@@ -409,7 +409,8 @@ class _Topology:
                 near = c != own[r, None]
                 if nc > 1:
                     near &= d <= cutoff
-                np.multiply(path_gain(d, ch, out=d), near, out=self.gain[b, lo:lo + len(r), :len(c)])
+                # in place, then copied: a mixed-type product into the strided block is slower
+                self.gain[b, lo:lo + len(r), :len(c)] = np.multiply(path_gain(d, ch, out=d), near, out=d)
                 self.interference_pairs += int(np.count_nonzero(near))
 
         pt = path_gain(pairwise_toroidal(self.receivers, world.pts, region), ch)

@@ -95,6 +95,26 @@ def test_presets_resolve_identically():
     assert a["fig5-sinr-kappa8"].payoffs.delta == 10.0
 
 
+def test_main_calls_do_not_share_overrides(tmp_path):
+    # the parser and the presets are built once per process; each call's
+    # --set, --seed and --mode still reach that call's run only
+    calls = {"seed": ["--seed", "9"],
+             "set": ["--set", "steps=4", "--set", "payoffs.kappa=2"],
+             "plain": [],
+             "mc": ["--mode", "montecarlo", "--set", "region_side=400", "--set", "steps=3", "--seed", "5"]}
+    for name, extra in calls.items():
+        assert main(["run", "fig3-population", *extra, "--out", str(tmp_path / name)]) == 0
+    config = {name: json.loads((tmp_path / name / "run-manifest.json").read_text())["config"] for name in calls}
+    assert [config[n]["seed"] for n in calls] == [9, 1, 1, 5]
+    assert [config[n]["steps"] for n in calls] == [150, 4, 150, 3]
+    assert [config[n]["payoffs"]["kappa"] for n in calls] == [0.0, 2.0, 0.0, 0.0]
+    assert [config[n]["mode"] for n in calls] == ["meanfield"] * 3 + ["montecarlo"]
+    presets = build_presets()
+    presets["fig3-population"] = presets.pop("fig5-sinr-kappa8")
+    assert build_presets()["fig3-population"].payoffs.kappa == 0.0
+    assert build_presets()["fig3-population"].steps == 150
+
+
 def test_run_preset_fig3_outputs(tmp_path):
     out = tmp_path / "fig3"
     assert run_preset("fig3-population", [], str(out)) == 0

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specgame import geometry
 from specgame.geometry import (
     Region,
     attach_receivers,
@@ -162,6 +164,50 @@ def test_vectorized_distances_agree_with_scalar():
     assert mat.tolist() == ref.tolist()
     assert mat[0, :4].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert mat[6, 7:10].tolist() == [38.5, 38.5, math.hypot(38.5, 38.5)]
+
+
+def _hypot_of_wrapped(dx, dy, side):
+    """np.hypot of per-axis offsets wrapped through a remainder."""
+    return np.hypot(*(np.minimum(np.abs(d) % side, side - np.abs(d) % side) for d in (dx, dy)))
+
+
+@st.composite
+def _kernel_case(draw):
+    side = draw(st.floats(1e-3, 1e9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def points(max_size):
+        # a third on the seam, at 0 or side, and a third half a side off it
+        n = draw(st.integers(1, max_size))
+        pts = rng.uniform(0.0, side, size=(n, 2))
+        pick = rng.integers(0, 3, size=(n, 2))
+        pts[pick == 0] = side * rng.integers(0, 2, size=int((pick == 0).sum()))
+        pts[pick == 1] = side / 2
+        return pts
+
+    return side, points(30), points(60), draw(st.floats(0.01, 1.0)) * side
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_case())
+def test_distance_kernel_within_one_ulp_of_hypot(case):
+    side, a, b, radius = case
+    region = Region(side)
+    want = _hypot_of_wrapped(*(np.subtract.outer(a[:, k], b[:, k]) for k in (0, 1)), side)
+    np.testing.assert_array_max_ulp(pairwise_toroidal(a, b, region), want, maxulp=1)
+    # the distances pairs_within compares with the radius, candidate by candidate
+    kernel, checked = geometry._wrapped_distance, []
+
+    def spy(dx, dy, side):
+        want = _hypot_of_wrapped(dx, dy, side)
+        got = kernel(dx, dy, side)
+        np.testing.assert_array_max_ulp(got, want, maxulp=1)
+        checked.append(len(got))
+        return got
+
+    with mock.patch.object(geometry, "_wrapped_distance", spy):
+        i, j = pairs_within(a, b, radius, region)
+    assert sum(checked) >= len(i) and len(checked) > 0
 
 
 @st.composite

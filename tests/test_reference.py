@@ -5,7 +5,8 @@ are those benchmarks/README.md states for the benchmark's output checks, so
 mean-field drift fails here as well as there. fig4 runs fig3's configuration
 and is checked against fig3's files.
 
-tests/reference/ pins three seeded Monte Carlo runs. Their phase events,
+tests/reference/ pins four seeded Monte Carlo runs; the 1500 m one is a grid
+of blocks with an interference cutoff and a mean tail. Their phase events,
 shares, payoffs, densities and success columns must match to the written
 digit; only the SINR dB columns may differ, by 1e-9 relative, since BLAS
 may sum the interference in another order on another machine.
@@ -80,6 +81,7 @@ MC = ["fig3-population", "--mode", "montecarlo"]
                                 "--set", "lambda_mu=1e-5", "--seed", "7"]),
     ("mc-800m-always-freeze", ["--set", "region_side=800", "--set", "steps=20", "--set",
                                "launch_policy=always", "--set", "freeze_shares=true", "--seed", "4"]),
+    ("mc-1500m", ["--set", "region_side=1500", "--set", "steps=20", "--seed", "4"]),
 ])
 def test_montecarlo_run_matches_reference(tmp_path, reference, extra):
     assert main(["run", *MC, *extra, "--out", str(tmp_path)]) == 0
