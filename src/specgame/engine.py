@@ -42,8 +42,15 @@ from .geometry import CellGrid, Region, cells_per_axis, pairs_within, pairwise_t
 MODES = ("meanfield", "montecarlo")
 LAUNCH_POLICIES = ("forecast", "always", "never")
 INACTIVE_BEHAVIORS = ("silent", "mimic-su")
-BUILD_CHUNK_ENTRIES = 1 << 16  # block entries given distances per call while building
+BUILD_CHUNK_ENTRIES = 1 << 15  # block entries given distances per call while building
 INTERFERENCE_CUTOFF = 200.0  # m: Monte Carlo pairs within are exact, the mean tail covers the rest
+# the Monte Carlo near field is a float32 product. The largest power, the
+# largest path gain (min_distance ** -alpha) and their product stay within
+# FLOAT32_MAX_TERM, so fading-weighted sums stay finite; terms float32 flushes
+# to zero (each below 1.2e-38 W) stay under 1e-8 of a noise of at least
+# FLOAT32_MIN_NOISE, even at 1e5 transmitters
+FLOAT32_MAX_TERM = 1e30
+FLOAT32_MIN_NOISE = 1e-25  # W
 
 
 class ConfigError(ValueError):
@@ -122,6 +129,15 @@ class ScenarioConfig:
                 if not getattr(ch, name) < INTERFERENCE_CUTOFF:
                     raise ConfigError(f"channel.{name} must be below the {INTERFERENCE_CUTOFF:g} m interference "
                                       "cutoff in Monte Carlo mode")
+            # in logs: min_distance ** -alpha itself may overflow a float
+            log_power = math.log(max(ch.pt_power, ch.su_power, ch.mu_power))
+            log_gain = -ch.alpha * math.log(ch.min_distance)
+            if not max(log_power, log_gain, log_power + log_gain) <= math.log(FLOAT32_MAX_TERM):
+                raise ConfigError(f"channel: the largest power, min_distance ** -alpha and their product must stay "
+                                  f"within {FLOAT32_MAX_TERM:g} in Monte Carlo mode (float32 interference)")
+            if not ch.noise >= FLOAT32_MIN_NOISE:
+                raise ConfigError(f"channel.noise must be at least {FLOAT32_MIN_NOISE:g} in Monte Carlo mode "
+                                  "(float32 interference)")
         if not 0.0 <= self.mu_access_prob <= 1.0:
             raise ConfigError("mu_access_prob must lie in [0, 1]")
         if self.hysteresis < 1:
@@ -365,7 +381,8 @@ class _Topology:
     the cutoff per unit of sender load. A grid the 3 x 3 neighbourhood would
     cover anyway is one cell, whose block holds every pair exactly, with no
     cutoff and no tail. PT entries are exact at any distance, and 0 where
-    the config excludes them.
+    the config excludes them. Distances and path gains are float64, and
+    `gain` stores them rounded once to float32.
     SU i senses the senders `sense_indices[sense_indptr[i]:sense_indptr[i + 1]]`.
     """
 
@@ -397,7 +414,7 @@ class _Topology:
         self.rx_pos = np.empty(len(self.receivers), dtype=np.intp)
         self.rx_pos[row_of] = np.repeat(blocks * n_rows.max() - row_start, n_rows) + np.arange(len(row_of))
 
-        self.gain = np.zeros((len(blocks), n_rows.max(), width + n_pt))
+        self.gain = np.zeros((len(blocks), n_rows.max(), width + n_pt), dtype=np.float32)
         own = np.arange(len(self.receivers)) - n_pt  # each SU receiver's own sender
         self.interference_pairs = 0
         for b in np.flatnonzero(n_rows * n_cols):
@@ -425,15 +442,15 @@ class _Topology:
     def interference(self, load: np.ndarray) -> np.ndarray:
         """(receivers, slots) interference from the (transmitters, slots) loads.
 
-        One batched product of the blocks with each block's transmitter loads,
-        gathered back to receiver order. Beyond the cutoff every receiver gets
-        the mean field: `far` times the slot's summed sender load, less its
-        own SU's.
+        One batched float32 product of the blocks with each block's
+        transmitter loads, gathered back to receiver order and widened to
+        float64. Beyond the cutoff every receiver gets the mean field, in
+        float64: `far` times the slot's summed sender load, less its own SU's.
         """
         n_senders = self.n_su + self.n_mu
         # the padding index clips to the last transmitter, whose load meets a zero gain
-        near = np.matmul(self.gain, np.take(load, self.cols, axis=0, mode="clip"))
-        out = np.take(near.reshape(-1, load.shape[1]), self.rx_pos, axis=0)
+        near = np.matmul(self.gain, np.take(load.astype(np.float32), self.cols, axis=0, mode="clip"))
+        out = np.take(near.reshape(-1, load.shape[1]), self.rx_pos, axis=0).astype(np.float64)
         if self.far:
             out += self.far * (np.ones(n_senders) @ load[:n_senders])  # a BLAS sum over the senders
             out[self.n_pt:] -= self.far * load[:self.n_su]

@@ -325,6 +325,18 @@ def test_jobs_option_rejected(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# outside the range of the Monte Carlo near field's float32 product: loads x
+# gains would overflow (every power at 1e39 W; or a 1e38 W load itself, at a
+# min_distance whose gain keeps the product in range), or terms float32
+# flushes to zero would be a visible share of the noise
+FLOAT32_OUT_OF_RANGE = [
+    ["--set", "channel.pt_power=1e39", "--set", "channel.su_power=1e39", "--set", "channel.mu_power=1e39"],
+    ["--set", "channel.min_distance=150", "--set", "channel.pt_power=1e38", "--set", "channel.su_power=1e38",
+     "--set", "channel.mu_power=1e38"],
+    ["--set", "channel.noise=1e-30"],
+]
+
+
 @pytest.mark.parametrize("extra", [
     ["--set", "steps=2.5"],
     ["--set", "window=true"],
@@ -347,6 +359,7 @@ def test_jobs_option_rejected(command, tmp_path, capsys):
     ["--set", "channel.mu_power=1e300", "--set", "channel.su_power=1e-300"],  # the power ratio overflows
     ["--mode", "montecarlo", "--set", "region_side=600", "--set", "channel.mu_power=1e300",
      "--set", "channel.su_power=1e-300"],
+    *(["--mode", "montecarlo", "--set", "region_side=600", *extra] for extra in FLOAT32_OUT_OF_RANGE),
 ])
 def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
     out = tmp_path / "out"
@@ -376,6 +389,13 @@ def test_noise_limited_channel_fails_at_config_load(tmp_path, capsys, command):
 ])
 def test_interference_cutoff_binds_only_montecarlo(tmp_path, extra):
     # mean-field mode has no interference cutoff, so these load and run
+    assert main(["run", "fig3-population", *extra, "--set", "steps=2", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("extra", FLOAT32_OUT_OF_RANGE)
+def test_float32_range_binds_only_montecarlo(tmp_path, extra):
+    # mean-field mode computes no float32 product, so these load and run
     assert main(["run", "fig3-population", *extra, "--set", "steps=2", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "metrics.csv").exists()
 

@@ -8,8 +8,10 @@ and is checked against fig3's files.
 tests/reference/ pins four seeded Monte Carlo runs; the 1500 m one is a grid
 of blocks with an interference cutoff and a mean tail. Their phase events,
 shares, payoffs, densities and success columns must match to the written
-digit; only the SINR dB columns may differ, by 1e-9 relative, since BLAS
-may sum the interference in another order on another machine.
+digit. Only the SINR dB columns may differ, by the presets' SINR_DB: the
+near-field interference is a float32 product, which BLAS may also sum in
+another order on another machine (the pinned files were written by the
+float64 product; the largest shift seen is ~2e-6 dB).
 """
 import csv
 import math
@@ -91,5 +93,5 @@ def test_montecarlo_run_matches_reference(tmp_path, reference, extra):
     for i, (row, expected) in enumerate(zip(got, ref)):
         assert list(row) == list(expected)
         for col, want in expected.items():
-            ok = _close(row[col], want, 1e-9, 0.0) if col in SINR else row[col] == want
+            ok = _close(row[col], want, 0.0, SINR_DB) if col in SINR else row[col] == want
             assert ok, f"row {i} {col}: {row[col]} != reference {want}"

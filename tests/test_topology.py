@@ -26,14 +26,20 @@ def _dense_sense(topo):
     return sense
 
 
+def _rtol(topo):
+    """The float32 bound for a sum of nonnegative terms: one rounding of each
+    gain, load and product, and one per addition of a block row."""
+    return (topo.gain.shape[2] + 2) * 2.0 ** -24
+
+
 def _config(**kwargs):
     return ScenarioConfig(mode="montecarlo", channel=ChannelParams(min_distance=2.0), sensing_radius=50.0, **kwargs)
 
 
 def _dense_gain(topo):
-    """The blocks expanded to a receiver x transmitter (SUs, MUs, PTs) matrix."""
+    """The blocks expanded to a receiver x transmitter (SUs, MUs, PTs) matrix of their dtype."""
     n_tx = topo.n_su + topo.n_mu + topo.n_pt
-    dense = np.zeros((len(topo.receivers), n_tx + 1))  # the last column collects the padding
+    dense = np.zeros((len(topo.receivers), n_tx + 1), dtype=topo.gain.dtype)  # the last column collects the padding
     cols = topo.cols[topo.rx_pos // topo.gain.shape[1]]
     np.put_along_axis(dense, cols, topo.gain.reshape(-1, topo.gain.shape[2])[topo.rx_pos], axis=1)
     assert not dense[:, n_tx].any()
@@ -63,12 +69,12 @@ def test_hand_placed_gain_and_sense(at_pr, at_su, monkeypatch):
         pt = 1.0 if at_su else 0.0
         # rows: PR, SU1 rx, SU2 rx; columns: SU1, SU2, MU, PT. The PT column is
         # exact at any distance; the PR's only PT is its own transmitter, so
-        # its PT entry is 0 under either flag.
-        assert _dense_gain(topo).tolist() == [
+        # its PT entry is 0 under either flag. The gains are stored rounded once to float32.
+        assert _dense_gain(topo).tolist() == np.float32([
             [95.0 ** -4, near * 155.0 ** -4, near * 105.5 ** -4, 0.0],
             [0.0, 50.0 ** -4, 2.0 ** -4, pt * 120.0 ** -4],
             [50.0 ** -4, 0.0, 39.5 ** -4, pt * 160.0 ** -4],
-        ]
+        ]).tolist()
         assert topo.interference_pairs == (7 if blocks == 1 else 5)
         # rows: SU1, SU2; columns: SU1, SU2, MU (SU1-SU2 is 60 m, beyond 50 m)
         assert (topo.sense_indptr.tolist(), topo.sense_indices.tolist()) == ([0, 1, 2], [2, 2])
@@ -80,10 +86,11 @@ def test_pr_pt_columns_follow_the_flag():
     world = _world(1000.0, [[0, 0], [40, 0]], [[15, 0], [25, 0]], [[500, 0]], [[510, 0]], [])
     on = _Topology(world, _config(include_pt_interference_at_pr=True))
     off = _Topology(world, _config(include_pt_interference_at_pr=False))
-    assert _dense_gain(on)[:2, 1:].tolist() == [[0.0, 25.0 ** -4], [25.0 ** -4, 0.0]]
+    g = float(np.float32(25.0 ** -4))  # a gain is stored in float32
+    assert _dense_gain(on)[:2, 1:].tolist() == [[0.0, g], [g, 0.0]]
     assert _dense_gain(off)[:2, 1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
     load = np.array([[0.0], [1.0], [1.0]])  # the SU silent, both PTs on
-    assert on.interference(load)[:2, 0].tolist() == [25.0 ** -4, 25.0 ** -4]
+    assert on.interference(load)[:2, 0].tolist() == [g, g]
     assert off.interference(load)[:2, 0].tolist() == [0.0, 0.0]
 
 
@@ -120,7 +127,7 @@ def _loads(rng, *counts, slots=3):
 )
 def test_gain_product_matches_class_sums(n_pt, n_su, n_mu, side, min_distance, at_pr, at_su, seed):
     # a torus under 4 cutoffs wide is one unpadded block with no cutoff and
-    # no tail: the dense product up to summation order
+    # no tail: the dense float64 product up to float32 rounding
     rng = np.random.default_rng(seed)
     world = _world(side, *(rng.uniform(0.0, side, size=(n, 2)) for n in (n_pt, n_pt, n_su, n_su, n_mu)))
     config = ScenarioConfig(mode="montecarlo", channel=ChannelParams(min_distance=min_distance),
@@ -131,7 +138,8 @@ def test_gain_product_matches_class_sums(n_pt, n_su, n_mu, side, min_distance, a
     load_su, load_mu, load_pt = _loads(rng, n_su, n_mu, n_pt)
     i_pr, i_su = _class_sums(world, config, load_su, load_mu, load_pt)
     got = topo.interference(np.concatenate([load_su, load_mu, load_pt]))
-    np.testing.assert_allclose(got, np.concatenate([i_pr, i_su]), rtol=1e-12, atol=0.0)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, np.concatenate([i_pr, i_su]), rtol=_rtol(topo), atol=0.0)
 
     d = pairwise_toroidal(world.sus, np.concatenate([world.sus, world.mus]),
                           world.region)
@@ -164,7 +172,20 @@ def test_blocked_product_matches_truncated_sums_plus_tail(n_pt, n_su, n_mu, side
     total = load_su.sum(axis=0) + load_mu.sum(axis=0)
     want = np.concatenate([i_pr + far * total, i_su + far * (total - load_su)])
     got = topo.interference(np.concatenate([load_su, load_mu, load_pt]))
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=_rtol(topo), atol=0.0)
+
+
+def test_sampled_800m_product_matches_class_sums():
+    # a real 800 m topology is one block of every pair, several hundred
+    # columns wide: far more terms per row than the hypothesis cases
+    config = ScenarioConfig(mode="montecarlo", region_side=800.0, seed=11, lambda_mu=1e-5)
+    topo = _sample_topology(config, np.random.default_rng(config.seed))
+    world = topo.world
+    assert topo.gain.shape[0] == 1 and topo.far == 0.0 and topo.gain.shape[2] > 600 and topo.n_mu > 0
+    load_su, load_mu, load_pt = _loads(np.random.default_rng(5), topo.n_su, topo.n_mu, topo.n_pt, slots=20)
+    i_pr, i_su = _class_sums(world, config, load_su, load_mu, load_pt)
+    got = topo.interference(np.concatenate([load_su, load_mu, load_pt]))
+    np.testing.assert_allclose(got, np.concatenate([i_pr, i_su]), rtol=_rtol(topo), atol=0.0)
 
 
 def _whole_matrices(world, config, cutoff):
@@ -196,7 +217,7 @@ def _whole_matrices(world, config, cutoff):
 @pytest.mark.parametrize("n_su", [1, 63, 64, 65, 129])
 def test_blocked_build_matches_whole_matrices(n_su, n_pt, n_mu, at_pr, at_su, monkeypatch):
     # a 300 m torus in 4 x 4 cells of at least 60 m: the blocks expand to
-    # the whole matrices, byte for byte
+    # the whole float64 matrices rounded once to float32, byte for byte
     side = 300.0
     rng = np.random.default_rng(1000 * n_su + 10 * n_pt + n_mu)
     world = _world(side, *(rng.uniform(0.0, side, size=(n, 2)) for n in (n_pt, n_pt, n_su, n_su, n_mu)))
@@ -206,7 +227,7 @@ def test_blocked_build_matches_whole_matrices(n_su, n_pt, n_mu, at_pr, at_su, mo
     gain, sense = _whole_matrices(world, config, 60.0)
     n_blocks, rows_per_block, _ = topo.gain.shape
     assert n_blocks == 16
-    assert _dense_gain(topo).tobytes() == gain.tobytes()
+    assert _dense_gain(topo).tobytes() == gain.astype(np.float32).tobytes()
     assert topo.interference_pairs == np.count_nonzero(gain[:, :n_su + n_mu])
     assert _dense_sense(topo).tobytes() == sense.tobytes()
     # each block: every sender at most once, the padding, then every PT; each
