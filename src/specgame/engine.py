@@ -290,6 +290,47 @@ def _to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
+def _median(x: np.ndarray) -> float:
+    """`np.median` of all of a non-empty x, from one selection instead of two.
+
+    Of an even size, the lower middle is the largest value the selection
+    puts below the upper one, and the pair is summed and halved as
+    `np.median` does. NaN whenever x holds one: NaN selects as the largest.
+    """
+    k = x.size // 2
+    part = np.partition(x, k, axis=None)
+    if np.isnan(part[k:]).any():
+        return math.nan
+    return float(part[k] if x.size % 2 else (part[:k].max() + part[k]) / 2)
+
+
+def _outage_met(ok: np.ndarray, constraint: float) -> float:
+    """Share of the rows of a (links, slots) bool success array whose share of
+    successful slots is at least 1 - constraint. A product with ones counts
+    each row exactly, and the counts are divided as a mean divides them."""
+    n_slots = ok.shape[1]
+    return int(np.count_nonzero(ok @ np.ones(n_slots) / n_slots >= 1.0 - constraint)) / len(ok)
+
+
+def _payoff_table(payoffs: PayoffParams) -> np.ndarray:
+    """A Monte Carlo slot's payoff by code access * (1 + perceived * (1 + su_ok)):
+    kappa when idle, 0 for access that perceives no neighbour, then failed and
+    successful perceived access as `delta * ok - nu * ~ok` at ok = False, True
+    (so nu = 0 gives 0.0, not -0.0)."""
+    ok = np.array([False, True])
+    return np.concatenate([[payoffs.kappa, 0.0], payoffs.delta * ok - payoffs.nu * ~ok])
+
+
+def _slot_payoffs(table: np.ndarray, access: np.ndarray, perceived: np.ndarray, su_ok: np.ndarray) -> np.ndarray:
+    """Each slot's payoff from `_payoff_table`, read at the uint8 code
+    access * (1 + perceived * (1 + su_ok)) of the slot's bool flags."""
+    code = np.add(su_ok, 1, dtype=np.uint8)
+    code *= perceived
+    code += 1
+    code *= access
+    return np.take(table, code)
+
+
 def _resolve_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> bool:
     if config.launch_policy != "forecast":
         return config.launch_policy == "always"
@@ -460,17 +501,21 @@ class _Topology:
         """(n_su, slots) bool: whether any sender SU i senses transmits in the
         slot, given the senders' (n_su + n_mu, slots) bool transmit flags.
 
-        The slots are packed eight to a byte and each SU ORs its neighbours'
-        bytes. `reduceat` gives an empty segment the row at its start instead
-        of zero, so SUs with no neighbours are left out and stay zero.
+        The slots are packed 64 to a word, the last word padded with zeros,
+        and each SU ORs its neighbours' words. `reduceat` gives an empty
+        segment the row at its start instead of zero, so SUs with no
+        neighbours are left out and stay zero.
         """
-        packed = np.packbits(tx, axis=1)
-        out = np.zeros((self.n_su, packed.shape[1]), dtype=np.uint8)
+        n_slots = tx.shape[1]
+        padded = np.zeros((len(tx), -(-n_slots // 64) * 64), dtype=bool)
+        padded[:, :n_slots] = tx
+        words = np.packbits(padded, axis=1).view(np.uint64)
+        out = np.zeros((self.n_su, words.shape[1]), dtype=np.uint64)
         starts = self.sense_indptr[:-1]
         sensing = starts < self.sense_indptr[1:]
         if sensing.any():
-            out[sensing] = np.bitwise_or.reduceat(packed[self.sense_indices], starts[sensing], axis=0)
-        return np.unpackbits(out, axis=1, count=tx.shape[1]).view(bool)
+            out[sensing] = np.bitwise_or.reduceat(np.take(words, self.sense_indices, axis=0), starts[sensing], axis=0)
+        return np.unpackbits(out.view(np.uint8), axis=1, count=n_slots).view(bool)
 
 
 def _sample_topology(config: ScenarioConfig, rng: np.random.Generator) -> _Topology:
@@ -512,6 +557,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     w_slots = config.window
     su_desired_gain = ch.su_link_distance ** (-ch.alpha)
     pr_desired_gain = ch.pt_link_distance ** (-ch.alpha)
+    payoff_table = _payoff_table(config.payoffs)
 
     records: List[MetricsRecord] = []
 
@@ -539,10 +585,11 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
         p_access = probs[assign]
 
         access = rng.random((n_su, w_slots)) < p_access[:, None]
-        fade_su_tx = rng.exponential(1.0, size=(n_su, w_slots))
-        fade_pt_tx = rng.exponential(1.0, size=(n_pt, w_slots))
-        fade_pr_des = rng.exponential(1.0, size=(n_pt, w_slots))
-        fade_su_des = rng.exponential(1.0, size=(n_su, w_slots))
+        # one fill of the stream that four exponential(1.0) draws in this
+        # order would take: the same values, and the same generator state after
+        fade = rng.standard_exponential((2 * (n_su + n_pt), w_slots))
+        fade_su_tx, fade_pt_tx = fade[:n_su], fade[n_su:n_su + n_pt]
+        fade_pr_des, fade_su_des = fade[n_su + n_pt:n_su + 2 * n_pt], fade[n_su + 2 * n_pt:]
 
         if inducing:
             mu_tx = rng.random((n_mu, w_slots)) < config.mu_access_prob
@@ -559,11 +606,11 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             ch.pt_power * fade_pt_tx,  # primaries transmit every slot
         ])
         interference = topo.interference(load)
+        neighbor_active = topo.neighbor_active(np.concatenate([access, mu_tx]))
 
         # ephemeral attacker field: no discrete attackers were sampled, so the
         # active density enters per slot as a freshly drawn Poisson field
         field_density = drive.active_density if n_mu == 0 else 0.0
-        ephem_within = np.zeros((n_su, w_slots), dtype=bool)
         if field_density > 0:
             region = topo.world.region
             for s in range(w_slots):
@@ -575,14 +622,12 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
                 f = rng.exponential(1.0, size=k)
                 interference[:, s] += field_gain @ (ch.mu_power * f)
                 near, _ = pairs_within(topo.world.sus, pos, config.sensing_radius, region)
-                ephem_within[near, s] = True
+                neighbor_active[near, s] = True
 
         sinr_pr = (ch.pt_power * pr_desired_gain * fade_pr_des) / (ch.noise + interference[:n_pt])
         sinr_su = (ch.su_power * su_desired_gain * fade_su_des) / (ch.noise + interference[n_pt:])
         su_ok = sinr_su >= ch.su_sinr_threshold
 
-        neighbor_active = topo.neighbor_active(np.concatenate([access, mu_tx]))
-        neighbor_active |= ephem_within
         if inducing and drive.inducement > 0:
             if drive.inducement >= 1.0:
                 perceived = np.ones_like(neighbor_active)
@@ -591,11 +636,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
         else:
             perceived = neighbor_active
 
-        payoff = np.where(
-            access,
-            np.where(perceived, config.payoffs.delta * su_ok - config.payoffs.nu * (~su_ok), 0.0),
-            config.payoffs.kappa,
-        )
+        payoff = _slot_payoffs(payoff_table, access, perceived, su_ok)
 
         strat_counts = np.bincount(assign, minlength=m)
         strat_pay = np.zeros(m)
@@ -605,16 +646,13 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
                 mask = assign == i
                 strat_pay[i] = float(payoff[mask].mean()) if strat_counts[i] else window_mean
 
-        active_counts = access.sum(axis=0)
-        active_density_win = float(active_counts.mean()) / area
+        active_density_win = int(np.count_nonzero(access)) / w_slots / area
 
         pr_thresh_ok = sinr_pr >= ch.pr_sinr_threshold
-        pr_raw = float(pr_thresh_ok.mean()) if n_pt else math.nan
-        su_raw = float(su_ok.mean())
-        pr_ok_frac = (
-            float((pr_thresh_ok.mean(axis=1) >= 1.0 - ch.pr_outage_constraint).mean()) if n_pt else math.nan
-        )
-        su_ok_frac = float((su_ok.mean(axis=1) >= 1.0 - ch.su_outage_constraint).mean())
+        pr_raw = int(np.count_nonzero(pr_thresh_ok)) / pr_thresh_ok.size if n_pt else math.nan
+        su_raw = int(np.count_nonzero(su_ok)) / su_ok.size
+        pr_ok_frac = _outage_met(pr_thresh_ok, ch.pr_outage_constraint) if n_pt else math.nan
+        su_ok_frac = _outage_met(su_ok, ch.su_outage_constraint)
 
         records.append(MetricsRecord(
             t_update=w,
@@ -625,9 +663,9 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             pr_success=pr_ok_frac,
             su_success=su_ok_frac,
             pr_sinr_db_mean=_to_db(float(sinr_pr.mean())) if n_pt else math.nan,
-            pr_sinr_db_median=_to_db(float(np.median(sinr_pr))) if n_pt else math.nan,
+            pr_sinr_db_median=_to_db(_median(sinr_pr)) if n_pt else math.nan,
             su_sinr_db_mean=_to_db(float(sinr_su.mean())),
-            su_sinr_db_median=_to_db(float(np.median(sinr_su))),
+            su_sinr_db_median=_to_db(_median(sinr_su)),
             payoffs=tuple(strat_pay.tolist()),
             pr_success_raw=pr_raw,
             su_success_raw=su_raw,

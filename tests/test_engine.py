@@ -1,14 +1,21 @@
+import itertools
 import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specgame.channel import ChannelParams, InterfererField, max_allowable_su_density, success_prob
 from specgame.cli import build_presets
 from specgame.engine import (
     ConfigError,
+    _median,
+    _outage_met,
+    _payoff_table,
+    _slot_payoffs,
     ScenarioConfig,
     SimulationError,
     metrics_columns,
@@ -337,3 +344,60 @@ def test_config_rejects_non_finite_and_non_integer_numbers():
 def test_sweep_region_empty_grid_rejected():
     with pytest.raises(ConfigError):
         sweep_region([], [1.0], [0.0], mf_config())
+
+
+# values with ties, both zeros, both infinities and a sum that overflows
+MEDIAN_PALETTE = np.array([-np.inf, -1e308, -2.5, -0.0, 0.0, 1.0, 3.0, 1e308, np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 70), cols=st.integers(1, 72), values=st.sampled_from(["palette", "continuous", "mixed"]),
+       nans=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=1, cols=1, values="continuous", nans=0, seed=0)
+@example(rows=1, cols=2, values="continuous", nans=0, seed=0)
+@example(rows=1, cols=2, values="palette", nans=0, seed=1)
+@example(rows=1, cols=1, values="palette", nans=1, seed=0)
+def test_median_helper_equals_numpy_median(rows, cols, values, nans, seed):
+    # sizes up to 5,040, odd and even, as a window's (links, slots) SINRs or flattened
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(0.0, 3.0, size=rows * cols)
+    if values != "continuous":
+        ties = rng.choice(MEDIAN_PALETTE, size=x.size)
+        x = ties if values == "palette" else np.where(rng.random(x.size) < 0.5, ties, x)
+    x[rng.integers(0, x.size, size=nans)] = np.nan
+    for shaped in (x, x.reshape(rows, cols)):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 1e308 + 1e308, in both
+            got, want = _median(shaped), float(np.median(shaped))
+        assert type(got) is float
+        assert got == want or math.isnan(got) and math.isnan(want), (got, want)
+
+
+@pytest.mark.parametrize("n_su, n_pt, slots", [(7, 3, 20), (5, 0, 20), (1, 1, 1), (40, 2, 70)])
+def test_one_fading_fill_continues_the_four_draw_stream(n_su, n_pt, slots):
+    # a window draws its four fading arrays as one standard_exponential fill;
+    # four exponential(1.0) draws in this order give the same values and
+    # leave the generator in the same state
+    four, one = np.random.default_rng(5), np.random.default_rng(5)
+    draws = [four.exponential(1.0, size=(n, slots)) for n in (n_su, n_pt, n_pt, n_su)]
+    fill = np.split(one.standard_exponential((2 * (n_su + n_pt), slots)), np.cumsum([n_su, n_pt, n_pt]))
+    for got, want in zip(fill, draws):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert one.random() == four.random()
+
+
+@pytest.mark.parametrize("delta, nu, kappa", [(10.0, 1.0, 0.0), (10.0, 0.0, 8.0), (2.5, 0.5, 0.3)])
+def test_payoff_table_lookup_equals_the_nested_where(delta, nu, kappa):
+    # every (access, perceived, su_ok) combination, down to the sign of zero at nu = 0
+    access, perceived, su_ok = (np.array(flags).reshape(2, 4)
+                                for flags in zip(*itertools.product([False, True], repeat=3)))
+    got = _slot_payoffs(_payoff_table(PayoffParams(delta, nu, kappa)), access, perceived, su_ok)
+    want = np.where(access, np.where(perceived, delta * su_ok - nu * (~su_ok), 0.0), kappa)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(links=st.integers(1, 700), slots=st.integers(1, 80), rate=st.floats(0.0, 1.0),
+       constraint=st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_outage_share_equals_the_mean_of_means(links, slots, rate, constraint, seed):
+    ok = np.random.default_rng(seed).random((links, slots)) < rate
+    assert _outage_met(ok, constraint) == float((ok.mean(axis=1) >= 1.0 - constraint).mean())

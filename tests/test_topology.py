@@ -301,7 +301,7 @@ def test_sensing_build_allocates_no_su_by_su_array():
 
 
 @pytest.mark.parametrize("n_mu", [0, 4])
-@pytest.mark.parametrize("window", [1, 7, 8, 9, 20, 65])
+@pytest.mark.parametrize("window", [1, 7, 8, 9, 20, 64, 65, 70, 129])
 def test_packed_perception_matches_dense_product(window, n_mu):
     # a crowd of SUs in one corner, so most sense someone, and lone SUs far
     # apart, which sense nobody
