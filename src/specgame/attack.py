@@ -117,38 +117,43 @@ class AttackController:
         self.density_cap = density_cap
         self.inactive_behavior = inactive_behavior
         self.lambda_su = lambda_su
-        self._launch = launch
+        self._pending_launch = launch
         inactive_density = 0.0 if inactive_behavior == "silent" else math.nan  # mimic: set per call
         # drive per phase code: active MU density and advertised inducement
         self._density = np.array([0.0, lambda_mu * template.mu_access_prob, inactive_density, 0.0])
         self._inducement = np.array([0.0, template.inducement, 0.0, 0.0])
         self.phases = np.asarray(INITIAL)
         self.above_cap_run = np.asarray(0)
+        self._drive: Optional[MuDrive] = None  # the silent drive of `phases`, once built
         self.events: List[PhaseEvent] = []
         self.phase_history: List[np.ndarray] = []
 
     def resolve_launch(self, launch: bool) -> None:
-        self._launch = launch
+        self._pending_launch = launch
 
     def __call__(self, t: int, observed_active_su_density) -> MuDrive:
         observed = np.asarray(observed_active_su_density, dtype=float)
         old = self.phases
-        # a resolved launch moves only INITIAL cells, so after the first call it changes nothing
         self.phases, self.above_cap_run = advance_phases(
-            old, self.above_cap_run, observed, self.density_cap, self.template.hysteresis, self._launch)
+            old, self.above_cap_run, observed, self.density_cap, self.template.hysteresis, self._pending_launch)
+        # a resolved launch moves only INITIAL cells, so once applied it would change nothing
+        self._pending_launch = None
         changed = self.phases != old
         if np.count_nonzero(changed):
             old, trigger = (np.broadcast_to(a, changed.shape) for a in (old, observed))
             for cell in np.flatnonzero(changed):
                 self.events.append(PhaseEvent(t, PHASES[old.flat[cell]], PHASES[self.phases.flat[cell]],
                                               float(trigger.flat[cell]), int(cell)))
+            self._drive = None
         self.phase_history.append(self.phases)
-        density = self._density[self.phases]
         if self.inactive_behavior == "mimic-su":
             # blend in: adopt the population's transmit-weighted access rate
             rate = observed / self.lambda_su if self.lambda_su > 0 else 0.0
-            density = np.where(self.phases == INACTIVE, self.lambda_mu * rate, density)
-        return MuDrive(density[()], self._inducement[self.phases][()])
+            density = np.where(self.phases == INACTIVE, self.lambda_mu * rate, self._density[self.phases])
+            return MuDrive(density[()], self._inducement[self.phases][()])
+        if self._drive is None:  # a silent drive follows the phases alone
+            self._drive = MuDrive(self._density[self.phases][()], self._inducement[self.phases][()])
+        return self._drive
 
 
 def launch_verdict(env: GameEnv, forecast: Callable[[], Trajectory], extinction_tol: float) -> bool:

@@ -497,18 +497,20 @@ class _Topology:
             out[self.n_pt:] -= self.far * load[:self.n_su]
         return out
 
-    def neighbor_active(self, tx: np.ndarray) -> np.ndarray:
+    def neighbor_active(self, su_tx: np.ndarray, mu_tx: np.ndarray) -> np.ndarray:
         """(n_su, slots) bool: whether any sender SU i senses transmits in the
-        slot, given the senders' (n_su + n_mu, slots) bool transmit flags.
+        slot, given the (n_su, slots) and (n_mu, slots) bool transmit flags
+        of the SUs and the MUs.
 
         The slots are packed 64 to a word, the last word padded with zeros,
         and each SU ORs its neighbours' words. `reduceat` gives an empty
         segment the row at its start instead of zero, so SUs with no
         neighbours are left out and stay zero.
         """
-        n_slots = tx.shape[1]
-        padded = np.zeros((len(tx), -(-n_slots // 64) * 64), dtype=bool)
-        padded[:, :n_slots] = tx
+        n_slots = su_tx.shape[1]
+        padded = np.zeros((len(su_tx) + len(mu_tx), -(-n_slots // 64) * 64), dtype=bool)
+        padded[:len(su_tx), :n_slots] = su_tx
+        padded[len(su_tx):, :n_slots] = mu_tx
         words = np.packbits(padded, axis=1).view(np.uint64)
         out = np.zeros((self.n_su, words.shape[1]), dtype=np.uint64)
         starts = self.sense_indptr[:-1]
@@ -606,7 +608,9 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             ch.pt_power * fade_pt_tx,  # primaries transmit every slot
         ])
         interference = topo.interference(load)
-        neighbor_active = topo.neighbor_active(np.concatenate([access, mu_tx]))
+        # a saturating inducement makes every SU perceive an accomplice, whoever it senses
+        saturated = inducing and drive.inducement >= 1.0
+        neighbor_active = None if saturated else topo.neighbor_active(access, mu_tx)
 
         # ephemeral attacker field: no discrete attackers were sampled, so the
         # active density enters per slot as a freshly drawn Poisson field
@@ -621,18 +625,18 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
                 field_gain = path_gain(pairwise_toroidal(topo.receivers, pos, region), ch)
                 f = rng.exponential(1.0, size=k)
                 interference[:, s] += field_gain @ (ch.mu_power * f)
-                near, _ = pairs_within(topo.world.sus, pos, config.sensing_radius, region)
-                neighbor_active[near, s] = True
+                if not saturated:
+                    near, _ = pairs_within(topo.world.sus, pos, config.sensing_radius, region)
+                    neighbor_active[near, s] = True
 
         sinr_pr = (ch.pt_power * pr_desired_gain * fade_pr_des) / (ch.noise + interference[:n_pt])
         sinr_su = (ch.su_power * su_desired_gain * fade_su_des) / (ch.noise + interference[n_pt:])
         su_ok = sinr_su >= ch.su_sinr_threshold
 
-        if inducing and drive.inducement > 0:
-            if drive.inducement >= 1.0:
-                perceived = np.ones_like(neighbor_active)
-            else:
-                perceived = neighbor_active | (rng.random((n_su, w_slots)) < drive.inducement)
+        if saturated:
+            perceived = np.ones((n_su, w_slots), dtype=bool)
+        elif inducing and drive.inducement > 0:
+            perceived = neighbor_active | (rng.random((n_su, w_slots)) < drive.inducement)
         else:
             perceived = neighbor_active
 

@@ -135,6 +135,18 @@ class GameEnv:
         return LinkBudget(np.array([su.threshold, pr.threshold]), su.k, np.array([su.noise, pr.noise]),
                           tuple(coefs.T))
 
+    @cached_property
+    def _step_terms(self):
+        """What payoff_vector takes from this environment at every step: the
+        strategy column p, the compliance payoffs (1 - p) * kappa of its
+        strategies (per cell), link_budget over the SU and MU fields with its
+        links on a leading axis (it broadcasts against (cells,) densities),
+        and each link's PT field term lambda_PT * c_PT, which no step changes."""
+        p = self.strategies.probs[:, None]
+        budget = self.link_budget
+        su_mu = budget._replace(noise=budget.noise[:, None], coefs=tuple(c[:, None] for c in budget.coefs[:2]))
+        return p, _compliance_payoff(p, self.payoffs), su_mu, self.lambda_pt * budget.coefs[2][:, None]
+
 
 def validate_shares(shares, m: int) -> np.ndarray:
     """Shares as a float array of shape (m,) or (cells, m), every row on the simplex."""
@@ -152,8 +164,13 @@ def perception_prob(other_active_density, sensing_radius: float):
     d = np.asarray(other_active_density, dtype=float)
     if np.count_nonzero(d < 0):
         raise ValueError("density must be nonnegative")
-    q = -np.expm1(d * (-math.pi * sensing_radius ** 2))
+    q = _perception(d, sensing_radius)
     return q if q.ndim else float(q)
+
+
+def _perception(density, sensing_radius: float):
+    """perception_prob without its check: -expm1(-density * pi * R^2)."""
+    return -np.expm1(density * (-math.pi * sensing_radius ** 2))
 
 
 def active_su_density(shares, env: GameEnv):
@@ -167,10 +184,20 @@ def _field_densities(active_su, mu_density, env: GameEnv):
     return np.asarray(active_su)[..., None], np.asarray(mu_density)[..., None], env.lambda_pt
 
 
+def _compliance_payoff(p, payoffs: PayoffParams):
+    """What access probability p earns by staying silent: (1-p)*kappa."""
+    return (1.0 - p) * payoffs.kappa
+
+
+def _transmission_payoff(p, q, s, payoffs: PayoffParams):
+    """What access probability p earns by transmitting: p*q*(delta*s - nu*(1-s))."""
+    return p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))
+
+
 def access_payoff(p, q, s, payoffs: PayoffParams):
     """Expected payoff of access probability p given perception prob q and
     transmission success prob s: (1-p)*kappa + p*q*(delta*s - nu*(1-s))."""
-    return (1.0 - p) * payoffs.kappa + p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))
+    return _compliance_payoff(p, payoffs) + _transmission_payoff(p, q, s, payoffs)
 
 
 def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
@@ -180,17 +207,23 @@ def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
     `shares` is (m,) or (cells, m); `mu` and env.payoffs may hold per-cell
     arrays. `act`, the active SU density of `shares`, is computed when not
     given. The payoffs come back as (m,) or (cells, m), the diagnostics as
-    floats or (cells,) arrays.
+    floats or (cells,) arrays. The terms no step changes are held per
+    environment (GameEnv._step_terms); each call adds up the ones that do.
     """
     act = active_su_density(shares, env) if act is None else act
-    if np.count_nonzero(np.minimum(act, mu.active_density) < 0):
+    mu_density = mu.active_density
+    if np.count_nonzero(np.minimum(act, mu_density) < 0):
         raise ValueError("field density must be nonnegative")
-    q_local = perception_prob(act + mu.active_density, env.sensing_radius)
-    q = 1.0 - (1.0 - q_local) * (1.0 - mu.inducement)
-    s_su, s_pr = env.link_budget.success(_field_densities(act, mu.active_density, env)).T
-    cell_dims = max(np.ndim(q), len(env.payoffs.batch_shape))
-    p = env.strategies.probs.reshape((-1,) + (1,) * cell_dims)
-    return access_payoff(p, q, s_su, env.payoffs).T, q, s_su, s_pr
+    p, compliance, su_mu, pt = env._step_terms
+    density = act + mu_density
+    q = 1.0 - (1.0 - _perception(density, env.sensing_radius)) * (1.0 - mu.inducement)
+    # link_budget.success, with the PT field's term added last as its exponent adds it
+    exponent = su_mu.exponent((act, mu_density), su_mu.noise)  # (link, cells), or (link, 1) for scalars
+    exponent += pt
+    s = np.exp(np.negative(exponent, out=exponent), out=exponent)
+    s_su, s_pr = s if np.ndim(density) else s[:, 0]
+    pi = (compliance + _transmission_payoff(p, q, s_su, env.payoffs)).T
+    return (pi if np.ndim(q) or env.payoffs.batch_shape else pi[0]), q, s_su, s_pr
 
 
 def replicator_step(shares, payoffs, h: float) -> np.ndarray:
@@ -204,20 +237,22 @@ def replicator_step(shares, payoffs, h: float) -> np.ndarray:
     negative after the last halving -- comes back as NaN, so that one bad
     cell stops no other; `step_failure` says why.
     """
-    x = np.asarray(shares, dtype=float)
-    pi = np.asarray(payoffs, dtype=float)
     if not h > 0:
         raise ValueError("step size must be positive")
-    rows = x.reshape(-1, x.shape[-1])
-    pi = pi.reshape(rows.shape)
+    x = np.asarray(shares, dtype=float)
+    pi = np.asarray(payoffs, dtype=float)
+    rows = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+    if pi.shape != rows.shape:
+        pi = pi.reshape(rows.shape)
     finite = np.isfinite(pi)
     all_finite = np.count_nonzero(finite) == finite.size
     if not all_finite:
         finite = finite.all(axis=1)
         pi = np.where(finite[:, None], pi, 0.0)  # stepped flat, blanked below
     rel = pi - pi[:, :1]
-    dev = rel - (rows * rel).sum(axis=1)[:, None]
-    factors = 1.0 + h * dev
+    dev = rel - np.add.reduce(rows * rel, axis=1, keepdims=True)
+    factors = h * dev
+    factors += 1.0
     if np.count_nonzero(factors >= 0.0) != factors.size:
         vacant = rows <= 0
         step = np.full((len(rows), 1), float(h))
@@ -232,8 +267,8 @@ def replicator_step(shares, payoffs, h: float) -> np.ndarray:
     if not all_finite:
         factors[~finite] = math.nan
     new = rows * factors
-    new /= new.sum(axis=1)[:, None]
-    return new.reshape(x.shape)
+    new /= np.add.reduce(new, axis=1, keepdims=True)
+    return new if x.ndim == 2 else new.reshape(x.shape)
 
 
 def step_failure(payoffs) -> str:
@@ -307,17 +342,19 @@ def run_dynamics(
     errors = [""] * cells
     live = np.ones(cells, dtype=bool)
     all_live = True
+    source = payoff_source or payoff_vector
     for t in range(steps):
-        act[t] = active_su_density(x, env)
-        drive = mu_schedule(t, act[t])
-        pi, _, s_su[t], s_pr[t] = (payoff_source or payoff_vector)(x, env, drive, act[t])
+        density = act[t] = active_su_density(x, env)
+        drive = mu_schedule(t, density)
+        pi, _, s_su[t], s_pr[t] = source(x, env, drive, density)
         mu_density[t], inducement[t] = drive.active_density, drive.inducement
         shares[t], payoffs[t] = x, pi
         if freeze_shares:
             continue
         new = replicator_step(x, pi if all_live else np.where(live[:, None], pi, 0.0), h)
-        failed = np.isnan(new[:, 0]) & live
+        failed = np.isnan(new[:, 0])
         if np.count_nonzero(failed):
+            failed &= live
             for c in np.flatnonzero(failed):
                 errors[c] = f"{step_failure(payoffs[t, c])} (step {t})"
             live &= ~failed

@@ -1,11 +1,12 @@
 """The batched dynamics core: a batch equals its cells run one at a time,
-replicator rows behave like single vectors, and a failing cell is isolated,
-also when it is a batch of one."""
+the loop equals a plain loop over the public steps, replicator rows behave
+like single vectors, and a failing cell is isolated, also when it is a batch
+of one."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specgame.attack import AttackController, InducingTemplate
@@ -15,7 +16,12 @@ from specgame.game import (
     GameEnv,
     MuDrive,
     PayoffParams,
+    StrategySet,
+    access_payoff,
+    active_su_density,
     classify_operating_point,
+    payoff_vector,
+    perception_prob,
     replicator_step,
     run_dynamics,
     step_failure,
@@ -80,6 +86,148 @@ def test_batched_classification_equals_single_cells(cells):
                                [r.terminal_mutant_share for r in singles], rtol=1e-12, atol=0.0)
 
 
+def _plain_loop(x0, env, schedule, steps, h, freeze_shares):
+    """run_dynamics written out over the public steps, one statement each."""
+    x = np.array(np.broadcast_to(x0, env.payoffs.batch_shape + np.shape(x0)[-1:]), ndmin=2)
+    live = np.ones(len(x), dtype=bool)
+    errors = [""] * len(x)
+    record = []
+    for t in range(steps):
+        act = active_su_density(x, env)
+        drive = schedule(t, act)
+        pi, _, s_su, s_pr = payoff_vector(x, env, drive, act)
+        record.append((x, pi, s_su, s_pr, act, np.broadcast_to(drive.active_density, act.shape),
+                       np.broadcast_to(drive.inducement, act.shape)))
+        if freeze_shares:
+            continue
+        new = replicator_step(x, np.where(live[:, None], pi, 0.0), h)
+        failed = np.isnan(new[:, 0]) & live
+        for c in np.flatnonzero(failed):
+            errors[c] = f"{step_failure(pi[c])} (step {t})"
+        live &= ~failed
+        if not live.any():
+            break
+        x = np.where(live[:, None], new, x)
+    return [np.stack(column) for column in zip(*record)], x, tuple(errors)
+
+
+def _poisoned(schedule, cells, step):
+    """`schedule`, advertising a NaN inducement to `cells` from `step` on."""
+    def poisoned(t, observed):
+        drive = schedule(t, observed)
+        if t < step:
+            return drive
+        inducement = np.array(np.broadcast_to(drive.inducement, np.shape(observed)))
+        inducement[cells] = math.nan
+        return MuDrive(drive.active_density, inducement)
+    return poisoned
+
+
+loop_case = st.fixed_dictionaries({
+    "cells": st.sampled_from([None, 1, 72]),  # None: a 1-D x0 and scalar incentives
+    "probs": st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (0.2, 0.7)]),
+    # a delta of 1e13 fails its row after the last halving; a large step needs halvings
+    "delta": st.one_of(st.floats(0.5, 50.0), st.just(1e13)),
+    "nu": st.floats(0.0, 5.0),
+    "kappa": st.floats(0.0, 12.0),
+    "h": st.one_of(st.floats(0.01, 0.5), st.floats(0.5, 20.0)),
+    "hysteresis": st.integers(1, 6),
+    "lambda_mu": st.sampled_from([1e-7, 1e-6, 1e-5]),
+    "behavior": st.sampled_from(["silent", "mimic-su"]),
+    "launch": st.sampled_from([True, False]),
+    "freeze_shares": st.booleans(),
+    "poison_step": st.one_of(st.none(), st.integers(0, 30)),
+    "seed": st.integers(0, 2 ** 32 - 1),
+})
+
+
+def _loop_example(**overrides):
+    case = dict(cells=72, probs=(0.0, 1.0), delta=10.0, nu=1.0, kappa=0.0, h=0.1, hysteresis=5, lambda_mu=1e-7,
+                behavior="silent", launch=True, freeze_shares=False, poison_step=None, seed=7)
+    return example(case={**case, **overrides})
+
+
+@settings(max_examples=40, deadline=None)
+@given(loop_case)
+@_loop_example()
+@_loop_example(delta=1e13, h=3.0, poison_step=4, behavior="mimic-su", lambda_mu=1e-5)
+@_loop_example(cells=None, probs=(0.0, 0.5, 1.0), h=4.0, poison_step=6)
+@_loop_example(cells=1, freeze_shares=True, behavior="mimic-su", launch=False)
+def test_run_dynamics_equals_a_plain_loop_over_the_public_steps(case):
+    rng = np.random.default_rng(case["seed"])
+    m, n = len(case["probs"]), case["cells"] or 1
+    # shares with exact zeros and ones among them
+    weights = rng.integers(0, 4, size=(n, m)) * rng.random((n, m))
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    x0 = weights / weights.sum(axis=1, keepdims=True)
+    if case["cells"] is None:
+        x0, payoffs = x0[0], PayoffParams(case["delta"], case["nu"], case["kappa"])
+    else:
+        # the drawn incentives in the first cell, and drawn around them in the others
+        scale = np.concatenate([[1.0], rng.uniform(0.1, 2.0, n - 1)])
+        payoffs = PayoffParams(case["delta"] * scale, case["nu"] * scale[::-1], case["kappa"] * rng.random(n))
+    env = GameEnv(channel=CH, payoffs=payoffs, strategies=StrategySet(case["probs"]))
+    poisoned_cells = rng.permutation(n)[:max(1, n // 3)]
+    steps = 40
+
+    def schedule():
+        controller = AttackController(case["lambda_mu"], InducingTemplate(hysteresis=case["hysteresis"]), CAP,
+                                      launch=case["launch"], inactive_behavior=case["behavior"], lambda_su=1e-3)
+        if case["poison_step"] is None:
+            return controller
+        return _poisoned(controller, poisoned_cells, case["poison_step"])
+
+    traj = run_dynamics(x0, env, schedule(), steps, case["h"], compute_sinr=False,
+                        freeze_shares=case["freeze_shares"])
+    columns, final_shares, errors = _plain_loop(x0, env, schedule(), steps, case["h"], case["freeze_shares"])
+    got = (traj.shares, traj.payoffs, traj.s_su, traj.s_pr, traj.active_su_density, traj.mu_density,
+           traj.inducement)
+    for name, a, b in zip(("shares", "payoffs", "s_su", "s_pr", "act", "mu_density", "inducement"), got, columns):
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+    unsolved = np.full(traj.s_su.shape, math.nan)
+    assert traj.pr_median_sinr.tobytes() == traj.su_median_sinr.tobytes() == unsolved.tobytes()
+    assert traj.final_shares.tobytes() == final_shares.tobytes()
+    assert traj.errors == errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({
+    "cells": st.sampled_from([None, 1, 72]),
+    "probs": st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (0.2, 0.7)]),
+    "mu_density": st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
+    "inducement": st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    "per_cell_drive": st.booleans(),
+    "lambda_pt": st.floats(0.0, 1e-4),
+    "pt_at": st.tuples(st.booleans(), st.booleans()),
+    "seed": st.integers(0, 2 ** 32 - 1),
+}))
+def test_payoff_vector_equals_the_public_formulas(case):
+    # the step's held terms add up to the bits of link_budget.success,
+    # perception_prob and access_payoff evaluated from scratch
+    rng = np.random.default_rng(case["seed"])
+    m, n = len(case["probs"]), case["cells"] or 1
+    x = rng.dirichlet(np.ones(m), n)
+    payoffs = PayoffParams(*(rng.uniform(0.5, 20.0, n) for _ in range(3)))
+    if case["cells"] is None:
+        x, payoffs = x[0], PayoffParams(10.0, 1.0, 2.0)
+    density, inducement = case["mu_density"], case["inducement"]
+    if case["per_cell_drive"] and case["cells"]:
+        density, inducement = density * rng.random(n), inducement * rng.random(n)
+    env = GameEnv(channel=CH, payoffs=payoffs, strategies=StrategySet(case["probs"]), lambda_pt=case["lambda_pt"],
+                  include_pt_at_su=case["pt_at"][0], include_pt_at_pr=case["pt_at"][1])
+    pi, q, s_su, s_pr = payoff_vector(x, env, MuDrive(density, inducement))
+    act = active_su_density(x, env)
+    want_q = 1.0 - (1.0 - perception_prob(act + density, env.sensing_radius)) * (1.0 - inducement)
+    densities = (np.asarray(act)[..., None], np.asarray(density)[..., None], env.lambda_pt)
+    want_su, want_pr = np.moveaxis(env.link_budget.success(densities), -1, 0)
+    cell_dims = max(np.ndim(want_q), len(payoffs.batch_shape))
+    p = env.strategies.probs.reshape((-1,) + (1,) * cell_dims)
+    want_pi = access_payoff(p, want_q, want_su, payoffs).T
+    for got, want in ((pi, want_pi), (q, want_q), (s_su, want_su), (s_pr, want_pr)):
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 dyadic = st.integers(-64, 64).map(lambda v: v / 16.0)
 
 
@@ -101,6 +249,26 @@ def test_replicator_rows_stay_on_simplex_and_shift_invariant(case):
     assert replicator_step(x, pi + shift, 0.1).tobytes() == new.tobytes()
     for row, p, got in zip(x, pi, new):
         assert replicator_step(row, p, 0.1).tobytes() == got.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.integers(0, 50), min_size=m, max_size=m).filter(any), min_size=1, max_size=6),
+    st.lists(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.inf, -math.inf, math.nan])),
+                      min_size=m, max_size=m), min_size=6, max_size=6),
+    st.floats(0.01, 20.0),
+)))
+def test_replicator_nonfinite_rows_come_back_nan_and_spare_the_others(case):
+    weights, payoffs, h = case
+    x = np.array(weights, dtype=float)
+    x /= x.sum(axis=1, keepdims=True)
+    pi = np.array(payoffs[:len(x)])
+    new = replicator_step(x, pi, h)
+    for row, p, got in zip(x, pi, new):
+        if np.isfinite(p).all():
+            assert got.tobytes() == replicator_step(row, p, h).tobytes()
+        else:
+            assert np.isnan(got).all()
 
 
 def test_replicator_batch_marks_unsteppable_rows_nan():

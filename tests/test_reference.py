@@ -67,11 +67,15 @@ def test_run_preset_matches_reference(tmp_path, preset, reference):
 
 def test_region_sweep_matches_reference(tmp_path):
     assert main(["run", "fig6-region", "--out", str(tmp_path)]) == 0
+    rows, ref_rows = _rows(tmp_path / "region.csv"), _rows(REFERENCE / "fig6-region" / "region.csv")
     key = ("delta", "nu", "kappa", "classification")
-    got = [[r[k] for k in key] for r in _rows(tmp_path / "region.csv")]
-    ref = [[r[k] for k in key] for r in _rows(REFERENCE / "fig6-region" / "region.csv")]
+    got = [[r[k] for k in key] for r in rows]
+    ref = [[r[k] for k in key] for r in ref_rows]
     assert got == ref
     assert len(got) == 72 and sum(r[3] == "fragile" for r in got) == 36
+    for i, (row, expected) in enumerate(zip(rows, ref_rows)):
+        got_share, want = row["terminal_mutant_share"], expected["terminal_mutant_share"]
+        assert _close(got_share, want, REL, ABS), f"row {i} terminal_mutant_share: {got_share} != reference {want}"
 
 
 MC = ["fig3-population", "--mode", "montecarlo"]

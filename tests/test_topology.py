@@ -316,6 +316,6 @@ def test_packed_perception_matches_dense_product(window, n_mu):
     assert np.diff(topo.sense_indptr)[-3:].tolist() == [0, 0, 0]
     for density in (0.05, 0.5, 1.0):
         tx = rng.random((33 + n_mu, window)) < density
-        got = topo.neighbor_active(tx)
+        got = topo.neighbor_active(tx[:33], tx[33:])
         assert (got.shape, got.dtype) == ((33, window), np.bool_)
         assert got.tolist() == ((_dense_sense(topo) @ tx) > 0).tolist()
