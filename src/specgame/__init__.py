@@ -13,15 +13,11 @@ from .attack import (
     AttackController,
     AttackPhase,
     InducingTemplate,
-    decide_launch,
 )
 from .channel import (
     ChannelParams,
     InterfererField,
-    empirical_success_prob,
-    field_constant,
     max_allowable_su_density,
-    median_sinr,
     path_gain,
     success_prob,
 )
@@ -31,13 +27,13 @@ from .engine import (
     RunResult,
     ScenarioConfig,
     SimulationError,
+    decide_launch,
     run,
     run_meanfield,
     run_montecarlo,
     sweep_region,
 )
 from .game import (
-    DynamicsParams,
     GameEnv,
     MuDrive,
     PayoffParams,

@@ -19,14 +19,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .channel import max_allowable_su_density
-from .game import (
-    DynamicsParams,
-    GameEnv,
-    MuDrive,
-    Trajectory,
-    classify_operating_point,
-    run_dynamics,
-)
+from .game import GameEnv, MuDrive, Trajectory, classify_operating_point
 
 
 class AttackPhase(Enum):
@@ -172,17 +165,3 @@ def launch_verdict(env: GameEnv, forecast: Callable[[], Trajectory], extinction_
     if verdict.label == "error":
         raise ValueError(verdict.error)
     return verdict.label == "fragile"
-
-
-def decide_launch(env: GameEnv, lambda_mu: float, template: InducingTemplate, dynamics: DynamicsParams) -> bool:
-    """Launch iff the mean-field forecast under the inducing template ends fragile.
-
-    The forecast runs the template of `lambda_mu` attackers, launched at once,
-    on env: its SU and PT densities are the attackers' estimates, and its
-    channel sets the density cap. Pure in its inputs; the verdict is
-    launch_verdict's.
-    """
-    controller = AttackController(lambda_mu, template, max_allowable_su_density(env.channel), launch=True,
-                                  lambda_su=env.lambda_su)
-    return launch_verdict(env, lambda: run_dynamics(np.asarray(dynamics.x0), env, controller, dynamics.steps,
-                                                    dynamics.h, compute_sinr=False), dynamics.extinction_tol)

@@ -66,8 +66,10 @@ class ChannelParams:
 
     @cached_property
     def field_const(self) -> float:
-        """C(alpha), computed once per parameter set."""
-        return field_constant(self.alpha)
+        """C(alpha) = x / sin(x) at x = 2*pi/alpha, computed once per parameter
+        set: finite for alpha > 2, pi/2 at alpha = 4."""
+        x = 2.0 * math.pi / self.alpha
+        return x / math.sin(x)
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,6 @@ def torus_tail(cutoff: float, side: float, alpha: float) -> float:
     f = phi * np.tan(phi) * np.cos(phi) ** (alpha - 2)
     arcs = half ** k * (phi[1] - phi[0]) / 3 * float(f[0] + f[-1] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum())
     return circles - 8.0 * arcs
-
-
-def field_constant(alpha: float) -> float:
-    """C(alpha) = (2*pi/alpha) / sin(2*pi/alpha); finite for alpha > 2, pi/2 at alpha = 4."""
-    if not alpha > 2:
-        raise ValueError("alpha must exceed 2 for convergent interference")
-    x = 2.0 * math.pi / alpha
-    return x / math.sin(x)
 
 
 class LinkBudget(NamedTuple):
@@ -228,83 +222,3 @@ def max_allowable_su_density(params: ChannelParams) -> float:
     if budget <= 0:
         raise ValueError("noise-limited: no SU density admissible")
     return budget / pr.coefs[0]
-
-
-def median_sinr(
-    link_distance: float,
-    link_power: float,
-    fields: Sequence[InterfererField],
-    params: ChannelParams,
-):
-    """SINR level eta* with success_prob(eta*) = 0.5.
-
-    success_prob(eta) = exp(-(a*eta + b*eta^k)) with k = 2/alpha, a the noise
-    term and b the summed field term, so eta* solves a*eta + b*eta^k = ln 2.
-    Broadcasts over array field densities. Serves as the analytic stand-in for
-    a time-averaged SINR; strictly decreasing in every field density. Raises
-    if no median lies inside [1e-6, 1e9] (e.g. vanishing noise and no
-    interference).
-    """
-    budget = LinkBudget.of(link_distance, link_power, 1.0, [f.power for f in fields], params)
-    return budget.median([f.density for f in fields])
-
-
-def empirical_success_prob(
-    link_distance: float,
-    link_power: float,
-    eta: float,
-    fields: Sequence[InterfererField],
-    params: ChannelParams,
-    region_side: float,
-    n_topologies: int,
-    n_fading: int,
-    rng: np.random.Generator,
-    batch: int = 2000,
-) -> float:
-    """Monte Carlo estimate of success_prob by sampling interferer topologies and fading.
-
-    Independent of the closed form: samples each field as a PPP on a torus
-    around the receiver, draws Exp(1) fading per interferer per trial, and
-    counts SINR >= eta. Used as the validation oracle for success_prob.
-    """
-    side = region_side
-    half = side / 2.0
-    alpha = params.alpha
-    thr = eta * params.noise * link_distance ** alpha / link_power  # fading threshold, noise part
-    scale = eta * link_distance ** alpha / link_power
-    hits = 0
-    total = 0
-    done = 0
-    while done < n_topologies:
-        nb = min(batch, n_topologies - done)
-        done += nb
-        # interference gain sums need per-topology segmentation
-        gains_parts = []
-        topo_parts = []
-        power_parts = []
-        for f in fields:
-            counts = rng.poisson(f.density * side * side, size=nb)
-            npts = int(counts.sum())
-            if npts == 0:
-                continue
-            # receiver at the center of the fundamental domain: wrapped distance
-            # equals plain Euclidean distance for every point of the square
-            xy = rng.uniform(-half, half, size=(npts, 2))
-            gains_parts.append(path_gain(np.hypot(xy[:, 0], xy[:, 1]), params))
-            topo_parts.append(np.repeat(np.arange(nb), counts))
-            power_parts.append(np.full(npts, f.power))
-        if gains_parts:
-            g = np.concatenate(gains_parts)
-            ti = np.concatenate(topo_parts)
-            pw = np.concatenate(power_parts)
-            for _ in range(n_fading):
-                fade = rng.exponential(1.0, size=g.shape[0])
-                interf = np.bincount(ti, weights=pw * fade * g, minlength=nb)
-                f0 = rng.exponential(1.0, size=nb)
-                hits += int(np.count_nonzero(f0 >= thr + scale * interf))
-                total += nb
-        else:
-            f0 = rng.exponential(1.0, size=nb * n_fading)
-            hits += int(np.count_nonzero(f0 >= thr))
-            total += nb * n_fading
-    return hits / total

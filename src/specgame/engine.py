@@ -22,12 +22,10 @@ from .attack import (
     AttackPhase,
     InducingTemplate,
     PhaseEvent,
-    decide_launch,
     launch_verdict,
 )
 from .channel import ChannelParams, max_allowable_su_density, path_gain, torus_tail
 from .game import (
-    DynamicsParams,
     GameEnv,
     PayoffParams,
     StrategySet,
@@ -35,7 +33,6 @@ from .game import (
     classify_operating_point,
     run_dynamics,
     validate_shares,
-    with_sinr_medians,
 )
 from .geometry import CellGrid, Region, cells_per_axis, pairs_within, pairwise_toroidal, sample_world
 
@@ -91,12 +88,18 @@ class ScenarioConfig:
     extinction_tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):  # types are the annotation strings
-            value = getattr(self, f.name)
-            if f.type == "int" and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite")
+        # types are the annotation strings; channel and payoffs check their own numbers are finite
+        for obj, prefix in ((self, ""), (self.channel, "channel."), (self.payoffs, "payoffs.")):
+            for f in dataclasses.fields(obj):
+                name, value = prefix + f.name, getattr(obj, f.name)
+                if f.type == "bool" and not isinstance(value, bool):
+                    raise ConfigError(f"{name} must be true or false, got {value!r}")
+                if f.type in ("int", "float") and isinstance(value, bool):
+                    raise ConfigError(f"{name} must be a number, got {value!r}")
+                if f.type == "int" and not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
+                if f.type == "float" and obj is self and not math.isfinite(value):
+                    raise ConfigError(f"{name} must be finite")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.mode not in MODES:
@@ -182,9 +185,6 @@ class ScenarioConfig:
     def template(self) -> InducingTemplate:
         return InducingTemplate(self.mu_access_prob, self.hysteresis, self.inducing_perception)
 
-    def dynamics(self) -> DynamicsParams:
-        return DynamicsParams(self.x0, self.step_size, self.steps, self.extinction_tolerance)
-
     def controller(self, launch: Optional[bool]) -> AttackController:
         """A fresh controller held to the channel's density cap; launch None defers to resolve_launch."""
         return AttackController(self.lambda_mu, self.template(), max_allowable_su_density(self.channel),
@@ -207,10 +207,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         for key, sub_cls in (("channel", ChannelParams), ("payoffs", PayoffParams)):
-            if key in kwargs and kwargs[key] is not None:
+            if key in kwargs:
                 sub = kwargs[key]
                 if not isinstance(sub, dict):
-                    raise ConfigError(f"{key} must be an object")
+                    raise ConfigError(f"{key} must be an object, got {sub!r}")
                 sub_known = {f.name for f in dataclasses.fields(sub_cls)}
                 sub_unknown = set(sub) - sub_known
                 if sub_unknown:
@@ -220,7 +220,9 @@ class ScenarioConfig:
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
         for key in ("access_probs", "x0"):
-            if key in kwargs and kwargs[key] is not None:
+            if key in kwargs:
+                if not isinstance(kwargs[key], (list, tuple)) or any(isinstance(v, bool) for v in kwargs[key]):
+                    raise ConfigError(f"{key} must be a list of numbers, got {kwargs[key]!r}")
                 kwargs[key] = tuple(kwargs[key])
         try:
             return cls(**kwargs)
@@ -331,10 +333,21 @@ def _slot_payoffs(table: np.ndarray, access: np.ndarray, perceived: np.ndarray, 
     return np.take(table, code)
 
 
-def _resolve_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> bool:
+def decide_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> bool:
+    """Whether `lambda_mu` attackers launch under config's launch policy.
+
+    "always" and "never" decide alone. A "forecast" launches iff the
+    mean-field forecast ends fragile, as attack.launch_verdict reads it: the
+    config's inducing template, launched at once and silent, run from its x0
+    on env, whose SU and PT densities are the attackers' estimates and whose
+    channel sets the density cap. Pure in its inputs.
+    """
     if config.launch_policy != "forecast":
         return config.launch_policy == "always"
-    return decide_launch(env, lambda_mu, config.template(), config.dynamics())
+    controller = AttackController(lambda_mu, config.template(), max_allowable_su_density(env.channel), launch=True,
+                                  lambda_su=env.lambda_su)
+    return launch_verdict(env, lambda: run_dynamics(np.asarray(config.x0), env, controller, config.steps,
+                                                    config.step_size), config.extinction_tolerance)
 
 
 def run_meanfield(config: ScenarioConfig) -> RunResult:
@@ -358,8 +371,7 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     def run_pass(launch: bool) -> Trajectory:
         controller = config.controller(launch)
         passes.append((controller, run_dynamics(np.asarray(config.x0), env, controller, config.steps,
-                                                config.step_size, compute_sinr=False,
-                                                freeze_shares=config.freeze_shares)))
+                                                config.step_size, freeze_shares=config.freeze_shares)))
         return passes[-1][1]
 
     if config.launch_policy == "forecast" and config.inactive_mu_behavior == "silent" and not config.freeze_shares:
@@ -367,17 +379,18 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
         if not launch_verdict(env, lambda: run_pass(True), config.extinction_tolerance):
             run_pass(False)
     else:
-        run_pass(_resolve_launch(config, env, config.lambda_mu))
+        run_pass(decide_launch(config, env, config.lambda_mu))
     controller, traj = passes[-1]
     if traj.errors[0]:
         raise ValueError(traj.errors[0])
-    traj = with_sinr_medians(traj, env)
+    su_med, pr_med = np.moveaxis(env.link_budget.median(
+        (traj.active_su_density[..., None], traj.mu_density[..., None], env.lambda_pt)), -1, 0)
     pr_ok = traj.s_pr >= 1.0 - ch.pr_outage_constraint
     su_ok = traj.s_su >= 1.0 - ch.su_outage_constraint
     records = []
     for t, phase in enumerate(controller.phase_history):
-        pr_db = _to_db(float(traj.pr_median_sinr[t, 0]))
-        su_db = _to_db(float(traj.su_median_sinr[t, 0]))
+        pr_db = _to_db(float(pr_med[t, 0]))
+        su_db = _to_db(float(su_med[t, 0]))
         records.append(MetricsRecord(
             t_update=t,
             t_slot=t * config.window,
@@ -569,7 +582,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             # estimate each density as its count in the first topology over the area
             n = first_topology
             estimates = replace(config.game_env(), lambda_pt=n["n_pt"] / area, lambda_su=n["n_su"] / area)
-            controller.resolve_launch(_resolve_launch(config, estimates, n["n_mu"] / area))
+            controller.resolve_launch(decide_launch(config, estimates, n["n_mu"] / area))
         return controller(w, records[-1].active_su_density if records else 0.0)
 
     def window(x, _env, drive, _analytic_density):
@@ -678,7 +691,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
         return strat_pay, math.nan, su_raw, pr_raw
 
     traj = run_dynamics(np.asarray(config.x0), config.game_env(), schedule, config.steps, config.step_size,
-                        compute_sinr=False, freeze_shares=config.freeze_shares, payoff_source=window)
+                        freeze_shares=config.freeze_shares, payoff_source=window)
     if traj.errors[0]:
         raise ValueError(traj.errors[0])
     return RunResult(config, records, controller.events, first_topology)
@@ -718,7 +731,6 @@ def sweep_region(
     except ValueError as exc:
         raise ConfigError(f"sweep grid: {exc}") from exc
     env = replace(config.game_env(), payoffs=payoffs)
-    traj = run_dynamics(np.asarray(config.x0), env, config.controller(launch=True), config.steps, config.step_size,
-                        compute_sinr=False)
+    traj = run_dynamics(np.asarray(config.x0), env, config.controller(launch=True), config.steps, config.step_size)
     results = classify_operating_point(env, traj, config.extinction_tolerance)
     return [SweepCell(d, n, k, r.label, r.terminal_mutant_share, r.error) for (d, n, k), r in zip(grid, results)]

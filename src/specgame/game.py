@@ -15,7 +15,7 @@ raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
@@ -178,12 +178,6 @@ def active_su_density(shares, env: GameEnv):
     return env.lambda_su * (np.asarray(shares, dtype=float) @ env.strategies.probs)
 
 
-def _field_densities(active_su, mu_density, env: GameEnv):
-    """The active SU, active MU and PT densities that env.link_budget takes,
-    with a trailing axis to broadcast against its two links."""
-    return np.asarray(active_su)[..., None], np.asarray(mu_density)[..., None], env.lambda_pt
-
-
 def _compliance_payoff(p, payoffs: PayoffParams):
     """What access probability p earns by staying silent: (1-p)*kappa."""
     return (1.0 - p) * payoffs.kappa
@@ -282,7 +276,7 @@ class Trajectory:
 
     A cell axis follows the step axis, also for a single run: shares and
     payoffs are (steps, cells, m), the diagnostics (steps, cells) and
-    final_shares (cells, m). The SINR medians are NaN unless computed.
+    final_shares (cells, m).
     `errors` holds, per cell, why that cell was frozen ("" for cells that ran
     to the end); a batch whose every cell failed ends at the last failure.
     """
@@ -294,8 +288,6 @@ class Trajectory:
     active_su_density: np.ndarray
     mu_density: np.ndarray
     inducement: np.ndarray
-    pr_median_sinr: np.ndarray
-    su_median_sinr: np.ndarray
     final_shares: np.ndarray
     errors: Tuple[str, ...]
 
@@ -305,13 +297,13 @@ def transmitting_share(shares, probs) -> np.ndarray:
     return np.asarray(shares, dtype=float)[..., np.asarray(probs) > 0].sum(axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails its cell, silently
 def run_dynamics(
     x0,
     env: GameEnv,
     mu_schedule: MuSchedule,
     steps: int,
     h: float,
-    compute_sinr: bool = True,
     freeze_shares: bool = False,
     payoff_source: Optional[Callable] = None,
 ) -> Trajectory:
@@ -322,8 +314,7 @@ def run_dynamics(
     step the schedule sees every cell's current active secondary density,
     then `payoff_source(shares, env, drive, act)` returns the payoffs and
     (q, s_su, s_pr): the closed-form payoff_vector when None, one window in
-    a Monte Carlo run. The SINR medians of all steps are solved in one call
-    after the loop (with_sinr_medians), unless `compute_sinr` is off.
+    a Monte Carlo run.
 
     A single run (1-D x0, scalar incentives) is a batch of one cell. A cell
     whose payoffs turn non-finite, or whose replicator step fails, is frozen
@@ -363,27 +354,8 @@ def run_dynamics(
                 break
         x = new if all_live else np.where(live[:, None], new, x)
     n = t + 1  # steps run
-    unsolved = np.full((n, cells), math.nan)
-    traj = Trajectory(shares[:n], payoffs[:n], s_su[:n], s_pr[:n], act[:n], mu_density[:n], inducement[:n],
-                      unsolved, unsolved, final_shares=x, errors=tuple(errors))
-    return with_sinr_medians(traj, env) if compute_sinr else traj
-
-
-def with_sinr_medians(traj: Trajectory, env: GameEnv) -> Trajectory:
-    """traj with the PR and SU median SINR of every step and cell, solved in one call."""
-    densities = _field_densities(traj.active_su_density, traj.mu_density, env)
-    su_med, pr_med = np.moveaxis(env.link_budget.median(densities), -1, 0)
-    return replace(traj, pr_median_sinr=pr_med, su_median_sinr=su_med)
-
-
-@dataclass(frozen=True)
-class DynamicsParams:
-    """Initial state and integration knobs shared by forecasts and sweeps."""
-
-    x0: Tuple[float, ...] = (0.99, 0.01)
-    h: float = 0.1
-    steps: int = 400
-    extinction_tol: float = 1e-3
+    return Trajectory(shares[:n], payoffs[:n], s_su[:n], s_pr[:n], act[:n], mu_density[:n], inducement[:n],
+                      final_shares=x, errors=tuple(errors))
 
 
 @dataclass(frozen=True)

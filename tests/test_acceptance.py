@@ -11,13 +11,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from specgame.channel import (
-    ChannelParams,
-    InterfererField,
-    empirical_success_prob,
-    max_allowable_su_density,
-    success_prob,
-)
+from oracles import empirical_success_prob
+from specgame.channel import ChannelParams, InterfererField, max_allowable_su_density, success_prob
 from specgame.cli import main, run_preset
 from specgame.engine import ScenarioConfig, run_meanfield, sweep_region
 from specgame.game import replicator_step

@@ -14,11 +14,11 @@ from specgame.attack import (
     AttackPhase,
     InducingTemplate,
     advance_phases,
-    decide_launch,
     launch_verdict,
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
-from specgame.game import DynamicsParams, GameEnv, PayoffParams, StrategySet, run_dynamics, transmitting_share
+from specgame.engine import ScenarioConfig, decide_launch
+from specgame.game import GameEnv, PayoffParams, StrategySet, run_dynamics, transmitting_share
 from specgame.geometry import Region, sample_world
 
 CH = ChannelParams()
@@ -133,40 +133,39 @@ def test_controller_mimic_behavior_after_withdrawal():
 
 
 def test_decide_launch_baseline_payoffs():
-    dynamics = DynamicsParams(steps=400)
-    template = InducingTemplate()
-    assert decide_launch(baseline_env(kappa=0.0), 1e-7, template, dynamics) is True
-    assert decide_launch(baseline_env(kappa=8.0), 1e-7, template, dynamics) is False
+    config = ScenarioConfig(steps=400)
+    assert decide_launch(config, baseline_env(kappa=0.0), 1e-7) is True
+    assert decide_launch(config, baseline_env(kappa=8.0), 1e-7) is False
 
 
 def test_decide_launch_kappa8_forecast_still_rises_first():
-    env, template, dynamics = baseline_env(kappa=8.0), InducingTemplate(), DynamicsParams(steps=400)
-    assert decide_launch(env, 1e-7, template, dynamics) is False
+    env, config = baseline_env(kappa=8.0), ScenarioConfig(steps=400)
+    assert decide_launch(config, env, 1e-7) is False
     # the dynamics decide_launch forecasts: the template launched at once on env
-    controller = AttackController(1e-7, template, CAP, launch=True, lambda_su=env.lambda_su)
-    traj = run_dynamics(np.asarray(dynamics.x0), env, controller, dynamics.steps, dynamics.h, compute_sinr=False)
+    controller = AttackController(1e-7, config.template(), CAP, launch=True, lambda_su=env.lambda_su)
+    traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size)
     transmitting = transmitting_share(traj.shares[:, 0], env.strategies.probs)
     assert transmitting.max() > 0.01  # transient outbreak before collapse
-    assert transmitting_share(traj.final_shares[0], env.strategies.probs) < dynamics.extinction_tol
+    assert transmitting_share(traj.final_shares[0], env.strategies.probs) < config.extinction_tolerance
 
 
 def test_decide_launch_raises_on_a_failed_forecast():
     env = GameEnv(channel=CH, payoffs=PayoffParams(delta=1e308, nu=1.0, kappa=0.0))
     with pytest.raises(ValueError, match=r"^replicator step could not keep shares nonnegative \(step 0\)$"):
-        decide_launch(env, 1e-7, InducingTemplate(), DynamicsParams(steps=50))
+        decide_launch(ScenarioConfig(steps=50), env, 1e-7)
 
 
 def test_decide_launch_nobody_to_induce():
     env = baseline_env(kappa=0.0, lambda_su=0.0)
-    assert decide_launch(env, 1e-7, InducingTemplate(), DynamicsParams(steps=100)) is False
+    assert decide_launch(ScenarioConfig(steps=100), env, 1e-7) is False
 
 
 @pytest.mark.parametrize("cap_multiple, launch", [(0.5, False), (1.0, False), (1.1, True)])
 def test_decide_launch_below_the_cap_never_launches(cap_multiple, launch):
     # an SU population that stays within the cap even all transmitting cannot break
     # the primary outage constraint, whatever the forecast's drift says
-    assert decide_launch(baseline_env(kappa=0.0, lambda_su=cap_multiple * CAP), 1e-7, InducingTemplate(),
-                         DynamicsParams(steps=400)) is launch
+    assert decide_launch(ScenarioConfig(steps=400), baseline_env(kappa=0.0, lambda_su=cap_multiple * CAP),
+                         1e-7) is launch
 
 
 def test_launch_verdict_guard_reads_the_most_aggressive_strategy():
@@ -179,5 +178,5 @@ def test_launch_verdict_guard_reads_the_most_aggressive_strategy():
 
 
 def test_decide_launch_replay_identical():
-    args = (baseline_env(kappa=0.0), 1e-7, InducingTemplate(), DynamicsParams(steps=200))
+    args = (ScenarioConfig(steps=200), baseline_env(kappa=0.0), 1e-7)
     assert decide_launch(*args) == decide_launch(*args) == decide_launch(*args)

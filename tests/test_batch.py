@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from specgame.attack import AttackController, InducingTemplate
 from specgame.channel import ChannelParams, max_allowable_su_density
+from specgame.engine import ScenarioConfig
 from specgame.game import (
-    DynamicsParams,
     GameEnv,
     MuDrive,
     PayoffParams,
@@ -61,7 +61,6 @@ def test_batch_equals_cells_run_one_at_a_time(cells):
         one = run_dynamics(x0[c], _env(PayoffParams(d[c], n[c], k[c])), ctl, STEPS, 0.1)
         np.testing.assert_allclose(batch.shares[:, c], one.shares[:, 0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(batch.final_shares[c], one.final_shares[0], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(batch.su_median_sinr[:, c], one.su_median_sinr[:, 0], rtol=1e-12, atol=0.0)
         assert [int(p[c]) for p in batch_ctl.phase_history] == [int(p.item()) for p in ctl.phase_history]
         assert [(e.slot, e.new_phase) for e in batch_ctl.events if e.cell == c] == [
             (e.slot, e.new_phase) for e in ctl.events
@@ -72,12 +71,12 @@ def test_batch_equals_cells_run_one_at_a_time(cells):
 @given(st.lists(cell, min_size=1, max_size=4))
 def test_batched_classification_equals_single_cells(cells):
     d, n, k, _, _ = (np.array(col) for col in zip(*cells))
-    dynamics = DynamicsParams(steps=150)
+    config = ScenarioConfig(steps=150)
 
     def classify(env):
         controller = AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=1e-3)
-        traj = run_dynamics(np.asarray(dynamics.x0), env, controller, dynamics.steps, dynamics.h, compute_sinr=False)
-        return classify_operating_point(env, traj, dynamics.extinction_tol)
+        traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size)
+        return classify_operating_point(env, traj, config.extinction_tolerance)
 
     batched = classify(_env(PayoffParams(d, n, k)))
     singles = [classify(_env(PayoffParams(d[c], n[c], k[c])))[0] for c in range(len(cells))]
@@ -177,15 +176,12 @@ def test_run_dynamics_equals_a_plain_loop_over_the_public_steps(case):
             return controller
         return _poisoned(controller, poisoned_cells, case["poison_step"])
 
-    traj = run_dynamics(x0, env, schedule(), steps, case["h"], compute_sinr=False,
-                        freeze_shares=case["freeze_shares"])
+    traj = run_dynamics(x0, env, schedule(), steps, case["h"], freeze_shares=case["freeze_shares"])
     columns, final_shares, errors = _plain_loop(x0, env, schedule(), steps, case["h"], case["freeze_shares"])
     got = (traj.shares, traj.payoffs, traj.s_su, traj.s_pr, traj.active_su_density, traj.mu_density,
            traj.inducement)
     for name, a, b in zip(("shares", "payoffs", "s_su", "s_pr", "act", "mu_density", "inducement"), got, columns):
         assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
-    unsolved = np.full(traj.s_su.shape, math.nan)
-    assert traj.pr_median_sinr.tobytes() == traj.su_median_sinr.tobytes() == unsolved.tobytes()
     assert traj.final_shares.tobytes() == final_shares.tobytes()
     assert traj.errors == errors
 
@@ -292,13 +288,13 @@ def test_failed_cell_is_frozen_and_the_others_run_on():
         return MuDrive(np.full(observed.shape, 5e-7), inducement)
 
     payoffs = PayoffParams(np.array([10.0, 10.0, 10.0]), 1.0, np.array([0.0, 0.0, 8.0]))
-    traj = run_dynamics(np.array([0.9, 0.1]), _env(payoffs), schedule, 20, 0.1, compute_sinr=False)
+    traj = run_dynamics(np.array([0.9, 0.1]), _env(payoffs), schedule, 20, 0.1)
     assert traj.errors[0] == traj.errors[2] == ""
     assert "non-finite payoffs" in traj.errors[1] and "step 3" in traj.errors[1]
     assert np.array_equal(traj.final_shares[1], traj.shares[3, 1])  # frozen at its last good shares
     for c in (0, 2):
         one = run_dynamics(np.array([0.9, 0.1]), _env(PayoffParams(10.0, 1.0, float(payoffs.kappa[c]))),
-                           lambda t, observed: MuDrive(5e-7, 0.0), 20, 0.1, compute_sinr=False)
+                           lambda t, observed: MuDrive(5e-7, 0.0), 20, 0.1)
         np.testing.assert_allclose(traj.final_shares[c], one.final_shares[0], rtol=1e-12, atol=0.0)
     one = run_dynamics(np.array([0.9, 0.1]), _env(PayoffParams()),
                        lambda t, observed: MuDrive(5e-7, math.nan if t >= 3 else 0.0), 20, 0.1)

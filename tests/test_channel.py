@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import empirical_success_prob
 from specgame.channel import (
     ChannelParams,
     InterfererField,
-    empirical_success_prob,
-    field_constant,
+    LinkBudget,
     max_allowable_su_density,
-    median_sinr,
     path_gain,
     success_prob,
 )
 from specgame.game import GameEnv, PayoffParams
 
 PARAMS = ChannelParams()  # production parameter set
+
+
+def median_sinr(link_distance, link_power, fields, params):
+    """The SINR level with success_prob 0.5: the link's budget at threshold 1,
+    solved for its median."""
+    budget = LinkBudget.of(link_distance, link_power, 1.0, [f.power for f in fields], params)
+    return budget.median([f.density for f in fields])
 
 
 def test_channel_params_invariants():
@@ -54,12 +60,12 @@ def test_path_gain_values():
 
 
 def test_field_constant():
-    assert field_constant(4.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
-    assert field_constant(2.01) > 100.0
+    assert ChannelParams(alpha=4.0).field_const == pytest.approx(math.pi / 2.0, abs=1e-15)
+    assert ChannelParams(alpha=2.01).field_const > 100.0
     for alpha in (2.1, 3.0, 4.0, 6.0, 8.0):
-        assert math.isfinite(field_constant(alpha))
+        assert math.isfinite(ChannelParams(alpha=alpha).field_const)
     with pytest.raises(ValueError):
-        field_constant(2.0)
+        ChannelParams(alpha=2.0)
 
 
 def test_success_prob_no_interference():
@@ -222,7 +228,7 @@ def _closed_form(r, power, eta, fields, ch):
     k = 2.0 / ch.alpha
     exponent = eta * ch.noise * r ** ch.alpha / power
     for f in fields:
-        exponent = exponent + f.density * (math.pi * r ** 2 * (f.power / power) ** k * field_constant(ch.alpha)
+        exponent = exponent + f.density * (math.pi * r ** 2 * (f.power / power) ** k * ch.field_const
                                            * eta ** k)
     return np.exp(-exponent) if np.ndim(exponent) else math.exp(-exponent)
 

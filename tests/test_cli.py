@@ -266,9 +266,9 @@ def test_montecarlo_forecast_sees_first_topology_counts_over_area(tmp_path, monk
     seen = []
     real = engine.decide_launch
 
-    def recording(env, lambda_mu, template, dynamics):
+    def recording(config, env, lambda_mu):
         seen.append((env.lambda_su, env.lambda_pt, lambda_mu))
-        return real(env, lambda_mu, template, dynamics)
+        return real(config, env, lambda_mu)
 
     monkeypatch.setattr(engine, "decide_launch", recording)
     out = tmp_path / "mc"
@@ -310,6 +310,8 @@ MC_600 = ["--mode", "montecarlo", "--set", "region_side=600", "--set", "steps=3"
     (["fig5-sinr-kappa8", *MC_600, *HUGE_DELTA], NONNEGATIVE + " (step 1)"),
     # a Monte Carlo window's payoff means overflow: the step fails on them, with no numpy warning
     (["fig5-sinr-kappa8", *MC_600, "--set", "payoffs.delta=1e308"], NONNEGATIVE + ": non-finite payoffs (step 1)"),
+    # the mean-field replicator step overflows: the step fails, with no numpy warning
+    (["fig3-population", "--set", "step_size=1e308"], NONNEGATIVE + " (step 0)"),
 ])
 def test_failed_dynamics_exit_3_with_one_line(tmp_path, capsys, extra, reason):
     assert main(["run", *extra, "--out", str(tmp_path / "out")]) == 3
@@ -346,6 +348,15 @@ FLOAT32_OUT_OF_RANGE = [
     ["--set", "sensing_radius=Infinity"],
     ["--set", "channel.noise=-Infinity"],
     ["--set", "x0=[NaN, 1.0]"],
+    ["--set", 'freeze_shares="no"'],  # a truthy string is no bool
+    ["--set", "include_pt_interference_at_su=2"],
+    ["--set", "region_side=true"],
+    ["--set", "lambda_su=true"],
+    ["--set", "payoffs.delta=true"],
+    ["--set", "channel=null"],
+    ["--set", "payoffs=null"],
+    ["--set", "access_probs=5"],
+    ["--set", "x0=5"],
     ["--mode", "montecarlo", "--set", "seed=-1"],
     ["--mode", "montecarlo", "--set", "region_side=20"],
     ["--mode", "montecarlo", "--set", "channel.su_link_distance=1e6"],

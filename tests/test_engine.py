@@ -336,7 +336,13 @@ def test_sweep_region_rejects_invalid_grid_values():
 def test_config_rejects_non_finite_and_non_integer_numbers():
     for bad in ({"lambda_su": math.nan}, {"region_side": math.inf}, {"steps": 2.5}, {"hysteresis": True},
                 {"seed": -1}, {"seed": 1.0}, {"channel": {"alpha": math.nan}},
-                {"payoffs": {"delta": math.inf}}, {"x0": [math.nan, 1.0]}, {"channel": {"noise": "loud"}}):
+                {"payoffs": {"delta": math.inf}}, {"x0": [math.nan, 1.0]}, {"channel": {"noise": "loud"}},
+                # booleans and numbers do not stand in for each other
+                {"freeze_shares": "no"}, {"include_pt_interference_at_su": 2}, {"region_side": True},
+                {"lambda_su": True}, {"payoffs": {"delta": True}}, {"channel": {"noise": True}},
+                {"x0": [True, False]},
+                # null and non-iterable parts
+                {"channel": None}, {"payoffs": None}, {"access_probs": 5}, {"x0": 5}, {"access_probs": None}):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(bad)
 

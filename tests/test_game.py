@@ -6,8 +6,8 @@ import pytest
 
 from specgame.attack import AttackController, InducingTemplate
 from specgame.channel import ChannelParams, max_allowable_su_density
+from specgame.engine import ScenarioConfig
 from specgame.game import (
-    DynamicsParams,
     GameEnv,
     MuDrive,
     PayoffParams,
@@ -41,10 +41,9 @@ def template_controller(env):
     return AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=env.lambda_su)
 
 
-def template_run(env, dynamics):
-    """The standard inducing template, launched at once, run from dynamics.x0."""
-    return run_dynamics(np.asarray(dynamics.x0), env, template_controller(env), dynamics.steps, dynamics.h,
-                        compute_sinr=False)
+def template_run(env, config):
+    """The standard inducing template, launched at once, run from config.x0."""
+    return run_dynamics(np.asarray(config.x0), env, template_controller(env), config.steps, config.step_size)
 
 
 def test_strategy_set_invariants():
@@ -206,8 +205,7 @@ def test_run_dynamics_silent_rest_point():
 
 def test_run_dynamics_kappa0_fixation_with_template():
     env = env_with(kappa=0.0)
-    traj = run_dynamics(np.array([0.99, 0.01]), env, template_controller(env), steps=120, h=0.1,
-                        compute_sinr=False)
+    traj = run_dynamics(np.array([0.99, 0.01]), env, template_controller(env), steps=120, h=0.1)
     shares = traj.shares[:, 0, 1].tolist()
     assert all(b >= a - 1e-15 for a, b in zip(shares, shares[1:]))  # monotone rise
     assert max(shares) > CAP / env.lambda_su  # crosses the admissible share
@@ -216,8 +214,7 @@ def test_run_dynamics_kappa0_fixation_with_template():
 
 def test_run_dynamics_kappa8_rise_then_decline():
     env = env_with(kappa=8.0)
-    traj = run_dynamics(np.array([0.99, 0.01]), env, template_controller(env), steps=120, h=0.1,
-                        compute_sinr=False)
+    traj = run_dynamics(np.array([0.99, 0.01]), env, template_controller(env), steps=120, h=0.1)
     shares = traj.shares[:, 0, 1].tolist() + [traj.final_shares[0, 1]]
     peak = max(shares)
     assert peak > shares[0]
@@ -226,10 +223,11 @@ def test_run_dynamics_kappa8_rise_then_decline():
 
 
 def test_run_dynamics_records_sinr_metrics():
+    # a trajectory holds the field densities its SINR medians are solved from
     env = env_with(kappa=0.0)
     traj = run_dynamics(np.array([0.99, 0.01]), env, idle_schedule, steps=3, h=0.1)
-    assert np.all(np.isfinite(traj.pr_median_sinr)) and traj.pr_median_sinr.shape == (3, 1)
-    assert np.all(np.isfinite(traj.su_median_sinr)) and traj.su_median_sinr.shape == (3, 1)
+    medians = env.link_budget.median((traj.active_su_density[..., None], traj.mu_density[..., None], env.lambda_pt))
+    assert np.all(np.isfinite(medians)) and medians.shape == (3, 1, 2)
 
 
 def find_rest_points(env, mu=IDLE, grid=2001, tol=1e-9):
@@ -279,7 +277,7 @@ def find_rest_points(env, mu=IDLE, grid=2001, tol=1e-9):
 
 def _rest_points_multistart(env, mu, starts=8, steps=4000, h=0.1):
     x0 = np.random.default_rng(0).dirichlet(np.ones(len(env.strategies)), size=starts)
-    traj = run_dynamics(x0, env, lambda t, observed: mu, steps, h, compute_sinr=False)
+    traj = run_dynamics(x0, env, lambda t, observed: mu, steps, h)
     limits, seen = [], []
     for x in traj.final_shares:
         if not any(np.allclose(x, s, atol=1e-4) for s in seen):
@@ -343,17 +341,17 @@ def test_find_rest_points_multistart_for_three_strategies():
 
 
 def test_classify_baseline_anchors():
-    dynamics = DynamicsParams(steps=400)
+    config = ScenarioConfig(steps=400)
     for kappa, label in ((0.0, "fragile"), (8.0, "robust")):
         env = env_with(kappa=kappa)
-        [cls] = classify_operating_point(env, template_run(env, dynamics), dynamics.extinction_tol)
+        [cls] = classify_operating_point(env, template_run(env, config), config.extinction_tolerance)
         assert cls.label == label, (kappa, cls)
 
 
 def test_classify_kappa8_forecast_shows_initial_rise():
-    env, dynamics = env_with(kappa=8.0), DynamicsParams(steps=400)
-    traj = template_run(env, dynamics)
-    [cls] = classify_operating_point(env, traj, dynamics.extinction_tol)
+    env, config = env_with(kappa=8.0), ScenarioConfig(steps=400)
+    traj = template_run(env, config)
+    [cls] = classify_operating_point(env, traj, config.extinction_tolerance)
     assert cls.label == "robust"
     # transient outbreak before collapse
     assert transmitting_share(traj.shares[:, 0], env.strategies.probs).max() > 0.01 > cls.terminal_mutant_share
@@ -366,8 +364,8 @@ def test_kappa_above_delta_always_robust():
         for s in np.linspace(0.0, 1.0, 21):
             assert access_payoff(1.0, q, s, pay) < pay.kappa
     env = env_with(kappa=6.0, delta=5.0, nu=0.7)
-    dynamics = DynamicsParams(steps=300)
-    [cls] = classify_operating_point(env, template_run(env, dynamics), dynamics.extinction_tol)
+    config = ScenarioConfig(steps=300)
+    [cls] = classify_operating_point(env, template_run(env, config), config.extinction_tolerance)
     assert cls.label == "robust"
 
 
@@ -394,7 +392,7 @@ def test_fig6_converged_cells_rest_on_a_stable_rest_point():
     controller = config.controller(launch=True)
     payoffs = PayoffParams(*(np.array(column) for column in zip(*grid)))
     traj = run_dynamics(np.array(config.x0), replace(env, payoffs=payoffs), controller, config.steps,
-                        config.step_size, compute_sinr=False)
+                        config.step_size)
     converged = np.flatnonzero(np.abs(traj.final_shares - traj.shares[-1]).max(axis=1) < 1e-6)
     assert len(converged) == 66  # of 72
     for c in converged:
