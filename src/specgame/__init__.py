@@ -49,5 +49,4 @@ from .geometry import (
     attach_receivers,
     sample_ppp,
     sample_world,
-    toroidal_distance,
 )

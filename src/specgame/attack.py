@@ -118,6 +118,7 @@ class AttackController:
         self.phases = np.asarray(INITIAL)
         self.above_cap_run = np.asarray(0)
         self._drive: Optional[MuDrive] = None  # the silent drive of `phases`, once built
+        self._inducing_cap = None  # with the drive: the cap on INDUCING cells, inf elsewhere; None if none induce
         self.events: List[PhaseEvent] = []
         self.phase_history: List[np.ndarray] = []
 
@@ -126,6 +127,12 @@ class AttackController:
 
     def __call__(self, t: int, observed_active_su_density) -> MuDrive:
         observed = np.asarray(observed_active_su_density, dtype=float)
+        if (self._drive is not None and self._pending_launch is None and not np.count_nonzero(self.above_cap_run)
+                and (self._inducing_cap is None or not np.count_nonzero(observed > self._inducing_cap))):
+            # advance_phases would change nothing: no launch to apply, no run
+            # under way, and no INDUCING cell observed above the cap
+            self.phase_history.append(self.phases)
+            return self._drive
         old = self.phases
         self.phases, self.above_cap_run = advance_phases(
             old, self.above_cap_run, observed, self.density_cap, self.template.hysteresis, self._pending_launch)
@@ -146,6 +153,8 @@ class AttackController:
             return MuDrive(density[()], self._inducement[self.phases][()])
         if self._drive is None:  # a silent drive follows the phases alone
             self._drive = MuDrive(self._density[self.phases][()], self._inducement[self.phases][()])
+            inducing = self.phases == INDUCING
+            self._inducing_cap = np.where(inducing, self.density_cap, math.inf) if np.count_nonzero(inducing) else None
         return self._drive
 
 

@@ -206,7 +206,8 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        for key, sub_cls in (("channel", ChannelParams), ("payoffs", PayoffParams)):
+        parts = (("channel", ChannelParams), ("payoffs", PayoffParams))
+        for key, sub_cls in parts:
             if key in kwargs:
                 sub = kwargs[key]
                 if not isinstance(sub, dict):
@@ -215,15 +216,23 @@ class ScenarioConfig:
                 sub_unknown = set(sub) - sub_known
                 if sub_unknown:
                     raise ConfigError(f"unknown {key} keys: {sorted(sub_unknown)}")
+        for key in ("access_probs", "x0"):
+            if key in kwargs and not isinstance(kwargs[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list of numbers, got {kwargs[key]!r}")
+        # where a number belongs, a string, bool or null is named here, before a constructor misreads it
+        scopes = [("", cls, kwargs)] + [(key + ".", sub_cls, kwargs[key]) for key, sub_cls in parts if key in kwargs]
+        slots = [(prefix + f.name, values[f.name]) for prefix, scope, values in scopes
+                 for f in dataclasses.fields(scope) if f.type in ("int", "float") and f.name in values]
+        slots += [(f"{key}[{i}]", v) for key in ("access_probs", "x0") for i, v in enumerate(kwargs.get(key, ()))]
+        for name, value in slots:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for key, sub_cls in parts:
+            if key in kwargs:
                 try:
-                    kwargs[key] = sub_cls(**sub)
+                    kwargs[key] = sub_cls(**kwargs[key])
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
-        for key in ("access_probs", "x0"):
-            if key in kwargs:
-                if not isinstance(kwargs[key], (list, tuple)) or any(isinstance(v, bool) for v in kwargs[key]):
-                    raise ConfigError(f"{key} must be a list of numbers, got {kwargs[key]!r}")
-                kwargs[key] = tuple(kwargs[key])
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:

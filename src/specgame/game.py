@@ -139,13 +139,15 @@ class GameEnv:
     def _step_terms(self):
         """What payoff_vector takes from this environment at every step: the
         strategy column p, the compliance payoffs (1 - p) * kappa of its
-        strategies (per cell), link_budget over the SU and MU fields with its
-        links on a leading axis (it broadcasts against (cells,) densities),
-        and each link's PT field term lambda_PT * c_PT, which no step changes."""
+        strategies (per cell), link_budget's noise and its SU and MU field
+        coefficients as (link, 1) columns (they broadcast against (cells,)
+        densities), each link's PT field term lambda_PT * c_PT, which no step
+        changes, and the sensing disk's -pi * R^2."""
         p = self.strategies.probs[:, None]
         budget = self.link_budget
-        su_mu = budget._replace(noise=budget.noise[:, None], coefs=tuple(c[:, None] for c in budget.coefs[:2]))
-        return p, _compliance_payoff(p, self.payoffs), su_mu, self.lambda_pt * budget.coefs[2][:, None]
+        noise, c_su, c_mu, c_pt = (c[:, None] for c in (budget.noise, *budget.coefs))
+        return (p, _compliance_payoff(p, self.payoffs), noise, c_su, c_mu, self.lambda_pt * c_pt,
+                -math.pi * self.sensing_radius ** 2)
 
 
 def validate_shares(shares, m: int) -> np.ndarray:
@@ -164,13 +166,8 @@ def perception_prob(other_active_density, sensing_radius: float):
     d = np.asarray(other_active_density, dtype=float)
     if np.count_nonzero(d < 0):
         raise ValueError("density must be nonnegative")
-    q = _perception(d, sensing_radius)
+    q = -np.expm1(d * (-math.pi * sensing_radius ** 2))
     return q if q.ndim else float(q)
-
-
-def _perception(density, sensing_radius: float):
-    """perception_prob without its check: -expm1(-density * pi * R^2)."""
-    return -np.expm1(density * (-math.pi * sensing_radius ** 2))
 
 
 def active_su_density(shares, env: GameEnv):
@@ -183,15 +180,10 @@ def _compliance_payoff(p, payoffs: PayoffParams):
     return (1.0 - p) * payoffs.kappa
 
 
-def _transmission_payoff(p, q, s, payoffs: PayoffParams):
-    """What access probability p earns by transmitting: p*q*(delta*s - nu*(1-s))."""
-    return p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))
-
-
 def access_payoff(p, q, s, payoffs: PayoffParams):
     """Expected payoff of access probability p given perception prob q and
     transmission success prob s: (1-p)*kappa + p*q*(delta*s - nu*(1-s))."""
-    return _compliance_payoff(p, payoffs) + _transmission_payoff(p, q, s, payoffs)
+    return _compliance_payoff(p, payoffs) + p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))
 
 
 def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
@@ -208,16 +200,18 @@ def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
     mu_density = mu.active_density
     if np.count_nonzero(np.minimum(act, mu_density) < 0):
         raise ValueError("field density must be nonnegative")
-    p, compliance, su_mu, pt = env._step_terms
+    p, compliance, noise, c_su, c_mu, pt, neg_area = env._step_terms
     density = act + mu_density
-    q = 1.0 - (1.0 - _perception(density, env.sensing_radius)) * (1.0 - mu.inducement)
-    # link_budget.success, with the PT field's term added last as its exponent adds it
-    exponent = su_mu.exponent((act, mu_density), su_mu.noise)  # (link, cells), or (link, 1) for scalars
+    # 1 - perception_prob(density), exactly: 1 - (-expm1(x)) is 1 + expm1(x)
+    q = 1.0 - (1.0 + np.expm1(density * neg_area)) * (1.0 - mu.inducement)
+    # link_budget.success, its exponent summed in the budget's own field order
+    exponent = noise + act * c_su + mu_density * c_mu  # (link, cells), or (link, 1) for scalars
     exponent += pt
     s = np.exp(np.negative(exponent, out=exponent), out=exponent)
     s_su, s_pr = s if np.ndim(density) else s[:, 0]
-    pi = (compliance + _transmission_payoff(p, q, s_su, env.payoffs)).T
-    return (pi if np.ndim(q) or env.payoffs.batch_shape else pi[0]), q, s_su, s_pr
+    payoffs = env.payoffs
+    pi = (compliance + p * q * (payoffs.delta * s_su - payoffs.nu * (1.0 - s_su))).T
+    return (pi if np.ndim(q) or payoffs.batch_shape else pi[0]), q, s_su, s_pr
 
 
 def replicator_step(shares, payoffs, h: float) -> np.ndarray:

@@ -55,13 +55,6 @@ def attach_receivers(
     return np.mod(transmitters + offsets, region.side)
 
 
-def toroidal_distance(p, q, region: Region) -> float:
-    """Minimum wrapped Euclidean distance between two points on the torus."""
-    d = np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)) % region.side
-    d = np.minimum(d, region.side - d)
-    return float(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
-
-
 def _wrapped_distance(dx: np.ndarray, dy: np.ndarray, side: float) -> np.ndarray:
     """Wrapped distance from per-axis offsets, overwriting both arrays.
 
@@ -70,9 +63,10 @@ def _wrapped_distance(dx: np.ndarray, dy: np.ndarray, side: float) -> np.ndarray
     would through `% side`. The distance is the square root of the summed
     squared wrapped offsets, at about a tenth of the cost of `np.hypot` and
     within 1 ulp of it while the squares neither overflow nor underflow
-    (offsets between about 1e-154 and 1e154). `pairwise_toroidal`,
-    `pairs_within` and `toroidal_distance` all use this arithmetic, so their
-    distances agree bit for bit.
+    (offsets between about 1e-154 and 1e154). `pairwise_toroidal` and
+    `pairs_within` both use this arithmetic, and so does the scalar test
+    oracle `toroidal_distance` in tests/oracles.py, so their distances
+    agree bit for bit.
     """
     wrapped = np.empty_like(dx)
     for d in (dx, dy):

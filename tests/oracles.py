@@ -4,6 +4,15 @@ from typing import Sequence
 import numpy as np
 
 from specgame.channel import ChannelParams, InterfererField, path_gain
+from specgame.geometry import Region
+
+
+def toroidal_distance(p, q, region: Region) -> float:
+    """Minimum wrapped Euclidean distance between two points on the torus,
+    through a remainder, in the arithmetic of specgame's distance kernel."""
+    d = np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)) % region.side
+    d = np.minimum(d, region.side - d)
+    return float(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
 
 
 def empirical_success_prob(

@@ -1,8 +1,13 @@
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from specgame import attack
 
 from specgame.attack import (
     ABORTED,
@@ -13,6 +18,7 @@ from specgame.attack import (
     AttackController,
     AttackPhase,
     InducingTemplate,
+    PhaseEvent,
     advance_phases,
     launch_verdict,
 )
@@ -130,6 +136,88 @@ def test_controller_mimic_behavior_after_withdrawal():
     drive = ctl(2, observed)
     assert drive.active_density == pytest.approx(1e-6 * observed / 1e-3, rel=1e-12)
     assert drive.inducement == 0.0
+
+
+# observed active SU densities, as multiples of the cap; one at the cap is not above it
+LEVELS = (0.0, 0.5, 1.0, 1.5, 3.0)
+
+
+@st.composite
+def observation_runs(draw):
+    """Per-cell hysteresis, per-step densities over the cap, the launch given
+    at construction and, for a deferred one, the step at which resolve_launch
+    is called (past the end: never) and its value."""
+    cells = draw(st.integers(1, 4))
+    hysteresis = draw(st.lists(st.integers(1, 4), min_size=cells, max_size=cells))
+    steps = draw(st.integers(1, 24))
+    levels = draw(st.lists(st.lists(st.sampled_from(LEVELS), min_size=cells, max_size=cells),
+                           min_size=steps, max_size=steps))
+    launch = draw(st.sampled_from([True, False, None]))
+    resolve = draw(st.tuples(st.integers(0, steps), st.booleans())) if launch is None else None
+    return hysteresis, levels, launch, resolve
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=observation_runs(), behavior=st.sampled_from(["silent", "mimic-su"]), scalar=st.booleans())
+# a deferred launch resolved at step 2; cell 0 withdraws at step 5, cell 1 crosses the cap
+# three times and never withdraws, cell 2 withdraws at its first observation above the cap
+@example(run=([2, 3, 1], [[1.5, 0.0, 3.0], [3.0, 3.0, 0.0], [3.0, 0.5, 3.0], [0.5, 3.0, 3.0], [3.0, 1.0, 0.0],
+                          [3.0, 3.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.5, 0.0], [0.0, 3.0, 0.0]], None, (2, True)),
+         behavior="silent", scalar=False)
+def test_controller_equals_advance_phases_stepped_by_hand(run, behavior, scalar):
+    # the controller skips advance_phases on calls that would change nothing;
+    # every call must still agree with the machine stepped by hand
+    hysteresis, levels, launch, resolve = run
+    scalar = scalar and len(hysteresis) == 1  # a single cell of 0-d phases
+    hyst = hysteresis[0] if scalar else np.array(hysteresis)
+    lambda_mu, lambda_su = 1e-4, 1e-3
+    template = InducingTemplate(mu_access_prob=0.5, hysteresis=hyst, inducement=0.75)
+    ctl = AttackController(lambda_mu, template, CAP, launch=launch, inactive_behavior=behavior, lambda_su=lambda_su)
+    phase, above, pending, events, history = np.asarray(INITIAL), np.asarray(0), launch, [], []
+    for t, row in enumerate(levels):
+        observed = CAP * row[0] if scalar else CAP * np.array(row)
+        if resolve is not None and resolve[0] == t:
+            ctl.resolve_launch(resolve[1])
+            pending = resolve[1]
+        drive = ctl(t, observed)
+        new, above = advance_phases(phase, above, observed, CAP, hyst, pending)
+        pending = None
+        old, trigger = np.broadcast_to(phase, new.shape), np.broadcast_to(observed, new.shape)
+        events += [PhaseEvent(t, PHASES[old.flat[c]], PHASES[new.flat[c]], float(trigger.flat[c]), c)
+                   for c in range(new.size) if new.flat[c] != old.flat[c]]
+        phase = new
+        history.append(phase)
+        density = np.where(phase == INDUCING, lambda_mu * 0.5, 0.0)
+        if behavior == "mimic-su":
+            density = np.where(phase == INACTIVE, lambda_mu * (observed / lambda_su), density)
+        inducement = np.where(phase == INDUCING, 0.75, 0.0)
+        for got, want in ((ctl.phases, phase), (ctl.above_cap_run, above),
+                          (drive.active_density, density), (drive.inducement, inducement)):
+            assert np.shape(got) == want.shape and np.asarray(got).tobytes() == want.tobytes()
+        assert ctl.events == events
+        assert len(ctl.phase_history) == len(history)
+        assert all(np.array_equal(a, b) for a, b in zip(ctl.phase_history, history))
+
+
+def test_silent_controller_skips_calls_that_change_nothing():
+    # two cells, launched at step 2: cell 0 withdraws at step 4, cell 1 stays inducing below the cap
+    template = InducingTemplate(hysteresis=2)
+    ctl = AttackController(1e-7, template, CAP, launch=None, lambda_su=1e-3)
+    high, low = CAP * 2, CAP * 0.5
+    with mock.patch.object(attack, "advance_phases", wraps=advance_phases) as machine:
+        ctl(0, np.array([low, low]))  # builds the drive
+        ctl(1, np.array([low, low]))  # idle: INITIAL, nothing pending
+        ctl.resolve_launch(True)
+        ctl(2, np.array([high, low]))  # the launch
+        ctl(3, np.array([high, low]))  # a run starts
+        ctl(4, np.array([high, low]))  # cell 0 withdraws
+        ctl(5, np.array([high, low]))  # its run resets
+        for t in range(6, 20):
+            ctl(t, np.array([high, low]))  # idle: cell 1 inducing below the cap
+        ctl(20, np.array([high, high]))  # cell 1 above the cap: not idle
+        assert machine.call_count == 6
+    assert PHASES[ctl.phases[0]] is AttackPhase.INACTIVE and PHASES[ctl.phases[1]] is AttackPhase.INDUCING
+    assert len(ctl.phase_history) == 21 and ctl.above_cap_run.tolist() == [0, 1]
 
 
 def test_decide_launch_baseline_payoffs():

@@ -380,6 +380,20 @@ def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ('region_side="big"', "region_side must be a number, got 'big'"),
+    ('x0=["a",1]', "x0[0] must be a number, got 'a'"),
+    ('payoffs.kappa="x"', "payoffs.kappa must be a number, got 'x'"),
+    # read as 1.0, a bool would fail the alpha > 2 check under the wrong reason
+    ("channel.alpha=true", "channel.alpha must be a number, got True"),
+])
+def test_a_string_or_bool_for_a_number_names_the_key(tmp_path, capsys, setting, message):
+    out = tmp_path / "out"
+    assert main(["run", "fig3-population", "--set", setting, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["run", "fig3-population"],
     ["run", "fig3-population", "--mode", "montecarlo"],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import toroidal_distance
 from specgame import geometry
 from specgame.geometry import (
     Region,
@@ -14,7 +15,6 @@ from specgame.geometry import (
     pairwise_toroidal,
     sample_ppp,
     sample_world,
-    toroidal_distance,
 )
 
 
