@@ -41,6 +41,10 @@ LAUNCH_POLICIES = ("forecast", "always", "never")
 INACTIVE_BEHAVIORS = ("silent", "mimic-su")
 BUILD_CHUNK_ENTRIES = 1 << 15  # block entries given distances per call while building
 INTERFERENCE_CUTOFF = 200.0  # m: Monte Carlo pairs within are exact, the mean tail covers the rest
+# a window gathers its sending and PT columns while fewer than this share of
+# the senders' slots, and of the widest block's columns, are kept; gathered
+# and whole products cost the same at 0.4 (3000 m) to 0.55 (800 m) of columns
+GATHER_SHARE = 0.45
 # the Monte Carlo near field is a float32 product. The largest power, the
 # largest path gain (min_distance ** -alpha) and their product stay within
 # FLOAT32_MAX_TERM, so fading-weighted sums stay finite; terms float32 flushes
@@ -219,14 +223,20 @@ class ScenarioConfig:
         for key in ("access_probs", "x0"):
             if key in kwargs and not isinstance(kwargs[key], (list, tuple)):
                 raise ConfigError(f"{key} must be a list of numbers, got {kwargs[key]!r}")
-        # where a number belongs, a string, bool or null is named here, before a constructor misreads it
+        # where a number belongs, a string, bool or null, or an integer no float
+        # holds, is named here, before a constructor misreads it
         scopes = [("", cls, kwargs)] + [(key + ".", sub_cls, kwargs[key]) for key, sub_cls in parts if key in kwargs]
-        slots = [(prefix + f.name, values[f.name]) for prefix, scope, values in scopes
+        slots = [(prefix + f.name, values[f.name], f.type) for prefix, scope, values in scopes
                  for f in dataclasses.fields(scope) if f.type in ("int", "float") and f.name in values]
-        slots += [(f"{key}[{i}]", v) for key in ("access_probs", "x0") for i, v in enumerate(kwargs.get(key, ()))]
-        for name, value in slots:
+        slots += [(f"{key}[{i}]", v, "float") for key in ("access_probs", "x0") for i, v in enumerate(kwargs.get(key, ()))]
+        for name, value, kind in slots:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if kind == "float":
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
         for key, sub_cls in parts:
             if key in kwargs:
                 try:
@@ -435,17 +445,21 @@ class _Topology:
     Receivers are the PRs, then the SU receivers; transmitters are the
     senders (the SUs, then the MUs), then the PTs. Receivers and senders are
     binned into one nc x nc torus grid of cells at least
-    `INTERFERENCE_CUTOFF` wide. Block b of `gain` has a row per receiver of
-    cell b (receiver i is row `rx_pos[i]` of the blocks stacked into one
-    matrix) and a column per transmitter `cols[b]`: the senders in the 3 x 3
-    cells around it, padding (index n_su + n_mu + n_pt), then every PT. A
-    sender entry is the path gain within the cutoff, and 0 beyond it, on a
-    receiver's own link and in the padding; `far` is the mean tail beyond
-    the cutoff per unit of sender load. A grid the 3 x 3 neighbourhood would
-    cover anyway is one cell, whose block holds every pair exactly, with no
-    cutoff and no tail. PT entries are exact at any distance, and 0 where
-    the config excludes them. Distances and path gains are float64, and
-    `gain` stores them rounded once to float32.
+    `INTERFERENCE_CUTOFF` wide. `gain` is laid out (blocks, columns, rows).
+    Block b's columns are the transmitters `cols[b]`: the senders in the
+    3 x 3 cells around cell b, padding (index n_su + n_mu + n_pt), then every
+    PT, each stored as one contiguous run of its gains. Its rows are the
+    receivers of cell b: receiver i is row `rx_pos[i] % rows` of block
+    `rx_pos[i] // rows`. A sender entry is the path gain within the cutoff,
+    and 0 beyond it, on a receiver's own link and in the padding; `far` is
+    the mean tail beyond the cutoff per unit of sender load. A grid the
+    3 x 3 neighbourhood would cover anyway is one cell, whose block holds
+    every pair exactly, with no cutoff and no tail. PT entries are exact at
+    any distance, and 0 where the config excludes them. Distances and path
+    gains are float64, and `gain` stores them rounded once to float32.
+    `interference` gathers only the columns of senders that transmit, and
+    the PTs, while few transmit; `sinr` decides every SINR within
+    `tolerance` of its threshold on exact sums, whatever the product's order.
     SU i senses the senders `sense_indices[sense_indptr[i]:sense_indptr[i + 1]]`.
     """
 
@@ -472,12 +486,18 @@ class _Topology:
         self.cols = np.full((len(blocks), width + n_pt), len(senders) + n_pt)
         self.cols[col_block, np.arange(len(col_of)) - col_start[col_block]] = col_of
         self.cols[:, width:] = len(senders) + np.arange(n_pt)
-        # receiver i's row in the blocks stacked to (blocks * rows per block, columns)
+        # receiver i's row in the blocks' products stacked to (blocks * rows per block, slots)
         n_rows, row_start, row_of = rx_grid.counts, rx_grid.starts, rx_grid.order
         self.rx_pos = np.empty(len(self.receivers), dtype=np.intp)
         self.rx_pos[row_of] = np.repeat(blocks * n_rows.max() - row_start, n_rows) + np.arange(len(row_of))
+        # a float32 sum of n products of float32 numbers, in any order, is within
+        # n * 2**-24 / (1 - n * 2**-24) of the exact sum, relative; two more
+        # terms and the doubled denominator also cover its quotient into an
+        # SINR, and the float64 roundings around it
+        bound = (width + n_pt + 2) * 2.0 ** -24
+        self.tolerance = bound / (1.0 - 2.0 * bound)
 
-        self.gain = np.zeros((len(blocks), n_rows.max(), width + n_pt), dtype=np.float32)
+        self.gain = np.zeros((len(blocks), width + n_pt, n_rows.max()), dtype=np.float32)
         own = np.arange(len(self.receivers)) - n_pt  # each SU receiver's own sender
         self.interference_pairs = 0
         for b in np.flatnonzero(n_rows * n_cols):
@@ -485,12 +505,12 @@ class _Topology:
             step = max(1, BUILD_CHUNK_ENTRIES // len(c))
             for lo in range(0, n_rows[b], step):
                 r = row_of[row_start[b] + lo:row_start[b] + min(lo + step, n_rows[b])]
-                d = pairwise_toroidal(self.receivers[r], senders[c], region)
-                near = c != own[r, None]
+                d = pairwise_toroidal(senders[c], self.receivers[r], region)
+                near = c[:, None] != own[r]
                 if nc > 1:
                     near &= d <= cutoff
                 # in place, then copied: a mixed-type product into the strided block is slower
-                self.gain[b, lo:lo + len(r), :len(c)] = np.multiply(path_gain(d, ch, out=d), near, out=d)
+                self.gain[b, :len(c), lo:lo + len(r)] = np.multiply(path_gain(d, ch, out=d), near, out=d)
                 self.interference_pairs += int(np.count_nonzero(near))
 
         pt = path_gain(pairwise_toroidal(self.receivers, world.pts, region), ch)
@@ -500,23 +520,102 @@ class _Topology:
             pt[:n_pt] = 0.0
         if not config.include_pt_interference_at_su:
             pt[n_pt:] = 0.0
-        self.gain.reshape(-1, width + n_pt)[self.rx_pos, width:] = pt
+        rx_block, rx_row = np.divmod(self.rx_pos, n_rows.max())
+        self.gain[rx_block, width:, rx_row] = pt
 
-    def interference(self, load: np.ndarray) -> np.ndarray:
-        """(receivers, slots) interference from the (transmitters, slots) loads.
+    def interference(self, load: np.ndarray, extra: Optional[np.ndarray] = None,
+                     at: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+        """(receivers, slots) interference from the (transmitters, slots)
+        loads, plus `extra` of that shape if given; only at the receivers and
+        slots `at` = (rx, slot) if given.
 
-        One batched float32 product of the blocks with each block's
-        transmitter loads, gathered back to receiver order and widened to
-        float64. Beyond the cutoff every receiver gets the mean field, in
-        float64: `far` times the slot's summed sender load, less its own SU's.
+        The near field is a float32 product per block, (slots, columns) @
+        (columns, rows), widened to float64. Only senders that transmit in
+        some slot add to it, and the PTs, so while few transmit
+        (`GATHER_SHARE`) each block's kept gain rows and loads are gathered
+        into one narrower product. With `at` it is instead the `math.fsum`
+        of the float32 gains times the float32-rounded loads, each product
+        exact in float64: correctly rounded, in no summation order. Beyond
+        the cutoff every receiver gets the mean field, in float64: `far`
+        times the slot's sender load, summed by numpy, less its own SU's.
         """
         n_senders = self.n_su + self.n_mu
-        # the padding index clips to the last transmitter, whose load meets a zero gain
-        near = np.matmul(self.gain, np.take(load.astype(np.float32), self.cols, axis=0, mode="clip"))
-        out = np.take(near.reshape(-1, load.shape[1]), self.rx_pos, axis=0).astype(np.float64)
+        if at is None:
+            near = self._near_blocks(load.astype(np.float32))
+            out = np.array(near.transpose(0, 2, 1), dtype=np.float64, order="C").reshape(-1, load.shape[1])
+            if len(near) > 1:  # a single block holds every receiver in order
+                out = np.take(out, self.rx_pos, axis=0)
+            rx, slot = slice(None), slice(None)
+        else:
+            rx, slot = at
+            out = self._near_exact(load, rx, slot)
         if self.far:
-            out += self.far * (np.ones(n_senders) @ load[:n_senders])  # a BLAS sum over the senders
-            out[self.n_pt:] -= self.far * load[:self.n_su]
+            out += self.far * np.add.reduce(load[:n_senders], axis=0)[slot]
+            if at is None:
+                out[self.n_pt:] -= self.far * load[:self.n_su]
+            else:
+                su = rx >= self.n_pt
+                out[su] -= self.far * load[rx[su] - self.n_pt, slot[su]]
+        if extra is not None:
+            out += extra[rx, slot]
+        return out
+
+    def _near_blocks(self, loads: np.ndarray) -> np.ndarray:
+        """The (blocks, slots, rows) float32 near-field products."""
+        n_blocks, n_cols, n_rows = self.gain.shape
+        n_senders, n_slots, n_pt = self.n_su + self.n_mu, loads.shape[1], self.n_pt
+        sending = loads[:n_senders] > 0.0
+        if np.count_nonzero(sending) < GATHER_SHARE * sending.size:
+            flags = np.zeros(len(loads) + 1, dtype=bool)  # the PTs and the padding index count apart
+            flags[:n_senders] = sending @ np.ones(n_slots, dtype=bool)
+            kept = np.take(flags, self.cols)
+            count = np.count_nonzero(kept, axis=1)
+            width = int(count.max()) + n_pt
+            if width < GATHER_SHARE * n_cols:
+                # each block's sending columns, then its PTs; the places a
+                # block leaves empty read gain row 0 against zero loads
+                at = np.flatnonzero(kept)
+                rows, tx = np.zeros((2, n_blocks, width), dtype=np.intp)
+                place = at // n_cols, np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)
+                rows[place], tx[place] = at, np.take(self.cols, at)
+                rows[:, width - n_pt:] = (np.arange(n_blocks) * n_cols)[:, None] + np.arange(n_cols - n_pt, n_cols)
+                tx[:, width - n_pt:] = np.arange(n_senders, n_senders + n_pt)
+                loads = np.take(loads, tx, axis=0)
+                loads[:, :width - n_pt][np.arange(width - n_pt) >= count[:, None]] = 0.0
+                return np.matmul(loads.transpose(0, 2, 1), np.take(self.gain.reshape(-1, n_rows), rows, axis=0))
+        # the padding index clips to the last transmitter, whose load meets a zero gain
+        return np.matmul(np.take(loads, self.cols, axis=0, mode="clip").transpose(0, 2, 1), self.gain)
+
+    def _near_exact(self, load: np.ndarray, rx: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        block, row = np.divmod(self.rx_pos[rx], self.gain.shape[2])
+        # the padding index clips to the last load, which meets a zero gain
+        loads = np.take(load, self.cols[block] * load.shape[1] + slot[:, None], mode="clip").astype(np.float32)
+        terms = self.gain[block, :, row].astype(np.float64) * loads
+        return np.array([math.fsum(t) for t in terms.tolist()], dtype=np.float64)
+
+    def sinr(self, load: np.ndarray, signals: Tuple[np.ndarray, np.ndarray], noise: float,
+             thresholds: Tuple[float, float], extra: Optional[np.ndarray] = None) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The PRs' and the SU receivers' (receivers, slots) SINRs from their
+        desired signal powers and the interference of `load` and `extra`,
+        each with its decisions `sinr >= threshold`.
+
+        Every entry within `tolerance` (relative) of its threshold is
+        recomputed from exact near-field sums and decided on them; the
+        float32 product can put no other entry on the wrong side, so no
+        decision depends on the order BLAS sums in.
+        """
+        interference = self.interference(load, extra)
+        out = []
+        for first, signal, threshold in zip((0, self.n_pt), signals, thresholds):
+            sinr = noise + interference[first:first + len(signal)]
+            np.divide(signal, sinr, out=sinr)
+            # outside the band around the threshold, both edges decide alike
+            ok, high = sinr >= threshold * (1.0 - self.tolerance), sinr > threshold * (1.0 + self.tolerance)
+            if np.count_nonzero(ok) > np.count_nonzero(high):
+                rx, slot = np.divmod(np.flatnonzero(ok ^ high), sinr.shape[1])
+                sinr[rx, slot] = signal[rx, slot] / (noise + self.interference(load, extra, (first + rx, slot)))
+                ok[rx, slot] = sinr[rx, slot] >= threshold
+            out.append((sinr, ok))
         return out
 
     def neighbor_active(self, su_tx: np.ndarray, mu_tx: np.ndarray) -> np.ndarray:
@@ -579,8 +678,9 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     controller = config.controller(launch=None)
 
     w_slots = config.window
-    su_desired_gain = ch.su_link_distance ** (-ch.alpha)
-    pr_desired_gain = ch.pt_link_distance ** (-ch.alpha)
+    # desired signal power per unit of fading, and SINR threshold, of a PR and of an SU receiver
+    desired = (ch.pt_power * ch.pt_link_distance ** (-ch.alpha), ch.su_power * ch.su_link_distance ** (-ch.alpha))
+    thresholds = (ch.pr_sinr_threshold, ch.su_sinr_threshold)
     payoff_table = _payoff_table(config.payoffs)
 
     records: List[MetricsRecord] = []
@@ -613,7 +713,6 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
         # order would take: the same values, and the same generator state after
         fade = rng.standard_exponential((2 * (n_su + n_pt), w_slots))
         fade_su_tx, fade_pt_tx = fade[:n_su], fade[n_su:n_su + n_pt]
-        fade_pr_des, fade_su_des = fade[n_su + n_pt:n_su + 2 * n_pt], fade[n_su + 2 * n_pt:]
 
         if inducing:
             mu_tx = rng.random((n_mu, w_slots)) < config.mu_access_prob
@@ -629,7 +728,6 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             mu_tx * (ch.mu_power * fade_mu_tx),
             ch.pt_power * fade_pt_tx,  # primaries transmit every slot
         ])
-        interference = topo.interference(load)
         # a saturating inducement makes every SU perceive an accomplice, whoever it senses
         saturated = inducing and drive.inducement >= 1.0
         neighbor_active = None if saturated else topo.neighbor_active(access, mu_tx)
@@ -637,23 +735,26 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
         # ephemeral attacker field: no discrete attackers were sampled, so the
         # active density enters per slot as a freshly drawn Poisson field
         field_density = drive.active_density if n_mu == 0 else 0.0
+        field = None
         if field_density > 0:
             region = topo.world.region
+            field = np.zeros((n_pt + n_su, w_slots))
             for s in range(w_slots):
                 k = rng.poisson(field_density * area)
                 if k == 0:
                     continue
                 pos = rng.uniform(0.0, config.region_side, size=(k, 2))
-                field_gain = path_gain(pairwise_toroidal(topo.receivers, pos, region), ch)
+                field_gain = path_gain(pairwise_toroidal(pos, topo.receivers, region), ch)
                 f = rng.exponential(1.0, size=k)
-                interference[:, s] += field_gain @ (ch.mu_power * f)
+                # summed over the attackers in order, without BLAS
+                field[:, s] = np.add.reduce(np.multiply(field_gain, (ch.mu_power * f)[:, None], out=field_gain), axis=0)
                 if not saturated:
                     near, _ = pairs_within(topo.world.sus, pos, config.sensing_radius, region)
                     neighbor_active[near, s] = True
 
-        sinr_pr = (ch.pt_power * pr_desired_gain * fade_pr_des) / (ch.noise + interference[:n_pt])
-        sinr_su = (ch.su_power * su_desired_gain * fade_su_des) / (ch.noise + interference[n_pt:])
-        su_ok = sinr_su >= ch.su_sinr_threshold
+        # the desired fading of the PRs, then of the SU receivers
+        signals = desired[0] * fade[n_su + n_pt:n_su + 2 * n_pt], desired[1] * fade[n_su + 2 * n_pt:]
+        (sinr_pr, pr_thresh_ok), (sinr_su, su_ok) = topo.sinr(load, signals, ch.noise, thresholds, field)
 
         if saturated:
             perceived = np.ones((n_su, w_slots), dtype=bool)
@@ -666,15 +767,15 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
 
         strat_counts = np.bincount(assign, minlength=m)
         strat_pay = np.zeros(m)
+        # an empty strategy scores the window's mean, and so does one that holds every SU
+        partial = (strat_counts > 0) & (strat_counts < n_su)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails the replicator step
-            window_mean = float(payoff.mean())
+            window_mean = math.nan if partial.all() else float(payoff.mean())
             for i in range(m):
-                mask = assign == i
-                strat_pay[i] = float(payoff[mask].mean()) if strat_counts[i] else window_mean
+                strat_pay[i] = float(payoff[assign == i].mean()) if partial[i] else window_mean
 
         active_density_win = int(np.count_nonzero(access)) / w_slots / area
 
-        pr_thresh_ok = sinr_pr >= ch.pr_sinr_threshold
         pr_raw = int(np.count_nonzero(pr_thresh_ok)) / pr_thresh_ok.size if n_pt else math.nan
         su_raw = int(np.count_nonzero(su_ok)) / su_ok.size
         pr_ok_frac = _outage_met(pr_thresh_ok, ch.pr_outage_constraint) if n_pt else math.nan

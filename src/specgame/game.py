@@ -171,8 +171,12 @@ def perception_prob(other_active_density, sensing_radius: float):
 
 
 def active_su_density(shares, env: GameEnv):
-    """Transmit-weighted secondary density lambda_SU * sum_i x_i p_i (per row)."""
-    return env.lambda_su * (np.asarray(shares, dtype=float) @ env.strategies.probs)
+    """Transmit-weighted secondary density lambda_SU * sum_i x_i p_i (per
+    row). The terms of the strategies with p_i > 0 are added in order, not
+    by a BLAS dot, whose summation order depends on the kernel."""
+    x = np.asarray(shares, dtype=float)
+    terms = [x[..., i] * p for i, p in enumerate(env.strategies.access_probs) if p]
+    return env.lambda_su * sum(terms[1:], terms[0])
 
 
 def _compliance_payoff(p, payoffs: PayoffParams):

@@ -1,4 +1,5 @@
 """Test oracles: independent estimates the closed forms of specgame are held to."""
+import math
 from typing import Sequence
 
 import numpy as np
@@ -13,6 +14,26 @@ def toroidal_distance(p, q, region: Region) -> float:
     d = np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)) % region.side
     d = np.minimum(d, region.side - d)
     return float(np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
+
+
+def exact_interference(gain, load, far, n_pt, n_su, extra=None):
+    """(receivers, slots) interference with every near-field sum correctly
+    rounded: the dense float32 gains (receivers x transmitters: SUs, MUs,
+    PTs) times the float32-rounded loads, each product exact in float64,
+    summed by `math.fsum`. The far field is then added as specgame adds it,
+    in float64: `far` times the slot's load summed over the senders (every
+    transmitter but the PTs) by numpy, less each SU receiver's own SU's, and
+    then `extra`.
+    """
+    loads = load.astype(np.float32).astype(np.float64)
+    terms = gain.astype(np.float64)[:, :, None] * loads[None, :, :]
+    out = np.array([[math.fsum(terms[i, :, s]) for s in range(load.shape[1])] for i in range(len(gain))])
+    if far:
+        out += far * np.add.reduce(load[:load.shape[0] - n_pt], axis=0)
+        out[n_pt:] -= far * load[:n_su]
+    if extra is not None:
+        out += extra
+    return out
 
 
 def empirical_success_prob(

@@ -357,6 +357,9 @@ FLOAT32_OUT_OF_RANGE = [
     ["--set", "payoffs=null"],
     ["--set", "access_probs=5"],
     ["--set", "x0=5"],
+    ["--set", "region_side=1" + "0" * 400],  # an integer no float holds
+    ["--set", "channel.noise=1" + "0" * 400],
+    ["--set", "x0=[1" + "0" * 400 + ", 0]"],
     ["--mode", "montecarlo", "--set", "seed=-1"],
     ["--mode", "montecarlo", "--set", "region_side=20"],
     ["--mode", "montecarlo", "--set", "channel.su_link_distance=1e6"],

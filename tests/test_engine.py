@@ -161,13 +161,13 @@ def test_meanfield_dynamics_passes(monkeypatch, config, passes):
 def test_failed_montecarlo_draws_no_window_after_the_failing_one(monkeypatch):
     from specgame.engine import _Topology
 
-    real, windows = _Topology.interference, []
+    real, windows = _Topology.sinr, []
 
-    def counted(self, load):
+    def counted(self, *args):
         windows.append(1)
-        return real(self, load)
+        return real(self, *args)
 
-    monkeypatch.setattr(_Topology, "interference", counted)
+    monkeypatch.setattr(_Topology, "sinr", counted)
     # the first inducing window, window 1, pays 1e300 and fails the step
     with pytest.raises(ValueError, match=r"nonnegative \(step 1\)$"):
         run(replace(FIG3_MC, payoffs=PayoffParams(1e300, 1.0, 8.0), launch_policy="always"))

@@ -1,0 +1,83 @@
+"""Monte Carlo and mean-field decisions under two forced OpenBLAS kernels.
+
+OpenBLAS built with DYNAMIC_ARCH picks its kernels by CPU at load time, and
+`OPENBLAS_CORETYPE` forces one. Its kernels sum in different orders, so the
+float32 near-field product differs between them in the last bits. Every
+decision is rechecked from exact sums where the product could have put it on
+the wrong side of its threshold, so the shares, payoffs, success columns and
+phase events must come out identical; only the SINR dB columns may move, by
+the reference tolerance. Without the recheck, the two kernels put an SINR on
+either side of its threshold in the 800 m seed 5 run at window 70 when the
+blocks are laid out (rows, columns), and in the seed 4 run at window 9 when
+they are laid out (columns, rows).
+"""
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+KERNELS = ("Haswell", "Prescott")
+SINR = ("pr_sinr_db_mean", "pr_sinr_db_median", "su_sinr_db_mean", "su_sinr_db_median")
+SINR_DB = 1e-5  # absolute, dB: the tolerance of tests/test_reference.py
+
+# one run in a fresh process; its records and events printed as JSON, every
+# float at full precision
+SCRIPT = """
+import dataclasses, json, sys
+from specgame.engine import ScenarioConfig, run
+result = run(ScenarioConfig.from_dict(json.loads(sys.argv[1])))
+print(json.dumps({"records": [dataclasses.asdict(r) for r in result.records],
+                  "events": [repr(e) for e in result.events]}))
+"""
+
+
+def _dynamic_openblas() -> bool:
+    """numpy's BLAS is OpenBLAS with DYNAMIC_ARCH, on a CPU that runs both kernels."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except (ImportError, KeyError, TypeError):
+        return False
+    return ("openblas" in blas.get("name", "").lower() and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and platform.machine().lower() in ("x86_64", "amd64") and bool(features.get("AVX2")))
+
+
+pytestmark = pytest.mark.skipif(not _dynamic_openblas(),
+                                reason="needs numpy on OpenBLAS with DYNAMIC_ARCH on an AVX2 x86-64 CPU")
+
+
+def _run(config: dict, kernel: str) -> dict:
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(config)], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("seed, steps", [(5, 75), (4, 12)])
+def test_montecarlo_decisions_do_not_depend_on_the_blas_kernel(seed, steps):
+    config = {"mode": "montecarlo", "region_side": 800, "steps": steps, "seed": seed}
+    a, b = (_run(config, kernel) for kernel in KERNELS)
+    assert a["events"] == b["events"]
+    assert len(a["records"]) == len(b["records"]) == steps
+    for i, (x, y) in enumerate(zip(a["records"], b["records"])):
+        for col, want in x.items():
+            if col in SINR and not math.isnan(want):
+                assert math.isclose(y[col], want, rel_tol=0.0, abs_tol=SINR_DB), f"row {i} {col}"
+            else:
+                assert repr(y[col]) == repr(want), f"row {i} {col}: {y[col]} != {want}"
+
+
+def test_meanfield_with_partial_access_does_not_depend_on_the_blas_kernel():
+    # access probabilities other than 0 and 1 weigh the shares in a sum of
+    # several nonzero terms, whose order a BLAS dot would choose
+    config = {"access_probs": [0.0, 0.3, 0.7, 1.0], "x0": [0.4, 0.3, 0.2, 0.1]}
+    a, b = (_run(config, kernel) for kernel in KERNELS)
+    assert json.dumps(a) == json.dumps(b)

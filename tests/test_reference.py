@@ -10,9 +10,10 @@ of blocks with an interference cutoff and a mean tail, and the 70-slot window
 packs its perception into two 64-bit words, the last one partly padding. Their phase events,
 shares, payoffs, densities and success columns must match to the written
 digit. Only the SINR dB columns may differ, by the presets' SINR_DB: the
-near-field interference is a float32 product, which BLAS may also sum in
-another order on another machine (the pinned files were written by the
-float64 product; the largest shift seen is ~2e-6 dB).
+near-field interference is a float32 product, summed in the order the BLAS
+kernel chooses, and the pinned files were written by the float64 product
+(the largest shift seen is ~2e-6 dB). Every success test near its threshold
+is decided on exact sums, so no kernel moves the other columns.
 """
 import csv
 import math

@@ -1,5 +1,7 @@
 """The Monte Carlo window's near-field interference blocks, far-field tail and
 sensing neighbour list."""
+import dataclasses
+import math
 import tracemalloc
 from unittest import mock
 
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 
 from specgame import engine
 from specgame.channel import ChannelParams, path_gain, torus_tail
-from specgame.engine import ScenarioConfig, _sample_topology, _sensing_neighbours, _Topology
+from specgame.engine import ScenarioConfig, _sample_topology, _sensing_neighbours, _Topology, run_montecarlo
 from specgame.geometry import Region, World, pairwise_toroidal
+
+from oracles import exact_interference
 
 
 def _world(side, pts, prs, sus, su_rx, mus):
@@ -28,8 +32,8 @@ def _dense_sense(topo):
 
 def _rtol(topo):
     """The float32 bound for a sum of nonnegative terms: one rounding of each
-    gain, load and product, and one per addition of a block row."""
-    return (topo.gain.shape[2] + 2) * 2.0 ** -24
+    gain, load and product, and one per addition of a block column."""
+    return (topo.gain.shape[1] + 2) * 2.0 ** -24
 
 
 def _config(**kwargs):
@@ -40,8 +44,8 @@ def _dense_gain(topo):
     """The blocks expanded to a receiver x transmitter (SUs, MUs, PTs) matrix of their dtype."""
     n_tx = topo.n_su + topo.n_mu + topo.n_pt
     dense = np.zeros((len(topo.receivers), n_tx + 1), dtype=topo.gain.dtype)  # the last column collects the padding
-    cols = topo.cols[topo.rx_pos // topo.gain.shape[1]]
-    np.put_along_axis(dense, cols, topo.gain.reshape(-1, topo.gain.shape[2])[topo.rx_pos], axis=1)
+    block, row = np.divmod(topo.rx_pos, topo.gain.shape[2])
+    np.put_along_axis(dense, topo.cols[block], topo.gain[block, :, row], axis=1)
     assert not dense[:, n_tx].any()
     return dense[:, :n_tx]
 
@@ -134,7 +138,7 @@ def test_gain_product_matches_class_sums(n_pt, n_su, n_mu, side, min_distance, a
                             include_pt_interference_at_pr=at_pr, include_pt_interference_at_su=at_su)
     with mock.patch.object(engine, "INTERFERENCE_CUTOFF", max(side / 4.0, 16.0)):
         topo = _Topology(world, config)
-    assert topo.gain.shape == (1, n_pt + n_su, n_su + n_mu + n_pt) and topo.far == 0.0
+    assert topo.gain.shape == (1, n_su + n_mu + n_pt, n_pt + n_su) and topo.far == 0.0
     load_su, load_mu, load_pt = _loads(rng, n_su, n_mu, n_pt)
     i_pr, i_su = _class_sums(world, config, load_su, load_mu, load_pt)
     got = topo.interference(np.concatenate([load_su, load_mu, load_pt]))
@@ -188,6 +192,59 @@ def test_sampled_800m_product_matches_class_sums():
     np.testing.assert_allclose(got, np.concatenate([i_pr, i_su]), rtol=_rtol(topo), atol=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_pt=st.integers(0, 3), n_su=st.integers(1, 40), n_mu=st.integers(0, 3), side=st.floats(100.0, 600.0),
+    cutoff_share=st.floats(0.05, 0.5), slots=st.integers(1, 6), sending=st.floats(0.0, 1.0),
+    gather=st.sampled_from([0.0, math.inf]), field=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rechecked_decisions_equal_the_exact_oracle(n_pt, n_su, n_mu, side, cutoff_share, slots, sending, gather,
+                                                    field, seed):
+    # the float32 product, gathered or whole, stays within its bound of the
+    # correctly rounded sums; thresholds drawn from the exact SINRs put
+    # entries right on them, and every decision equals the exact one
+    rng = np.random.default_rng(seed)
+    world = _world(side, *(rng.uniform(0.0, side, size=(n, 2)) for n in (n_pt, n_pt, n_su, n_su, n_mu)))
+    config = ScenarioConfig(mode="montecarlo", region_side=side, include_pt_interference_at_pr=True)
+    with mock.patch.object(engine, "INTERFERENCE_CUTOFF", max(20.0, cutoff_share * side)), \
+            mock.patch.object(engine, "GATHER_SHARE", gather):
+        topo = _Topology(world, config)
+        load = rng.exponential(size=(n_su + n_mu + n_pt, slots))
+        load[:n_su + n_mu] *= (rng.random((n_su + n_mu, 1)) < sending) & (rng.random((n_su + n_mu, slots)) < 0.8)
+        extra = rng.exponential(1e-9, size=(n_pt + n_su, slots)) if field else None
+        exact = exact_interference(_dense_gain(topo), load, topo.far, n_pt, n_su, extra)
+        np.testing.assert_allclose(topo.interference(load, extra), exact, rtol=_rtol(topo), atol=0.0)
+        noise = config.channel.noise
+        signals = [rng.exponential(1e-7, size=(n, slots)) for n in (n_pt, n_su)]
+        exact_sinr = [signal / (noise + part) for signal, part in zip(signals, (exact[:n_pt], exact[n_pt:]))]
+        thresholds = tuple(float(rng.choice(s.ravel())) if s.size else 3.0 for s in exact_sinr)
+        for (sinr, ok), want, threshold in zip(topo.sinr(load, signals, noise, thresholds, extra), exact_sinr,
+                                               thresholds):
+            assert ok.tolist() == (want >= threshold).tolist()
+            assert ok.tolist() == (sinr >= threshold).tolist()
+
+
+@settings(max_examples=12, deadline=None)
+@given(side=st.floats(250.0, 500.0), cutoff_share=st.floats(0.1, 0.3), steps=st.integers(2, 5),
+       window=st.integers(1, 9), p=st.floats(0.05, 1.0), lambda_mu=st.sampled_from([1e-7, 1e-4]),
+       seed=st.integers(0, 2 ** 16))
+def test_gathered_and_whole_products_decide_alike(side, cutoff_share, steps, window, p, lambda_mu, seed):
+    # the gather changes only the float32 summation order, which the
+    # recheck takes out of every decision
+    with mock.patch.object(engine, "INTERFERENCE_CUTOFF", max(40.0, cutoff_share * side)):
+        config = ScenarioConfig(mode="montecarlo", region_side=side, steps=steps, window=window, seed=seed,
+                                access_probs=(0.0, p), x0=(0.5, 0.5), lambda_mu=lambda_mu, launch_policy="always")
+        runs = []
+        for gather in (math.inf, 0.0):
+            with mock.patch.object(engine, "GATHER_SHARE", gather):
+                runs.append(run_montecarlo(config))
+    sinr = {"pr_sinr_db_mean", "pr_sinr_db_median", "su_sinr_db_mean", "su_sinr_db_median"}
+    gathered, whole = ([{k: v for k, v in dataclasses.asdict(rec).items() if k not in sinr} for rec in run.records]
+                       for run in runs)
+    assert repr(gathered) == repr(whole)
+    assert runs[0].events == runs[1].events
+
+
 def _whole_matrices(world, config, cutoff):
     """`gain` (receivers x SUs, MUs, PTs) and `sense` built from one distance
     call each, zeroed as `_Topology` documents."""
@@ -225,7 +282,7 @@ def test_blocked_build_matches_whole_matrices(n_su, n_pt, n_mu, at_pr, at_su, mo
     config = _config(include_pt_interference_at_pr=at_pr, include_pt_interference_at_su=at_su)
     topo = _Topology(world, config)
     gain, sense = _whole_matrices(world, config, 60.0)
-    n_blocks, rows_per_block, _ = topo.gain.shape
+    n_blocks, _, rows_per_block = topo.gain.shape
     assert n_blocks == 16
     assert _dense_gain(topo).tobytes() == gain.astype(np.float32).tobytes()
     assert topo.interference_pairs == np.count_nonzero(gain[:, :n_su + n_mu])
@@ -239,7 +296,7 @@ def test_blocked_build_matches_whole_matrices(n_su, n_pt, n_mu, at_pr, at_su, mo
         assert cols[len(senders):].tolist() == [n_tx] * (len(cols) - len(senders) - n_pt) + list(range(n_su + n_mu, n_tx))
     assert len(np.unique(topo.rx_pos)) == n_pt + n_su
     padding_rows = np.setdiff1d(np.arange(n_blocks * rows_per_block), topo.rx_pos)
-    assert not topo.gain.reshape(n_blocks * rows_per_block, -1)[padding_rows].any()
+    assert not topo.gain.transpose(0, 2, 1).reshape(n_blocks * rows_per_block, -1)[padding_rows].any()
     # distances are computed a few rows of a block at a time; the rows per
     # call do not change a byte
     monkeypatch.setattr(engine, "BUILD_CHUNK_ENTRIES", 7)
