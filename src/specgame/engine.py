@@ -117,10 +117,11 @@ class ScenarioConfig:
         for name in ("lambda_pt", "lambda_su", "lambda_mu"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if self.steps < 1:
-            raise ConfigError("steps must be at least 1")
-        if self.window < 1:
-            raise ConfigError("window must be at least 1")
+        for name in ("steps", "window"):  # each sizes an array
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+            if getattr(self, name) > np.iinfo(np.intp).max:
+                raise ConfigError(f"{name} must be at most {np.iinfo(np.intp).max}, numpy's largest array size")
         if not self.step_size > 0:
             raise ConfigError("step_size must be positive")
         if not self.sensing_radius > 0:
@@ -366,7 +367,7 @@ def decide_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> boo
     controller = AttackController(lambda_mu, config.template(), max_allowable_su_density(env.channel), launch=True,
                                   lambda_su=env.lambda_su)
     return launch_verdict(env, lambda: run_dynamics(np.asarray(config.x0), env, controller, config.steps,
-                                                    config.step_size), config.extinction_tolerance)
+                                                    config.step_size, history=False), config.extinction_tolerance)
 
 
 def run_meanfield(config: ScenarioConfig) -> RunResult:
@@ -801,7 +802,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
         return strat_pay, math.nan, su_raw, pr_raw
 
     traj = run_dynamics(np.asarray(config.x0), config.game_env(), schedule, config.steps, config.step_size,
-                        freeze_shares=config.freeze_shares, payoff_source=window)
+                        freeze_shares=config.freeze_shares, payoff_source=window, history=False)
     if traj.errors[0]:
         raise ValueError(traj.errors[0])
     return RunResult(config, records, controller.events, first_topology)
@@ -841,6 +842,7 @@ def sweep_region(
     except ValueError as exc:
         raise ConfigError(f"sweep grid: {exc}") from exc
     env = replace(config.game_env(), payoffs=payoffs)
-    traj = run_dynamics(np.asarray(config.x0), env, config.controller(launch=True), config.steps, config.step_size)
+    traj = run_dynamics(np.asarray(config.x0), env, config.controller(launch=True), config.steps, config.step_size,
+                        history=False)
     results = classify_operating_point(env, traj, config.extinction_tolerance)
     return [SweepCell(d, n, k, r.label, r.terminal_mutant_share, r.error) for (d, n, k), r in zip(grid, results)]

@@ -277,6 +277,8 @@ class Trajectory:
     final_shares (cells, m).
     `errors` holds, per cell, why that cell was frozen ("" for cells that ran
     to the end); a batch whose every cell failed ends at the last failure.
+    A history-free run (`run_dynamics(..., history=False)`) holds only the
+    last step run, as a step axis of length 1, so `[-1]` reads it the same.
     """
 
     shares: np.ndarray
@@ -304,6 +306,7 @@ def run_dynamics(
     h: float,
     freeze_shares: bool = False,
     payoff_source: Optional[Callable] = None,
+    history: bool = True,
 ) -> Trajectory:
     """Iterate payoff evaluation and replicator steps under a malicious-user schedule.
 
@@ -318,6 +321,13 @@ def run_dynamics(
     whose payoffs turn non-finite, or whose replicator step fails, is frozen
     at its last shares with the reason in `errors`, and the other cells run
     on; once none is left, the trajectory ends at that step.
+
+    With `history=False` each step overwrites one row of the per-step arrays,
+    so the trajectory holds only the last step run, in O(cells) memory: for
+    callers that read only its end (`sweep_region`, the launch forecast of
+    `decide_launch`, and `run_montecarlo`, which reads only `errors`). The
+    arithmetic is the same, so that row, `final_shares` and `errors` equal
+    the full run's, byte for byte.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -326,18 +336,20 @@ def run_dynamics(
     batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
     x = np.array(np.broadcast_to(x0, batch + (m,)), ndmin=2)
     cells = len(x)
-    shares, payoffs = np.empty((2, steps, cells, m))
-    s_su, s_pr, act, mu_density, inducement = np.empty((5, steps, cells))
+    rows = steps if history else 1
+    shares, payoffs = np.empty((2, rows, cells, m))
+    s_su, s_pr, act, mu_density, inducement = np.empty((5, rows, cells))
     errors = [""] * cells
     live = np.ones(cells, dtype=bool)
     all_live = True
     source = payoff_source or payoff_vector
     for t in range(steps):
-        density = act[t] = active_su_density(x, env)
+        r = t if history else 0  # the row this step fills
+        density = act[r] = active_su_density(x, env)
         drive = mu_schedule(t, density)
-        pi, _, s_su[t], s_pr[t] = source(x, env, drive, density)
-        mu_density[t], inducement[t] = drive.active_density, drive.inducement
-        shares[t], payoffs[t] = x, pi
+        pi, _, s_su[r], s_pr[r] = source(x, env, drive, density)
+        mu_density[r], inducement[r] = drive.active_density, drive.inducement
+        shares[r], payoffs[r] = x, pi
         if freeze_shares:
             continue
         new = replicator_step(x, pi if all_live else np.where(live[:, None], pi, 0.0), h)
@@ -345,13 +357,13 @@ def run_dynamics(
         if np.count_nonzero(failed):
             failed &= live
             for c in np.flatnonzero(failed):
-                errors[c] = f"{step_failure(payoffs[t, c])} (step {t})"
+                errors[c] = f"{step_failure(payoffs[r, c])} (step {t})"
             live &= ~failed
             all_live = False
             if not np.count_nonzero(live):
                 break
         x = new if all_live else np.where(live[:, None], new, x)
-    n = t + 1  # steps run
+    n = r + 1  # rows filled
     return Trajectory(shares[:n], payoffs[:n], s_su[:n], s_pr[:n], act[:n], mu_density[:n], inducement[:n],
                       final_shares=x, errors=tuple(errors))
 

@@ -146,13 +146,17 @@ def _loop_example(**overrides):
     return example(case={**case, **overrides})
 
 
-@settings(max_examples=40, deadline=None)
-@given(loop_case)
-@_loop_example()
-@_loop_example(delta=1e13, h=3.0, poison_step=4, behavior="mimic-su", lambda_mu=1e-5)
-@_loop_example(cells=None, probs=(0.0, 0.5, 1.0), h=4.0, poison_step=6)
-@_loop_example(cells=1, freeze_shares=True, behavior="mimic-su", launch=False)
-def test_run_dynamics_equals_a_plain_loop_over_the_public_steps(case):
+def _loop_cases(test):
+    """`test` over drawn loop cases, and over the examples that always run."""
+    for overrides in ({}, dict(delta=1e13, h=3.0, poison_step=4, behavior="mimic-su", lambda_mu=1e-5),
+                      dict(cells=None, probs=(0.0, 0.5, 1.0), h=4.0, poison_step=6),
+                      dict(cells=1, freeze_shares=True, behavior="mimic-su", launch=False)):
+        test = _loop_example(**overrides)(test)
+    return settings(max_examples=40, deadline=None)(given(loop_case)(test))
+
+
+def _loop_inputs(case):
+    """The case's start shares and environment, and a factory of fresh schedules."""
     rng = np.random.default_rng(case["seed"])
     m, n = len(case["probs"]), case["cells"] or 1
     # shares with exact zeros and ones among them
@@ -167,7 +171,6 @@ def test_run_dynamics_equals_a_plain_loop_over_the_public_steps(case):
         payoffs = PayoffParams(case["delta"] * scale, case["nu"] * scale[::-1], case["kappa"] * rng.random(n))
     env = GameEnv(channel=CH, payoffs=payoffs, strategies=StrategySet(case["probs"]))
     poisoned_cells = rng.permutation(n)[:max(1, n // 3)]
-    steps = 40
 
     def schedule():
         controller = AttackController(case["lambda_mu"], InducingTemplate(hysteresis=case["hysteresis"]), CAP,
@@ -176,14 +179,36 @@ def test_run_dynamics_equals_a_plain_loop_over_the_public_steps(case):
             return controller
         return _poisoned(controller, poisoned_cells, case["poison_step"])
 
-    traj = run_dynamics(x0, env, schedule(), steps, case["h"], freeze_shares=case["freeze_shares"])
-    columns, final_shares, errors = _plain_loop(x0, env, schedule(), steps, case["h"], case["freeze_shares"])
-    got = (traj.shares, traj.payoffs, traj.s_su, traj.s_pr, traj.active_su_density, traj.mu_density,
-           traj.inducement)
-    for name, a, b in zip(("shares", "payoffs", "s_su", "s_pr", "act", "mu_density", "inducement"), got, columns):
+    return x0, env, schedule
+
+
+LOOP_STEPS = 40
+STEP_FIELDS = ("shares", "payoffs", "s_su", "s_pr", "active_su_density", "mu_density", "inducement")
+
+
+@_loop_cases
+def test_run_dynamics_equals_a_plain_loop_over_the_public_steps(case):
+    x0, env, schedule = _loop_inputs(case)
+    traj = run_dynamics(x0, env, schedule(), LOOP_STEPS, case["h"], freeze_shares=case["freeze_shares"])
+    columns, final_shares, errors = _plain_loop(x0, env, schedule(), LOOP_STEPS, case["h"], case["freeze_shares"])
+    for name, b in zip(STEP_FIELDS, columns):
+        a = getattr(traj, name)
         assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
     assert traj.final_shares.tobytes() == final_shares.tobytes()
     assert traj.errors == errors
+
+
+@_loop_cases
+def test_a_history_free_run_holds_the_full_runs_last_step(case):
+    x0, env, schedule = _loop_inputs(case)
+    full = run_dynamics(x0, env, schedule(), LOOP_STEPS, case["h"], freeze_shares=case["freeze_shares"])
+    last = run_dynamics(x0, env, schedule(), LOOP_STEPS, case["h"], freeze_shares=case["freeze_shares"],
+                        history=False)
+    for name in STEP_FIELDS:
+        a, b = getattr(last, name), getattr(full, name)[-1:]
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+    assert last.final_shares.tobytes() == full.final_shares.tobytes()
+    assert last.errors == full.errors
 
 
 @settings(max_examples=60, deadline=None)

@@ -360,6 +360,9 @@ FLOAT32_OUT_OF_RANGE = [
     ["--set", "region_side=1" + "0" * 400],  # an integer no float holds
     ["--set", "channel.noise=1" + "0" * 400],
     ["--set", "x0=[1" + "0" * 400 + ", 0]"],
+    ["--set", "steps=1" + "0" * 400],  # more steps or slots than numpy can index
+    ["--set", f"steps={np.iinfo(np.intp).max + 1}"],
+    ["--mode", "montecarlo", "--set", "window=1" + "0" * 30],
     ["--mode", "montecarlo", "--set", "seed=-1"],
     ["--mode", "montecarlo", "--set", "region_side=20"],
     ["--mode", "montecarlo", "--set", "channel.su_link_distance=1e6"],
@@ -393,6 +396,16 @@ def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
 def test_a_string_or_bool_for_a_number_names_the_key(tmp_path, capsys, setting, message):
     out = tmp_path / "out"
     assert main(["run", "fig3-population", "--set", setting, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, digits", [("steps", 400), ("window", 30)])
+def test_an_integer_numpy_cannot_size_names_the_key(tmp_path, capsys, key, digits):
+    out = tmp_path / "out"
+    assert main(["run", "fig3-population", "--mode", "montecarlo", "--set", f"{key}=1" + "0" * digits,
+                 "--out", str(out)]) == 2
+    message = f"{key} must be at most {np.iinfo(np.intp).max}, numpy's largest array size"
     assert capsys.readouterr().err == f"invalid configuration: {message}\n"
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specgame.channel import ChannelParams, InterfererField, max_allowable_su_density, success_prob
-from specgame.cli import build_presets
+from specgame.cli import PRESET_GRID, build_presets
 from specgame.engine import (
     ConfigError,
     _median,
@@ -324,6 +325,22 @@ def test_sweep_region_failed_cell_leaves_the_others_unchanged():
     for c in mixed[2:4]:
         assert c.classification == "error" and math.isnan(c.terminal_mutant_share)
         assert c.error.startswith("replicator step could not keep shares nonnegative")
+
+
+def test_sweep_region_memory_does_not_grow_with_steps():
+    # a sweep reads only the end of each cell's run, so it keeps no step history
+    config = build_presets()["fig6-region"]
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            sweep_region(PRESET_GRID["deltas"], PRESET_GRID["nus"], PRESET_GRID["kappas"], replace(config, steps=steps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # first calls allocate numpy's own caches
+    assert peak(1600) <= 2 * peak(50)
 
 
 def test_sweep_region_rejects_invalid_grid_values():

@@ -1,4 +1,4 @@
-"""Monte Carlo and mean-field decisions under two forced OpenBLAS kernels.
+"""Outputs under two forced OpenBLAS kernels, and under numpy's baseline loops.
 
 OpenBLAS built with DYNAMIC_ARCH picks its kernels by CPU at load time, and
 `OPENBLAS_CORETYPE` forces one. Its kernels sum in different orders, so the
@@ -10,6 +10,12 @@ the reference tolerance. Without the recheck, the two kernels put an SINR on
 either side of its threshold in the 800 m seed 5 run at window 70 when the
 blocks are laid out (rows, columns), and in the seed 4 run at window 9 when
 they are laid out (columns, rows).
+
+numpy picks its own SIMD loops by CPU too, and `NPY_DISABLE_CPU_FEATURES`
+turns them off. Its exp, expm1, log, log10 and power loops return other last
+bits without AVX-512, which moves full-precision mean-field records by a few
+ulps; the CSV files, written to 12 significant digits, must not change, and
+the Monte Carlo decisions must not either.
 """
 import json
 import math
@@ -49,24 +55,33 @@ def _dynamic_openblas() -> bool:
             and platform.machine().lower() in ("x86_64", "amd64") and bool(features.get("AVX2")))
 
 
-pytestmark = pytest.mark.skipif(not _dynamic_openblas(),
-                                reason="needs numpy on OpenBLAS with DYNAMIC_ARCH on an AVX2 x86-64 CPU")
+needs_dynamic_openblas = pytest.mark.skipif(not _dynamic_openblas(),
+                                            reason="needs numpy on OpenBLAS with DYNAMIC_ARCH on an AVX2 x86-64 CPU")
 
 
-def _run(config: dict, kernel: str) -> dict:
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(config)], env=env, capture_output=True,
-                          text=True, check=True)
+def _simd_targets() -> list:
+    """The SIMD targets numpy found on this CPU beyond its baseline."""
+    try:
+        return list(np.show_config(mode="dicts")["SIMD Extensions"].get("found", []))
+    except (KeyError, TypeError):
+        return []
+
+
+def _subprocess(script: str, *args: str, **env: str) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]), **env)
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("seed, steps", [(5, 75), (4, 12)])
-def test_montecarlo_decisions_do_not_depend_on_the_blas_kernel(seed, steps):
-    config = {"mode": "montecarlo", "region_side": 800, "steps": steps, "seed": seed}
-    a, b = (_run(config, kernel) for kernel in KERNELS)
+def _run(config: dict, kernel: str) -> dict:
+    return _subprocess(SCRIPT, json.dumps(config), OPENBLAS_CORETYPE=kernel)
+
+
+def _assert_same_decisions(a: dict, b: dict) -> None:
+    """Equal phase events and non-SINR columns; SINR columns within the reference tolerance."""
     assert a["events"] == b["events"]
-    assert len(a["records"]) == len(b["records"]) == steps
+    assert len(a["records"]) == len(b["records"])
     for i, (x, y) in enumerate(zip(a["records"], b["records"])):
         for col, want in x.items():
             if col in SINR and not math.isnan(want):
@@ -75,9 +90,55 @@ def test_montecarlo_decisions_do_not_depend_on_the_blas_kernel(seed, steps):
                 assert repr(y[col]) == repr(want), f"row {i} {col}: {y[col]} != {want}"
 
 
+@needs_dynamic_openblas
+@pytest.mark.parametrize("seed, steps", [(5, 75), (4, 12)])
+def test_montecarlo_decisions_do_not_depend_on_the_blas_kernel(seed, steps):
+    config = {"mode": "montecarlo", "region_side": 800, "steps": steps, "seed": seed}
+    a, b = (_run(config, kernel) for kernel in KERNELS)
+    assert len(a["records"]) == steps
+    _assert_same_decisions(a, b)
+
+
+@needs_dynamic_openblas
 def test_meanfield_with_partial_access_does_not_depend_on_the_blas_kernel():
     # access probabilities other than 0 and 1 weigh the shares in a sum of
     # several nonzero terms, whose order a BLAS dot would choose
     config = {"access_probs": [0.0, 0.3, 0.7, 1.0], "x0": [0.4, 0.3, 0.2, 0.1]}
     a, b = (_run(config, kernel) for kernel in KERNELS)
     assert json.dumps(a) == json.dumps(b)
+
+
+# the CSV files the CLI writes for the fig3, fig5 and fig6 presets and the
+# 800 m seed 5 Monte Carlo run, that run's records and events at full
+# precision, and the SIMD targets numpy dispatches to in this process
+SIMD_SCRIPT = """
+import dataclasses, json
+import numpy as np
+from specgame.cli import PRESET_GRID, apply_overrides, build_presets, events_csv_text, metrics_csv_text, region_csv_text
+from specgame.engine import run, sweep_region
+presets = build_presets()
+grid = (PRESET_GRID["deltas"], PRESET_GRID["nus"], PRESET_GRID["kappas"])
+csv = {"fig6-region/region.csv": region_csv_text(sweep_region(*grid, presets["fig6-region"]))}
+mc = apply_overrides(presets["fig3-population"], ["mode=montecarlo", "region_side=800", "steps=40", "seed=5"])
+for name, config in [("fig3-population", presets["fig3-population"]),
+                     ("fig5-sinr-kappa8", presets["fig5-sinr-kappa8"]), ("montecarlo", mc)]:
+    result = run(config)
+    csv[name + "/metrics.csv"] = metrics_csv_text(result)
+    csv[name + "/phase_events.csv"] = events_csv_text(result)
+print(json.dumps({"csv": csv, "records": [dataclasses.asdict(r) for r in result.records],
+                  "events": [repr(e) for e in result.events],
+                  "simd": np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])}))
+"""
+
+
+@pytest.mark.skipif(not _simd_targets(), reason="numpy found no SIMD targets beyond its baseline")
+def test_outputs_do_not_depend_on_numpy_simd_dispatch():
+    targets = _simd_targets()
+    default = _subprocess(SIMD_SCRIPT, NPY_DISABLE_CPU_FEATURES="", NPY_ENABLE_CPU_FEATURES="")
+    baseline = _subprocess(SIMD_SCRIPT, NPY_DISABLE_CPU_FEATURES=" ".join(targets), NPY_ENABLE_CPU_FEATURES="")
+    assert default["simd"] == targets and baseline["simd"] == []
+    assert len(default["csv"]) == 7
+    for name, text in default["csv"].items():
+        assert baseline["csv"][name] == text, name
+    assert len(default["records"]) == 40
+    _assert_same_decisions(default, baseline)
