@@ -238,6 +238,7 @@ def emit_plotdata(metrics_path: str, out_dir: str, manifest_path: Optional[str] 
     density columns. Needs the run manifest (adjacent by default) for the
     strategy set and reference levels.
     """
+    header, rows = _read_metrics(metrics_path)
     if manifest_path is None:
         manifest_path = os.path.join(os.path.dirname(os.path.abspath(metrics_path)), "run-manifest.json")
     try:
@@ -250,7 +251,6 @@ def emit_plotdata(metrics_path: str, out_dir: str, manifest_path: Optional[str] 
     thresh_db = 10.0 * math.log10(config.channel.pr_sinr_threshold)
     probs = config.access_probs
 
-    header, rows = _read_metrics(metrics_path)
     share_cols = [c for c in header if c.startswith("share_s")]
     mutant_cols = [c for c, p in zip(share_cols, probs) if p > 0]
     silent_cols = [c for c, p in zip(share_cols, probs) if p == 0]

@@ -52,6 +52,8 @@ GATHER_SHARE = 0.45
 # FLOAT32_MIN_NOISE, even at 1e5 transmitters
 FLOAT32_MAX_TERM = 1e30
 FLOAT32_MIN_NOISE = 1e-25  # W
+# the most step history, (2m + 5) float64 per step and pass, a mean-field run may keep
+MAX_HISTORY_BYTES = 2 << 30
 
 
 class ConfigError(ValueError):
@@ -380,10 +382,17 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     a negative forecast takes a second, unlaunched pass. The SINR medians are
     solved for the kept pass only. Success columns report whether the
     closed-form outage constraint of each link class currently holds. Raises
-    ValueError, with the reason, if the dynamics fail.
+    ValueError, with the reason, if the dynamics fail, and first ConfigError
+    if the step history would exceed MAX_HISTORY_BYTES.
     """
     if config.mode != "meanfield":
         raise ConfigError("run_meanfield requires mode='meanfield'")
+    forecast_pass = (config.launch_policy == "forecast" and config.inactive_mu_behavior == "silent"
+                     and not config.freeze_shares)
+    history = (1 + forecast_pass) * config.steps * (2 * len(config.access_probs) + 5) * 8
+    if history > MAX_HISTORY_BYTES:
+        raise ConfigError(f"steps={config.steps} needs a {history / 2 ** 30:,.1f} GiB mean-field step history, "
+                          f"above the {MAX_HISTORY_BYTES / 2 ** 30:g} GiB limit")
     ch = config.channel
     env = config.game_env()
     passes = []
@@ -394,7 +403,7 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
                                                 config.step_size, freeze_shares=config.freeze_shares)))
         return passes[-1][1]
 
-    if config.launch_policy == "forecast" and config.inactive_mu_behavior == "silent" and not config.freeze_shares:
+    if forecast_pass:
         # decide_launch would run this very controller and these dynamics, launched
         if not launch_verdict(env, lambda: run_pass(True), config.extinction_tolerance):
             run_pass(False)

@@ -92,11 +92,20 @@ class MuDrive:
     proximity perception). inducement: probability that a secondary user
     perceives an advertised accomplice regardless of local density -- the
     mechanism by which sparse attackers open the transgression payoff gate.
-    Both are floats, or per-cell arrays in a batched run.
+    Both are floats, or per-cell arrays in a batched run, not changed once
+    built: a controller reuses its drive until a phase changes.
     """
 
     active_density: float = 0.0
     inducement: float = 0.0
+
+    @cached_property
+    def _step_terms(self):
+        """The active density, checked nonnegative (a failed check holds
+        nothing: every call raises), and 1 - inducement."""
+        if np.count_nonzero(np.less(self.active_density, 0)):
+            raise ValueError("field density must be nonnegative")
+        return self.active_density, 1.0 - self.inducement
 
 # (step index, currently observed active SU density per cell) -> MuDrive
 MuSchedule = Callable[[int, np.ndarray], MuDrive]
@@ -195,19 +204,22 @@ def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
     (q, s_su, s_pr) diagnostics.
 
     `shares` is (m,) or (cells, m); `mu` and env.payoffs may hold per-cell
-    arrays. `act`, the active SU density of `shares`, is computed when not
-    given. The payoffs come back as (m,) or (cells, m), the diagnostics as
-    floats or (cells,) arrays. The terms no step changes are held per
-    environment (GameEnv._step_terms); each call adds up the ones that do.
+    arrays. `act`, the active SU density of `shares`, is trusted when given
+    (run_dynamics passes that of simplex shares), else computed and checked
+    nonnegative. The payoffs come back as (m,) or (cells, m), the
+    diagnostics as floats or (cells,) arrays. The terms no step changes are
+    held per environment (GameEnv._step_terms) and per drive
+    (MuDrive._step_terms); each call adds up the ones that do.
     """
-    act = active_su_density(shares, env) if act is None else act
-    mu_density = mu.active_density
-    if np.count_nonzero(np.minimum(act, mu_density) < 0):
-        raise ValueError("field density must be nonnegative")
+    mu_density, not_induced = mu._step_terms
+    if act is None:
+        act = active_su_density(shares, env)
+        if np.count_nonzero(act < 0):
+            raise ValueError("field density must be nonnegative")
     p, compliance, noise, c_su, c_mu, pt, neg_area = env._step_terms
     density = act + mu_density
     # 1 - perception_prob(density), exactly: 1 - (-expm1(x)) is 1 + expm1(x)
-    q = 1.0 - (1.0 + np.expm1(density * neg_area)) * (1.0 - mu.inducement)
+    q = 1.0 - (1.0 + np.expm1(density * neg_area)) * not_induced
     # link_budget.success, its exponent summed in the budget's own field order
     exponent = noise + act * c_su + mu_density * c_mu  # (link, cells), or (link, 1) for scalars
     exponent += pt
@@ -314,17 +326,17 @@ def run_dynamics(
     (cells, m)) broadcast against per-cell incentives in env.payoffs. Each
     step the schedule sees every cell's current active secondary density,
     then `payoff_source(shares, env, drive, act)` returns the payoffs and
-    (q, s_su, s_pr): the closed-form payoff_vector when None, one window in
-    a Monte Carlo run.
+    (q, s_su, s_pr): the closed-form payoff_vector when None (which trusts
+    this `act`), one window in a Monte Carlo run.
 
     A single run (1-D x0, scalar incentives) is a batch of one cell. A cell
     whose payoffs turn non-finite, or whose replicator step fails, is frozen
     at its last shares with the reason in `errors`, and the other cells run
     on; once none is left, the trajectory ends at that step.
 
-    With `history=False` each step overwrites one row of the per-step arrays,
-    so the trajectory holds only the last step run, in O(cells) memory: for
-    callers that read only its end (`sweep_region`, the launch forecast of
+    With `history=False` the per-step arrays have one row, written once
+    when the loop ends, from the last step run: O(cells) memory, for callers
+    that read only the end (`sweep_region`, the launch forecast of
     `decide_launch`, and `run_montecarlo`, which reads only `errors`). The
     arithmetic is the same, so that row, `final_shares` and `errors` equal
     the full run's, byte for byte.
@@ -336,36 +348,40 @@ def run_dynamics(
     batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
     x = np.array(np.broadcast_to(x0, batch + (m,)), ndmin=2)
     cells = len(x)
-    rows = steps if history else 1
-    shares, payoffs = np.empty((2, rows, cells, m))
-    s_su, s_pr, act, mu_density, inducement = np.empty((5, rows, cells))
+    shares, payoffs = np.empty((2, steps if history else 1, cells, m))
+    s_su, s_pr, act, mu_density, inducement = np.empty((5, len(shares), cells))
+    columns = shares, payoffs, s_su, s_pr, act, mu_density, inducement
     errors = [""] * cells
     live = np.ones(cells, dtype=bool)
     all_live = True
     source = payoff_source or payoff_vector
     for t in range(steps):
-        r = t if history else 0  # the row this step fills
-        density = act[r] = active_su_density(x, env)
+        density = active_su_density(x, env)
         drive = mu_schedule(t, density)
-        pi, _, s_su[r], s_pr[r] = source(x, env, drive, density)
-        mu_density[r], inducement[r] = drive.active_density, drive.inducement
-        shares[r], payoffs[r] = x, pi
+        pi, _, su, pr = source(x, env, drive, density)
+        step = x, pi, su, pr, density, drive.active_density, drive.inducement
+        if history:
+            for column, value in zip(columns, step):
+                column[t] = value
         if freeze_shares:
             continue
         new = replicator_step(x, pi if all_live else np.where(live[:, None], pi, 0.0), h)
         failed = np.isnan(new[:, 0])
         if np.count_nonzero(failed):
             failed &= live
+            cell_pi = np.broadcast_to(pi, x.shape)
             for c in np.flatnonzero(failed):
-                errors[c] = f"{step_failure(payoffs[r, c])} (step {t})"
+                errors[c] = f"{step_failure(cell_pi[c])} (step {t})"
             live &= ~failed
             all_live = False
             if not np.count_nonzero(live):
                 break
         x = new if all_live else np.where(live[:, None], new, x)
-    n = r + 1  # rows filled
-    return Trajectory(shares[:n], payoffs[:n], s_su[:n], s_pr[:n], act[:n], mu_density[:n], inducement[:n],
-                      final_shares=x, errors=tuple(errors))
+    if not history:  # the last step run, stored once
+        for column, value in zip(columns, step):
+            column[0] = value
+    n = t + 1 if history else 1  # rows filled
+    return Trajectory(*(column[:n] for column in columns), final_shares=x, errors=tuple(errors))
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,14 @@ def test_plotdata_malformed_row_reports_index(tmp_path):
         emit_plotdata(str(out / "metrics.csv"), str(tmp_path / "plot"))
 
 
+def test_plotdata_names_a_missing_metrics_file(tmp_path, capsys):
+    missing = tmp_path / "nowhere" / "metrics.csv"
+    assert main(["plotdata", str(missing), "--out", str(tmp_path / "plot")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid configuration: cannot read metrics {missing}: ") and err.count("\n") == 1
+    assert not (tmp_path / "plot").exists()
+
+
 def test_montecarlo_forecast_sees_first_topology_counts_over_area(tmp_path, monkeypatch):
     import specgame.engine as engine
 
@@ -408,6 +416,34 @@ def test_an_integer_numpy_cannot_size_names_the_key(tmp_path, capsys, key, digit
     message = f"{key} must be at most {np.iinfo(np.intp).max}, numpy's largest array size"
     assert capsys.readouterr().err == f"invalid configuration: {message}\n"
     assert not out.exists()
+
+
+def test_a_mean_field_history_beyond_the_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "fig3-population", "--set", "steps=1000000000000", "--out", str(out)]) == 2
+    # two passes (the forecast, then perhaps an unlaunched one) x 10^12 steps x (2 m + 5) values x 8 B
+    message = "steps=1000000000000 needs a 134,110.5 GiB mean-field step history, above the 2 GiB limit"
+    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, passes", [
+    ([], 2),  # the forecast pass, then perhaps an unlaunched one
+    (["--set", "launch_policy=never"], 1),
+    (["--set", "inactive_mu_behavior=mimic-su"], 1),
+    (["--set", "freeze_shares=true"], 1),
+    (["--set", "access_probs=[0,0.5,1]", "--set", "x0=[0.9,0.05,0.05]"], 2),
+])
+def test_the_history_estimate_counts_passes_steps_and_strategies(tmp_path, monkeypatch, extra, passes):
+    import specgame.engine as engine
+
+    m = 3 if "access_probs=[0,0.5,1]" in extra else 2
+    estimate = passes * 20 * (2 * m + 5) * 8
+    for limit, code in ((estimate - 1, 2), (estimate, 0)):
+        monkeypatch.setattr(engine, "MAX_HISTORY_BYTES", limit)
+        out = tmp_path / f"out-{limit}"
+        assert main(["run", "fig3-population", "--set", "steps=20", *extra, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("command", [

@@ -121,8 +121,49 @@ def test_payoff_vector_rejects_negative_field_density():
     # each field is checked, not only their sum (which perception sees)
     with pytest.raises(ValueError, match="nonnegative"):
         payoff_vector(x, env, MuDrive(-0.1 * active_su_density(x, env), 0.0))
+    # off-simplex shares, act=None: the density computed from them is checked,
+    # also with a drive already checked and held
+    held = MuDrive(np.array([1e-6, 0.0]), np.array([0.5, 1.0]))
+    payoff_vector(x, env, held)
+    for drive in (IDLE, held, held):
+        with pytest.raises(ValueError, match="nonnegative"):
+            payoff_vector(np.array([[0.5, 0.5], [1.5, -0.5]]), env, drive)
+
+
+def test_a_reused_drive_pays_the_bytes_of_a_fresh_equal_drive():
+    env = replace(env_with(kappa=2.0), strategies=StrategySet((0.0, 0.5, 1.0)))
+    x = np.array([[0.5, 0.2, 0.3], [0.1, 0.1, 0.8], [1.0, 0.0, 0.0]])
+    density, inducement = np.array([0.0, 1e-6, 3e-5]), np.array([0.25, 1.0, 0.0])
+    reused = MuDrive(density, inducement)
+    for shares in (x, x[::-1], x[1]):
+        got = payoff_vector(shares, env, reused)
+        want = payoff_vector(shares, env, MuDrive(density.copy(), inducement.copy()))
+        for a, b in zip(got, want):
+            assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_a_negative_mu_density_raises_on_every_call():
+    env = env_with(kappa=0.0)
+    x = np.array([0.5, 0.5])
+    for bad in (MuDrive(-1e-9, 0.0), MuDrive(np.array([1e-7, -1e-9]), np.zeros(2))):
+        for _ in range(3):  # a failed check holds nothing for the next call
+            with pytest.raises(ValueError, match="nonnegative"):
+                payoff_vector(x, env, bad)
+            with pytest.raises(ValueError, match="nonnegative"):
+                payoff_vector(x, env, bad, act=active_su_density(x, env))
+            with pytest.raises(ValueError, match="nonnegative"):
+                run_dynamics(x, env, lambda t, density: bad, 5, 0.1, history=False)
+
+    # a schedule whose one drive turns negative only at step 3: the run raises there
+    calls = []
+
+    def late(t, density):
+        calls.append(t)
+        return IDLE if t < 3 else MuDrive(-1e-9, 0.0)
+
     with pytest.raises(ValueError, match="nonnegative"):
-        payoff_vector(np.array([[0.5, 0.5], [1.5, -0.5]]), env, IDLE)
+        run_dynamics(x, env, late, 10, 0.1)
+    assert calls == [0, 1, 2, 3]
 
 
 def test_replicator_hand_step():
