@@ -16,14 +16,11 @@ from .attack import (
 )
 from .channel import (
     ChannelParams,
-    InterfererField,
     max_allowable_su_density,
     path_gain,
-    success_prob,
 )
 from .engine import (
     ConfigError,
-    MetricsRecord,
     RunResult,
     ScenarioConfig,
     SimulationError,

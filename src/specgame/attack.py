@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +81,15 @@ def advance_phases(phase, above_cap_run, observed, density_cap: float, hysteresi
     return new, run
 
 
+def phase_history(events: Sequence[PhaseEvent], steps: int, cells: int = 1) -> np.ndarray:
+    """(steps, cells) codes of the phase each step's controller call left in
+    force: INITIAL, with every event of slot <= t applied, in order."""
+    codes = np.full((steps, cells), INITIAL)
+    for ev in events:
+        codes[ev.slot:, ev.cell] = PHASES.index(ev.new_phase)
+    return codes
+
+
 class AttackController:
     """Stateful schedule driving the game: call with (step, observed active
     secondary density) to get the MuDrive for that step.
@@ -89,9 +98,9 @@ class AttackController:
     array of densities; phase and above-cap run are kept per cell, sized by
     the first call. The launch decision may be resolved at construction
     (mean-field oracle) or later via resolve_launch once estimates exist
-    (Monte Carlo observation). Phase transitions are logged to `events`;
-    `phases` holds the phase codes in force (index into PHASES) and
-    `phase_history` those of each step.
+    (Monte Carlo observation). Phase transitions are logged to `events`,
+    from which `phase_history` recovers each step's phases; `phases` holds
+    the phase codes in force (index into PHASES).
     """
 
     def __init__(
@@ -120,7 +129,6 @@ class AttackController:
         self._drive: Optional[MuDrive] = None  # the silent drive of `phases`, once built
         self._inducing_cap = None  # with the drive: the cap on INDUCING cells, inf elsewhere; None if none induce
         self.events: List[PhaseEvent] = []
-        self.phase_history: List[np.ndarray] = []
 
     def resolve_launch(self, launch: bool) -> None:
         self._pending_launch = launch
@@ -131,7 +139,6 @@ class AttackController:
                 and (self._inducing_cap is None or not np.count_nonzero(observed > self._inducing_cap))):
             # advance_phases would change nothing: no launch to apply, no run
             # under way, and no INDUCING cell observed above the cap
-            self.phase_history.append(self.phases)
             return self._drive
         old = self.phases
         self.phases, self.above_cap_run = advance_phases(
@@ -145,7 +152,6 @@ class AttackController:
                 self.events.append(PhaseEvent(t, PHASES[old.flat[cell]], PHASES[self.phases.flat[cell]],
                                               float(trigger.flat[cell]), int(cell)))
             self._drive = None
-        self.phase_history.append(self.phases)
         if self.inactive_behavior == "mimic-su":
             # blend in: adopt the population's transmit-weighted access rate
             rate = observed / self.lambda_su if self.lambda_su > 0 else 0.0

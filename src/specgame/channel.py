@@ -49,15 +49,8 @@ class ChannelParams:
                 raise ValueError(f"{f.name} must be finite")
         if not self.alpha > 2:
             raise ValueError("alpha must exceed 2")
-        if not self.noise > 0:
-            raise ValueError("noise must be positive")
-        for name in ("pt_power", "su_power", "mu_power"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("pt_link_distance", "su_link_distance", "min_distance"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("pr_sinr_threshold", "su_sinr_threshold"):
+        for name in ("noise", "pt_power", "su_power", "mu_power", "pt_link_distance", "su_link_distance",
+                     "min_distance", "pr_sinr_threshold", "su_sinr_threshold"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("pr_outage_constraint", "su_outage_constraint"):

@@ -21,6 +21,7 @@ import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
+from .attack import PHASES
 from .channel import max_allowable_su_density
 from .engine import (
     ConfigError,
@@ -29,7 +30,6 @@ from .engine import (
     SimulationError,
     SweepCell,
     metrics_columns,
-    record_row,
     run,
     sweep_region,
 )
@@ -143,19 +143,17 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def metrics_csv_text(result: RunResult) -> str:
-    """One line per record, floats written with '%.12g' as _fmt writes them."""
-    columns = metrics_columns(len(result.config.access_probs))
-    line = ",".join("%s" if c == "mu_phase" else "%d" if c.startswith("t_") else "%.12g" for c in columns) + "\n"
-    return ",".join(columns) + "\n" + "".join(line % tuple(record_row(rec)) for rec in result.records)
+    """One line per step, floats written with '%.12g' as _fmt writes them."""
+    names = metrics_columns(len(result.config.access_probs))
+    line = ",".join("%s" if c == "mu_phase" else "%d" if c.startswith("t_") else "%.12g" for c in names) + "\n"
+    columns = {c: result.columns[c].tolist() for c in names}
+    columns["mu_phase"] = [PHASES[code].value for code in columns["mu_phase"]]
+    return ",".join(names) + "\n" + "".join(line % row for row in zip(*columns.values()))
 
 
 def events_csv_text(result: RunResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["slot", "old_phase", "new_phase", "trigger"])
-    for ev in result.events:
-        writer.writerow([ev.slot, ev.old_phase.value, ev.new_phase.value, _fmt(ev.trigger)])
-    return buf.getvalue()
+    return "slot,old_phase,new_phase,trigger\n" + "".join(
+        "%d,%s,%s,%.12g\n" % (ev.slot, ev.old_phase.value, ev.new_phase.value, ev.trigger) for ev in result.events)
 
 
 def region_csv_text(cells: Sequence[SweepCell]) -> str:

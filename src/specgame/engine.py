@@ -9,6 +9,7 @@ payoffs over a window of fading/access slots on a sampled topology.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -23,6 +24,7 @@ from .attack import (
     InducingTemplate,
     PhaseEvent,
     launch_verdict,
+    phase_history,
 )
 from .channel import ChannelParams, max_allowable_su_density, path_gain, torus_tail
 from .game import (
@@ -52,8 +54,11 @@ GATHER_SHARE = 0.45
 # FLOAT32_MIN_NOISE, even at 1e5 transmitters
 FLOAT32_MAX_TERM = 1e30
 FLOAT32_MIN_NOISE = 1e-25  # W
-# the most step history, (2m + 5) float64 per step and pass, a mean-field run may keep
+# the most step history a run may keep, as history_bytes estimates it
 MAX_HISTORY_BYTES = 2 << 30
+# bytes per value of a run's metrics while its CSV is written: the column,
+# its `.tolist()` entry, and its text as a line, in the joined text and encoded
+BYTES_PER_VALUE = 72
 
 
 class ConfigError(ValueError):
@@ -124,10 +129,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be at least 1")
             if getattr(self, name) > np.iinfo(np.intp).max:
                 raise ConfigError(f"{name} must be at most {np.iinfo(np.intp).max}, numpy's largest array size")
-        if not self.step_size > 0:
-            raise ConfigError("step_size must be positive")
-        if not self.sensing_radius > 0:
-            raise ConfigError("sensing_radius must be positive")
+        for name in ("step_size", "sensing_radius"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
         if not math.isfinite(self.sensing_radius * self.sensing_radius):
             raise ConfigError("sensing_radius is too large: its square overflows")
         ch = self.channel
@@ -254,14 +258,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Observables of one replicator update.
-
-    pr_success / su_success report the fraction of links of that class whose
-    outage constraint is met (a transmission is successful when its outage
-    stays within the allowed constraint); the raw per-slot SINR-threshold
-    rates are kept alongside for validation. SINR aggregates are in dB; the
-    mean-field path carries its analytic median in both mean and median slots.
-    """
+    """One replicator update, as `RunResult.records` builds it from the columns."""
 
     t_update: int
     t_slot: int
@@ -280,14 +277,31 @@ class MetricsRecord:
     strategy_counts: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
+    """A run's per-step series: `columns` maps each `metrics_columns` name,
+    `pr_success_raw`, `su_success_raw` (per-slot SINR-threshold rates) and in
+    Monte Carlo the (steps, m) `strategy_counts` to one entry per step, with
+    `mu_phase` as codes into PHASES. `records` builds one MetricsRecord per
+    step from them on first access, for readers outside the package. A Monte
+    Carlo `topology` counts the first sampled topology's nodes and pairs."""
+
     config: ScenarioConfig
-    records: List[MetricsRecord]
+    columns: Dict[str, np.ndarray]
     events: List[PhaseEvent]
-    # Monte Carlo only: node counts, sensing and near-field interference pairs
-    # of the first sampled topology
     topology: Optional[Dict[str, int]] = None
+
+    @functools.cached_property
+    def records(self) -> List[MetricsRecord]:
+        cols = {name: col.tolist() for name, col in self.columns.items()}
+        m = len(self.config.access_probs)
+        fields = {f.name: cols[f.name] for f in dataclasses.fields(MetricsRecord) if f.name in cols}
+        fields["shares"] = zip(*(cols[f"share_s{i + 1}"] for i in range(m)))
+        fields["payoffs"] = zip(*(cols[f"payoff_s{i + 1}"] for i in range(m)))
+        fields["mu_phase"] = (PHASES[code].value for code in cols["mu_phase"])
+        if "strategy_counts" in cols:
+            fields["strategy_counts"] = map(tuple, cols["strategy_counts"])
+        return [MetricsRecord(**dict(zip(fields, row))) for row in zip(*fields.values())]
 
 
 def metrics_columns(m: int) -> List[str]:
@@ -299,19 +313,21 @@ def metrics_columns(m: int) -> List[str]:
     return cols
 
 
-def record_row(rec: MetricsRecord) -> List:
-    row: List = [rec.t_update, rec.t_slot]
-    row += list(rec.shares)
-    row += [rec.active_su_density, rec.mu_phase, rec.pr_success, rec.su_success,
-            rec.pr_sinr_db_mean, rec.pr_sinr_db_median, rec.su_sinr_db_mean, rec.su_sinr_db_median]
-    row += list(rec.payoffs)
-    return row
+def _result(config: ScenarioConfig, slot: int, traj: Trajectory, events: List[PhaseEvent],
+            topology: Optional[Dict[str, int]] = None, **named: np.ndarray) -> RunResult:
+    """A run's result: its trajectory's shares, payoffs and raw success rates,
+    the phases `events` set, and `named`; step t ends at slot t * window + slot."""
+    n = len(traj.shares)
+    columns = {"t_update": np.arange(n), "t_slot": np.array(range(slot, n * config.window, config.window)),
+               "mu_phase": phase_history(events, n)[:, 0], "pr_success_raw": traj.s_pr[:, 0],
+               "su_success_raw": traj.s_su[:, 0]}
+    for i in range(len(config.access_probs)):
+        columns[f"share_s{i + 1}"], columns[f"payoff_s{i + 1}"] = traj.shares[:, 0, i], traj.payoffs[:, 0, i]
+    return RunResult(config, columns | named, events, topology)
 
 
 def _to_db(value: float) -> float:
-    if not value > 0 or math.isnan(value):
-        return math.nan
-    return 10.0 * math.log10(value)
+    return 10.0 * math.log10(value) if value > 0 else math.nan  # NaN is not > 0
 
 
 def _median(x: np.ndarray) -> float:
@@ -372,6 +388,26 @@ def decide_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> boo
                                                     config.step_size, history=False), config.extinction_tolerance)
 
 
+def _forecast_pass(config: ScenarioConfig) -> bool:
+    # run_meanfield's first pass is the launched forecast, and a no takes a second, unlaunched one
+    return config.launch_policy == "forecast" and config.inactive_mu_behavior == "silent" and not config.freeze_shares
+
+
+def history_bytes(config: ScenarioConfig) -> int:
+    """Estimated bytes of a run's steps: per step, every dynamics pass's (2m + 5)
+    float64, the metrics columns with their CSV text, and strategy counts."""
+    m = len(config.access_probs)
+    passes = 1 + (config.mode == "meanfield" and _forecast_pass(config))
+    return config.steps * (passes * (2 * m + 5) * 8 + len(metrics_columns(m)) * BYTES_PER_VALUE + m * 8)
+
+
+def _check_history(config: ScenarioConfig) -> None:
+    history = history_bytes(config)
+    if history > MAX_HISTORY_BYTES:
+        raise ConfigError(f"steps={config.steps} needs an estimated {history / 2 ** 30:,.1f} GiB step history, "
+                          f"above the {MAX_HISTORY_BYTES / 2 ** 30:g} GiB limit")
+
+
 def run_meanfield(config: ScenarioConfig) -> RunResult:
     """Deterministic closed-form iteration; consumes no randomness.
 
@@ -383,16 +419,11 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     solved for the kept pass only. Success columns report whether the
     closed-form outage constraint of each link class currently holds. Raises
     ValueError, with the reason, if the dynamics fail, and first ConfigError
-    if the step history would exceed MAX_HISTORY_BYTES.
+    if history_bytes exceeds MAX_HISTORY_BYTES.
     """
     if config.mode != "meanfield":
         raise ConfigError("run_meanfield requires mode='meanfield'")
-    forecast_pass = (config.launch_policy == "forecast" and config.inactive_mu_behavior == "silent"
-                     and not config.freeze_shares)
-    history = (1 + forecast_pass) * config.steps * (2 * len(config.access_probs) + 5) * 8
-    if history > MAX_HISTORY_BYTES:
-        raise ConfigError(f"steps={config.steps} needs a {history / 2 ** 30:,.1f} GiB mean-field step history, "
-                          f"above the {MAX_HISTORY_BYTES / 2 ** 30:g} GiB limit")
+    _check_history(config)
     ch = config.channel
     env = config.game_env()
     passes = []
@@ -403,7 +434,7 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
                                                 config.step_size, freeze_shares=config.freeze_shares)))
         return passes[-1][1]
 
-    if forecast_pass:
+    if _forecast_pass(config):
         # decide_launch would run this very controller and these dynamics, launched
         if not launch_verdict(env, lambda: run_pass(True), config.extinction_tolerance):
             run_pass(False)
@@ -414,29 +445,11 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
         raise ValueError(traj.errors[0])
     su_med, pr_med = np.moveaxis(env.link_budget.median(
         (traj.active_su_density[..., None], traj.mu_density[..., None], env.lambda_pt)), -1, 0)
-    pr_ok = traj.s_pr >= 1.0 - ch.pr_outage_constraint
-    su_ok = traj.s_su >= 1.0 - ch.su_outage_constraint
-    records = []
-    for t, phase in enumerate(controller.phase_history):
-        pr_db = _to_db(float(pr_med[t, 0]))
-        su_db = _to_db(float(su_med[t, 0]))
-        records.append(MetricsRecord(
-            t_update=t,
-            t_slot=t * config.window,
-            shares=tuple(traj.shares[t, 0].tolist()),
-            active_su_density=float(traj.active_su_density[t, 0]),
-            mu_phase=PHASES[phase.item()].value,
-            pr_success=1.0 if pr_ok[t, 0] else 0.0,
-            su_success=1.0 if su_ok[t, 0] else 0.0,
-            pr_sinr_db_mean=pr_db,
-            pr_sinr_db_median=pr_db,
-            su_sinr_db_mean=su_db,
-            su_sinr_db_median=su_db,
-            payoffs=tuple(traj.payoffs[t, 0].tolist()),
-            pr_success_raw=float(traj.s_pr[t, 0]),
-            su_success_raw=float(traj.s_su[t, 0]),
-        ))
-    return RunResult(config, records, controller.events)
+    pr_db, su_db = (np.array([_to_db(v) for v in med[:, 0].tolist()]) for med in (pr_med, su_med))
+    return _result(config, 0, traj, controller.events, active_su_density=traj.active_su_density[:, 0],
+                   pr_success=(traj.s_pr[:, 0] >= 1.0 - ch.pr_outage_constraint).astype(float),
+                   su_success=(traj.s_su[:, 0] >= 1.0 - ch.su_outage_constraint).astype(float),
+                   pr_sinr_db_mean=pr_db, pr_sinr_db_median=pr_db, su_sinr_db_mean=su_db, su_sinr_db_median=su_db)
 
 
 def _sensing_neighbours(sus, senders, radius, region):
@@ -673,10 +686,12 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     previous window's measured density and resolves its launch after window
     0. A failed step raises ValueError with the reason; no window follows.
     Fading is drawn per transmitter per slot plus per receiver for the
-    desired link, which preserves the per-link marginal law.
+    desired link, which preserves the per-link marginal law. Raises
+    ConfigError first if history_bytes exceeds MAX_HISTORY_BYTES.
     """
     if config.mode != "montecarlo":
         raise ConfigError("run_montecarlo requires mode='montecarlo'")
+    _check_history(config)
     ch = config.channel
     rng = np.random.default_rng(config.seed)
     topo = _sample_topology(config, rng)
@@ -693,7 +708,12 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     thresholds = (ch.pr_sinr_threshold, ch.su_sinr_threshold)
     payoff_table = _payoff_table(config.payoffs)
 
-    records: List[MetricsRecord] = []
+    # window w's values beyond the trajectory's, at index w
+    counts = np.empty((config.steps, m), dtype=np.intp)
+    names = ("active_su_density", "pr_success", "su_success", "pr_sinr_db_mean", "pr_sinr_db_median",
+             "su_sinr_db_mean", "su_sinr_db_median")
+    values = np.empty((len(names), config.steps))
+    windows = iter(range(config.steps))  # the window of each call, in order
 
     def schedule(w: int, _analytic_density):
         if w == 1:
@@ -702,11 +722,11 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             n = first_topology
             estimates = replace(config.game_env(), lambda_pt=n["n_pt"] / area, lambda_su=n["n_su"] / area)
             controller.resolve_launch(decide_launch(config, estimates, n["n_mu"] / area))
-        return controller(w, records[-1].active_su_density if records else 0.0)
+        return controller(w, values[0, w - 1] if w else 0.0)
 
     def window(x, _env, drive, _analytic_density):
         nonlocal topo
-        w, shares = len(records), x[0]
+        w, shares = next(windows), x[0]
         phase = PHASES[int(controller.phases)]
         inducing = phase is AttackPhase.INDUCING
         mimic = phase is AttackPhase.INACTIVE and config.inactive_mu_behavior == "mimic-su"
@@ -775,7 +795,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
 
         payoff = _slot_payoffs(payoff_table, access, perceived, su_ok)
 
-        strat_counts = np.bincount(assign, minlength=m)
+        counts[w] = strat_counts = np.bincount(assign, minlength=m)
         strat_pay = np.zeros(m)
         # an empty strategy scores the window's mean, and so does one that holds every SU
         partial = (strat_counts > 0) & (strat_counts < n_su)
@@ -784,37 +804,22 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             for i in range(m):
                 strat_pay[i] = float(payoff[assign == i].mean()) if partial[i] else window_mean
 
-        active_density_win = int(np.count_nonzero(access)) / w_slots / area
-
         pr_raw = int(np.count_nonzero(pr_thresh_ok)) / pr_thresh_ok.size if n_pt else math.nan
         su_raw = int(np.count_nonzero(su_ok)) / su_ok.size
-        pr_ok_frac = _outage_met(pr_thresh_ok, ch.pr_outage_constraint) if n_pt else math.nan
-        su_ok_frac = _outage_met(su_ok, ch.su_outage_constraint)
-
-        records.append(MetricsRecord(
-            t_update=w,
-            t_slot=(w + 1) * w_slots - 1,
-            shares=tuple(shares.tolist()),
-            active_su_density=active_density_win,
-            mu_phase=phase.value,
-            pr_success=pr_ok_frac,
-            su_success=su_ok_frac,
-            pr_sinr_db_mean=_to_db(float(sinr_pr.mean())) if n_pt else math.nan,
-            pr_sinr_db_median=_to_db(_median(sinr_pr)) if n_pt else math.nan,
-            su_sinr_db_mean=_to_db(float(sinr_su.mean())),
-            su_sinr_db_median=_to_db(_median(sinr_su)),
-            payoffs=tuple(strat_pay.tolist()),
-            pr_success_raw=pr_raw,
-            su_success_raw=su_raw,
-            strategy_counts=tuple(int(c) for c in strat_counts),
-        ))
+        values[:, w] = (int(np.count_nonzero(access)) / w_slots / area,
+                        _outage_met(pr_thresh_ok, ch.pr_outage_constraint) if n_pt else math.nan,
+                        _outage_met(su_ok, ch.su_outage_constraint),
+                        _to_db(float(sinr_pr.mean())) if n_pt else math.nan,
+                        _to_db(_median(sinr_pr)) if n_pt else math.nan,
+                        _to_db(float(sinr_su.mean())), _to_db(_median(sinr_su)))
         return strat_pay, math.nan, su_raw, pr_raw
 
     traj = run_dynamics(np.asarray(config.x0), config.game_env(), schedule, config.steps, config.step_size,
-                        freeze_shares=config.freeze_shares, payoff_source=window, history=False)
+                        freeze_shares=config.freeze_shares, payoff_source=window)
     if traj.errors[0]:
         raise ValueError(traj.errors[0])
-    return RunResult(config, records, controller.events, first_topology)
+    return _result(config, w_slots - 1, traj, controller.events, first_topology, strategy_counts=counts,
+                   **dict(zip(names, values)))
 
 
 def run(config: ScenarioConfig) -> RunResult:

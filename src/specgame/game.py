@@ -336,10 +336,9 @@ def run_dynamics(
 
     With `history=False` the per-step arrays have one row, written once
     when the loop ends, from the last step run: O(cells) memory, for callers
-    that read only the end (`sweep_region`, the launch forecast of
-    `decide_launch`, and `run_montecarlo`, which reads only `errors`). The
-    arithmetic is the same, so that row, `final_shares` and `errors` equal
-    the full run's, byte for byte.
+    that read only the end (`sweep_region` and the launch forecast of
+    `decide_launch`). The arithmetic is the same, so that row,
+    `final_shares` and `errors` equal the full run's, byte for byte.
     """
     if steps < 1:
         raise ValueError("need at least one step")

@@ -21,6 +21,7 @@ from specgame.attack import (
     PhaseEvent,
     advance_phases,
     launch_verdict,
+    phase_history,
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
 from specgame.engine import ScenarioConfig, decide_launch
@@ -195,8 +196,8 @@ def test_controller_equals_advance_phases_stepped_by_hand(run, behavior, scalar)
                           (drive.active_density, density), (drive.inducement, inducement)):
             assert np.shape(got) == want.shape and np.asarray(got).tobytes() == want.tobytes()
         assert ctl.events == events
-        assert len(ctl.phase_history) == len(history)
-        assert all(np.array_equal(a, b) for a, b in zip(ctl.phase_history, history))
+        derived = phase_history(ctl.events, t + 1, len(hysteresis))
+        assert np.array_equal(derived, np.reshape(history, derived.shape))
 
 
 def test_silent_controller_skips_calls_that_change_nothing():
@@ -217,7 +218,9 @@ def test_silent_controller_skips_calls_that_change_nothing():
         ctl(20, np.array([high, high]))  # cell 1 above the cap: not idle
         assert machine.call_count == 6
     assert PHASES[ctl.phases[0]] is AttackPhase.INACTIVE and PHASES[ctl.phases[1]] is AttackPhase.INDUCING
-    assert len(ctl.phase_history) == 21 and ctl.above_cap_run.tolist() == [0, 1]
+    assert phase_history(ctl.events, 21, 2).T.tolist() == [[INITIAL] * 2 + [INDUCING] * 2 + [INACTIVE] * 17,
+                                                           [INITIAL] * 2 + [INDUCING] * 19]
+    assert ctl.above_cap_run.tolist() == [0, 1]
 
 
 def test_decide_launch_baseline_payoffs():

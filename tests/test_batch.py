@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specgame.attack import AttackController, InducingTemplate
+from specgame.attack import AttackController, InducingTemplate, phase_history
 from specgame.channel import ChannelParams, max_allowable_su_density
 from specgame.engine import ScenarioConfig
 from specgame.game import (
@@ -61,7 +61,8 @@ def test_batch_equals_cells_run_one_at_a_time(cells):
         one = run_dynamics(x0[c], _env(PayoffParams(d[c], n[c], k[c])), ctl, STEPS, 0.1)
         np.testing.assert_allclose(batch.shares[:, c], one.shares[:, 0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(batch.final_shares[c], one.final_shares[0], rtol=1e-12, atol=0.0)
-        assert [int(p[c]) for p in batch_ctl.phase_history] == [int(p.item()) for p in ctl.phase_history]
+        assert (phase_history(batch_ctl.events, STEPS, len(cells))[:, c].tolist()
+                == phase_history(ctl.events, STEPS)[:, 0].tolist())
         assert [(e.slot, e.new_phase) for e in batch_ctl.events if e.cell == c] == [
             (e.slot, e.new_phase) for e in ctl.events
         ]

@@ -1,6 +1,8 @@
 import csv
+import gc
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +14,17 @@ from specgame.cli import (
     load_config,
     main,
     run_preset,
+    write_run_outputs,
 )
-from specgame.engine import INTERFERENCE_CUTOFF, ConfigError, ScenarioConfig, _sample_topology
+from specgame.engine import (
+    INTERFERENCE_CUTOFF,
+    MAX_HISTORY_BYTES,
+    ConfigError,
+    ScenarioConfig,
+    _sample_topology,
+    history_bytes,
+    run,
+)
 from specgame.geometry import pairwise_toroidal
 
 
@@ -421,29 +432,65 @@ def test_an_integer_numpy_cannot_size_names_the_key(tmp_path, capsys, key, digit
 def test_a_mean_field_history_beyond_the_limit_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "fig3-population", "--set", "steps=1000000000000", "--out", str(out)]) == 2
-    # two passes (the forecast, then perhaps an unlaunched one) x 10^12 steps x (2 m + 5) values x 8 B
-    message = "steps=1000000000000 needs a 134,110.5 GiB mean-field step history, above the 2 GiB limit"
+    # 10^12 steps x (two passes x (2 m + 5) x 8 B + 14 CSV values x 72 B + m x 8 B)
+    message = "steps=1000000000000 needs an estimated 1,087,784.8 GiB step history, above the 2 GiB limit"
     assert capsys.readouterr().err == f"invalid configuration: {message}\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, passes", [
     ([], 2),  # the forecast pass, then perhaps an unlaunched one
-    (["--set", "launch_policy=never"], 1),
-    (["--set", "inactive_mu_behavior=mimic-su"], 1),
-    (["--set", "freeze_shares=true"], 1),
-    (["--set", "access_probs=[0,0.5,1]", "--set", "x0=[0.9,0.05,0.05]"], 2),
+    (["launch_policy=never"], 1),
+    (["inactive_mu_behavior=mimic-su"], 1),
+    (["freeze_shares=true"], 1),
+    (["access_probs=[0,0.5,1]", "x0=[0.9,0.05,0.05]"], 2),
+    (["mode=montecarlo", "region_side=600"], 1),
 ])
 def test_the_history_estimate_counts_passes_steps_and_strategies(tmp_path, monkeypatch, extra, passes):
     import specgame.engine as engine
 
     m = 3 if "access_probs=[0,0.5,1]" in extra else 2
-    estimate = passes * 20 * (2 * m + 5) * 8
+    config = apply_overrides(build_presets()["fig3-population"], ["steps=20", *extra])
+    # the dynamics passes, the CSV's 2m + 10 values and the strategy counts
+    estimate = 20 * (passes * (2 * m + 5) * 8 + (2 * m + 10) * engine.BYTES_PER_VALUE + m * 8)
+    assert engine.history_bytes(config) == estimate
     for limit, code in ((estimate - 1, 2), (estimate, 0)):
         monkeypatch.setattr(engine, "MAX_HISTORY_BYTES", limit)
         out = tmp_path / f"out-{limit}"
-        assert main(["run", "fig3-population", "--set", "steps=20", *extra, "--out", str(out)]) == code
+        argv = [arg for kv in ["steps=20", *extra] for arg in ("--set", kv)]
+        assert main(["run", "fig3-population", *argv, "--out", str(out)]) == code
         assert out.exists() == (code == 0)
+
+
+def test_ten_million_mean_field_steps_exceed_the_limit():
+    config = apply_overrides(build_presets()["fig3-population"], ["steps=10000000"])
+    assert history_bytes(config) > MAX_HISTORY_BYTES
+    assert history_bytes(apply_overrides(config, ["steps=1000000"])) < MAX_HISTORY_BYTES
+
+
+@pytest.mark.parametrize("extra, steps", [
+    ([], (500, 2000)),
+    (["access_probs=[0, 0.3, 0.7, 1]", "x0=[0.97, 0.01, 0.01, 0.01]"], (500, 2000)),
+    (["launch_policy=always"], (500, 2000)),
+    # a topology with PTs, so that no SINR column is NaN, whose text is short
+    (["mode=montecarlo", "region_side=400", "window=4", "seed=4"], (200, 600)),
+])
+def test_the_history_estimate_bounds_the_memory_a_run_and_its_csv_take(tmp_path, extra, steps):
+    configs = [apply_overrides(build_presets()["fig3-population"], [f"steps={n}", *extra]) for n in steps]
+    write_run_outputs(run(configs[0]), str(tmp_path), None)  # untraced: first calls fill caches
+    peaks = []
+    for config in configs:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run(config)
+            tracemalloc.reset_peak()  # a topology build's peak does not grow with the steps
+            write_run_outputs(result, str(tmp_path), None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the bytes each further step takes, against the estimate's per-step bytes
+    assert (peaks[1] - peaks[0]) / (steps[1] - steps[0]) <= history_bytes(configs[1]) / steps[1]
 
 
 @pytest.mark.parametrize("command", [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specgame.attack import PHASES
 from specgame.channel import ChannelParams, InterfererField, max_allowable_su_density, success_prob
 from specgame.cli import PRESET_GRID, build_presets
 from specgame.engine import (
@@ -20,7 +21,6 @@ from specgame.engine import (
     ScenarioConfig,
     SimulationError,
     metrics_columns,
-    record_row,
     run,
     run_meanfield,
     run_montecarlo,
@@ -35,6 +35,15 @@ def mf_config(**kw):
     data = {"payoffs": {"delta": 10.0, "nu": 1.0, "kappa": 0.0}}
     data.update(kw)
     return ScenarioConfig.from_dict(data)
+
+
+def phases(result):
+    return [PHASES[code].value for code in result.columns["mu_phase"].tolist()]
+
+
+def same_columns(a, b):
+    return a.columns.keys() == b.columns.keys() and all(a.columns[k].tobytes() == b.columns[k].tobytes()
+                                                        for k in a.columns)
 
 
 def test_config_validation_errors():
@@ -64,34 +73,34 @@ def test_config_round_trip():
 def test_meanfield_no_attacker_flat_and_aborted():
     cfg = mf_config(lambda_mu=0.0, x0=[1.0, 0.0], payoffs={"kappa": 2.0}, steps=40)
     result = run_meanfield(cfg)
-    assert all(rec.shares == (1.0, 0.0) for rec in result.records)
-    assert result.records[-1].mu_phase == "aborted"
+    assert result.columns["share_s1"].tolist() == [1.0] * 40 and result.columns["share_s2"].tolist() == [0.0] * 40
+    assert phases(result)[-1] == "aborted"
     assert [e.new_phase.value for e in result.events] == ["aborted"]
 
 
 def test_meanfield_kappa0_population_collapse():
     result = run_meanfield(mf_config(steps=150))
-    shares = [rec.shares[1] for rec in result.records]
+    shares = result.columns["share_s2"].tolist()
     assert shares[-1] >= 0.99
     crossing = CAP / result.config.lambda_su
     assert any(s >= crossing for s in shares)
-    assert result.records[-1].pr_success == 0.0
+    assert result.columns["pr_success"][-1] == 0.0
     # within-run sanity: success indicator flips exactly when the closed-form
     # constraint is violated
-    for rec in result.records:
-        expected = 1.0 if rec.pr_success_raw >= 0.95 else 0.0
-        assert rec.pr_success == expected
+    for raw, success in zip(result.columns["pr_success_raw"].tolist(), result.columns["pr_success"].tolist()):
+        expected = 1.0 if raw >= 0.95 else 0.0
+        assert success == expected
 
 
 def test_meanfield_kappa8_recovers():
     cfg = mf_config(payoffs={"delta": 10.0, "nu": 1.0, "kappa": 8.0}, launch_policy="always", steps=150)
     result = run_meanfield(cfg)
-    shares = [rec.shares[1] for rec in result.records]
+    shares = result.columns["share_s2"].tolist()
     peak = max(shares)
     assert peak > shares[0]
     assert shares[-1] < peak
-    assert result.records[-1].pr_success == 1.0
-    assert result.records[-1].pr_sinr_db_median >= 10 * math.log10(3.0)
+    assert result.columns["pr_success"][-1] == 1.0
+    assert result.columns["pr_sinr_db_median"][-1] >= 10 * math.log10(3.0)
 
 
 def test_meanfield_wires_inducing_mu_density_exactly():
@@ -102,21 +111,21 @@ def test_meanfield_wires_inducing_mu_density_exactly():
         lambda_mu=2e-4, mu_access_prob=0.5, launch_policy="always",
         x0=[1.0, 0.0], payoffs={"kappa": 5.0}, steps=1,
     )
-    rec = run_meanfield(cfg).records[0]
-    assert rec.mu_phase == "inducing"
+    result = run_meanfield(cfg)
+    assert phases(result) == ["inducing"]
     ch = cfg.channel
     expected = success_prob(
         ch.su_link_distance, ch.su_power, ch.su_sinr_threshold,
         [InterfererField(2e-4 * 0.5, ch.mu_power), InterfererField(cfg.lambda_pt, ch.pt_power)],
         ch,
     )
-    assert rec.su_success_raw == expected
+    assert result.columns["su_success_raw"][0] == expected
 
 
 def test_meanfield_deterministic():
     a = run_meanfield(mf_config(steps=50))
     b = run_meanfield(mf_config(steps=50))
-    assert [record_row(r) for r in a.records] == [record_row(r) for r in b.records]
+    assert same_columns(a, b)
 
 
 def count_dynamics_passes(monkeypatch):
@@ -178,14 +187,14 @@ def test_failed_montecarlo_draws_no_window_after_the_failing_one(monkeypatch):
 @pytest.mark.parametrize("config, fixed", [(FIG3, "always"), (KAPPA8, "never")])
 def test_meanfield_forecast_run_equals_its_fixed_launch(config, fixed):
     forecast, pinned = run_meanfield(config), run_meanfield(replace(config, launch_policy=fixed))
-    assert forecast.records == pinned.records
+    assert same_columns(forecast, pinned)
     assert forecast.events == pinned.events
 
 
 def test_meanfield_emits_update_and_slot_axes():
     result = run_meanfield(mf_config(steps=5, window=20))
-    assert [rec.t_update for rec in result.records] == list(range(5))
-    assert [rec.t_slot for rec in result.records] == [0, 20, 40, 60, 80]
+    assert result.columns["t_update"].tolist() == list(range(5))
+    assert result.columns["t_slot"].tolist() == [0, 20, 40, 60, 80]
 
 
 def test_montecarlo_degenerate_population():
@@ -201,10 +210,10 @@ def test_montecarlo_all_silent_matches_channel_oracle():
         payoffs={"kappa": 5.0}, launch_policy="never", steps=10, window=20, seed=3,
     )
     result = run_montecarlo(cfg)
-    raw = [rec.pr_success_raw for rec in result.records]
+    raw = result.columns["pr_success_raw"]
     expected = math.exp(-3.0 * 1e-9 * 15.0 ** 4 / 0.3)
     assert abs(np.mean(raw) - expected) <= 0.002
-    assert all(rec.shares == (1.0, 0.0) for rec in result.records)
+    assert result.columns["share_s1"].tolist() == [1.0] * 10 and result.columns["share_s2"].tolist() == [0.0] * 10
 
 
 def test_montecarlo_meanfield_success_consistency():
@@ -225,8 +234,8 @@ def test_montecarlo_meanfield_success_consistency():
     pr_rates, su_rates = [], []
     for seed in range(40):  # 40 topologies x 5 windows x 10 slots
         result = run_montecarlo(ScenarioConfig.from_dict({**cfg.to_dict(), "seed": seed}))
-        pr_rates.extend(rec.pr_success_raw for rec in result.records)
-        su_rates.extend(rec.su_success_raw for rec in result.records)
+        pr_rates.extend(result.columns["pr_success_raw"].tolist())
+        su_rates.extend(result.columns["su_success_raw"].tolist())
     assert abs(np.nanmean(pr_rates) - closed_pr) <= 0.02
     assert abs(np.mean(su_rates) - closed_su) <= 0.02
 
@@ -234,10 +243,9 @@ def test_montecarlo_meanfield_success_consistency():
 def test_montecarlo_payoff_sample_conservation():
     cfg = mf_config(mode="montecarlo", region_side=800.0, steps=6, window=8, seed=11)
     result = run_montecarlo(cfg)
-    n_su = sum(result.records[0].strategy_counts)
-    assert n_su > 0
-    for rec in result.records:
-        assert sum(rec.strategy_counts) == n_su
+    totals = result.columns["strategy_counts"].sum(axis=1).tolist()
+    assert len(totals) == 6 and totals[0] > 0
+    assert totals == [totals[0]] * 6
 
 
 def test_montecarlo_attack_log_respects_hysteresis():
@@ -246,7 +254,7 @@ def test_montecarlo_attack_log_respects_hysteresis():
     withdrawals = [e for e in result.events if e.new_phase.value == "inactive"]
     if withdrawals:
         slot = withdrawals[0].slot
-        densities = [rec.active_su_density for rec in result.records]
+        densities = result.columns["active_su_density"].tolist()
         # the H observations before the transition all exceeded the cap
         window = densities[slot - 3:slot]
         assert len(window) == 3
@@ -257,7 +265,7 @@ def test_montecarlo_deterministic_given_seed():
     cfg = mf_config(mode="montecarlo", region_side=800.0, steps=4, window=6, seed=21)
     a = run_montecarlo(cfg)
     b = run_montecarlo(cfg)
-    assert [record_row(r) for r in a.records] == [record_row(r) for r in b.records]
+    assert same_columns(a, b)
 
 
 def test_montecarlo_with_discrete_attackers():
@@ -267,8 +275,8 @@ def test_montecarlo_with_discrete_attackers():
                     launch_policy="always", steps=4, window=6, seed=8)
     a = run_montecarlo(cfg)
     b = run_montecarlo(cfg)
-    assert [record_row(r) for r in a.records] == [record_row(r) for r in b.records]
-    assert a.records[0].mu_phase in ("initial", "inducing")
+    assert same_columns(a, b)
+    assert phases(a)[0] in ("initial", "inducing")
 
 
 def test_montecarlo_resampled_topology_and_three_strategies():
@@ -277,17 +285,16 @@ def test_montecarlo_resampled_topology_and_three_strategies():
         resample_topology=True, access_probs=[0.0, 0.5, 1.0], x0=[0.9, 0.05, 0.05],
     )
     result = run_montecarlo(cfg)
-    assert len(result.records) == 3
-    for rec in result.records:
-        assert len(rec.shares) == 3 and len(rec.payoffs) == 3
-        assert abs(sum(rec.shares) - 1.0) <= 1e-9
+    shares = np.stack([result.columns[f"share_s{i}"] for i in (1, 2, 3)], axis=1)
+    assert shares.shape == (3, 3) and "payoff_s3" in result.columns and "share_s4" not in result.columns
+    assert np.all(np.abs(shares.sum(axis=1) - 1.0) <= 1e-9)
 
 
 def test_run_dispatches_on_mode():
     mf = run(mf_config(steps=3))
-    assert len(mf.records) == 3
+    assert len(mf.columns["t_update"]) == 3 and "strategy_counts" not in mf.columns
     mc = run(mf_config(mode="montecarlo", region_side=600.0, steps=2, window=4, seed=2))
-    assert len(mc.records) == 2
+    assert len(mc.columns["t_update"]) == 2 and mc.columns["strategy_counts"].shape == (2, 2)
 
 
 def test_metrics_columns_schema():
@@ -297,8 +304,9 @@ def test_metrics_columns_schema():
         "pr_success", "su_success", "pr_sinr_db_mean", "pr_sinr_db_median",
         "su_sinr_db_mean", "su_sinr_db_median", "payoff_s1", "payoff_s2",
     ]
-    rec = run_meanfield(mf_config(steps=1)).records[0]
-    assert len(record_row(rec)) == len(cols)
+    for result in (run_meanfield(mf_config(steps=1)), run(FIG3_MC)):
+        assert set(cols) <= set(result.columns)
+        assert all(len(result.columns[c]) == result.config.steps for c in cols)
 
 
 def test_sweep_region_anchors_and_order_insensitivity():
