@@ -36,7 +36,6 @@ from .game import (
     PayoffParams,
     StrategySet,
     classify_operating_point,
-    perception_prob,
     replicator_step,
     run_dynamics,
 )

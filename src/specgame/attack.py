@@ -20,6 +20,7 @@ import numpy as np
 
 from .channel import max_allowable_su_density
 from .game import GameEnv, MuDrive, Trajectory, classify_operating_point
+from .keys import check
 
 
 class AttackPhase(Enum):
@@ -41,12 +42,8 @@ class InducingTemplate:
     inducement: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.mu_access_prob <= 1.0:
-            raise ValueError("mu_access_prob must lie in [0, 1]")
-        if np.any(np.asarray(self.hysteresis) < 1):
-            raise ValueError("hysteresis must be at least 1")
-        if not 0.0 <= self.inducement <= 1.0:
-            raise ValueError("inducement must lie in [0, 1]")
+        check({"mu_access_prob": self.mu_access_prob, "hysteresis": self.hysteresis,
+               "inducing_perception": self.inducement})
 
 
 @dataclass(frozen=True)
@@ -112,8 +109,7 @@ class AttackController:
         inactive_behavior: str = "silent",
         lambda_su: float = 0.0,
     ) -> None:
-        if inactive_behavior not in ("silent", "mimic-su"):
-            raise ValueError("inactive_behavior must be 'silent' or 'mimic-su'")
+        check({"inactive_mu_behavior": inactive_behavior})
         self.lambda_mu = lambda_mu
         self.template = template
         self.density_cap = density_cap

@@ -20,6 +20,8 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .keys import check
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -44,18 +46,7 @@ class ChannelParams:
     min_distance: float = 1.0
 
     def __post_init__(self) -> None:
-        for f in dataclass_fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        if not self.alpha > 2:
-            raise ValueError("alpha must exceed 2")
-        for name in ("noise", "pt_power", "su_power", "mu_power", "pt_link_distance", "su_link_distance",
-                     "min_distance", "pr_sinr_threshold", "su_sinr_threshold"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("pr_outage_constraint", "su_outage_constraint"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in (0, 1)")
+        check({"channel." + f.name: getattr(self, f.name) for f in dataclass_fields(self)})
 
     @cached_property
     def field_const(self) -> float:

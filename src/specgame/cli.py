@@ -18,12 +18,13 @@ import math
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .attack import PHASES
 from .channel import max_allowable_su_density
 from .engine import (
+    CSV_BLOCK_ROWS,
     ConfigError,
     RunResult,
     ScenarioConfig,
@@ -88,21 +89,11 @@ def load_config(path: str) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not text.strip():
-        data: Dict = {}
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return ScenarioConfig.from_dict(data)
-
-
-def _parse_set_value(raw: str):
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
+        data = json.loads(text) if text.strip() else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    return ScenarioConfig.from_dict(data)
 
 
 def apply_overrides(config: ScenarioConfig, pairs: Sequence[str]) -> ScenarioConfig:
@@ -120,7 +111,10 @@ def apply_overrides(config: ScenarioConfig, pairs: Sequence[str]) -> ScenarioCon
             node = node[part]
         if parts[-1] not in node:
             raise ConfigError(f"unknown config key: {key}")
-        node[parts[-1]] = _parse_set_value(raw)
+        try:
+            node[parts[-1]] = json.loads(raw)
+        except json.JSONDecodeError:
+            node[parts[-1]] = raw
     return ScenarioConfig.from_dict(data)
 
 
@@ -128,13 +122,14 @@ def _fmt(value) -> str:
     return "%.12g" % value if isinstance(value, float) else str(value)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
+    """Write `text`, or its pieces in turn, to a temporary file that then replaces `path`."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -142,13 +137,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def metrics_csv_text(result: RunResult) -> str:
-    """One line per step, floats written with '%.12g' as _fmt writes them."""
+def metrics_csv_blocks(result: RunResult) -> Iterator[str]:
+    """The header, then CSV_BLOCK_ROWS steps at a time, a line each, floats written as _fmt writes them."""
     names = metrics_columns(len(result.config.access_probs))
     line = ",".join("%s" if c == "mu_phase" else "%d" if c.startswith("t_") else "%.12g" for c in names) + "\n"
-    columns = {c: result.columns[c].tolist() for c in names}
-    columns["mu_phase"] = [PHASES[code].value for code in columns["mu_phase"]]
-    return ",".join(names) + "\n" + "".join(line % row for row in zip(*columns.values()))
+    yield ",".join(names) + "\n"
+    for start in range(0, len(result.columns["t_update"]), CSV_BLOCK_ROWS):
+        columns = {c: result.columns[c][start:start + CSV_BLOCK_ROWS].tolist() for c in names}
+        columns["mu_phase"] = [PHASES[code].value for code in columns["mu_phase"]]
+        yield "".join(line % row for row in zip(*columns.values()))
 
 
 def events_csv_text(result: RunResult) -> str:
@@ -180,7 +177,7 @@ def manifest_text(config: ScenarioConfig, preset: Optional[str], topology: Optio
 
 
 def write_run_outputs(result: RunResult, out_dir: str, preset: Optional[str]) -> None:
-    _atomic_write(os.path.join(out_dir, "metrics.csv"), metrics_csv_text(result))
+    _atomic_write(os.path.join(out_dir, "metrics.csv"), metrics_csv_blocks(result))
     _atomic_write(os.path.join(out_dir, "phase_events.csv"), events_csv_text(result))
     _atomic_write(os.path.join(out_dir, "run-manifest.json"), manifest_text(result.config, preset, result.topology))
 
@@ -213,8 +210,7 @@ def run_preset(name_or_path: str, overrides: Sequence[str], out_dir: str) -> int
 def _read_metrics(path: str) -> Tuple[List[str], List[Dict[str, str]]]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read metrics {path}: {exc}") from exc
     if not rows:
@@ -234,7 +230,8 @@ def emit_plotdata(metrics_path: str, out_dir: str, manifest_path: Optional[str] 
     Emits mutant/nonmutant share series, the admissible-share reference line,
     both SINR traces with the threshold reference, plus the success and
     density columns. Needs the run manifest (adjacent by default) for the
-    strategy set and reference levels.
+    strategy set and reference levels. Both are checked before any file is
+    written: a missing key or column, or a value that is no number, exits 2.
     """
     header, rows = _read_metrics(metrics_path)
     if manifest_path is None:
@@ -244,33 +241,45 @@ def emit_plotdata(metrics_path: str, out_dir: str, manifest_path: Optional[str] 
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read run manifest {manifest_path}: {exc}") from exc
-    config = ScenarioConfig.from_dict(manifest["config"])
-    cap_share = manifest["su_density_cap"] / config.lambda_su if config.lambda_su > 0 else math.nan
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path}: the manifest must be an object")
+    try:
+        config = ScenarioConfig.from_dict(manifest["config"])
+        cap_share = float(manifest["su_density_cap"]) / config.lambda_su if config.lambda_su > 0 else math.nan
+    except KeyError as exc:
+        raise ConfigError(f"{manifest_path}: no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError) as exc:  # ConfigError included
+        raise ConfigError(f"{manifest_path}: {exc}") from exc
     thresh_db = 10.0 * math.log10(config.channel.pr_sinr_threshold)
-    probs = config.access_probs
 
-    share_cols = [c for c in header if c.startswith("share_s")]
+    probs = config.access_probs
+    share_cols = [f"share_s{i + 1}" for i in range(len(probs))]
+    values = {}
+    copied = ("active_su_density", "pr_success", "su_success")
+    for name in ["t_update", *share_cols, "pr_sinr_db_mean", "su_sinr_db_mean", *copied]:
+        if name not in header:
+            raise ConfigError(f"{metrics_path}: no {name!r} column")
+        values[name] = []
+        for idx, row in enumerate(rows, start=2):
+            try:
+                values[name].append(float(row[name]))
+            except ValueError:
+                raise ConfigError(f"{metrics_path}: row {idx} {name} is not a number: {row[name]!r}") from None
     mutant_cols = [c for c, p in zip(share_cols, probs) if p > 0]
     silent_cols = [c for c, p in zip(share_cols, probs) if p == 0]
-
-    def series(name, values):
-        lines = [f"{t} {_fmt(v)}" for t, v in values]
-        _atomic_write(os.path.join(out_dir, f"{name}.dat"), "\n".join(lines) + ("\n" if lines else ""))
-
+    series = {
+        "mutant_share": [sum(values[c][i] for c in mutant_cols) for i in range(len(rows))],
+        "nonmutant_share": [sum(values[c][i] for c in silent_cols) for i in range(len(rows))],
+        "lambda_tilde_ref": [cap_share] * len(rows),
+        "pr_sinr_db": values["pr_sinr_db_mean"],
+        "su_sinr_db": values["su_sinr_db_mean"],
+        "threshold_ref": [thresh_db] * len(rows),
+        **{name: values[name] for name in copied},
+    }
     times = [row["t_update"] for row in rows]
-
-    def col(name):
-        return [float(row[name]) for row in rows]
-
-    series("mutant_share", zip(times, (sum(float(r[c]) for c in mutant_cols) for r in rows)))
-    series("nonmutant_share", zip(times, (sum(float(r[c]) for c in silent_cols) for r in rows)))
-    series("lambda_tilde_ref", zip(times, (cap_share for _ in rows)))
-    series("pr_sinr_db", zip(times, col("pr_sinr_db_mean")))
-    series("su_sinr_db", zip(times, col("su_sinr_db_mean")))
-    series("threshold_ref", zip(times, (thresh_db for _ in rows)))
-    series("active_su_density", zip(times, col("active_su_density")))
-    series("pr_success", zip(times, col("pr_success")))
-    series("su_success", zip(times, col("su_success")))
+    for name, series_values in series.items():
+        lines = [f"{t} {_fmt(v)}" for t, v in zip(times, series_values)]
+        _atomic_write(os.path.join(out_dir, f"{name}.dat"), "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
 
@@ -309,12 +318,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            overrides = list(args.overrides)
-            if args.seed is not None:
-                overrides.append(f"seed={args.seed}")
-            if args.mode is not None:
-                overrides.append(f"mode={args.mode}")
-            return run_preset(args.scenario, overrides, args.out)
+            flags = [f"{key}={value}" for key, value in (("seed", args.seed), ("mode", args.mode)) if value is not None]
+            return run_preset(args.scenario, [*args.overrides, *flags], args.out)
         if args.command == "sweep":
             config = load_config(args.config) if args.config else ScenarioConfig.from_dict(
                 {"launch_policy": "always", "steps": 400}

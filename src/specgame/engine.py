@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,35 +33,18 @@ from .game import (
     Trajectory,
     classify_operating_point,
     run_dynamics,
-    validate_shares,
 )
 from .geometry import CellGrid, Region, cells_per_axis, pairs_within, pairwise_toroidal, sample_world
+from .keys import INTERFERENCE_CUTOFF, KEYS, ConfigError, check
 
-MODES = ("meanfield", "montecarlo")
-LAUNCH_POLICIES = ("forecast", "always", "never")
-INACTIVE_BEHAVIORS = ("silent", "mimic-su")
 BUILD_CHUNK_ENTRIES = 1 << 15  # block entries given distances per call while building
-INTERFERENCE_CUTOFF = 200.0  # m: Monte Carlo pairs within are exact, the mean tail covers the rest
 # a window gathers its sending and PT columns while fewer than this share of
 # the senders' slots, and of the widest block's columns, are kept; gathered
 # and whole products cost the same at 0.4 (3000 m) to 0.55 (800 m) of columns
 GATHER_SHARE = 0.45
-# the Monte Carlo near field is a float32 product. The largest power, the
-# largest path gain (min_distance ** -alpha) and their product stay within
-# FLOAT32_MAX_TERM, so fading-weighted sums stay finite; terms float32 flushes
-# to zero (each below 1.2e-38 W) stay under 1e-8 of a noise of at least
-# FLOAT32_MIN_NOISE, even at 1e5 transmitters
-FLOAT32_MAX_TERM = 1e30
-FLOAT32_MIN_NOISE = 1e-25  # W
-# the most step history a run may keep, as history_bytes estimates it
-MAX_HISTORY_BYTES = 2 << 30
-# bytes per value of a run's metrics while its CSV is written: the column,
-# its `.tolist()` entry, and its text as a line, in the joined text and encoded
-BYTES_PER_VALUE = 72
-
-
-class ConfigError(ValueError):
-    """A scenario configuration violates an invariant."""
+MAX_RUN_BYTES = 2 << 30  # a config whose run_bytes exceed this is refused at load
+CSV_BLOCK_ROWS = 1024  # metrics.csv is formatted and written this many rows at a time
+FIXED_BYTES = 1 << 18  # what run_bytes counts for the parts of a run that no key sizes
 
 
 class SimulationError(RuntimeError):
@@ -99,84 +81,19 @@ class ScenarioConfig:
     extinction_tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
-        # types are the annotation strings; channel and payoffs check their own numbers are finite
-        for obj, prefix in ((self, ""), (self.channel, "channel."), (self.payoffs, "payoffs.")):
-            for f in dataclasses.fields(obj):
-                name, value = prefix + f.name, getattr(obj, f.name)
-                if f.type == "bool" and not isinstance(value, bool):
-                    raise ConfigError(f"{name} must be true or false, got {value!r}")
-                if f.type in ("int", "float") and isinstance(value, bool):
-                    raise ConfigError(f"{name} must be a number, got {value!r}")
-                if f.type == "int" and not isinstance(value, numbers.Integral):
-                    raise ConfigError(f"{name} must be an integer, got {value!r}")
-                if f.type == "float" and obj is self and not math.isfinite(value):
-                    raise ConfigError(f"{name} must be finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
-        if self.launch_policy not in LAUNCH_POLICIES:
-            raise ConfigError(f"launch_policy must be one of {LAUNCH_POLICIES}")
-        if self.inactive_mu_behavior not in INACTIVE_BEHAVIORS:
-            raise ConfigError(f"inactive_mu_behavior must be one of {INACTIVE_BEHAVIORS}")
-        if not self.region_side > 0:
-            raise ConfigError("region_side must be positive")
-        for name in ("lambda_pt", "lambda_su", "lambda_mu"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        for name in ("steps", "window"):  # each sizes an array
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-            if getattr(self, name) > np.iinfo(np.intp).max:
-                raise ConfigError(f"{name} must be at most {np.iinfo(np.intp).max}, numpy's largest array size")
-        for name in ("step_size", "sensing_radius"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if not math.isfinite(self.sensing_radius * self.sensing_radius):
-            raise ConfigError("sensing_radius is too large: its square overflows")
-        ch = self.channel
-        if self.mode == "montecarlo":
-            for name in ("pt_link_distance", "su_link_distance"):
-                if not getattr(ch, name) < self.region_side / 2:
-                    raise ConfigError(f"channel.{name} must be below region_side / 2 in Monte Carlo mode")
-            for name in ("pt_link_distance", "su_link_distance", "min_distance"):
-                if not getattr(ch, name) < INTERFERENCE_CUTOFF:
-                    raise ConfigError(f"channel.{name} must be below the {INTERFERENCE_CUTOFF:g} m interference "
-                                      "cutoff in Monte Carlo mode")
-            # in logs: min_distance ** -alpha itself may overflow a float
-            log_power = math.log(max(ch.pt_power, ch.su_power, ch.mu_power))
-            log_gain = -ch.alpha * math.log(ch.min_distance)
-            if not max(log_power, log_gain, log_power + log_gain) <= math.log(FLOAT32_MAX_TERM):
-                raise ConfigError(f"channel: the largest power, min_distance ** -alpha and their product must stay "
-                                  f"within {FLOAT32_MAX_TERM:g} in Monte Carlo mode (float32 interference)")
-            if not ch.noise >= FLOAT32_MIN_NOISE:
-                raise ConfigError(f"channel.noise must be at least {FLOAT32_MIN_NOISE:g} in Monte Carlo mode "
-                                  "(float32 interference)")
-        if not 0.0 <= self.mu_access_prob <= 1.0:
-            raise ConfigError("mu_access_prob must lie in [0, 1]")
-        if self.hysteresis < 1:
-            raise ConfigError("hysteresis must be at least 1")
-        if not 0.0 <= self.inducing_perception <= 1.0:
-            raise ConfigError("inducing_perception must lie in [0, 1]")
-        if not self.extinction_tolerance > 0:
-            raise ConfigError("extinction_tolerance must be positive")
-        try:
-            max_allowable_su_density(ch)
-            budget = GameEnv(ch, self.payoffs).link_budget  # both links' budgets: an overflow fails here, not mid-run
-            if not np.isfinite([budget.noise, *budget.coefs]).all():
-                raise OverflowError("a noise term or field coefficient is not finite")
-        except ValueError as exc:
-            raise ConfigError(f"channel: {exc}") from exc
-        except OverflowError as exc:
-            raise ConfigError(f"channel: a link budget overflows: {exc.args[-1]}") from exc
-        strategies = StrategySet(self.access_probs)
-        x0 = tuple(float(v) for v in self.x0)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "access_probs", strategies.access_probs)
-        try:
-            validate_shares(np.asarray(x0), len(strategies))
-        except ValueError as exc:
-            raise ConfigError(f"x0 invalid: {exc}") from exc
+        """Check every key against keys.KEYS, the cross-key rules, and run_bytes against MAX_RUN_BYTES."""
+        check({name: functools.reduce(getattr, name.split("."), self) for name in KEYS},
+              self if self.mode == "montecarlo" else None)
+        object.__setattr__(self, "access_probs", StrategySet(self.access_probs).access_probs)
+        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        if error := _cross_key_error(self):
+            raise ConfigError(error)
+        parts = run_bytes(self)
+        total, part = sum(parts.values()), max(parts, key=parts.get)
+        if not total <= MAX_RUN_BYTES:
+            key, gib, share = BYTE_PART_KEYS[part], 2 ** 30, parts[part] / total if total < math.inf else 1.0
+            raise ConfigError(f"{key}={getattr(self, key)}: the run needs an estimated {total / gib:,.1f} GiB, "
+                              f"{share:.0%} of it for {part}, above the {MAX_RUN_BYTES / gib:g} GiB limit")
 
     def strategies(self) -> StrategySet:
         return StrategySet(self.access_probs)
@@ -203,57 +120,48 @@ class ScenarioConfig:
                                 lambda_su=self.lambda_su)
 
     def to_dict(self) -> Dict:
-        d = dataclasses.asdict(self)
-        d["access_probs"] = list(self.access_probs)
-        d["x0"] = list(self.x0)
-        return d
+        return {**dataclasses.asdict(self), "access_probs": list(self.access_probs), "x0": list(self.x0)}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be an object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        parts = (("channel", ChannelParams), ("payoffs", PayoffParams))
-        for key, sub_cls in parts:
+        kwargs = dict(_known(data, cls, "config"))
+        for key, part in (("channel", ChannelParams), ("payoffs", PayoffParams)):
             if key in kwargs:
-                sub = kwargs[key]
-                if not isinstance(sub, dict):
-                    raise ConfigError(f"{key} must be an object, got {sub!r}")
-                sub_known = {f.name for f in dataclasses.fields(sub_cls)}
-                sub_unknown = set(sub) - sub_known
-                if sub_unknown:
-                    raise ConfigError(f"unknown {key} keys: {sorted(sub_unknown)}")
-        for key in ("access_probs", "x0"):
-            if key in kwargs and not isinstance(kwargs[key], (list, tuple)):
-                raise ConfigError(f"{key} must be a list of numbers, got {kwargs[key]!r}")
-        # where a number belongs, a string, bool or null, or an integer no float
-        # holds, is named here, before a constructor misreads it
-        scopes = [("", cls, kwargs)] + [(key + ".", sub_cls, kwargs[key]) for key, sub_cls in parts if key in kwargs]
-        slots = [(prefix + f.name, values[f.name], f.type) for prefix, scope, values in scopes
-                 for f in dataclasses.fields(scope) if f.type in ("int", "float") and f.name in values]
-        slots += [(f"{key}[{i}]", v, "float") for key in ("access_probs", "x0") for i, v in enumerate(kwargs.get(key, ()))]
-        for name, value, kind in slots:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if kind == "float":
-                try:
-                    float(value)
-                except OverflowError:
-                    raise ConfigError(f"{name} must be finite, got an integer too large for a float") from None
-        for key, sub_cls in parts:
-            if key in kwargs:
-                try:
-                    kwargs[key] = sub_cls(**kwargs[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+                kwargs[key] = part(**_known(kwargs[key], part, key))
+        return cls(**kwargs)
+
+
+def _known(data, cls, what: str) -> Dict:
+    """`data`, checked to be an object whose keys are all fields of cls."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be an object, got {data!r}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return data
+
+
+def _cross_key_error(config: ScenarioConfig) -> str:
+    """Why the first broken cross-key rule is broken, or "". In order: no link
+    budget overflows (at load, not mid-run); noise alone leaves the primary
+    outage constraint room for some SU density; x0 has one share per access
+    probability, summing to 1; the sensing radius's square is finite."""
+    try:
+        budget = GameEnv(config.channel, config.payoffs).link_budget
+        if not np.isfinite([budget.noise, *budget.coefs]).all():
+            raise OverflowError("a noise term or field coefficient is not finite")
+        max_allowable_su_density(config.channel)
+    except OverflowError as exc:
+        return f"channel: a link budget overflows: {exc.args[-1]}"
+    except ValueError as exc:
+        return f"channel: {exc}"
+    if len(config.x0) != len(config.access_probs):
+        return f"x0 invalid: expected {len(config.access_probs)} strategy shares, got {len(config.x0)}"
+    if abs(sum(config.x0) - 1.0) > 1e-9:  # as far as x0 may sum from 1
+        return "x0 invalid: shares must be a simplex vector"
+    if not math.isfinite(float(config.sensing_radius) * config.sensing_radius):
+        return "sensing_radius is too large: its square overflows"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -393,19 +301,53 @@ def _forecast_pass(config: ScenarioConfig) -> bool:
     return config.launch_policy == "forecast" and config.inactive_mu_behavior == "silent" and not config.freeze_shares
 
 
-def history_bytes(config: ScenarioConfig) -> int:
-    """Estimated bytes of a run's steps: per step, every dynamics pass's (2m + 5)
-    float64, the metrics columns with their CSV text, and strategy counts."""
+def _most(mean: float) -> float:
+    """A count that the largest of a few hundred Poisson draws of this mean rarely exceeds."""
+    return mean + 4.0 * math.sqrt(mean) + 4.0
+
+
+# the key that scales each part of run_bytes, which a refusal names
+BYTE_PART_KEYS = {"the step history": "steps", "the nodes": "region_side", "the sensing pairs": "sensing_radius",
+                  "the PT gains": "lambda_pt", "the near-field blocks": "region_side", "the window arrays": "window"}
+
+
+def run_bytes(config: ScenarioConfig) -> Dict[str, float]:
+    """A run's estimated peak bytes, by part (as BYTE_PART_KEYS names them):
+    per step, each dynamics pass's (2m + 5) float64, the metrics columns, and
+    16 values of SINR-median work or m strategy counts; a CSV block at 72 B
+    per value, and FIXED_BYTES. Monte Carlo adds, at `_most` of each mean
+    count, 64 B per node and per sensing pair; 24 B per receiver per PT while
+    the PT gains are built; 4 B per near-field block entry (blocks x senders
+    in 3 x 3 cells and the PTs x receivers in a cell), 1 + GATHER_SHARE times
+    over while a window gathers; and per slot, 64 B per SU and PT and 4 B
+    per block column."""
     m = len(config.access_probs)
-    passes = 1 + (config.mode == "meanfield" and _forecast_pass(config))
-    return config.steps * (passes * (2 * m + 5) * 8 + len(metrics_columns(m)) * BYTES_PER_VALUE + m * 8)
-
-
-def _check_history(config: ScenarioConfig) -> None:
-    history = history_bytes(config)
-    if history > MAX_HISTORY_BYTES:
-        raise ConfigError(f"steps={config.steps} needs an estimated {history / 2 ** 30:,.1f} GiB step history, "
-                          f"above the {MAX_HISTORY_BYTES / 2 ** 30:g} GiB limit")
+    columns = len(metrics_columns(m))
+    mc = config.mode == "montecarlo"
+    passes = 1 + (not mc and _forecast_pass(config))
+    per_step = 8 * (passes * (2 * m + 5) + columns + (m if mc else 16))
+    csv_block = min(config.steps, CSV_BLOCK_ROWS) * columns * 72
+    parts = {"the step history": float(config.steps * per_step + csv_block + FIXED_BYTES)}
+    if not mc:
+        return parts
+    side = float(config.region_side)  # float products overflow to inf, not to an error
+    area = side * side
+    n_pt, n_su, n_mu = (_most(density * area if density else 0.0)  # no nodes of a class of density 0
+                        for density in (config.lambda_pt, config.lambda_su, config.lambda_mu))
+    parts["the nodes"] = 64 * (n_pt + n_su + n_mu)
+    sensing_area = min(math.pi * config.sensing_radius * float(config.sensing_radius), area)
+    parts["the sensing pairs"] = 64 * n_su * (config.lambda_su + config.lambda_mu) * sensing_area
+    parts["the PT gains"] = 24 * (n_pt + n_su) * n_pt
+    nc = cells_per_axis(side, INTERFERENCE_CUTOFF)
+    if nc <= 3:  # one block, as _Topology builds it
+        blocks, width, rows = 1, n_su + n_mu + n_pt, n_pt + n_su
+    else:
+        cell = (side / nc) ** 2
+        blocks, rows = float(nc) * nc, _most((config.lambda_pt + config.lambda_su) * cell)
+        width = _most((config.lambda_su + config.lambda_mu) * 9 * cell) + n_pt
+    parts["the near-field blocks"] = 4 * blocks * width * rows * (1 + GATHER_SHARE)
+    parts["the window arrays"] = config.window * (64 * (n_su + n_pt) + 4 * blocks * width)
+    return parts
 
 
 def run_meanfield(config: ScenarioConfig) -> RunResult:
@@ -418,12 +360,10 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     a negative forecast takes a second, unlaunched pass. The SINR medians are
     solved for the kept pass only. Success columns report whether the
     closed-form outage constraint of each link class currently holds. Raises
-    ValueError, with the reason, if the dynamics fail, and first ConfigError
-    if history_bytes exceeds MAX_HISTORY_BYTES.
+    ValueError, with the reason, if the dynamics fail.
     """
     if config.mode != "meanfield":
         raise ConfigError("run_meanfield requires mode='meanfield'")
-    _check_history(config)
     ch = config.channel
     env = config.game_env()
     passes = []
@@ -686,12 +626,10 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     previous window's measured density and resolves its launch after window
     0. A failed step raises ValueError with the reason; no window follows.
     Fading is drawn per transmitter per slot plus per receiver for the
-    desired link, which preserves the per-link marginal law. Raises
-    ConfigError first if history_bytes exceeds MAX_HISTORY_BYTES.
+    desired link, which preserves the per-link marginal law.
     """
     if config.mode != "montecarlo":
         raise ConfigError("run_montecarlo requires mode='montecarlo'")
-    _check_history(config)
     ch = config.channel
     rng = np.random.default_rng(config.seed)
     topo = _sample_topology(config, rng)

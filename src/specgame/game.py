@@ -22,8 +22,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .channel import ChannelParams, LinkBudget, max_allowable_su_density
+from .keys import ConfigError, check
 
-SIMPLEX_TOL = 1e-9
 MAX_HALVINGS = 40
 NONNEGATIVE_FAILURE = "replicator step could not keep shares nonnegative"
 NONFINITE_FAILURE = NONNEGATIVE_FAILURE + ": non-finite payoffs"
@@ -36,14 +36,11 @@ class StrategySet:
     access_probs: Tuple[float, ...] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
+        check({"access_probs": self.access_probs})
         p = tuple(float(v) for v in self.access_probs)
         object.__setattr__(self, "access_probs", p)
-        if len(p) < 2:
-            raise ValueError("strategy set needs at least two access probabilities")
-        if any(not 0.0 <= v <= 1.0 for v in p):
-            raise ValueError("access probabilities must lie in [0, 1]")
-        if any(b <= a for a, b in zip(p, p[1:])):
-            raise ValueError("access probabilities must be strictly increasing")
+        if len(p) < 2 or any(b <= a for a, b in zip(p, p[1:])):
+            raise ConfigError("access_probs must be at least two strictly increasing values")
 
     def __len__(self) -> int:
         return len(self.access_probs)
@@ -67,16 +64,7 @@ class PayoffParams:
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
-        values = {name: np.asarray(getattr(self, name), dtype=float) for name in ("delta", "nu", "kappa")}
-        for name, v in values.items():
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
-        if not np.all(values["delta"] > 0):
-            raise ValueError("delta must be positive")
-        if np.any(values["nu"] < 0):
-            raise ValueError("nu must be nonnegative")
-        if np.any(values["kappa"] < 0):
-            raise ValueError("kappa must be nonnegative")
+        check({"payoffs.delta": self.delta, "payoffs.nu": self.nu, "payoffs.kappa": self.kappa})
 
     @cached_property
     def batch_shape(self) -> Tuple[int, ...]:
@@ -125,10 +113,7 @@ class GameEnv:
     include_pt_at_pr: bool = False
 
     def __post_init__(self) -> None:
-        if self.lambda_su < 0 or self.lambda_pt < 0:
-            raise ValueError("densities must be nonnegative")
-        if not self.sensing_radius > 0:
-            raise ValueError("sensing radius must be positive")
+        check({"lambda_su": self.lambda_su, "lambda_pt": self.lambda_pt, "sensing_radius": self.sensing_radius})
 
     @cached_property
     def link_budget(self) -> LinkBudget:
@@ -155,28 +140,8 @@ class GameEnv:
         p = self.strategies.probs[:, None]
         budget = self.link_budget
         noise, c_su, c_mu, c_pt = (c[:, None] for c in (budget.noise, *budget.coefs))
-        return (p, _compliance_payoff(p, self.payoffs), noise, c_su, c_mu, self.lambda_pt * c_pt,
+        return (p, (1.0 - p) * self.payoffs.kappa, noise, c_su, c_mu, self.lambda_pt * c_pt,
                 -math.pi * self.sensing_radius ** 2)
-
-
-def validate_shares(shares, m: int) -> np.ndarray:
-    """Shares as a float array of shape (m,) or (cells, m), every row on the simplex."""
-    x = np.asarray(shares, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != m:
-        raise ValueError(f"expected {m} strategy shares, got shape {x.shape}")
-    if not np.all(x >= 0) or np.any(np.abs(x.sum(axis=-1) - 1.0) > SIMPLEX_TOL):
-        raise ValueError("shares must be a simplex vector")
-    return x
-
-
-def perception_prob(other_active_density, sensing_radius: float):
-    """Probability that at least one active transmitter of a PPP falls inside
-    the sensing disk: 1 - exp(-density * pi * R^2). Broadcasts over densities."""
-    d = np.asarray(other_active_density, dtype=float)
-    if np.count_nonzero(d < 0):
-        raise ValueError("density must be nonnegative")
-    q = -np.expm1(d * (-math.pi * sensing_radius ** 2))
-    return q if q.ndim else float(q)
 
 
 def active_su_density(shares, env: GameEnv):
@@ -186,17 +151,6 @@ def active_su_density(shares, env: GameEnv):
     x = np.asarray(shares, dtype=float)
     terms = [x[..., i] * p for i, p in enumerate(env.strategies.access_probs) if p]
     return env.lambda_su * sum(terms[1:], terms[0])
-
-
-def _compliance_payoff(p, payoffs: PayoffParams):
-    """What access probability p earns by staying silent: (1-p)*kappa."""
-    return (1.0 - p) * payoffs.kappa
-
-
-def access_payoff(p, q, s, payoffs: PayoffParams):
-    """Expected payoff of access probability p given perception prob q and
-    transmission success prob s: (1-p)*kappa + p*q*(delta*s - nu*(1-s))."""
-    return _compliance_payoff(p, payoffs) + p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))
 
 
 def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
@@ -218,7 +172,7 @@ def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
             raise ValueError("field density must be nonnegative")
     p, compliance, noise, c_su, c_mu, pt, neg_area = env._step_terms
     density = act + mu_density
-    # 1 - perception_prob(density), exactly: 1 - (-expm1(x)) is 1 + expm1(x)
+    # no active transmitter in the sensing disk: exp(-density * pi * R^2), as 1 + expm1
     q = 1.0 - (1.0 + np.expm1(density * neg_area)) * not_induced
     # link_budget.success, its exponent summed in the budget's own field order
     exponent = noise + act * c_su + mu_density * c_mu  # (link, cells), or (link, 1) for scalars
@@ -323,11 +277,12 @@ def run_dynamics(
     """Iterate payoff evaluation and replicator steps under a malicious-user schedule.
 
     Every cell runs in the same loop: the cells are the rows of x0 ((m,) or
-    (cells, m)) broadcast against per-cell incentives in env.payoffs. Each
-    step the schedule sees every cell's current active secondary density,
-    then `payoff_source(shares, env, drive, act)` returns the payoffs and
-    (q, s_su, s_pr): the closed-form payoff_vector when None (which trusts
-    this `act`), one window in a Monte Carlo run.
+    (cells, m), each on the simplex, as a config's x0 is checked to be),
+    broadcast against per-cell incentives in env.payoffs. Each step the
+    schedule sees every cell's current active secondary density, then
+    `payoff_source(shares, env, drive, act)` returns the payoffs and (q,
+    s_su, s_pr): the closed-form payoff_vector when None (which trusts this
+    `act`), one window in a Monte Carlo run.
 
     A single run (1-D x0, scalar incentives) is a batch of one cell. A cell
     whose payoffs turn non-finite, or whose replicator step fails, is frozen
@@ -343,7 +298,7 @@ def run_dynamics(
     if steps < 1:
         raise ValueError("need at least one step")
     m = len(env.strategies)
-    x0 = validate_shares(x0, m)
+    x0 = np.asarray(x0, dtype=float)
     batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
     x = np.array(np.broadcast_to(x0, batch + (m,)), ndmin=2)
     cells = len(x)

@@ -95,3 +95,19 @@ def empirical_success_prob(
             hits += int(np.count_nonzero(f0 >= thr))
             total += nb * n_fading
     return hits / total
+
+
+def perception_prob(other_active_density, sensing_radius: float):
+    """Probability that at least one active transmitter of a PPP falls inside
+    the sensing disk: 1 - exp(-density * pi * R^2). Broadcasts over densities."""
+    d = np.asarray(other_active_density, dtype=float)
+    if np.count_nonzero(d < 0):
+        raise ValueError("density must be nonnegative")
+    q = -np.expm1(d * (-math.pi * sensing_radius ** 2))
+    return q if q.ndim else float(q)
+
+
+def access_payoff(p, q, s, payoffs):
+    """Expected payoff of access probability p given perception prob q and
+    transmission success prob s: (1-p)*kappa + p*q*(delta*s - nu*(1-s))."""
+    return (1.0 - p) * payoffs.kappa + p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))

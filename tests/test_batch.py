@@ -17,15 +17,15 @@ from specgame.game import (
     MuDrive,
     PayoffParams,
     StrategySet,
-    access_payoff,
     active_su_density,
     classify_operating_point,
     payoff_vector,
-    perception_prob,
     replicator_step,
     run_dynamics,
     step_failure,
 )
+
+from oracles import access_payoff, perception_prob
 
 CH = ChannelParams()
 CAP = max_allowable_su_density(CH)

@@ -2,6 +2,8 @@ import csv
 import gc
 import json
 import os
+import re
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -18,14 +20,30 @@ from specgame.cli import (
 )
 from specgame.engine import (
     INTERFERENCE_CUTOFF,
-    MAX_HISTORY_BYTES,
     ConfigError,
     ScenarioConfig,
     _sample_topology,
-    history_bytes,
     run,
+    run_bytes,
 )
 from specgame.geometry import pairwise_toroidal
+
+from cli_cases import (
+    BAD_NUMBERS,
+    CASES,
+    FLOAT32_OUT_OF_RANGE,
+    MISSING_METRICS,
+    NAMED_KEYS,
+    NOISE_LIMITED,
+    OTHER_CASES,
+    SIZES,
+    TOO_MANY_STEPS,
+    Case,
+    argv,
+    check_outputs,
+    invalid,
+    run_in_process,
+)
 
 
 def test_empty_config_yields_production_defaults(tmp_path):
@@ -272,11 +290,38 @@ def test_plotdata_malformed_row_reports_index(tmp_path):
 
 
 def test_plotdata_names_a_missing_metrics_file(tmp_path, capsys):
-    missing = tmp_path / "nowhere" / "metrics.csv"
-    assert main(["plotdata", str(missing), "--out", str(tmp_path / "plot")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"invalid configuration: cannot read metrics {missing}: ") and err.count("\n") == 1
-    assert not (tmp_path / "plot").exists()
+    run_in_process(MISSING_METRICS, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("damage, file, message", [
+    (lambda m: {k: v for k, v in m.items() if k != "config"}, "run-manifest.json", "no 'config' key"),
+    (lambda m: {k: v for k, v in m.items() if k != "su_density_cap"}, "run-manifest.json",
+     "no 'su_density_cap' key"),
+    (lambda m: [m], "run-manifest.json", "the manifest must be an object"),
+    (lambda m: {**m, "su_density_cap": "high"}, "run-manifest.json", "could not convert string to float: 'high'"),
+    (lambda m: {**m, "config": {**m["config"], "steps": 0}}, "run-manifest.json", "steps must be at least 1"),
+    ("su_success", "metrics.csv", "no 'su_success' column"),
+    ("share_s2", "metrics.csv", "no 'share_s2' column"),
+    ((3, "pr_success", "abc"), "metrics.csv", "row 3 pr_success is not a number: 'abc'"),
+    ((6, "t_update", "five"), "metrics.csv", "row 6 t_update is not a number: 'five'"),
+])
+def test_plotdata_on_malformed_inputs_exits_2_and_writes_nothing(tmp_path, capsys, damage, file, message):
+    out = tmp_path / "run"
+    run_preset("fig3-population", ["steps=5"], str(out))
+    if file == "run-manifest.json":
+        (out / file).write_text(json.dumps(damage(json.loads((out / file).read_text()))))
+    else:
+        rows = list(csv.reader((out / file).read_text().splitlines()))
+        if isinstance(damage, str):  # the column renamed
+            rows[0][rows[0].index(damage)] += "_renamed"
+        else:  # one value, at a line number of the file
+            line, column, value = damage
+            rows[line - 1][rows[0].index(column)] = value
+        (out / file).write_text("".join(",".join(row) + "\n" for row in rows))
+    plot = tmp_path / "plot"
+    assert main(["plotdata", str(out / "metrics.csv"), "--out", str(plot)]) == 2
+    assert capsys.readouterr().err == f"invalid configuration: {out / file}: {message}\n"
+    assert not plot.exists()
 
 
 def test_montecarlo_forecast_sees_first_topology_counts_over_area(tmp_path, monkeypatch):
@@ -346,96 +391,50 @@ def test_jobs_option_rejected(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# outside the range of the Monte Carlo near field's float32 product: loads x
-# gains would overflow (every power at 1e39 W; or a 1e38 W load itself, at a
-# min_distance whose gain keeps the product in range), or terms float32
-# flushes to zero would be a visible share of the noise
-FLOAT32_OUT_OF_RANGE = [
-    ["--set", "channel.pt_power=1e39", "--set", "channel.su_power=1e39", "--set", "channel.mu_power=1e39"],
-    ["--set", "channel.min_distance=150", "--set", "channel.pt_power=1e38", "--set", "channel.su_power=1e38",
-     "--set", "channel.mu_power=1e38"],
-    ["--set", "channel.noise=1e-30"],
-]
-
-
-@pytest.mark.parametrize("extra", [
-    ["--set", "steps=2.5"],
-    ["--set", "window=true"],
-    ["--set", "lambda_su=NaN"],
-    ["--set", "payoffs.nu=NaN"],
-    ["--set", "lambda_pt=Infinity"],
-    ["--set", "sensing_radius=Infinity"],
-    ["--set", "channel.noise=-Infinity"],
-    ["--set", "x0=[NaN, 1.0]"],
-    ["--set", 'freeze_shares="no"'],  # a truthy string is no bool
-    ["--set", "include_pt_interference_at_su=2"],
-    ["--set", "region_side=true"],
-    ["--set", "lambda_su=true"],
-    ["--set", "payoffs.delta=true"],
-    ["--set", "channel=null"],
-    ["--set", "payoffs=null"],
-    ["--set", "access_probs=5"],
-    ["--set", "x0=5"],
-    ["--set", "region_side=1" + "0" * 400],  # an integer no float holds
-    ["--set", "channel.noise=1" + "0" * 400],
-    ["--set", "x0=[1" + "0" * 400 + ", 0]"],
-    ["--set", "steps=1" + "0" * 400],  # more steps or slots than numpy can index
-    ["--set", f"steps={np.iinfo(np.intp).max + 1}"],
-    ["--mode", "montecarlo", "--set", "window=1" + "0" * 30],
-    ["--mode", "montecarlo", "--set", "seed=-1"],
-    ["--mode", "montecarlo", "--set", "region_side=20"],
-    ["--mode", "montecarlo", "--set", "channel.su_link_distance=1e6"],
-    ["--mode", "montecarlo", "--set", "region_side=300", "--set", "channel.su_link_distance=160"],
-    ["--set", "sensing_radius=1e300"],
-    ["--mode", "montecarlo", "--set", "channel.su_link_distance=250"],
-    ["--mode", "montecarlo", "--set", "channel.pt_link_distance=200"],
-    ["--mode", "montecarlo", "--set", "channel.min_distance=300"],
-    ["--set", "channel.pt_link_distance=1e100"],  # the link budget's r^alpha overflows
-    ["--set", "channel.su_link_distance=1e100"],
-    ["--set", "channel.mu_power=1e300", "--set", "channel.su_power=1e-300"],  # the power ratio overflows
-    ["--mode", "montecarlo", "--set", "region_side=600", "--set", "channel.mu_power=1e300",
-     "--set", "channel.su_power=1e-300"],
-    *(["--mode", "montecarlo", "--set", "region_side=600", *extra] for extra in FLOAT32_OUT_OF_RANGE),
-])
+@pytest.mark.parametrize("extra", BAD_NUMBERS)
 def test_bad_numbers_fail_at_config_load(tmp_path, capsys, extra):
-    out = tmp_path / "out"
-    assert main(["run", "fig3-population", *extra, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid configuration:") and err.count("\n") == 1
-    assert not out.exists()
+    run_in_process(invalid("run", "fig3-population", *extra), tmp_path, capsys)
 
 
-@pytest.mark.parametrize("setting, message", [
-    ('region_side="big"', "region_side must be a number, got 'big'"),
-    ('x0=["a",1]', "x0[0] must be a number, got 'a'"),
-    ('payoffs.kappa="x"', "payoffs.kappa must be a number, got 'x'"),
-    # read as 1.0, a bool would fail the alpha > 2 check under the wrong reason
-    ("channel.alpha=true", "channel.alpha must be a number, got True"),
-])
+@pytest.mark.parametrize("setting, message", NAMED_KEYS)
 def test_a_string_or_bool_for_a_number_names_the_key(tmp_path, capsys, setting, message):
-    out = tmp_path / "out"
-    assert main(["run", "fig3-population", "--set", setting, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
-    assert not out.exists()
+    run_in_process(invalid("run", "fig3-population", "--set", setting, message=message), tmp_path, capsys)
 
 
-@pytest.mark.parametrize("key, digits", [("steps", 400), ("window", 30)])
+@pytest.mark.parametrize("key, digits", SIZES)
 def test_an_integer_numpy_cannot_size_names_the_key(tmp_path, capsys, key, digits):
-    out = tmp_path / "out"
-    assert main(["run", "fig3-population", "--mode", "montecarlo", "--set", f"{key}=1" + "0" * digits,
-                 "--out", str(out)]) == 2
     message = f"{key} must be at most {np.iinfo(np.intp).max}, numpy's largest array size"
-    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
-    assert not out.exists()
+    case = invalid("run", "fig3-population", "--mode", "montecarlo", "--set", f"{key}=1" + "0" * digits,
+                   message=message)
+    assert case in CASES
+    run_in_process(case, tmp_path, capsys)
 
 
 def test_a_mean_field_history_beyond_the_limit_exits_2(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["run", "fig3-population", "--set", "steps=1000000000000", "--out", str(out)]) == 2
-    # 10^12 steps x (two passes x (2 m + 5) x 8 B + 14 CSV values x 72 B + m x 8 B)
-    message = "steps=1000000000000 needs an estimated 1,087,784.8 GiB step history, above the 2 GiB limit"
-    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
-    assert not out.exists()
+    run_in_process(TOO_MANY_STEPS, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", OTHER_CASES, ids=lambda case: " ".join(case.argv))
+def test_cli_case(tmp_path, capsys, case):
+    run_in_process(case, tmp_path, capsys)
+
+
+@pytest.mark.skipif(not os.environ.get("SPECGAME_SCRIPT"),
+                    reason="SPECGAME_SCRIPT names the installed specgame script to run the CLI cases through")
+def test_cli_cases_through_the_installed_script(tmp_path):
+    # without src on the path: the script runs the package it was installed with
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    for i, case in enumerate(CASES):
+        runs = []
+        for attempt in range(1 if case.code else 2):  # a command that succeeds writes the same files again
+            work = tmp_path / f"{i}-{attempt}"
+            work.mkdir()
+            proc = subprocess.run([os.environ["SPECGAME_SCRIPT"], *argv(case, work)], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == case.code and re.fullmatch(case.stderr, proc.stderr), (case.argv, proc.stderr)
+            check_outputs(case, work / "out")
+            runs.append({p.name: p.read_bytes() for p in (work / "out").glob("*")} if not case.code else {})
+        assert runs[0] == runs[-1], case.argv
 
 
 @pytest.mark.parametrize("extra, passes", [
@@ -450,12 +449,16 @@ def test_the_history_estimate_counts_passes_steps_and_strategies(tmp_path, monke
     import specgame.engine as engine
 
     m = 3 if "access_probs=[0,0.5,1]" in extra else 2
+    mc = "mode=montecarlo" in extra
     config = apply_overrides(build_presets()["fig3-population"], ["steps=20", *extra])
-    # the dynamics passes, the CSV's 2m + 10 values and the strategy counts
-    estimate = 20 * (passes * (2 * m + 5) * 8 + (2 * m + 10) * engine.BYTES_PER_VALUE + m * 8)
-    assert engine.history_bytes(config) == estimate
+    # a step more adds the dynamics passes, the 2m + 10 columns, the median
+    # work arrays or the strategy counts, and a row of the CSV block
+    step = 8 * (passes * (2 * m + 5) + 2 * m + 10 + (m if mc else 16)) + (2 * m + 10) * 72
+    longer = apply_overrides(config, ["steps=21"])
+    assert run_bytes(longer)["the step history"] - run_bytes(config)["the step history"] == step
+    estimate = sum(run_bytes(config).values())
     for limit, code in ((estimate - 1, 2), (estimate, 0)):
-        monkeypatch.setattr(engine, "MAX_HISTORY_BYTES", limit)
+        monkeypatch.setattr(engine, "MAX_RUN_BYTES", limit)
         out = tmp_path / f"out-{limit}"
         argv = [arg for kv in ["steps=20", *extra] for arg in ("--set", kv)]
         assert main(["run", "fig3-population", *argv, "--out", str(out)]) == code
@@ -463,9 +466,9 @@ def test_the_history_estimate_counts_passes_steps_and_strategies(tmp_path, monke
 
 
 def test_ten_million_mean_field_steps_exceed_the_limit():
-    config = apply_overrides(build_presets()["fig3-population"], ["steps=10000000"])
-    assert history_bytes(config) > MAX_HISTORY_BYTES
-    assert history_bytes(apply_overrides(config, ["steps=1000000"])) < MAX_HISTORY_BYTES
+    with pytest.raises(ConfigError, match="^steps=10000000: the run needs an estimated 3.6 GiB"):
+        apply_overrides(build_presets()["fig3-population"], ["steps=10000000"])
+    assert sum(run_bytes(apply_overrides(build_presets()["fig3-population"], ["steps=1000000"])).values()) < 2 << 30
 
 
 @pytest.mark.parametrize("extra, steps", [
@@ -489,22 +492,16 @@ def test_the_history_estimate_bounds_the_memory_a_run_and_its_csv_take(tmp_path,
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the bytes each further step takes, against the estimate's per-step bytes
-    assert (peaks[1] - peaks[0]) / (steps[1] - steps[0]) <= history_bytes(configs[1]) / steps[1]
+    # the bytes each further step takes, against the estimate's
+    history = [run_bytes(config)["the step history"] for config in configs]
+    assert (peaks[1] - peaks[0]) / (steps[1] - steps[0]) <= (history[1] - history[0]) / (steps[1] - steps[0])
 
 
-@pytest.mark.parametrize("command", [
-    ["run", "fig3-population"],
-    ["run", "fig3-population", "--mode", "montecarlo"],
-    ["sweep"],
-])
+@pytest.mark.parametrize("command", NOISE_LIMITED)
 def test_noise_limited_channel_fails_at_config_load(tmp_path, capsys, command):
-    # noise alone breaks the primary outage constraint, so no SU density is admissible
-    out = tmp_path / "out"
-    assert main([*command, "--set", "channel.noise=1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid configuration:") and "noise-limited" in err and err.count("\n") == 1
-    assert not out.exists()
+    case = Case((*command, "--set", "channel.noise=1"), 2, r"invalid configuration: [^\n]*noise-limited[^\n]*\n", True)
+    assert case in CASES
+    run_in_process(case, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("extra", [

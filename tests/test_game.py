@@ -12,16 +12,16 @@ from specgame.game import (
     MuDrive,
     PayoffParams,
     StrategySet,
-    access_payoff,
     active_su_density,
     classify_operating_point,
-    perception_prob,
     payoff_vector,
     replicator_step,
     run_dynamics,
     step_failure,
     transmitting_share,
 )
+
+from oracles import access_payoff, perception_prob
 
 CH = ChannelParams()
 CAP = max_allowable_su_density(CH)

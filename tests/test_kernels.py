@@ -114,7 +114,7 @@ def test_meanfield_with_partial_access_does_not_depend_on_the_blas_kernel():
 SIMD_SCRIPT = """
 import dataclasses, json
 import numpy as np
-from specgame.cli import PRESET_GRID, apply_overrides, build_presets, events_csv_text, metrics_csv_text, region_csv_text
+from specgame.cli import PRESET_GRID, apply_overrides, build_presets, events_csv_text, metrics_csv_blocks, region_csv_text
 from specgame.engine import run, sweep_region
 presets = build_presets()
 grid = (PRESET_GRID["deltas"], PRESET_GRID["nus"], PRESET_GRID["kappas"])
@@ -123,7 +123,7 @@ mc = apply_overrides(presets["fig3-population"], ["mode=montecarlo", "region_sid
 for name, config in [("fig3-population", presets["fig3-population"]),
                      ("fig5-sinr-kappa8", presets["fig5-sinr-kappa8"]), ("montecarlo", mc)]:
     result = run(config)
-    csv[name + "/metrics.csv"] = metrics_csv_text(result)
+    csv[name + "/metrics.csv"] = "".join(metrics_csv_blocks(result))
     csv[name + "/phase_events.csv"] = events_csv_text(result)
 print(json.dumps({"csv": csv, "records": [dataclasses.asdict(r) for r in result.records],
                   "events": [repr(e) for e in result.events],
