@@ -34,7 +34,6 @@ from .game import (
     GameEnv,
     MuDrive,
     PayoffParams,
-    StrategySet,
     classify_operating_point,
     replicator_step,
     run_dynamics,

@@ -170,9 +170,9 @@ def launch_verdict(env: GameEnv, forecast: Callable[[], Trajectory], extinction_
     follows its classification. Raises ValueError, with the reason, if the
     forecast's dynamics failed.
     """
-    if env.lambda_su * max(env.strategies.access_probs) <= max_allowable_su_density(env.channel):
+    if env.lambda_su * max(env.access_probs) <= max_allowable_su_density(env.channel):
         return False
     [verdict] = classify_operating_point(env, forecast(), extinction_tol)
-    if verdict.label == "error":
+    if verdict.classification == "error":
         raise ValueError(verdict.error)
-    return verdict.label == "fragile"
+    return verdict.classification == "fragile"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -29,11 +30,11 @@ from .engine import (
     RunResult,
     ScenarioConfig,
     SimulationError,
-    SweepCell,
     metrics_columns,
     run,
     sweep_region,
 )
+from .game import SweepCell
 
 PRESET_GRID = {
     "deltas": [2.0, 5.0, 10.0, 20.0],
@@ -156,10 +157,9 @@ def events_csv_text(result: RunResult) -> str:
 def region_csv_text(cells: Sequence[SweepCell]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta", "nu", "kappa", "classification", "terminal_mutant_share", "error"])
-    for c in cells:
-        writer.writerow([_fmt(c.delta), _fmt(c.nu), _fmt(c.kappa), c.classification,
-                         _fmt(c.terminal_mutant_share), c.error])
+    names = [f.name for f in dataclasses.fields(SweepCell)]
+    writer.writerow(names)
+    writer.writerows([_fmt(getattr(c, name)) for name in names] for c in cells)
     return buf.getvalue()
 
 
@@ -182,6 +182,14 @@ def write_run_outputs(result: RunResult, out_dir: str, preset: Optional[str]) ->
     _atomic_write(os.path.join(out_dir, "run-manifest.json"), manifest_text(result.config, preset, result.topology))
 
 
+def write_sweep_outputs(grid: Iterable[Sequence[float]], config: ScenarioConfig, out_dir: str,
+                        preset: Optional[str]) -> None:
+    """Sweep the (deltas, nus, kappas) grid under config and write region.csv and the manifest."""
+    cells = sweep_region(*grid, config)
+    _atomic_write(os.path.join(out_dir, "region.csv"), region_csv_text(cells))
+    _atomic_write(os.path.join(out_dir, "run-manifest.json"), manifest_text(config, preset))
+
+
 def run_preset(name_or_path: str, overrides: Sequence[str], out_dir: str) -> int:
     """Resolve a preset or config file, run it, and write the output bundle."""
     presets = build_presets()
@@ -198,12 +206,9 @@ def run_preset(name_or_path: str, overrides: Sequence[str], out_dir: str) -> int
     if overrides:
         config = apply_overrides(config, overrides)
     if preset_name == "fig6-region":
-        cells = sweep_region(PRESET_GRID["deltas"], PRESET_GRID["nus"], PRESET_GRID["kappas"], config)
-        _atomic_write(os.path.join(out_dir, "region.csv"), region_csv_text(cells))
-        _atomic_write(os.path.join(out_dir, "run-manifest.json"), manifest_text(config, preset_name))
-        return 0
-    result = run(config)
-    write_run_outputs(result, out_dir, preset_name)
+        write_sweep_outputs(PRESET_GRID.values(), config, out_dir, preset_name)
+    else:
+        write_run_outputs(run(config), out_dir, preset_name)
     return 0
 
 
@@ -321,14 +326,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             flags = [f"{key}={value}" for key, value in (("seed", args.seed), ("mode", args.mode)) if value is not None]
             return run_preset(args.scenario, [*args.overrides, *flags], args.out)
         if args.command == "sweep":
-            config = load_config(args.config) if args.config else ScenarioConfig.from_dict(
-                {"launch_policy": "always", "steps": 400}
-            )
+            config = load_config(args.config) if args.config else build_presets()["fig6-region"]
             if args.overrides:
                 config = apply_overrides(config, args.overrides)
-            cells = sweep_region(args.delta, args.nu, args.kappa, config)
-            _atomic_write(os.path.join(args.out, "region.csv"), region_csv_text(cells))
-            _atomic_write(os.path.join(args.out, "run-manifest.json"), manifest_text(config, None))
+            write_sweep_outputs((args.delta, args.nu, args.kappa), config, args.out, None)
             return 0
         if args.command == "plotdata":
             return emit_plotdata(args.metrics, args.out, args.manifest)

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,15 +28,16 @@ from .attack import (
 )
 from .channel import ChannelParams, max_allowable_su_density, path_gain, torus_tail
 from .game import (
+    ENV_KEYS,
     GameEnv,
     PayoffParams,
-    StrategySet,
+    SweepCell,
     Trajectory,
     classify_operating_point,
     run_dynamics,
 )
 from .geometry import CellGrid, Region, cells_per_axis, pairs_within, pairwise_toroidal, sample_world
-from .keys import INTERFERENCE_CUTOFF, KEYS, ConfigError, check
+from .keys import INTERFERENCE_CUTOFF, KEYS, ConfigError, check, check_bounds
 
 BUILD_CHUNK_ENTRIES = 1 << 15  # block entries given distances per call while building
 # a window gathers its sending and PT columns while fewer than this share of
@@ -81,10 +83,12 @@ class ScenarioConfig:
     extinction_tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
-        """Check every key against keys.KEYS, the cross-key rules, and run_bytes against MAX_RUN_BYTES."""
-        check({name: functools.reduce(getattr, name.split("."), self) for name in KEYS},
-              self if self.mode == "montecarlo" else None)
-        object.__setattr__(self, "access_probs", StrategySet(self.access_probs).access_probs)
+        """Check each key once against keys.KEYS (the channel, payoffs and env theirs as they are built), then in
+        Monte Carlo mode every key's MC_BOUNDS, the cross-key rules, and run_bytes against MAX_RUN_BYTES."""
+        check({name: getattr(self, name) for name in KEYS if "." not in name and name not in ENV_KEYS})
+        object.__setattr__(self, "access_probs", self.env.access_probs)
+        if self.mode == "montecarlo":
+            check_bounds({name: functools.reduce(getattr, name.split("."), self) for name in KEYS}, self)
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if error := _cross_key_error(self):
             raise ConfigError(error)
@@ -95,20 +99,11 @@ class ScenarioConfig:
             raise ConfigError(f"{key}={getattr(self, key)}: the run needs an estimated {total / gib:,.1f} GiB, "
                               f"{share:.0%} of it for {part}, above the {MAX_RUN_BYTES / gib:g} GiB limit")
 
-    def strategies(self) -> StrategySet:
-        return StrategySet(self.access_probs)
-
-    def game_env(self) -> GameEnv:
-        return GameEnv(
-            channel=self.channel,
-            payoffs=self.payoffs,
-            strategies=self.strategies(),
-            lambda_su=self.lambda_su,
-            lambda_pt=self.lambda_pt,
-            sensing_radius=self.sensing_radius,
-            include_pt_at_su=self.include_pt_interference_at_su,
-            include_pt_at_pr=self.include_pt_interference_at_pr,
-        )
+    @functools.cached_property
+    def env(self) -> GameEnv:
+        """The game this config plays, built (and its keys checked) once."""
+        return GameEnv(self.channel, self.payoffs, self.access_probs, self.lambda_su, self.lambda_pt,
+                       self.sensing_radius, self.include_pt_interference_at_su, self.include_pt_interference_at_pr)
 
     def template(self) -> InducingTemplate:
         return InducingTemplate(self.mu_access_prob, self.hysteresis, self.inducing_perception)
@@ -147,7 +142,7 @@ def _cross_key_error(config: ScenarioConfig) -> str:
     outage constraint room for some SU density; x0 has one share per access
     probability, summing to 1; the sensing radius's square is finite."""
     try:
-        budget = GameEnv(config.channel, config.payoffs).link_budget
+        budget = config.env.link_budget
         if not np.isfinite([budget.noise, *budget.coefs]).all():
             raise OverflowError("a noise term or field coefficient is not finite")
         max_allowable_su_density(config.channel)
@@ -164,35 +159,14 @@ def _cross_key_error(config: ScenarioConfig) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One replicator update, as `RunResult.records` builds it from the columns."""
-
-    t_update: int
-    t_slot: int
-    shares: Tuple[float, ...]
-    active_su_density: float
-    mu_phase: str
-    pr_success: float
-    su_success: float
-    pr_sinr_db_mean: float
-    pr_sinr_db_median: float
-    su_sinr_db_mean: float
-    su_sinr_db_median: float
-    payoffs: Tuple[float, ...]
-    pr_success_raw: float = math.nan
-    su_success_raw: float = math.nan
-    strategy_counts: Tuple[int, ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """A run's per-step series: `columns` maps each `metrics_columns` name,
     `pr_success_raw`, `su_success_raw` (per-slot SINR-threshold rates) and in
     Monte Carlo the (steps, m) `strategy_counts` to one entry per step, with
-    `mu_phase` as codes into PHASES. `records` builds one MetricsRecord per
-    step from them on first access, for readers outside the package. A Monte
-    Carlo `topology` counts the first sampled topology's nodes and pairs."""
+    `mu_phase` as codes into PHASES. `records` builds one row per step from
+    them on first access, for readers outside the package. A Monte Carlo
+    `topology` counts the first sampled topology's nodes and pairs."""
 
     config: ScenarioConfig
     columns: Dict[str, np.ndarray]
@@ -200,16 +174,11 @@ class RunResult:
     topology: Optional[Dict[str, int]] = None
 
     @functools.cached_property
-    def records(self) -> List[MetricsRecord]:
+    def records(self) -> List[SimpleNamespace]:
+        """One row per step, with an attribute per name in `columns`; `mu_phase` is the phase's name."""
         cols = {name: col.tolist() for name, col in self.columns.items()}
-        m = len(self.config.access_probs)
-        fields = {f.name: cols[f.name] for f in dataclasses.fields(MetricsRecord) if f.name in cols}
-        fields["shares"] = zip(*(cols[f"share_s{i + 1}"] for i in range(m)))
-        fields["payoffs"] = zip(*(cols[f"payoff_s{i + 1}"] for i in range(m)))
-        fields["mu_phase"] = (PHASES[code].value for code in cols["mu_phase"])
-        if "strategy_counts" in cols:
-            fields["strategy_counts"] = map(tuple, cols["strategy_counts"])
-        return [MetricsRecord(**dict(zip(fields, row))) for row in zip(*fields.values())]
+        cols["mu_phase"] = [PHASES[code].value for code in cols["mu_phase"]]
+        return [SimpleNamespace(**dict(zip(cols, row))) for row in zip(*cols.values())]
 
 
 def metrics_columns(m: int) -> List[str]:
@@ -365,7 +334,7 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     if config.mode != "meanfield":
         raise ConfigError("run_meanfield requires mode='meanfield'")
     ch = config.channel
-    env = config.game_env()
+    env = config.env
     passes = []
 
     def run_pass(launch: bool) -> Trajectory:
@@ -636,7 +605,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     first_topology = {"n_pt": topo.n_pt, "n_su": topo.n_su, "n_mu": topo.n_mu,
                       "sensing_pairs": len(topo.sense_indices), "interference_pairs": topo.interference_pairs}
     area = config.region_side ** 2
-    probs = config.strategies().probs
+    probs = config.env.probs
     m = len(probs)
     controller = config.controller(launch=None)
 
@@ -658,7 +627,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             # one observation window has passed; the colluding attackers now
             # estimate each density as its count in the first topology over the area
             n = first_topology
-            estimates = replace(config.game_env(), lambda_pt=n["n_pt"] / area, lambda_su=n["n_su"] / area)
+            estimates = replace(config.env, lambda_pt=n["n_pt"] / area, lambda_su=n["n_su"] / area)
             controller.resolve_launch(decide_launch(config, estimates, n["n_mu"] / area))
         return controller(w, values[0, w - 1] if w else 0.0)
 
@@ -752,7 +721,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
                         _to_db(float(sinr_su.mean())), _to_db(_median(sinr_su)))
         return strat_pay, math.nan, su_raw, pr_raw
 
-    traj = run_dynamics(np.asarray(config.x0), config.game_env(), schedule, config.steps, config.step_size,
+    traj = run_dynamics(np.asarray(config.x0), config.env, schedule, config.steps, config.step_size,
                         freeze_shares=config.freeze_shares, payoff_source=window)
     if traj.errors[0]:
         raise ValueError(traj.errors[0])
@@ -762,16 +731,6 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
 
 def run(config: ScenarioConfig) -> RunResult:
     return run_meanfield(config) if config.mode == "meanfield" else run_montecarlo(config)
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    delta: float
-    nu: float
-    kappa: float
-    classification: str
-    terminal_mutant_share: float
-    error: str = ""  # why the cell failed, for classification "error"
 
 
 def sweep_region(
@@ -784,8 +743,11 @@ def sweep_region(
 
     All cells run as one batch, one row per cell, and come back in grid order.
     A cell whose dynamics fail is labelled "error" with the reason; the other
-    cells are unaffected.
+    cells are unaffected. A sweep runs in mean field only: a Monte Carlo
+    config is refused before any work.
     """
+    if config.mode != "meanfield":
+        raise ConfigError(f"mode must be meanfield for a sweep, got {config.mode!r}")
     grid = [(float(d), float(n), float(k)) for d in deltas for n in nus for k in kappas]
     if not grid:
         raise ConfigError("sweep grid is empty")
@@ -793,8 +755,7 @@ def sweep_region(
         payoffs = PayoffParams(*(np.array(column) for column in zip(*grid)))
     except ValueError as exc:
         raise ConfigError(f"sweep grid: {exc}") from exc
-    env = replace(config.game_env(), payoffs=payoffs)
+    env = replace(config.env, payoffs=payoffs)
     traj = run_dynamics(np.asarray(config.x0), env, config.controller(launch=True), config.steps, config.step_size,
                         history=False)
-    results = classify_operating_point(env, traj, config.extinction_tolerance)
-    return [SweepCell(d, n, k, r.label, r.terminal_mutant_share, r.error) for (d, n, k), r in zip(grid, results)]
+    return classify_operating_point(env, traj, config.extinction_tolerance)

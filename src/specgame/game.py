@@ -27,29 +27,7 @@ from .keys import ConfigError, check
 MAX_HALVINGS = 40
 NONNEGATIVE_FAILURE = "replicator step could not keep shares nonnegative"
 NONFINITE_FAILURE = NONNEGATIVE_FAILURE + ": non-finite payoffs"
-
-
-@dataclass(frozen=True)
-class StrategySet:
-    """Strictly increasing access probabilities, at least two of them."""
-
-    access_probs: Tuple[float, ...] = (0.0, 1.0)
-
-    def __post_init__(self) -> None:
-        check({"access_probs": self.access_probs})
-        p = tuple(float(v) for v in self.access_probs)
-        object.__setattr__(self, "access_probs", p)
-        if len(p) < 2 or any(b <= a for a, b in zip(p, p[1:])):
-            raise ConfigError("access_probs must be at least two strictly increasing values")
-
-    def __len__(self) -> int:
-        return len(self.access_probs)
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        probs = np.asarray(self.access_probs)
-        probs.flags.writeable = False
-        return probs
+ENV_KEYS = ("access_probs", "lambda_su", "lambda_pt", "sensing_radius")  # the config keys a GameEnv checks
 
 
 @dataclass(frozen=True)
@@ -101,11 +79,11 @@ MuSchedule = Callable[[int, np.ndarray], MuDrive]
 
 @dataclass(frozen=True)
 class GameEnv:
-    """Everything the mean-field payoff needs: channel, densities, sensing, incentives."""
+    """Everything the mean-field payoff needs: channel, incentives, strategies, densities, sensing."""
 
     channel: ChannelParams
     payoffs: PayoffParams
-    strategies: StrategySet = StrategySet()
+    access_probs: Tuple[float, ...] = (0.0, 1.0)
     lambda_su: float = 1e-3
     lambda_pt: float = 1e-5
     sensing_radius: float = 50.0
@@ -113,7 +91,18 @@ class GameEnv:
     include_pt_at_pr: bool = False
 
     def __post_init__(self) -> None:
-        check({"lambda_su": self.lambda_su, "lambda_pt": self.lambda_pt, "sensing_radius": self.sensing_radius})
+        check({name: getattr(self, name) for name in ENV_KEYS})
+        p = tuple(float(v) for v in self.access_probs)
+        object.__setattr__(self, "access_probs", p)
+        if len(p) < 2 or any(b <= a for a, b in zip(p, p[1:])):
+            raise ConfigError("access_probs must be at least two strictly increasing values")
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """access_probs as a read-only array."""
+        probs = np.asarray(self.access_probs)
+        probs.flags.writeable = False
+        return probs
 
     @cached_property
     def link_budget(self) -> LinkBudget:
@@ -137,7 +126,7 @@ class GameEnv:
         coefficients as (link, 1) columns (they broadcast against (cells,)
         densities), each link's PT field term lambda_PT * c_PT, which no step
         changes, and the sensing disk's -pi * R^2."""
-        p = self.strategies.probs[:, None]
+        p = self.probs[:, None]
         budget = self.link_budget
         noise, c_su, c_mu, c_pt = (c[:, None] for c in (budget.noise, *budget.coefs))
         return (p, (1.0 - p) * self.payoffs.kappa, noise, c_su, c_mu, self.lambda_pt * c_pt,
@@ -149,7 +138,7 @@ def active_su_density(shares, env: GameEnv):
     row). The terms of the strategies with p_i > 0 are added in order, not
     by a BLAS dot, whose summation order depends on the kernel."""
     x = np.asarray(shares, dtype=float)
-    terms = [x[..., i] * p for i, p in enumerate(env.strategies.access_probs) if p]
+    terms = [x[..., i] * p for i, p in enumerate(env.access_probs) if p]
     return env.lambda_su * sum(terms[1:], terms[0])
 
 
@@ -297,7 +286,7 @@ def run_dynamics(
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    m = len(env.strategies)
+    m = len(env.access_probs)
     x0 = np.asarray(x0, dtype=float)
     batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
     x = np.array(np.broadcast_to(x0, batch + (m,)), ndmin=2)
@@ -339,13 +328,18 @@ def run_dynamics(
 
 
 @dataclass(frozen=True)
-class Classification:
-    label: str  # "robust" | "fragile" | "error"
+class SweepCell:
+    """The rest state of one cell under its incentives."""
+
+    delta: float
+    nu: float
+    kappa: float
+    classification: str  # "robust" | "fragile" | "error"
     terminal_mutant_share: float
-    error: str = ""  # why the cell failed, for label "error"
+    error: str = ""  # why the cell failed, for classification "error"
 
 
-def classify_operating_point(env: GameEnv, traj: Trajectory, extinction_tol: float) -> List[Classification]:
+def classify_operating_point(env: GameEnv, traj: Trajectory, extinction_tol: float) -> List[SweepCell]:
     """Classify the rest state of every cell of `traj`, a run of the attack
     template on env from the configured start.
 
@@ -354,11 +348,12 @@ def classify_operating_point(env: GameEnv, traj: Trajectory, extinction_tol: flo
     `extinction_tol`; otherwise the sign of the terminal payoff drift decides,
     with zero drift counted fragile (conservative from the defender's side).
 
-    Reads only the final shares and the last step's drive. One Classification
-    per cell comes back, in cell order: a list of one for a single run. A
-    cell that failed is labelled "error" with its reason.
+    Reads only the final shares and the last step's drive. One SweepCell per
+    cell comes back, in cell order, with that cell's incentives from
+    env.payoffs: a list of one for a single run. A cell that failed is
+    labelled "error" with its reason.
     """
-    probs = env.strategies.probs
+    probs = env.probs
     x_T = traj.final_shares
     terminal = transmitting_share(x_T, probs=probs)
     last_mu = MuDrive(traj.mu_density[-1], traj.inducement[-1])
@@ -366,13 +361,8 @@ def classify_operating_point(env: GameEnv, traj: Trajectory, extinction_tol: flo
     with np.errstate(divide="ignore", invalid="ignore"):
         drift = weighted[:, probs > 0].sum(axis=1) / terminal - weighted.sum(axis=1)
     fragile = active_su_density(x_T, env) > max_allowable_su_density(env.channel)
-    robust = ~fragile & (terminal < extinction_tol)
-    out = []
-    for c, error in enumerate(traj.errors):
-        if error:
-            out.append(Classification("error", math.nan, error=error))
-        elif not fragile[c] and (robust[c] or drift[c] < 0):
-            out.append(Classification("robust", float(terminal[c])))
-        else:
-            out.append(Classification("fragile", float(terminal[c])))
-    return out
+    labels = np.where(~fragile & ((terminal < extinction_tol) | (drift < 0)), "robust", "fragile").tolist()
+    pay = env.payoffs
+    incentives = zip(*(np.broadcast_to(v, terminal.shape).tolist() for v in (pay.delta, pay.nu, pay.kappa)))
+    return [SweepCell(*cell, "error", math.nan, error) if error else SweepCell(*cell, label, share)
+            for cell, label, share, error in zip(incentives, labels, terminal.tolist(), traj.errors)]

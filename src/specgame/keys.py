@@ -1,5 +1,5 @@
-"""What each config key accepts, as one table, and the one checker that reads
-it. Every config part checks its own keys here when it is built; the README's
+"""What each config key accepts, as one table, and the checkers that read it.
+Every config part checks its own keys here when it is built; the README's
 table of keys is this table, and a test holds the two equal."""
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ def _gain_within_term(min_distance: float, config) -> bool:
 
 
 MC_BOUNDS = {  # name: (whether a value meets it in a config, what the value must be)
+    "positive": (lambda v, c: v > 0, "positive"),
     "half side": (lambda v, c: v < c.region_side / 2, "below region_side / 2"),
     "cutoff": (lambda v, c: v < INTERFERENCE_CUTOFF, f"below the {INTERFERENCE_CUTOFF:g} m interference cutoff"),
     "term": (lambda v, c: v <= FLOAT32_MAX_TERM, f"at most {FLOAT32_MAX_TERM:g} (float32 interference)"),
@@ -51,7 +52,7 @@ POWER, LINK = Key("float", "(0, inf)", ("term",)), Key("float", "(0, inf)", ("ha
 SIZE = Key("int", f"[1, {INTP_MAX}]")  # it sizes an array
 KEYS: Dict[str, Key] = {
     "mode": Key("choice", "meanfield | montecarlo"), "seed": Key("int", "[0, inf)"), "region_side": POSITIVE,
-    "lambda_pt": NONNEGATIVE, "lambda_su": NONNEGATIVE, "lambda_mu": NONNEGATIVE,
+    "lambda_pt": NONNEGATIVE, "lambda_su": Key("float", "[0, inf)", ("positive",)), "lambda_mu": NONNEGATIVE,
     "channel.alpha": Key("float", "(2, inf)"), "channel.noise": Key("float", "(0, inf)", ("noise",)),
     "channel.pt_power": POWER, "channel.pt_link_distance": LINK, "channel.pr_sinr_threshold": POSITIVE,
     "channel.pr_outage_constraint": Key("float", "(0, 1)"),
@@ -69,11 +70,11 @@ KEYS: Dict[str, Key] = {
 }
 
 
-def check(values: Dict[str, object], montecarlo=None) -> None:
-    """Check each value against its key in KEYS, and its MC_BOUNDS in the config `montecarlo` if given,
-    raising ConfigError that names the first that fails. A number may be a per-cell array of its kind."""
+def check(values: Dict[str, object]) -> None:
+    """Check each value against the kind and range of its key in KEYS, raising
+    ConfigError that names the first that fails. A number may be a per-cell array of its kind."""
     for name, value in values.items():
-        kind, interval, bounds = KEYS[name]
+        kind, interval, _ = KEYS[name]
         if kind == "bool" and not isinstance(value, bool):
             raise ConfigError(f"{name} must be true or false, got {value!r}")
         if kind == "choice" and value not in interval.split(" | "):
@@ -85,9 +86,14 @@ def check(values: Dict[str, object], montecarlo=None) -> None:
                 _check_number(f"{name}[{i}]", entry, False, interval)
         elif kind in ("int", "float"):
             _check_number(name, value, kind == "int", interval)
-        for bound in bounds if montecarlo is not None else ():
-            holds, need = MC_BOUNDS[bound]
-            if not holds(value, montecarlo):
+
+
+def check_bounds(values: Dict[str, object], config) -> None:
+    """Check each value, of a kind and range already checked, against the MC_BOUNDS of its key in the Monte
+    Carlo `config`, raising ConfigError that names the first that fails."""
+    for name, value in values.items():
+        for holds, need in (MC_BOUNDS[bound] for bound in KEYS[name].mc):
+            if not holds(value, config):
                 raise ConfigError(f"{name} must be {need} in Monte Carlo mode")
 
 

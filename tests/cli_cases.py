@@ -113,6 +113,7 @@ def _too_large(key: str, part: str, *argv: str) -> Case:
 
 
 MC = ("run", "fig3-population", "--mode", "montecarlo")
+MC_SWEEP = "mode must be meanfield for a sweep, got 'montecarlo'"
 # the rows no older test of tests/test_cli.py runs; tier-1 runs them in test_cli_case
 OTHER_CASES = [
     Case(("run", "fig3-population"), 0, "", False, rows=150),
@@ -134,6 +135,10 @@ OTHER_CASES = [
     _too_large("region_side", "the nodes", "--mode", "montecarlo", "--set", "region_side=1e300"),
     invalid("run", "fig3-population", "--set", "sensing_radius=1" + "0" * 200,
             message="sensing_radius is too large: its square overflows"),
+    # a sweep runs in mean field only, and a Monte Carlo run needs secondary users to sample
+    invalid("run", "fig6-region", "--mode", "montecarlo", message=MC_SWEEP),
+    invalid("sweep", "--set", "mode=montecarlo", message=MC_SWEEP),
+    invalid(*MC, "--set", "lambda_su=0", message="lambda_su must be positive in Monte Carlo mode"),
 ]
 
 CASES = [

@@ -25,7 +25,7 @@ from specgame.attack import (
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
 from specgame.engine import ScenarioConfig, decide_launch
-from specgame.game import GameEnv, PayoffParams, StrategySet, run_dynamics, transmitting_share
+from specgame.game import GameEnv, PayoffParams, run_dynamics, transmitting_share
 from specgame.geometry import Region, sample_world
 
 CH = ChannelParams()
@@ -235,9 +235,9 @@ def test_decide_launch_kappa8_forecast_still_rises_first():
     # the dynamics decide_launch forecasts: the template launched at once on env
     controller = AttackController(1e-7, config.template(), CAP, launch=True, lambda_su=env.lambda_su)
     traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size)
-    transmitting = transmitting_share(traj.shares[:, 0], env.strategies.probs)
+    transmitting = transmitting_share(traj.shares[:, 0], env.probs)
     assert transmitting.max() > 0.01  # transient outbreak before collapse
-    assert transmitting_share(traj.final_shares[0], env.strategies.probs) < config.extinction_tolerance
+    assert transmitting_share(traj.final_shares[0], env.probs) < config.extinction_tolerance
 
 
 def test_decide_launch_raises_on_a_failed_forecast():
@@ -264,7 +264,7 @@ def test_launch_verdict_guard_reads_the_most_aggressive_strategy():
         raise AssertionError("no forecast runs below the cap")
 
     # 1.5x the cap, but at most half of it can transmit
-    env = replace(baseline_env(kappa=0.0, lambda_su=1.5 * CAP), strategies=StrategySet((0.0, 0.5)))
+    env = replace(baseline_env(kappa=0.0, lambda_su=1.5 * CAP), access_probs=(0.0, 0.5))
     assert launch_verdict(env, forecast, 1e-3) is False
 
 

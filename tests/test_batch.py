@@ -16,7 +16,6 @@ from specgame.game import (
     GameEnv,
     MuDrive,
     PayoffParams,
-    StrategySet,
     active_su_density,
     classify_operating_point,
     payoff_vector,
@@ -81,7 +80,7 @@ def test_batched_classification_equals_single_cells(cells):
 
     batched = classify(_env(PayoffParams(d, n, k)))
     singles = [classify(_env(PayoffParams(d[c], n[c], k[c])))[0] for c in range(len(cells))]
-    assert [r.label for r in batched] == [r.label for r in singles]
+    assert [r.classification for r in batched] == [r.classification for r in singles]
     np.testing.assert_allclose([r.terminal_mutant_share for r in batched],
                                [r.terminal_mutant_share for r in singles], rtol=1e-12, atol=0.0)
 
@@ -170,7 +169,7 @@ def _loop_inputs(case):
         # the drawn incentives in the first cell, and drawn around them in the others
         scale = np.concatenate([[1.0], rng.uniform(0.1, 2.0, n - 1)])
         payoffs = PayoffParams(case["delta"] * scale, case["nu"] * scale[::-1], case["kappa"] * rng.random(n))
-    env = GameEnv(channel=CH, payoffs=payoffs, strategies=StrategySet(case["probs"]))
+    env = GameEnv(channel=CH, payoffs=payoffs, access_probs=case["probs"])
     poisoned_cells = rng.permutation(n)[:max(1, n // 3)]
 
     def schedule():
@@ -235,7 +234,7 @@ def test_payoff_vector_equals_the_public_formulas(case):
     density, inducement = case["mu_density"], case["inducement"]
     if case["per_cell_drive"] and case["cells"]:
         density, inducement = density * rng.random(n), inducement * rng.random(n)
-    env = GameEnv(channel=CH, payoffs=payoffs, strategies=StrategySet(case["probs"]), lambda_pt=case["lambda_pt"],
+    env = GameEnv(channel=CH, payoffs=payoffs, access_probs=case["probs"], lambda_pt=case["lambda_pt"],
                   include_pt_at_su=case["pt_at"][0], include_pt_at_pr=case["pt_at"][1])
     pi, q, s_su, s_pr = payoff_vector(x, env, MuDrive(density, inducement))
     act = active_su_density(x, env)
@@ -243,7 +242,7 @@ def test_payoff_vector_equals_the_public_formulas(case):
     densities = (np.asarray(act)[..., None], np.asarray(density)[..., None], env.lambda_pt)
     want_su, want_pr = np.moveaxis(env.link_budget.success(densities), -1, 0)
     cell_dims = max(np.ndim(want_q), len(payoffs.batch_shape))
-    p = env.strategies.probs.reshape((-1,) + (1,) * cell_dims)
+    p = env.probs.reshape((-1,) + (1,) * cell_dims)
     want_pi = access_payoff(p, want_q, want_su, payoffs).T
     for got, want in ((pi, want_pi), (q, want_q), (s_su, want_su), (s_pr, want_pr)):
         assert np.shape(got) == np.shape(want)

@@ -11,7 +11,6 @@ from specgame.game import (
     GameEnv,
     MuDrive,
     PayoffParams,
-    StrategySet,
     active_su_density,
     classify_operating_point,
     payoff_vector,
@@ -47,14 +46,12 @@ def template_run(env, config):
 
 
 def test_strategy_set_invariants():
-    assert len(StrategySet()) == 2
-    StrategySet((0.0, 0.4, 1.0))
-    with pytest.raises(ValueError):
-        StrategySet((0.5,))
-    with pytest.raises(ValueError):
-        StrategySet((0.5, 0.5))
-    with pytest.raises(ValueError):
-        StrategySet((0.2, 1.2))
+    assert env_with().access_probs == (0.0, 1.0)
+    assert env_with(access_probs=[0, 0.4, 1]).probs.tolist() == [0.0, 0.4, 1.0]
+    assert not env_with().probs.flags.writeable
+    for probs in ((0.5,), (0.5, 0.5), (0.2, 1.2)):
+        with pytest.raises(ValueError, match="access_probs"):
+            env_with(access_probs=probs)
 
 
 def test_payoff_params_invariants():
@@ -108,7 +105,7 @@ def test_forced_failure_costs_nu():
 
 
 def test_payoff_interpolates_in_access_probability():
-    env = replace(env_with(kappa=2.0), strategies=StrategySet((0.0, 0.5, 1.0)))
+    env = replace(env_with(kappa=2.0), access_probs=(0.0, 0.5, 1.0))
     x = np.array([0.5, 0.2, 0.3])
     pi, q, s_su, _ = payoff_vector(x, env, MuDrive(1e-5, 0.5))
     assert pi[1] == pytest.approx(0.5 * pi[0] + 0.5 * pi[2], rel=1e-12)
@@ -131,7 +128,7 @@ def test_payoff_vector_rejects_negative_field_density():
 
 
 def test_a_reused_drive_pays_the_bytes_of_a_fresh_equal_drive():
-    env = replace(env_with(kappa=2.0), strategies=StrategySet((0.0, 0.5, 1.0)))
+    env = replace(env_with(kappa=2.0), access_probs=(0.0, 0.5, 1.0))
     x = np.array([[0.5, 0.2, 0.3], [0.1, 0.1, 0.8], [1.0, 0.0, 0.0]])
     density, inducement = np.array([0.0, 1e-6, 3e-5]), np.array([0.25, 1.0, 0.0])
     reused = MuDrive(density, inducement)
@@ -280,7 +277,7 @@ def find_rest_points(env, mu=IDLE, grid=2001, tol=1e-9):
     For more than two strategies, falls back to multi-start dynamics and
     reports the distinct limits reached.
     """
-    probs = env.strategies.probs
+    probs = env.probs
     if len(probs) != 2:
         return _rest_points_multistart(env, mu)
 
@@ -317,13 +314,13 @@ def find_rest_points(env, mu=IDLE, grid=2001, tol=1e-9):
 
 
 def _rest_points_multistart(env, mu, starts=8, steps=4000, h=0.1):
-    x0 = np.random.default_rng(0).dirichlet(np.ones(len(env.strategies)), size=starts)
+    x0 = np.random.default_rng(0).dirichlet(np.ones(len(env.access_probs)), size=starts)
     traj = run_dynamics(x0, env, lambda t, observed: mu, steps, h)
     limits, seen = [], []
     for x in traj.final_shares:
         if not any(np.allclose(x, s, atol=1e-4) for s in seen):
             seen.append(x)
-            limits.append((float(transmitting_share(x, env.strategies.probs)), "stable"))
+            limits.append((float(transmitting_share(x, env.probs)), "stable"))
     return limits
 
 
@@ -374,7 +371,7 @@ def test_find_rest_points_kappa8_silence_dominates_everywhere():
 
 
 def test_find_rest_points_multistart_for_three_strategies():
-    env = replace(env_with(kappa=8.0), strategies=StrategySet((0.0, 0.5, 1.0)))
+    env = replace(env_with(kappa=8.0), access_probs=(0.0, 0.5, 1.0))
     points = find_rest_points(env)
     assert points  # silence dominates: every start collapses to the silent corner
     assert all(tag == "stable" for _, tag in points)
@@ -386,16 +383,16 @@ def test_classify_baseline_anchors():
     for kappa, label in ((0.0, "fragile"), (8.0, "robust")):
         env = env_with(kappa=kappa)
         [cls] = classify_operating_point(env, template_run(env, config), config.extinction_tolerance)
-        assert cls.label == label, (kappa, cls)
+        assert cls.classification == label, (kappa, cls)
 
 
 def test_classify_kappa8_forecast_shows_initial_rise():
     env, config = env_with(kappa=8.0), ScenarioConfig(steps=400)
     traj = template_run(env, config)
     [cls] = classify_operating_point(env, traj, config.extinction_tolerance)
-    assert cls.label == "robust"
+    assert cls.classification == "robust"
     # transient outbreak before collapse
-    assert transmitting_share(traj.shares[:, 0], env.strategies.probs).max() > 0.01 > cls.terminal_mutant_share
+    assert transmitting_share(traj.shares[:, 0], env.probs).max() > 0.01 > cls.terminal_mutant_share
 
 
 def test_kappa_above_delta_always_robust():
@@ -407,13 +404,13 @@ def test_kappa_above_delta_always_robust():
     env = env_with(kappa=6.0, delta=5.0, nu=0.7)
     config = ScenarioConfig(steps=300)
     [cls] = classify_operating_point(env, template_run(env, config), config.extinction_tolerance)
-    assert cls.label == "robust"
+    assert cls.classification == "robust"
 
 
 def test_transmitting_share_and_density_helpers():
-    env = replace(env_with(), strategies=StrategySet((0.0, 0.5, 1.0)))
+    env = replace(env_with(), access_probs=(0.0, 0.5, 1.0))
     x = np.array([0.5, 0.2, 0.3])
-    assert transmitting_share(x, env.strategies.probs) == pytest.approx(0.5)
+    assert transmitting_share(x, env.probs) == pytest.approx(0.5)
     assert active_su_density(x, env) == pytest.approx(env.lambda_su * (0.2 * 0.5 + 0.3 * 1.0))
 
 
@@ -429,7 +426,7 @@ def test_fig6_converged_cells_rest_on_a_stable_rest_point():
     grid = [(d, n, k) for d in PRESET_GRID["deltas"] for n in PRESET_GRID["nus"] for k in PRESET_GRID["kappas"]]
     labels = [c.classification for c in sweep_region(PRESET_GRID["deltas"], PRESET_GRID["nus"],
                                                      PRESET_GRID["kappas"], config)]
-    env = config.game_env()
+    env = config.env
     controller = config.controller(launch=True)
     payoffs = PayoffParams(*(np.array(column) for column in zip(*grid)))
     traj = run_dynamics(np.array(config.x0), replace(env, payoffs=payoffs), controller, config.steps,
@@ -440,7 +437,7 @@ def test_fig6_converged_cells_rest_on_a_stable_rest_point():
         mu = MuDrive(float(traj.mu_density[-1, c]), float(traj.inducement[-1, c]))
         stable = [x for x, tag in find_rest_points(replace(env, payoffs=PayoffParams(*grid[c])), mu)
                   if tag == "stable"]
-        terminal = float(transmitting_share(traj.final_shares[c], env.strategies.probs))
+        terminal = float(transmitting_share(traj.final_shares[c], env.probs))
         point = min(stable, key=lambda x: abs(x - terminal))
         assert abs(point - terminal) <= 1e-4, (grid[c], terminal, stable)
         assert (env.lambda_su * point > CAP) == (labels[c] == "fragile"), (grid[c], point, labels[c])

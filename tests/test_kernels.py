@@ -13,9 +13,12 @@ they are laid out (columns, rows).
 
 numpy picks its own SIMD loops by CPU too, and `NPY_DISABLE_CPU_FEATURES`
 turns them off. Its exp, expm1, log, log10 and power loops return other last
-bits without AVX-512, which moves full-precision mean-field records by a few
+bits without AVX-512, which moves full-precision mean-field columns by a few
 ulps; the CSV files, written to 12 significant digits, must not change, and
 the Monte Carlo decisions must not either.
+
+Each run comes back from its own process as its columns (every one, as
+lists) and its events.
 """
 import json
 import math
@@ -33,13 +36,13 @@ KERNELS = ("Haswell", "Prescott")
 SINR = ("pr_sinr_db_mean", "pr_sinr_db_median", "su_sinr_db_mean", "su_sinr_db_median")
 SINR_DB = 1e-5  # absolute, dB: the tolerance of tests/test_reference.py
 
-# one run in a fresh process; its records and events printed as JSON, every
+# one run in a fresh process; its columns and events printed as JSON, every
 # float at full precision
 SCRIPT = """
-import dataclasses, json, sys
+import json, sys
 from specgame.engine import ScenarioConfig, run
 result = run(ScenarioConfig.from_dict(json.loads(sys.argv[1])))
-print(json.dumps({"records": [dataclasses.asdict(r) for r in result.records],
+print(json.dumps({"columns": {name: column.tolist() for name, column in result.columns.items()},
                   "events": [repr(e) for e in result.events]}))
 """
 
@@ -81,13 +84,14 @@ def _run(config: dict, kernel: str) -> dict:
 def _assert_same_decisions(a: dict, b: dict) -> None:
     """Equal phase events and non-SINR columns; SINR columns within the reference tolerance."""
     assert a["events"] == b["events"]
-    assert len(a["records"]) == len(b["records"])
-    for i, (x, y) in enumerate(zip(a["records"], b["records"])):
-        for col, want in x.items():
+    assert a["columns"].keys() == b["columns"].keys()
+    for col, column in a["columns"].items():
+        assert len(b["columns"][col]) == len(column), col
+        for i, (want, got) in enumerate(zip(column, b["columns"][col])):
             if col in SINR and not math.isnan(want):
-                assert math.isclose(y[col], want, rel_tol=0.0, abs_tol=SINR_DB), f"row {i} {col}"
+                assert math.isclose(got, want, rel_tol=0.0, abs_tol=SINR_DB), f"row {i} {col}"
             else:
-                assert repr(y[col]) == repr(want), f"row {i} {col}: {y[col]} != {want}"
+                assert repr(got) == repr(want), f"row {i} {col}: {got} != {want}"
 
 
 @needs_dynamic_openblas
@@ -95,7 +99,7 @@ def _assert_same_decisions(a: dict, b: dict) -> None:
 def test_montecarlo_decisions_do_not_depend_on_the_blas_kernel(seed, steps):
     config = {"mode": "montecarlo", "region_side": 800, "steps": steps, "seed": seed}
     a, b = (_run(config, kernel) for kernel in KERNELS)
-    assert len(a["records"]) == steps
+    assert len(a["columns"]["t_update"]) == steps
     _assert_same_decisions(a, b)
 
 
@@ -109,10 +113,10 @@ def test_meanfield_with_partial_access_does_not_depend_on_the_blas_kernel():
 
 
 # the CSV files the CLI writes for the fig3, fig5 and fig6 presets and the
-# 800 m seed 5 Monte Carlo run, that run's records and events at full
+# 800 m seed 5 Monte Carlo run, that run's columns and events at full
 # precision, and the SIMD targets numpy dispatches to in this process
 SIMD_SCRIPT = """
-import dataclasses, json
+import json
 import numpy as np
 from specgame.cli import PRESET_GRID, apply_overrides, build_presets, events_csv_text, metrics_csv_blocks, region_csv_text
 from specgame.engine import run, sweep_region
@@ -125,7 +129,7 @@ for name, config in [("fig3-population", presets["fig3-population"]),
     result = run(config)
     csv[name + "/metrics.csv"] = "".join(metrics_csv_blocks(result))
     csv[name + "/phase_events.csv"] = events_csv_text(result)
-print(json.dumps({"csv": csv, "records": [dataclasses.asdict(r) for r in result.records],
+print(json.dumps({"csv": csv, "columns": {name: column.tolist() for name, column in result.columns.items()},
                   "events": [repr(e) for e in result.events],
                   "simd": np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])}))
 """
@@ -140,5 +144,5 @@ def test_outputs_do_not_depend_on_numpy_simd_dispatch():
     assert len(default["csv"]) == 7
     for name, text in default["csv"].items():
         assert baseline["csv"][name] == text, name
-    assert len(default["records"]) == 40
+    assert len(default["columns"]["t_update"]) == 40
     _assert_same_decisions(default, baseline)

@@ -1,5 +1,7 @@
 """The table of what each config key accepts: the README's copy of it, the
-run-byte estimate, and property tests whose configs are drawn from it."""
+run-byte estimate, a config load that checks each key once, and property
+tests whose configs are drawn from it."""
+import collections
 import contextlib
 import functools
 import gc
@@ -8,6 +10,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from specgame.cli import apply_overrides, build_presets, main, write_run_outputs
 from specgame.engine import ScenarioConfig, run, run_bytes
+from specgame import keys
 from specgame.keys import KEYS, MC_BOUNDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,6 +39,22 @@ def test_the_readme_table_is_the_key_table():
     assert list(rows.items()) == [(name, tuple(key)) for name, key in KEYS.items()]
     for name, (_, need) in MC_BOUNDS.items():
         assert f"- *{name}*: {need}" in lines
+
+
+def test_a_meanfield_load_checks_each_key_once(monkeypatch):
+    data = ScenarioConfig().to_dict()
+    assert data["mode"] == "meanfield"
+    checked, check = collections.Counter(), keys.check
+
+    def counting(values):
+        checked.update(list(values))
+        check(values)
+
+    for module in list(sys.modules.values()):  # every module that imported keys.check
+        if module.__name__.startswith("specgame.") and getattr(module, "check", None) is check:
+            monkeypatch.setattr(module, "check", counting)
+    ScenarioConfig.from_dict(data)
+    assert checked == collections.Counter(list(KEYS)) and len(checked) == 37
 
 
 def test_the_readme_states_the_default_runs_estimate():
@@ -156,8 +176,8 @@ def _outside(name, key):
 
 # values inside each key's range but outside its Monte Carlo bounds, at a 400 m region
 MC_OUTSIDE = {
-    "half side": st.floats(200.0, 1e6), "cutoff": st.floats(200.0, 1e6), "term": st.floats(1e31, 1e300),
-    "noise": st.floats(1e-300, 1e-26), "gain": st.floats(1e-300, 1e-8),
+    "positive": st.just(0.0), "half side": st.floats(200.0, 1e6), "cutoff": st.floats(200.0, 1e6),
+    "term": st.floats(1e31, 1e300), "noise": st.floats(1e-300, 1e-26), "gain": st.floats(1e-300, 1e-8),
 }
 BREAKS = st.one_of(
     st.sampled_from(sorted(KEYS)).flatmap(lambda name: st.tuples(st.just(name), _outside(name, KEYS[name]),

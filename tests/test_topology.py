@@ -1,6 +1,5 @@
 """The Monte Carlo window's near-field interference blocks, far-field tail and
 sensing neighbour list."""
-import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -239,8 +238,7 @@ def test_gathered_and_whole_products_decide_alike(side, cutoff_share, steps, win
             with mock.patch.object(engine, "GATHER_SHARE", gather):
                 runs.append(run_montecarlo(config))
     sinr = {"pr_sinr_db_mean", "pr_sinr_db_median", "su_sinr_db_mean", "su_sinr_db_median"}
-    gathered, whole = ([{k: v for k, v in dataclasses.asdict(rec).items() if k not in sinr} for rec in run.records]
-                       for run in runs)
+    gathered, whole = ({k: v.tolist() for k, v in run.columns.items() if k not in sinr} for run in runs)
     assert repr(gathered) == repr(whole)
     assert runs[0].events == runs[1].events
 
