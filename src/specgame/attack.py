@@ -122,6 +122,7 @@ class AttackController:
         self._inducement = np.array([0.0, template.inducement, 0.0, 0.0])
         self.phases = np.asarray(INITIAL)
         self.above_cap_run = np.asarray(0)
+        self._counting = False  # whether some cell's above_cap_run is under way
         self._drive: Optional[MuDrive] = None  # the silent drive of `phases`, once built
         self._inducing_cap = None  # with the drive: the cap on INDUCING cells, inf elsewhere; None if none induce
         self.events: List[PhaseEvent] = []
@@ -131,7 +132,7 @@ class AttackController:
 
     def __call__(self, t: int, observed_active_su_density) -> MuDrive:
         observed = np.asarray(observed_active_su_density, dtype=float)
-        if (self._drive is not None and self._pending_launch is None and not np.count_nonzero(self.above_cap_run)
+        if (self._drive is not None and self._pending_launch is None and not self._counting
                 and (self._inducing_cap is None or not np.count_nonzero(observed > self._inducing_cap))):
             # advance_phases would change nothing: no launch to apply, no run
             # under way, and no INDUCING cell observed above the cap
@@ -139,6 +140,7 @@ class AttackController:
         old = self.phases
         self.phases, self.above_cap_run = advance_phases(
             old, self.above_cap_run, observed, self.density_cap, self.template.hysteresis, self._pending_launch)
+        self._counting = bool(np.count_nonzero(self.above_cap_run))
         # a resolved launch moves only INITIAL cells, so once applied it would change nothing
         self._pending_launch = None
         changed = self.phases != old

@@ -285,11 +285,12 @@ def run_bytes(config: ScenarioConfig) -> Dict[str, float]:
     per step, each dynamics pass's (2m + 5) float64, the metrics columns, and
     16 values of SINR-median work or m strategy counts; a CSV block at 72 B
     per value, and FIXED_BYTES. Monte Carlo adds, at `_most` of each mean
-    count, 64 B per node and per sensing pair; 24 B per receiver per PT while
-    the PT gains are built; 4 B per near-field block entry (blocks x senders
-    in 3 x 3 cells and the PTs x receivers in a cell), 1 + GATHER_SHARE times
-    over while a window gathers; and per slot, 64 B per SU and PT and 4 B
-    per block column."""
+    count, 64 B per node and per sensing pair; 24 B per receiver per PT, the
+    PT gains' float64 distances of every receiver at once (an upper bound:
+    the build makes them a chunk of rows at a time); 4 B per near-field
+    block entry (blocks x senders in 3 x 3 cells and the PTs x receivers in
+    a cell), 1 + GATHER_SHARE times over while a window gathers; and per
+    slot, 64 B per SU and PT and 4 B per block column."""
     m = len(config.access_probs)
     columns = len(metrics_columns(m))
     mc = config.mode == "montecarlo"
@@ -445,15 +446,18 @@ class _Topology:
                 self.gain[b, :len(c), lo:lo + len(r)] = np.multiply(path_gain(d, ch, out=d), near, out=d)
                 self.interference_pairs += int(np.count_nonzero(near))
 
-        pt = path_gain(pairwise_toroidal(self.receivers, world.pts, region), ch)
-        if config.include_pt_interference_at_pr:
-            np.fill_diagonal(pt[:n_pt], 0.0)  # a PR's own PT carries the signal
-        else:
-            pt[:n_pt] = 0.0
-        if not config.include_pt_interference_at_su:
-            pt[n_pt:] = 0.0
+        # the PT columns of the included receivers (PRs first), a chunk of rows at a time
         rx_block, rx_row = np.divmod(self.rx_pos, n_rows.max())
-        self.gain[rx_block, width:, rx_row] = pt
+        first = 0 if config.include_pt_interference_at_pr else n_pt
+        last = len(self.receivers) if config.include_pt_interference_at_su else n_pt
+        step = max(1, BUILD_CHUNK_ENTRIES // max(1, n_pt))
+        for lo in range(first, last, step):
+            hi = min(lo + step, last)
+            pt = pairwise_toroidal(self.receivers[lo:hi], world.pts, region)
+            path_gain(pt, ch, out=pt)
+            own = np.arange(lo, min(hi, n_pt))
+            pt[own - lo, own] = 0.0  # a PR's own PT carries the signal
+            self.gain[rx_block[lo:hi], width:, rx_row[lo:hi]] = pt
 
     def interference(self, load: np.ndarray, extra: Optional[np.ndarray] = None,
                      at: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
@@ -620,7 +624,6 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     names = ("active_su_density", "pr_success", "su_success", "pr_sinr_db_mean", "pr_sinr_db_median",
              "su_sinr_db_mean", "su_sinr_db_median")
     values = np.empty((len(names), config.steps))
-    windows = iter(range(config.steps))  # the window of each call, in order
 
     def schedule(w: int, _analytic_density):
         if w == 1:
@@ -631,9 +634,9 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
             controller.resolve_launch(decide_launch(config, estimates, n["n_mu"] / area))
         return controller(w, values[0, w - 1] if w else 0.0)
 
-    def window(x, _env, drive, _analytic_density):
+    def window(w: int, x, drive, _analytic_density):
         nonlocal topo
-        w, shares = next(windows), x[0]
+        shares = x[0]
         phase = PHASES[int(controller.phases)]
         inducing = phase is AttackPhase.INDUCING
         mimic = phase is AttackPhase.INACTIVE and config.inactive_mu_behavior == "mimic-su"
@@ -703,13 +706,13 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
         payoff = _slot_payoffs(payoff_table, access, perceived, su_ok)
 
         counts[w] = strat_counts = np.bincount(assign, minlength=m)
-        strat_pay = np.zeros(m)
+        strat_pay = np.zeros((1, m))  # the payoffs of the run's one cell
         # an empty strategy scores the window's mean, and so does one that holds every SU
         partial = (strat_counts > 0) & (strat_counts < n_su)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails the replicator step
             window_mean = math.nan if partial.all() else float(payoff.mean())
             for i in range(m):
-                strat_pay[i] = float(payoff[assign == i].mean()) if partial[i] else window_mean
+                strat_pay[0, i] = float(payoff[assign == i].mean()) if partial[i] else window_mean
 
         pr_raw = int(np.count_nonzero(pr_thresh_ok)) / pr_thresh_ok.size if n_pt else math.nan
         su_raw = int(np.count_nonzero(su_ok)) / su_ok.size

@@ -132,14 +132,40 @@ class GameEnv:
         return (p, (1.0 - p) * self.payoffs.kappa, noise, c_su, c_mu, self.lambda_pt * c_pt,
                 -math.pi * self.sensing_radius ** 2)
 
+    @cached_property
+    def _weights(self) -> Tuple[Tuple[int, float], ...]:
+        """The (index, p) of each strategy that transmits (p > 0), in order."""
+        return tuple((i, p) for i, p in enumerate(self.access_probs) if p)
+
+
+def _active(x, weights, lambda_su):
+    """lambda_su * sum_i x_i p_i over the (index, p) `weights`, per row of x.
+    The terms are added in order, not by a BLAS dot, whose summation order
+    depends on the kernel; a weight of 1.0 adds the share itself, the bits
+    of x * 1.0."""
+    terms = [x[..., i] if p == 1.0 else x[..., i] * p for i, p in weights]
+    return lambda_su * sum(terms[1:], terms[0])
+
 
 def active_su_density(shares, env: GameEnv):
-    """Transmit-weighted secondary density lambda_SU * sum_i x_i p_i (per
-    row). The terms of the strategies with p_i > 0 are added in order, not
-    by a BLAS dot, whose summation order depends on the kernel."""
-    x = np.asarray(shares, dtype=float)
-    terms = [x[..., i] * p for i, p in enumerate(env.access_probs) if p]
-    return env.lambda_su * sum(terms[1:], terms[0])
+    """Transmit-weighted secondary density lambda_SU * sum_i x_i p_i (per row)."""
+    return _active(np.asarray(shares, dtype=float), env._weights, env.lambda_su)
+
+
+def _closed_form(terms, payoffs: PayoffParams, act, mu_density, not_induced):
+    """The mean-field (pi, q, s_su, s_pr) from an environment's `_step_terms`,
+    its incentives and a drive's `_step_terms`, for (cells,) densities
+    act + mu_density: pi is (cells, m), the rest (cells,)."""
+    p, compliance, noise, c_su, c_mu, pt, neg_area = terms
+    density = act + mu_density
+    # no active transmitter in the sensing disk: exp(-density * pi * R^2), as 1 + expm1
+    q = 1.0 - (1.0 + np.expm1(density * neg_area)) * not_induced
+    # link_budget.success, its exponent summed in the budget's own field order
+    exponent = noise + act * c_su + mu_density * c_mu  # (link, cells)
+    exponent += pt
+    s_su, s_pr = np.exp(np.negative(exponent, out=exponent), out=exponent)
+    pi = (compliance + p * q * (payoffs.delta * s_su - payoffs.nu * (1.0 - s_su))).T
+    return pi, q, s_su, s_pr
 
 
 def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
@@ -147,50 +173,29 @@ def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
     (q, s_su, s_pr) diagnostics.
 
     `shares` is (m,) or (cells, m); `mu` and env.payoffs may hold per-cell
-    arrays. `act`, the active SU density of `shares`, is trusted when given
-    (run_dynamics passes that of simplex shares), else computed and checked
-    nonnegative. The payoffs come back as (m,) or (cells, m), the
-    diagnostics as floats or (cells,) arrays. The terms no step changes are
-    held per environment (GameEnv._step_terms) and per drive
-    (MuDrive._step_terms); each call adds up the ones that do.
+    arrays. `act`, the active SU density of `shares`, is trusted when given,
+    else computed and checked nonnegative. The payoffs come back as (m,) or
+    (cells, m), the diagnostics as floats or (cells,) arrays. The terms no
+    step changes are held per environment (GameEnv._step_terms) and per
+    drive (MuDrive._step_terms); each call adds up the ones that do.
     """
     mu_density, not_induced = mu._step_terms
     if act is None:
         act = active_su_density(shares, env)
         if np.count_nonzero(act < 0):
             raise ValueError("field density must be nonnegative")
-    p, compliance, noise, c_su, c_mu, pt, neg_area = env._step_terms
-    density = act + mu_density
-    # no active transmitter in the sensing disk: exp(-density * pi * R^2), as 1 + expm1
-    q = 1.0 - (1.0 + np.expm1(density * neg_area)) * not_induced
-    # link_budget.success, its exponent summed in the budget's own field order
-    exponent = noise + act * c_su + mu_density * c_mu  # (link, cells), or (link, 1) for scalars
-    exponent += pt
-    s = np.exp(np.negative(exponent, out=exponent), out=exponent)
-    s_su, s_pr = s if np.ndim(density) else s[:, 0]
-    payoffs = env.payoffs
-    pi = (compliance + p * q * (payoffs.delta * s_su - payoffs.nu * (1.0 - s_su))).T
-    return (pi if np.ndim(q) or payoffs.batch_shape else pi[0]), q, s_su, s_pr
+    if np.ndim(act) or np.ndim(mu_density):
+        return _closed_form(env._step_terms, env.payoffs, act, mu_density, not_induced)
+    # scalar densities: stepped as a cell axis of length 1, which only a
+    # per-cell inducement or per-cell incentives keep
+    pi, q, s_su, s_pr = _closed_form(env._step_terms, env.payoffs, np.reshape(act, 1), mu_density, not_induced)
+    per_cell_q = np.ndim(not_induced)
+    return (pi if per_cell_q or env.payoffs.batch_shape else pi[0]), (q if per_cell_q else q[0]), s_su[0], s_pr[0]
 
 
-def replicator_step(shares, payoffs, h: float) -> np.ndarray:
-    """One Euler step of continuous replicator dynamics, renormalized to the simplex.
-
-    Takes one (m,) share vector or a (cells, m) batch, stepped row by row.
-    Payoffs are anchored to the first strategy before averaging so a common
-    additive shift cancels structurally, not just in exact arithmetic. Where a
-    step would drive a share negative, that row's h is halved (at most 40
-    times). A row that cannot be stepped -- non-finite payoffs, or still
-    negative after the last halving -- comes back as NaN, so that one bad
-    cell stops no other; `step_failure` says why.
-    """
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    x = np.asarray(shares, dtype=float)
-    pi = np.asarray(payoffs, dtype=float)
-    rows = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
-    if pi.shape != rows.shape:
-        pi = pi.reshape(rows.shape)
+def _replicate(rows, pi, h: float) -> np.ndarray:
+    """replicator_step of (cells, m) float `rows` under (cells, m) payoffs
+    `pi`, for a step size h > 0."""
     finite = np.isfinite(pi)
     all_finite = np.count_nonzero(finite) == finite.size
     if not all_finite:
@@ -215,6 +220,28 @@ def replicator_step(shares, payoffs, h: float) -> np.ndarray:
         factors[~finite] = math.nan
     new = rows * factors
     new /= np.add.reduce(new, axis=1, keepdims=True)
+    return new
+
+
+def replicator_step(shares, payoffs, h: float) -> np.ndarray:
+    """One Euler step of continuous replicator dynamics, renormalized to the simplex.
+
+    Takes one (m,) share vector or a (cells, m) batch, stepped row by row.
+    Payoffs are anchored to the first strategy before averaging so a common
+    additive shift cancels structurally, not just in exact arithmetic. Where a
+    step would drive a share negative, that row's h is halved (at most 40
+    times). A row that cannot be stepped -- non-finite payoffs, or still
+    negative after the last halving -- comes back as NaN, so that one bad
+    cell stops no other; `step_failure` says why.
+    """
+    if not h > 0:
+        raise ValueError("step size must be positive")
+    x = np.asarray(shares, dtype=float)
+    pi = np.asarray(payoffs, dtype=float)
+    rows = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+    if pi.shape != rows.shape:
+        pi = pi.reshape(rows.shape)
+    new = _replicate(rows, pi, h)
     return new if x.ndim == 2 else new.reshape(x.shape)
 
 
@@ -269,9 +296,9 @@ def run_dynamics(
     (cells, m), each on the simplex, as a config's x0 is checked to be),
     broadcast against per-cell incentives in env.payoffs. Each step the
     schedule sees every cell's current active secondary density, then
-    `payoff_source(shares, env, drive, act)` returns the payoffs and (q,
-    s_su, s_pr): the closed-form payoff_vector when None (which trusts this
-    `act`), one window in a Monte Carlo run.
+    `payoff_source(t, shares, drive, act)` returns the (cells, m) payoffs
+    and (q, s_su, s_pr): the closed form of `payoff_vector` on env when None
+    (which trusts this `act`), one window in a Monte Carlo run.
 
     A single run (1-D x0, scalar incentives) is a batch of one cell. A cell
     whose payoffs turn non-finite, or whose replicator step fails, is frozen
@@ -283,9 +310,15 @@ def run_dynamics(
     that read only the end (`sweep_region` and the launch forecast of
     `decide_launch`). The arithmetic is the same, so that row,
     `final_shares` and `errors` equal the full run's, byte for byte.
+
+    The step size is checked once, before the first step, and each step
+    calls the cores of `active_su_density`, `payoff_vector` and
+    `replicator_step` on the loop's own (cells, m) arrays.
     """
     if steps < 1:
         raise ValueError("need at least one step")
+    if not h > 0:
+        raise ValueError("step size must be positive")
     m = len(env.access_probs)
     x0 = np.asarray(x0, dtype=float)
     batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
@@ -293,37 +326,39 @@ def run_dynamics(
     cells = len(x)
     shares, payoffs = np.empty((2, steps if history else 1, cells, m))
     s_su, s_pr, act, mu_density, inducement = np.empty((5, len(shares), cells))
-    columns = shares, payoffs, s_su, s_pr, act, mu_density, inducement
     errors = [""] * cells
     live = np.ones(cells, dtype=bool)
     all_live = True
-    source = payoff_source or payoff_vector
+    weights, lambda_su, terms, incentives = env._weights, env.lambda_su, env._step_terms, env.payoffs
+
+    def closed_form(t, rows, drive, density):
+        return _closed_form(terms, incentives, density, *drive._step_terms)
+
+    source = payoff_source or closed_form
     for t in range(steps):
-        density = active_su_density(x, env)
+        density = _active(x, weights, lambda_su)
         drive = mu_schedule(t, density)
-        pi, _, su, pr = source(x, env, drive, density)
+        pi, _, su, pr = source(t, x, drive, density)
         step = x, pi, su, pr, density, drive.active_density, drive.inducement
         if history:
-            for column, value in zip(columns, step):
-                column[t] = value
+            shares[t], payoffs[t], s_su[t], s_pr[t], act[t], mu_density[t], inducement[t] = step
         if freeze_shares:
             continue
-        new = replicator_step(x, pi if all_live else np.where(live[:, None], pi, 0.0), h)
+        new = _replicate(x, pi if all_live else np.where(live[:, None], pi, 0.0), h)
         failed = np.isnan(new[:, 0])
         if np.count_nonzero(failed):
             failed &= live
-            cell_pi = np.broadcast_to(pi, x.shape)
             for c in np.flatnonzero(failed):
-                errors[c] = f"{step_failure(cell_pi[c])} (step {t})"
+                errors[c] = f"{step_failure(pi[c])} (step {t})"
             live &= ~failed
             all_live = False
             if not np.count_nonzero(live):
                 break
         x = new if all_live else np.where(live[:, None], new, x)
     if not history:  # the last step run, stored once
-        for column, value in zip(columns, step):
-            column[0] = value
+        shares[0], payoffs[0], s_su[0], s_pr[0], act[0], mu_density[0], inducement[0] = step
     n = t + 1 if history else 1  # rows filled
+    columns = shares, payoffs, s_su, s_pr, act, mu_density, inducement
     return Trajectory(*(column[:n] for column in columns), final_shares=x, errors=tuple(errors))
 
 

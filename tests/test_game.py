@@ -139,6 +139,18 @@ def test_a_reused_drive_pays_the_bytes_of_a_fresh_equal_drive():
             assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def test_a_per_cell_inducement_alone_gives_per_cell_payoffs():
+    # scalar shares and MU density: the links' success stays one float, and
+    # each cell's payoffs and q are those of its inducement on its own
+    env = env_with(kappa=2.0)
+    x, inducement = np.array([0.6, 0.4]), np.array([0.0, 0.3, 1.0])
+    pi, q, s_su, s_pr = payoff_vector(x, env, MuDrive(3e-6, inducement))
+    assert (pi.shape, q.shape, np.shape(s_su), np.shape(s_pr)) == ((3, 2), (3,), (), ())
+    for c, value in enumerate(inducement.tolist()):
+        one = payoff_vector(x, env, MuDrive(3e-6, value))
+        assert (pi[c].tobytes(), q[c], s_su, s_pr) == (one[0].tobytes(), *one[1:])
+
+
 def test_a_negative_mu_density_raises_on_every_call():
     env = env_with(kappa=0.0)
     x = np.array([0.5, 0.5])
@@ -161,6 +173,22 @@ def test_a_negative_mu_density_raises_on_every_call():
     with pytest.raises(ValueError, match="nonnegative"):
         run_dynamics(x, env, late, 10, 0.1)
     assert calls == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("freeze_shares", [False, True])
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
+def test_a_step_size_not_above_zero_is_refused_before_the_first_step(h, freeze_shares):
+    calls = []
+
+    def recording(t, density):
+        calls.append(t)
+        return IDLE
+
+    with pytest.raises(ValueError, match="step size must be positive"):
+        run_dynamics(np.array([0.5, 0.5]), env_with(kappa=0.0), recording, 3, h, freeze_shares=freeze_shares)
+    assert calls == []
+    with pytest.raises(ValueError, match="step size must be positive"):
+        replicator_step(np.array([0.5, 0.5]), np.array([1.0, 0.0]), h)
 
 
 def test_replicator_hand_step():

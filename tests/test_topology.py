@@ -295,8 +295,8 @@ def test_blocked_build_matches_whole_matrices(n_su, n_pt, n_mu, at_pr, at_su, mo
     assert len(np.unique(topo.rx_pos)) == n_pt + n_su
     padding_rows = np.setdiff1d(np.arange(n_blocks * rows_per_block), topo.rx_pos)
     assert not topo.gain.transpose(0, 2, 1).reshape(n_blocks * rows_per_block, -1)[padding_rows].any()
-    # distances are computed a few rows of a block at a time; the rows per
-    # call do not change a byte
+    # distances are computed a few rows of a block, and of the PT columns,
+    # at a time; the rows per call do not change a byte
     monkeypatch.setattr(engine, "BUILD_CHUNK_ENTRIES", 7)
     assert _Topology(world, config).gain.tobytes() == topo.gain.tobytes()
 
@@ -325,17 +325,20 @@ def test_torus_tail_vanishes_beyond_the_corner():
 
 def test_topology_build_holds_no_full_size_distance_temporaries():
     # ~1,023 SUs in 16 blocks: a distance temporary the size of a block
-    # column, let alone a dense matrix, would exceed the bound
-    config = ScenarioConfig(mode="montecarlo", region_side=1000.0, seed=4)
-    tracemalloc.start()
-    try:
-        topo = _sample_topology(config, np.random.default_rng(config.seed))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert topo.n_su > 1000 and topo.gain.shape[0] == 16
-    stored = topo.gain.nbytes + topo.cols.nbytes + topo.rx_pos.nbytes + topo.sense_indptr.nbytes + topo.sense_indices.nbytes
-    assert peak <= 1.5 * stored
+    # column, let alone a dense matrix, would exceed the bound; with ~120 PTs
+    # (lambda_pt=1e-4), so would their columns built for every receiver at once
+    for lambda_pt in (1e-5, 1e-4):
+        config = ScenarioConfig(mode="montecarlo", region_side=1000.0, seed=4, lambda_pt=lambda_pt)
+        tracemalloc.start()
+        try:
+            topo = _sample_topology(config, np.random.default_rng(config.seed))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert topo.n_su > 1000 and topo.gain.shape[0] == 16
+        stored = (topo.gain.nbytes + topo.cols.nbytes + topo.rx_pos.nbytes + topo.sense_indptr.nbytes
+                  + topo.sense_indices.nbytes)
+        assert peak <= 1.5 * stored, lambda_pt
 
 
 def test_sensing_build_allocates_no_su_by_su_array():
