@@ -115,7 +115,12 @@ class ScenarioConfig:
                                 lambda_su=self.lambda_su)
 
     def to_dict(self) -> Dict:
-        return {**dataclasses.asdict(self), "access_probs": list(self.access_probs), "x0": list(self.x0)}
+        """The config as plain data, field by field: the channel and payoffs
+        each a fresh dict, which a caller may change, x0 and access_probs lists."""
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        for key in ("channel", "payoffs"):
+            data[key] = {f.name: getattr(data[key], f.name) for f in dataclasses.fields(data[key])}
+        return {**data, "access_probs": list(self.access_probs), "x0": list(self.x0)}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ScenarioConfig":

@@ -8,13 +8,14 @@ Success probabilities come from the closed-form Poisson-field channel model;
 population shares evolve under discrete-step replicator dynamics.
 
 The dynamics run a batch of cells at once: shares of shape (cells, m), with
-per-cell incentives and per-cell attacker drive. A single run is the batch of
-one cell, and a cell that cannot be stepped is reported in `errors`, never
-raised.
+per-cell incentives and per-cell attacker drive. A single run steps on Python
+floats, with the arithmetic of the batch of its one cell, and a cell that
+cannot be stepped is reported in `errors`, never raised.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Tuple
@@ -279,6 +280,96 @@ def transmitting_share(shares, probs) -> np.ndarray:
     return np.asarray(shares, dtype=float)[..., np.asarray(probs) > 0].sum(axis=-1)
 
 
+def _row_sum(values) -> float:
+    """np.add.reduce of one row of floats, in its order: in turn from 0.0
+    below 8 values, where numpy's pairwise sum starts its blocks."""
+    if len(values) >= 8:
+        return float(np.add.reduce(np.array(values)))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _replicate_row(x: List[float], pi: List[float], h: float) -> List[float]:
+    """`_replicate` of one row of Python floats, op for op. A step that
+    needs halvings or would divide by a zero sum is handed to `_replicate`,
+    and so is a non-finite payoff, whose NaN factor makes the sum NaN."""
+    pi0 = pi[0]
+    rel = [v - pi0 for v in pi]
+    mean = _row_sum([a * r for a, r in zip(x, rel)])
+    factors = [h * (r - mean) + 1.0 for r in rel]
+    new = [a * f for a, f in zip(x, factors)]
+    total = _row_sum(new)
+    if not (min(factors) >= 0.0 and total > 0.0):
+        return _replicate(np.array([x]), np.array([pi]), h)[0].tolist()
+    return [v / total for v in new]
+
+
+def _run_cell(x: List[float], env: GameEnv, mu_schedule: MuSchedule, steps: int, h: float, freeze_shares: bool,
+              payoff_source: Optional[Callable], history: bool) -> Trajectory:
+    """run_dynamics of one cell, stepped on Python floats.
+
+    Every value is the array loop's, op for op: the same operands in the
+    same order, with each sum added as `_row_sum` adds it. expm1 and exp
+    stay numpy calls, on buffers laid out as the array loop's operands, so
+    they run numpy's own loops. The schedule sees a (1,) density and a
+    payoff source a (1, m) share row, as in the array loop. Each step's
+    (shares, payoffs, s_su, s_pr, act, mu_density, inducement) is appended
+    to one float64 buffer, whose views the trajectory returns.
+    """
+    m = len(x)
+    weights, lambda_su = env._weights, env.lambda_su
+    p, compliance, *links, neg_area = env._step_terms
+    probs, compliance = p[:, 0].tolist(), compliance[:, 0].tolist()
+    (noise_su, noise_pr), (su_su, su_pr), (mu_su, mu_pr), (pt_su, pt_pr) = (c[:, 0].tolist() for c in links)
+    delta, nu = float(env.payoffs.delta), float(env.payoffs.nu)
+    area_term, q_term, exponent = np.empty(1), np.empty(1), np.empty(2)
+    rows = array("d")
+    error, held = "", None
+    for t in range(steps):
+        terms = [x[i] if w == 1.0 else x[i] * w for i, w in weights]  # as _active adds them
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        act = lambda_su * total
+        density = np.array([act])
+        drive = mu_schedule(t, density)
+        if drive is not held:  # a controller reuses its drive until a phase changes
+            held = drive
+            mu, not_induced = (np.asarray(v, dtype=float).item() for v in drive._step_terms)
+            inducement = np.asarray(drive.inducement, dtype=float).item()
+        if payoff_source is None:
+            area_term[0] = (act + mu) * neg_area
+            np.expm1(area_term, out=q_term)
+            q = 1.0 - (1.0 + q_term.item()) * not_induced
+            exponent[0] = -(noise_su + act * su_su + mu * mu_su + pt_su)
+            exponent[1] = -(noise_pr + act * su_pr + mu * mu_pr + pt_pr)
+            np.exp(exponent, out=exponent)
+            s_su, s_pr = exponent.tolist()
+            gain = delta * s_su - nu * (1.0 - s_su)
+            pi = [c + w * q * gain for c, w in zip(compliance, probs)]
+        else:
+            pi, _, s_su, s_pr = payoff_source(t, np.array([x]), drive, density)
+            pi = pi[0].tolist()
+        step = (*x, *pi, s_su, s_pr, act, mu, inducement)
+        if history:
+            rows.extend(step)
+        if freeze_shares:
+            continue
+        new = _replicate_row(x, pi, h)
+        if new[0] != new[0]:  # NaN: the step failed
+            error = f"{step_failure(pi)} (step {t})"
+            break
+        x = new
+    if not history:  # the last step run, stored once
+        rows = array("d", step)
+    table = np.frombuffer(rows).reshape(-1, 1, 2 * m + 5)
+    s_su, s_pr, act, mu_density, inducement = np.moveaxis(table[..., 2 * m:], -1, 0)
+    return Trajectory(table[..., :m], table[..., m:2 * m], s_su, s_pr, act, mu_density, inducement,
+                      final_shares=np.array([x]), errors=(error,))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails its cell, silently
 def run_dynamics(
     x0,
@@ -292,18 +383,22 @@ def run_dynamics(
 ) -> Trajectory:
     """Iterate payoff evaluation and replicator steps under a malicious-user schedule.
 
-    Every cell runs in the same loop: the cells are the rows of x0 ((m,) or
-    (cells, m), each on the simplex, as a config's x0 is checked to be),
-    broadcast against per-cell incentives in env.payoffs. Each step the
-    schedule sees every cell's current active secondary density, then
-    `payoff_source(t, shares, drive, act)` returns the (cells, m) payoffs
-    and (q, s_su, s_pr): the closed form of `payoff_vector` on env when None
-    (which trusts this `act`), one window in a Monte Carlo run.
+    The cells are the rows of x0 ((m,) or (cells, m), each on the simplex,
+    as a config's x0 is checked to be), broadcast against per-cell
+    incentives in env.payoffs. Each step the schedule sees every cell's
+    current active secondary density, then the payoffs and (q, s_su, s_pr)
+    come from the closed form of `payoff_vector` on env, or, for a single
+    run, from `payoff_source(t, shares, drive, act)` when given (one window
+    in a Monte Carlo run), which gets a (1, m) share row and returns a
+    (1, m) payoff row; a batch with a payoff source is refused.
 
-    A single run (1-D x0, scalar incentives) is a batch of one cell. A cell
-    whose payoffs turn non-finite, or whose replicator step fails, is frozen
-    at its last shares with the reason in `errors`, and the other cells run
-    on; once none is left, the trajectory ends at that step.
+    A single run (1-D x0, scalar incentives) steps on Python floats
+    (`_run_cell`); a batch steps its (cells, m) arrays. Both do the same
+    arithmetic in the same order, so a single run gives the bits of the
+    batch of its one cell. A cell whose payoffs turn non-finite, or whose
+    replicator step fails, is frozen at its last shares with the reason in
+    `errors`, and the other cells run on; once none is left, the trajectory
+    ends at that step.
 
     With `history=False` the per-step arrays have one row, written once
     when the loop ends, from the last step run: O(cells) memory, for callers
@@ -311,8 +406,8 @@ def run_dynamics(
     `decide_launch`). The arithmetic is the same, so that row,
     `final_shares` and `errors` equal the full run's, byte for byte.
 
-    The step size is checked once, before the first step, and each step
-    calls the cores of `active_su_density`, `payoff_vector` and
+    The step size is checked once, before the first step, and each batch
+    step calls the cores of `active_su_density`, `payoff_vector` and
     `replicator_step` on the loop's own (cells, m) arrays.
     """
     if steps < 1:
@@ -323,6 +418,10 @@ def run_dynamics(
     x0 = np.asarray(x0, dtype=float)
     batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
     x = np.array(np.broadcast_to(x0, batch + (m,)), ndmin=2)
+    if not batch:
+        return _run_cell(x[0].tolist(), env, mu_schedule, steps, h, freeze_shares, payoff_source, history)
+    if payoff_source is not None:
+        raise ValueError("a payoff source drives a single run: a 1-D x0 with scalar incentives")
     cells = len(x)
     shares, payoffs = np.empty((2, steps if history else 1, cells, m))
     s_su, s_pr, act, mu_density, inducement = np.empty((5, len(shares), cells))
@@ -330,15 +429,10 @@ def run_dynamics(
     live = np.ones(cells, dtype=bool)
     all_live = True
     weights, lambda_su, terms, incentives = env._weights, env.lambda_su, env._step_terms, env.payoffs
-
-    def closed_form(t, rows, drive, density):
-        return _closed_form(terms, incentives, density, *drive._step_terms)
-
-    source = payoff_source or closed_form
     for t in range(steps):
         density = _active(x, weights, lambda_su)
         drive = mu_schedule(t, density)
-        pi, _, su, pr = source(t, x, drive, density)
+        pi, _, su, pr = _closed_form(terms, incentives, density, *drive._step_terms)
         step = x, pi, su, pr, density, drive.active_density, drive.inducement
         if history:
             shares[t], payoffs[t], s_su[t], s_pr[t], act[t], mu_density[t], inducement[t] = step

@@ -1,8 +1,10 @@
 """The batched dynamics core: a batch equals its cells run one at a time,
-the loop equals a plain loop over the public steps, replicator rows behave
-like single vectors, and a failing cell is isolated, also when it is a batch
-of one."""
+both loops equal a plain loop over the public steps and a single run's float
+loop equals the array loop on a batch of one, replicator rows behave like
+single vectors, and a failing cell is isolated, also when it is a batch of
+one."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from specgame.attack import AttackController, InducingTemplate, phase_history
 from specgame.channel import ChannelParams, max_allowable_su_density
+from specgame.cli import build_presets
 from specgame.engine import ScenarioConfig
 from specgame.game import (
     GameEnv,
@@ -122,9 +125,11 @@ def _poisoned(schedule, cells, step):
     return poisoned
 
 
+NINE = tuple(i / 8 for i in range(9))
 loop_case = st.fixed_dictionaries({
     "cells": st.sampled_from([None, 1, 72]),  # None: a 1-D x0 and scalar incentives
-    "probs": st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (0.2, 0.7)]),
+    # numpy sums a row of 8 or more in pairwise blocks, fewer in turn
+    "probs": st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (0.2, 0.7), (0.0, 0.3, 0.7, 1.0), NINE]),
     # a delta of 1e13 fails its row after the last halving; a large step needs halvings
     "delta": st.one_of(st.floats(0.5, 50.0), st.just(1e13)),
     "nu": st.floats(0.0, 5.0),
@@ -150,6 +155,8 @@ def _loop_cases(test):
     """`test` over drawn loop cases, and over the examples that always run."""
     for overrides in ({}, dict(delta=1e13, h=3.0, poison_step=4, behavior="mimic-su", lambda_mu=1e-5),
                       dict(cells=None, probs=(0.0, 0.5, 1.0), h=4.0, poison_step=6),
+                      dict(cells=None, probs=(0.0, 0.3, 0.7, 1.0), kappa=3.0),
+                      dict(cells=None, probs=NINE, kappa=3.0, behavior="mimic-su", lambda_mu=1e-5),
                       dict(cells=1, freeze_shares=True, behavior="mimic-su", launch=False)):
         test = _loop_example(**overrides)(test)
     return settings(max_examples=40, deadline=None)(given(loop_case)(test))
@@ -209,6 +216,22 @@ def test_a_history_free_run_holds_the_full_runs_last_step(case):
         assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
     assert last.final_shares.tobytes() == full.final_shares.tobytes()
     assert last.errors == full.errors
+
+
+@pytest.mark.parametrize("preset", ["fig3-population", "fig4-sinr-kappa0", "fig5-sinr-kappa8"])
+@pytest.mark.parametrize("launch", [True, False])
+@pytest.mark.parametrize("history", [False, True])  # the history-free forecast, and the kept pass
+def test_a_presets_passes_step_alike_on_floats_and_on_a_batch_of_one(preset, launch, history):
+    config = build_presets()[preset]
+    scalar = config.env
+    pay = scalar.payoffs
+    batch_of_one = replace(scalar, payoffs=PayoffParams(*(np.array([v]) for v in (pay.delta, pay.nu, pay.kappa))))
+    floats, arrays = (run_dynamics(np.asarray(config.x0), env, config.controller(launch), config.steps,
+                                   config.step_size, history=history) for env in (scalar, batch_of_one))
+    for name in (*STEP_FIELDS, "final_shares"):
+        a, b = getattr(floats, name), getattr(arrays, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert floats.errors == arrays.errors == ("",)
 
 
 @settings(max_examples=60, deadline=None)

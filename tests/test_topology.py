@@ -329,9 +329,10 @@ def test_topology_build_holds_no_full_size_distance_temporaries():
     # (lambda_pt=1e-4), so would their columns built for every receiver at once
     for lambda_pt in (1e-5, 1e-4):
         config = ScenarioConfig(mode="montecarlo", region_side=1000.0, seed=4, lambda_pt=lambda_pt)
+        rng = np.random.default_rng(config.seed)  # outside the trace: a first call imports numpy.random
         tracemalloc.start()
         try:
-            topo = _sample_topology(config, np.random.default_rng(config.seed))
+            topo = _sample_topology(config, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
