@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .attack import (
     AttackController,
     AttackPhase,
-    InducingTemplate,
 )
 from .channel import (
     ChannelParams,

@@ -1,6 +1,7 @@
-"""Malicious-user controller: forecast from estimated densities whether an
-inducement attack pays off, jam-and-advertise while inducing, and withdraw
-once the induced population is dense enough to keep the damage self-sustaining.
+"""Malicious-user phase machine and controller: jam-and-advertise while
+inducing, and withdraw once the induced population is dense enough to keep
+the damage self-sustaining. Whether to launch at all is decided outside, by
+engine.decide_launch, and handed to the controller.
 
 Attackers collude perfectly, so one controller drives all of them. While
 inducing they run slotted-Aloha jamming at a configurable access probability
@@ -14,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .channel import max_allowable_su_density
-from .game import GameEnv, MuDrive, Trajectory, classify_operating_point
+from .game import MuDrive
 from .keys import check
 
 
@@ -28,22 +28,6 @@ class AttackPhase(Enum):
     INDUCING = "inducing"
     INACTIVE = "inactive"
     ABORTED = "aborted"
-
-
-@dataclass(frozen=True)
-class InducingTemplate:
-    """Knobs of the inducing phase: Aloha access probability, withdrawal
-    hysteresis (consecutive above-cap observations; an int, or per-cell ints
-    in a batch), and the perception saturation the jamming advertises to
-    secondary users."""
-
-    mu_access_prob: float = 0.5
-    hysteresis: int = 5
-    inducement: float = 1.0
-
-    def __post_init__(self) -> None:
-        check({"mu_access_prob": self.mu_access_prob, "hysteresis": self.hysteresis,
-               "inducing_perception": self.inducement})
 
 
 @dataclass(frozen=True)
@@ -91,6 +75,11 @@ class AttackController:
     """Stateful schedule driving the game: call with (step, observed active
     secondary density) to get the MuDrive for that step.
 
+    While inducing, the attackers jam at Aloha access probability
+    `mu_access_prob` and advertise the perception saturation `inducement`;
+    they withdraw after `hysteresis` consecutive observations above the
+    density cap (an int, or per-cell ints in a batch).
+
     Drives one cell for a scalar density, or every cell of a batch for an
     array of densities; phase and above-cap run are kept per cell, sized by
     the first call. The launch decision may be resolved at construction
@@ -103,23 +92,26 @@ class AttackController:
     def __init__(
         self,
         lambda_mu: float,
-        template: InducingTemplate,
         density_cap: float,
         launch: Optional[bool] = None,
         inactive_behavior: str = "silent",
         lambda_su: float = 0.0,
+        mu_access_prob: float = 0.5,
+        hysteresis=5,
+        inducement: float = 1.0,
     ) -> None:
-        check({"inactive_mu_behavior": inactive_behavior})
+        check({"mu_access_prob": mu_access_prob, "hysteresis": hysteresis, "inducing_perception": inducement,
+               "inactive_mu_behavior": inactive_behavior})
         self.lambda_mu = lambda_mu
-        self.template = template
         self.density_cap = density_cap
+        self.hysteresis = hysteresis
         self.inactive_behavior = inactive_behavior
         self.lambda_su = lambda_su
         self._pending_launch = launch
         inactive_density = 0.0 if inactive_behavior == "silent" else math.nan  # mimic: set per call
         # drive per phase code: active MU density and advertised inducement
-        self._density = np.array([0.0, lambda_mu * template.mu_access_prob, inactive_density, 0.0])
-        self._inducement = np.array([0.0, template.inducement, 0.0, 0.0])
+        self._density = np.array([0.0, lambda_mu * mu_access_prob, inactive_density, 0.0])
+        self._inducement = np.array([0.0, inducement, 0.0, 0.0])
         self.phases = np.asarray(INITIAL)
         self.above_cap_run = np.asarray(0)
         self._counting = False  # whether some cell's above_cap_run is under way
@@ -139,7 +131,7 @@ class AttackController:
             return self._drive
         old = self.phases
         self.phases, self.above_cap_run = advance_phases(
-            old, self.above_cap_run, observed, self.density_cap, self.template.hysteresis, self._pending_launch)
+            old, self.above_cap_run, observed, self.density_cap, self.hysteresis, self._pending_launch)
         self._counting = bool(np.count_nonzero(self.above_cap_run))
         # a resolved launch moves only INITIAL cells, so once applied it would change nothing
         self._pending_launch = None
@@ -161,20 +153,3 @@ class AttackController:
             self._inducing_cap = np.where(inducing, self.density_cap, math.inf) if np.count_nonzero(inducing) else None
         return self._drive
 
-
-def launch_verdict(env: GameEnv, forecast: Callable[[], Trajectory], extinction_tol: float) -> bool:
-    """Launch iff the attack can succeed and its forecast ends fragile.
-
-    No attack can succeed where the SU population, every user on its most
-    aggressive strategy, stays within the density cap of env.channel: there
-    the answer is no and `forecast` is not called. Otherwise `forecast()`
-    runs the inducing template, launched at once, on env, and the launch
-    follows its classification. Raises ValueError, with the reason, if the
-    forecast's dynamics failed.
-    """
-    if env.lambda_su * max(env.access_probs) <= max_allowable_su_density(env.channel):
-        return False
-    [verdict] = classify_operating_point(env, forecast(), extinction_tol)
-    if verdict.classification == "error":
-        raise ValueError(verdict.error)
-    return verdict.classification == "fragile"

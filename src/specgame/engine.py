@@ -21,9 +21,7 @@ from .attack import (
     AttackController,
     PHASES,
     AttackPhase,
-    InducingTemplate,
     PhaseEvent,
-    launch_verdict,
     phase_history,
 )
 from .channel import ChannelParams, max_allowable_su_density, path_gain, torus_tail
@@ -105,14 +103,12 @@ class ScenarioConfig:
         return GameEnv(self.channel, self.payoffs, self.access_probs, self.lambda_su, self.lambda_pt,
                        self.sensing_radius, self.include_pt_interference_at_su, self.include_pt_interference_at_pr)
 
-    def template(self) -> InducingTemplate:
-        return InducingTemplate(self.mu_access_prob, self.hysteresis, self.inducing_perception)
-
     def controller(self, launch: Optional[bool]) -> AttackController:
         """A fresh controller held to the channel's density cap; launch None defers to resolve_launch."""
-        return AttackController(self.lambda_mu, self.template(), max_allowable_su_density(self.channel),
-                                launch=launch, inactive_behavior=self.inactive_mu_behavior,
-                                lambda_su=self.lambda_su)
+        return AttackController(self.lambda_mu, max_allowable_su_density(self.channel), launch=launch,
+                                inactive_behavior=self.inactive_mu_behavior, lambda_su=self.lambda_su,
+                                mu_access_prob=self.mu_access_prob, hysteresis=self.hysteresis,
+                                inducement=self.inducing_perception)
 
     def to_dict(self) -> Dict:
         """The config as plain data, field by field: the channel and payoffs
@@ -256,18 +252,37 @@ def _slot_payoffs(table: np.ndarray, access: np.ndarray, perceived: np.ndarray, 
 def decide_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> bool:
     """Whether `lambda_mu` attackers launch under config's launch policy.
 
-    "always" and "never" decide alone. A "forecast" launches iff the
-    mean-field forecast ends fragile, as attack.launch_verdict reads it: the
-    config's inducing template, launched at once and silent, run from its x0
-    on env, whose SU and PT densities are the attackers' estimates and whose
-    channel sets the density cap. Pure in its inputs.
+    "always" and "never" decide alone. A "forecast" launches iff the attack
+    can succeed on env and its mean-field forecast ends fragile: the config's
+    inducing knobs, launched at once and silent, run from its x0 on env, whose
+    SU and PT densities are the attackers' estimates and whose channel sets
+    the density cap. Pure in its inputs; raises ValueError, with the reason,
+    if the forecast's dynamics failed.
     """
     if config.launch_policy != "forecast":
         return config.launch_policy == "always"
-    controller = AttackController(lambda_mu, config.template(), max_allowable_su_density(env.channel), launch=True,
-                                  lambda_su=env.lambda_su)
-    return launch_verdict(env, lambda: run_dynamics(np.asarray(config.x0), env, controller, config.steps,
-                                                    config.step_size, history=False), config.extinction_tolerance)
+    if not _can_succeed(env):
+        return False
+    controller = AttackController(lambda_mu, max_allowable_su_density(env.channel), launch=True,
+                                  lambda_su=env.lambda_su, mu_access_prob=config.mu_access_prob,
+                                  hysteresis=config.hysteresis, inducement=config.inducing_perception)
+    traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size, history=False)
+    return _fragile(env, traj, config.extinction_tolerance)
+
+
+def _can_succeed(env: GameEnv) -> bool:
+    """Whether an attack can succeed on env: not where the SU population, every
+    user on its most aggressive strategy, stays within the density cap."""
+    return env.lambda_su * max(env.access_probs) > max_allowable_su_density(env.channel)
+
+
+def _fragile(env: GameEnv, traj: Trajectory, extinction_tol: float) -> bool:
+    """Whether the single-run forecast `traj` on env ends fragile; raises
+    ValueError, with the reason, if its dynamics failed."""
+    [verdict] = classify_operating_point(env, traj, extinction_tol)
+    if verdict.classification == "error":
+        raise ValueError(verdict.error)
+    return verdict.classification == "fragile"
 
 
 def _forecast_pass(config: ScenarioConfig) -> bool:
@@ -330,32 +345,30 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
 
     The controller is granted oracle density estimates, so the launch decision
     resolves before the first step. With `launch_policy="forecast"`, silent
-    withdrawal and moving shares, the attackers' forecast is this run
-    launched at once: it runs once and is kept when it says launch, and only
-    a negative forecast takes a second, unlaunched pass. The SINR medians are
-    solved for the kept pass only. Success columns report whether the
-    closed-form outage constraint of each link class currently holds. Raises
-    ValueError, with the reason, if the dynamics fail.
+    withdrawal and moving shares, where the attack can succeed, the
+    attackers' forecast is this run launched at once: it is kept when it ends
+    fragile, and only a negative forecast takes a second, unlaunched pass.
+    The SINR medians are solved for the kept pass only. Success columns
+    report whether the closed-form outage constraint of each link class
+    currently holds. Raises ValueError, with the reason, if the dynamics fail.
     """
     if config.mode != "meanfield":
         raise ConfigError("run_meanfield requires mode='meanfield'")
     ch = config.channel
     env = config.env
-    passes = []
 
-    def run_pass(launch: bool) -> Trajectory:
+    def run_pass(launch: bool) -> Tuple[AttackController, Trajectory]:
         controller = config.controller(launch)
-        passes.append((controller, run_dynamics(np.asarray(config.x0), env, controller, config.steps,
-                                                config.step_size, freeze_shares=config.freeze_shares)))
-        return passes[-1][1]
+        return controller, run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size,
+                                        freeze_shares=config.freeze_shares)
 
-    if _forecast_pass(config):
+    if _forecast_pass(config) and _can_succeed(env):
         # decide_launch would run this very controller and these dynamics, launched
-        if not launch_verdict(env, lambda: run_pass(True), config.extinction_tolerance):
-            run_pass(False)
+        controller, traj = run_pass(True)
+        if not _fragile(env, traj, config.extinction_tolerance):
+            controller, traj = run_pass(False)
     else:
-        run_pass(decide_launch(config, env, config.lambda_mu))
-    controller, traj = passes[-1]
+        controller, traj = run_pass(decide_launch(config, env, config.lambda_mu))
     if traj.errors[0]:
         raise ValueError(traj.errors[0])
     su_med, pr_med = np.moveaxis(env.link_budget.median(
@@ -747,7 +760,7 @@ def sweep_region(
     kappas: Sequence[float],
     config: ScenarioConfig,
 ) -> List[SweepCell]:
-    """Classify every (delta, nu, kappa) cell under the standard inducing template.
+    """Classify every (delta, nu, kappa) cell under the config's inducing knobs, launched at once.
 
     All cells run as one batch, one row per cell, and come back in grid order.
     A cell whose dynamics fail is labelled "error" with the reason; the other

@@ -169,22 +169,21 @@ def _closed_form(terms, payoffs: PayoffParams, act, mu_density, not_induced):
     return pi, q, s_su, s_pr
 
 
-def payoff_vector(shares, env: GameEnv, mu: MuDrive, act=None):
+def payoff_vector(shares, env: GameEnv, mu: MuDrive):
     """Per-strategy mean-field payoffs under the attacker drive `mu`, plus the
     (q, s_su, s_pr) diagnostics.
 
     `shares` is (m,) or (cells, m); `mu` and env.payoffs may hold per-cell
-    arrays. `act`, the active SU density of `shares`, is trusted when given,
-    else computed and checked nonnegative. The payoffs come back as (m,) or
+    arrays. The active SU density of `shares` is computed and checked
+    nonnegative on every call. The payoffs come back as (m,) or
     (cells, m), the diagnostics as floats or (cells,) arrays. The terms no
     step changes are held per environment (GameEnv._step_terms) and per
     drive (MuDrive._step_terms); each call adds up the ones that do.
     """
     mu_density, not_induced = mu._step_terms
-    if act is None:
-        act = active_su_density(shares, env)
-        if np.count_nonzero(act < 0):
-            raise ValueError("field density must be nonnegative")
+    act = active_su_density(shares, env)
+    if np.count_nonzero(act < 0):
+        raise ValueError("field density must be nonnegative")
     if np.ndim(act) or np.ndim(mu_density):
         return _closed_form(env._step_terms, env.payoffs, act, mu_density, not_induced)
     # scalar densities: stepped as a cell axis of length 1, which only a
@@ -469,8 +468,8 @@ class SweepCell:
 
 
 def classify_operating_point(env: GameEnv, traj: Trajectory, extinction_tol: float) -> List[SweepCell]:
-    """Classify the rest state of every cell of `traj`, a run of the attack
-    template on env from the configured start.
+    """Classify the rest state of every cell of `traj`, a run of the
+    inducing attack on env from the configured start.
 
     Fragile if the terminal transmit-weighted density violates the primary
     outage cap of env.channel; robust if the transmitting share ends below

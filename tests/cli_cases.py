@@ -139,6 +139,18 @@ OTHER_CASES = [
     invalid("run", "fig6-region", "--mode", "montecarlo", message=MC_SWEEP),
     invalid("sweep", "--set", "mode=montecarlo", message=MC_SWEEP),
     invalid(*MC, "--set", "lambda_su=0", message="lambda_su must be positive in Monte Carlo mode"),
+    # an override that is no key=value pair, a key no config has, an x0 of the wrong length, a missing config file
+    Case(("run", "fig3-population", "--set", "steps"), 1,
+         re.escape("usage error: --set expects key=value, got 'steps'\n"), True),
+    invalid("run", "fig3-population", "--set", "no_such_key=1", message="unknown config key: no_such_key"),
+    invalid("run", "fig3-population", "--set", "x0=[1.0]", message="x0 invalid: expected 2 strategy shares, got 1"),
+    Case(("sweep", "--config", "{tmp}/missing.json"), 2,
+         r"invalid configuration: cannot read config [^\n]*/missing\.json: [^\n]*\n", True),
+    # the launch paths: a negative forecast takes a second pass, mimic-su forecasts
+    # apart from the run, and below the cap nothing is forecast
+    Case(("run", "fig3-population", "--set", "payoffs.kappa=8"), 0, "", False, rows=150),
+    Case(("run", "fig3-population", "--set", 'inactive_mu_behavior="mimic-su"'), 0, "", False, rows=150),
+    Case(("run", "fig3-population", "--set", "lambda_su=1e-5"), 0, "", False, rows=150),
 ]
 
 CASES = [

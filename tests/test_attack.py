@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specgame import attack
+from specgame import attack, engine
 
 from specgame.attack import (
     ABORTED,
@@ -17,10 +17,8 @@ from specgame.attack import (
     PHASES,
     AttackController,
     AttackPhase,
-    InducingTemplate,
     PhaseEvent,
     advance_phases,
-    launch_verdict,
     phase_history,
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
@@ -104,8 +102,7 @@ def test_phase_graph_exhaustive_small_sequences():
 
 
 def test_controller_emits_template_density_while_inducing():
-    template = InducingTemplate(mu_access_prob=0.5, hysteresis=5, inducement=1.0)
-    ctl = AttackController(1e-7, template, CAP, launch=True, lambda_su=1e-3)
+    ctl = AttackController(1e-7, CAP, launch=True, lambda_su=1e-3, mu_access_prob=0.5, hysteresis=5, inducement=1.0)
     drive = ctl(0, 0.0)
     assert PHASES[int(ctl.phases)] is AttackPhase.INDUCING
     assert drive.active_density == pytest.approx(1e-7 * 0.5, rel=1e-15)
@@ -113,8 +110,7 @@ def test_controller_emits_template_density_while_inducing():
 
 
 def test_controller_withdraws_and_goes_silent():
-    template = InducingTemplate(hysteresis=2)
-    ctl = AttackController(1e-7, template, CAP, launch=True, lambda_su=1e-3)
+    ctl = AttackController(1e-7, CAP, launch=True, lambda_su=1e-3, hysteresis=2)
     ctl(0, 0.0)
     ctl(1, CAP * 2)
     drive = ctl(2, CAP * 2)
@@ -127,9 +123,7 @@ def test_controller_withdraws_and_goes_silent():
 
 
 def test_controller_mimic_behavior_after_withdrawal():
-    template = InducingTemplate(hysteresis=1)
-    ctl = AttackController(1e-6, template, CAP, launch=True,
-                           inactive_behavior="mimic-su", lambda_su=1e-3)
+    ctl = AttackController(1e-6, CAP, launch=True, inactive_behavior="mimic-su", lambda_su=1e-3, hysteresis=1)
     ctl(0, 0.0)
     drive = ctl(1, CAP * 2)
     assert PHASES[int(ctl.phases)] is AttackPhase.INACTIVE
@@ -172,8 +166,8 @@ def test_controller_equals_advance_phases_stepped_by_hand(run, behavior, scalar)
     scalar = scalar and len(hysteresis) == 1  # a single cell of 0-d phases
     hyst = hysteresis[0] if scalar else np.array(hysteresis)
     lambda_mu, lambda_su = 1e-4, 1e-3
-    template = InducingTemplate(mu_access_prob=0.5, hysteresis=hyst, inducement=0.75)
-    ctl = AttackController(lambda_mu, template, CAP, launch=launch, inactive_behavior=behavior, lambda_su=lambda_su)
+    ctl = AttackController(lambda_mu, CAP, launch=launch, inactive_behavior=behavior, lambda_su=lambda_su,
+                           mu_access_prob=0.5, hysteresis=hyst, inducement=0.75)
     phase, above, pending, events, history = np.asarray(INITIAL), np.asarray(0), launch, [], []
     for t, row in enumerate(levels):
         observed = CAP * row[0] if scalar else CAP * np.array(row)
@@ -202,8 +196,7 @@ def test_controller_equals_advance_phases_stepped_by_hand(run, behavior, scalar)
 
 def test_silent_controller_skips_calls_that_change_nothing():
     # two cells, launched at step 2: cell 0 withdraws at step 4, cell 1 stays inducing below the cap
-    template = InducingTemplate(hysteresis=2)
-    ctl = AttackController(1e-7, template, CAP, launch=None, lambda_su=1e-3)
+    ctl = AttackController(1e-7, CAP, launch=None, lambda_su=1e-3, hysteresis=2)
     high, low = CAP * 2, CAP * 0.5
     with mock.patch.object(attack, "advance_phases", wraps=advance_phases) as machine:
         ctl(0, np.array([low, low]))  # builds the drive
@@ -232,8 +225,9 @@ def test_decide_launch_baseline_payoffs():
 def test_decide_launch_kappa8_forecast_still_rises_first():
     env, config = baseline_env(kappa=8.0), ScenarioConfig(steps=400)
     assert decide_launch(config, env, 1e-7) is False
-    # the dynamics decide_launch forecasts: the template launched at once on env
-    controller = AttackController(1e-7, config.template(), CAP, launch=True, lambda_su=env.lambda_su)
+    # the dynamics decide_launch forecasts: the config's inducing knobs launched at once on env
+    controller = AttackController(1e-7, CAP, launch=True, lambda_su=env.lambda_su, mu_access_prob=config.mu_access_prob,
+                                  hysteresis=config.hysteresis, inducement=config.inducing_perception)
     traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size)
     transmitting = transmitting_share(traj.shares[:, 0], env.probs)
     assert transmitting.max() > 0.01  # transient outbreak before collapse
@@ -259,13 +253,17 @@ def test_decide_launch_below_the_cap_never_launches(cap_multiple, launch):
                          1e-7) is launch
 
 
-def test_launch_verdict_guard_reads_the_most_aggressive_strategy():
-    def forecast():
+def test_decide_launch_guard_reads_the_most_aggressive_strategy(monkeypatch):
+    def forecast(*args, **kwargs):
         raise AssertionError("no forecast runs below the cap")
 
+    monkeypatch.setattr(engine, "run_dynamics", forecast)
     # 1.5x the cap, but at most half of it can transmit
     env = replace(baseline_env(kappa=0.0, lambda_su=1.5 * CAP), access_probs=(0.0, 0.5))
-    assert launch_verdict(env, forecast, 1e-3) is False
+    assert decide_launch(ScenarioConfig(steps=400), env, 1e-7) is False
+    # with every user able to transmit, the same density is above the cap, and the forecast runs
+    with pytest.raises(AssertionError, match="no forecast runs below the cap"):
+        decide_launch(ScenarioConfig(steps=400), replace(env, access_probs=(0.0, 1.0)), 1e-7)
 
 
 def test_decide_launch_replay_identical():

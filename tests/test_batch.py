@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specgame.attack import AttackController, InducingTemplate, phase_history
+from specgame.attack import AttackController, phase_history
 from specgame.channel import ChannelParams, max_allowable_su_density
 from specgame.cli import build_presets
 from specgame.engine import ScenarioConfig
@@ -47,7 +47,7 @@ def _env(payoffs):
 
 
 def _controller(hysteresis):
-    return AttackController(1e-6, InducingTemplate(hysteresis=hysteresis), CAP, launch=True, lambda_su=1e-3)
+    return AttackController(1e-6, CAP, launch=True, lambda_su=1e-3, hysteresis=hysteresis)
 
 
 @settings(max_examples=12, deadline=None)
@@ -77,7 +77,7 @@ def test_batched_classification_equals_single_cells(cells):
     config = ScenarioConfig(steps=150)
 
     def classify(env):
-        controller = AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=1e-3)
+        controller = AttackController(1e-7, CAP, launch=True, lambda_su=1e-3)
         traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size)
         return classify_operating_point(env, traj, config.extinction_tolerance)
 
@@ -97,7 +97,7 @@ def _plain_loop(x0, env, schedule, steps, h, freeze_shares):
     for t in range(steps):
         act = active_su_density(x, env)
         drive = schedule(t, act)
-        pi, _, s_su, s_pr = payoff_vector(x, env, drive, act)
+        pi, _, s_su, s_pr = payoff_vector(x, env, drive)
         record.append((x, pi, s_su, s_pr, act, np.broadcast_to(drive.active_density, act.shape),
                        np.broadcast_to(drive.inducement, act.shape)))
         if freeze_shares:
@@ -180,8 +180,8 @@ def _loop_inputs(case):
     poisoned_cells = rng.permutation(n)[:max(1, n // 3)]
 
     def schedule():
-        controller = AttackController(case["lambda_mu"], InducingTemplate(hysteresis=case["hysteresis"]), CAP,
-                                      launch=case["launch"], inactive_behavior=case["behavior"], lambda_su=1e-3)
+        controller = AttackController(case["lambda_mu"], CAP, launch=case["launch"], inactive_behavior=case["behavior"],
+                                      lambda_su=1e-3, hysteresis=case["hysteresis"])
         if case["poison_step"] is None:
             return controller
         return _poisoned(controller, poisoned_cells, case["poison_step"])

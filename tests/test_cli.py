@@ -293,6 +293,24 @@ def test_plotdata_names_a_missing_metrics_file(tmp_path, capsys):
     run_in_process(MISSING_METRICS, tmp_path, capsys)
 
 
+def test_plotdata_of_an_empty_metrics_file_exits_2_with_one_line(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("")
+    assert main(["plotdata", str(metrics), "--out", str(tmp_path / "plot")]) == 2
+    assert capsys.readouterr().err == f"invalid configuration: {metrics}: empty file, expected a header row\n"
+    assert not (tmp_path / "plot").exists()
+
+
+def test_plotdata_without_a_manifest_beside_the_metrics_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_preset("fig3-population", ["steps=5"], str(out))
+    (out / "run-manifest.json").unlink()
+    assert main(["plotdata", str(out / "metrics.csv"), "--out", str(tmp_path / "plot")]) == 2
+    assert re.fullmatch(rf"invalid configuration: cannot read run manifest {re.escape(str(out))}/run-manifest\.json: "
+                        r"[^\n]*\n", capsys.readouterr().err)
+    assert not (tmp_path / "plot").exists()
+
+
 @pytest.mark.parametrize("damage, file, message", [
     (lambda m: {k: v for k, v in m.items() if k != "config"}, "run-manifest.json", "no 'config' key"),
     (lambda m: {k: v for k, v in m.items() if k != "su_density_cap"}, "run-manifest.json",

@@ -46,7 +46,7 @@ def test_the_public_names_are_pinned():
     names = sorted(name for name, value in vars(specgame).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names + ["__version__"] == [
-        "AttackController", "AttackPhase", "ChannelParams", "ConfigError", "GameEnv", "InducingTemplate", "MuDrive",
+        "AttackController", "AttackPhase", "ChannelParams", "ConfigError", "GameEnv", "MuDrive",
         "PayoffParams", "Region", "RunResult", "ScenarioConfig", "SimulationError", "World", "attach_receivers",
         "classify_operating_point", "decide_launch", "max_allowable_su_density", "path_gain", "replicator_step",
         "run", "run_dynamics", "run_meanfield", "run_montecarlo", "sample_ppp", "sample_world", "sweep_region",

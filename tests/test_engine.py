@@ -27,6 +27,9 @@ from specgame.engine import (
     sweep_region,
 )
 from specgame.game import PayoffParams
+from specgame.geometry import Region
+
+from oracles import toroidal_distance
 
 CAP = max_allowable_su_density(ChannelParams())
 
@@ -277,6 +280,51 @@ def test_montecarlo_with_discrete_attackers():
     b = run_montecarlo(cfg)
     assert same_columns(a, b)
     assert phases(a)[0] in ("initial", "inducing")
+
+
+def test_ephemeral_attackers_are_perceived_within_the_sensing_radius(monkeypatch):
+    # no MU is sampled at this density, so each slot may draw a fresh attacker
+    # field; below a saturating inducement, every SU within the sensing radius
+    # of a drawn attacker must perceive an accomplice in that slot
+    import specgame.engine as engine
+
+    cfg = mf_config(mode="montecarlo", region_side=600.0, lambda_mu=3e-6, inducing_perception=0.5,
+                    launch_policy="always", steps=12, seed=7)
+    calls, windows = [], []  # the pairs_within calls of the window under way; per window (field, attackers, perceived)
+    real_pairs, real_sinr, real_payoffs = engine.pairs_within, engine._Topology.sinr, engine._slot_payoffs
+
+    def pairs(a, b, radius, region):
+        if not (a.shape == b.shape and np.array_equal(a, b)):  # not the sensing relation the topology builds
+            calls.append((a, b))
+        return real_pairs(a, b, radius, region)
+
+    def sinr(self, load, signals, noise, thresholds, extra=None):
+        windows.append([extra, calls[:]])
+        calls.clear()
+        return real_sinr(self, load, signals, noise, thresholds, extra)
+
+    def slot_payoffs(table, access, perceived, su_ok):
+        windows[-1].append(perceived.copy())
+        return real_payoffs(table, access, perceived, su_ok)
+
+    monkeypatch.setattr(engine, "pairs_within", pairs)
+    monkeypatch.setattr(engine._Topology, "sinr", sinr)
+    monkeypatch.setattr(engine, "_slot_payoffs", slot_payoffs)
+    result = run_montecarlo(cfg)
+    assert result.topology["n_mu"] == 0 and len(windows) == cfg.steps
+
+    region = Region(cfg.region_side)
+    field_slots = within = 0
+    for field, window_calls, perceived in windows:
+        slots = np.flatnonzero(field.any(axis=0)).tolist() if field is not None else []
+        assert len(slots) == len(window_calls)
+        field_slots += len(slots)
+        for s, (sus, attackers) in zip(slots, window_calls):
+            for i, su in enumerate(sus):
+                if any(toroidal_distance(su, pos, region) <= cfg.sensing_radius for pos in attackers):
+                    within += 1
+                    assert perceived[i, s], (i, s)
+    assert field_slots == 90 and within > 0
 
 
 def test_montecarlo_resampled_topology_and_three_strategies():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specgame.attack import AttackController, InducingTemplate
+from specgame.attack import AttackController
 from specgame.channel import ChannelParams, max_allowable_su_density
 from specgame.engine import ScenarioConfig
 from specgame.game import (
@@ -36,12 +36,12 @@ def idle_schedule(t, density):
 
 
 def template_controller(env):
-    """The standard inducing template, launched at once."""
-    return AttackController(1e-7, InducingTemplate(), CAP, launch=True, lambda_su=env.lambda_su)
+    """The default inducing knobs, launched at once."""
+    return AttackController(1e-7, CAP, launch=True, lambda_su=env.lambda_su)
 
 
 def template_run(env, config):
-    """The standard inducing template, launched at once, run from config.x0."""
+    """The default inducing knobs, launched at once, run from config.x0."""
     return run_dynamics(np.asarray(config.x0), env, template_controller(env), config.steps, config.step_size)
 
 
@@ -158,8 +158,6 @@ def test_a_negative_mu_density_raises_on_every_call():
         for _ in range(3):  # a failed check holds nothing for the next call
             with pytest.raises(ValueError, match="nonnegative"):
                 payoff_vector(x, env, bad)
-            with pytest.raises(ValueError, match="nonnegative"):
-                payoff_vector(x, env, bad, act=active_su_density(x, env))
             with pytest.raises(ValueError, match="nonnegative"):
                 run_dynamics(x, env, lambda t, density: bad, 5, 0.1, history=False)
 

@@ -94,10 +94,15 @@ def _assert_same_decisions(a: dict, b: dict) -> None:
                 assert repr(got) == repr(want), f"row {i} {col}: {got} != {want}"
 
 
+# no MU is sampled at this density, so the attackers are a field drawn per slot
+FIELD = {"region_side": 600, "lambda_mu": 3e-6, "inducing_perception": 0.5, "launch_policy": "always"}
+
+
 @needs_dynamic_openblas
-@pytest.mark.parametrize("seed, steps", [(5, 75), (4, 12)])
-def test_montecarlo_decisions_do_not_depend_on_the_blas_kernel(seed, steps):
-    config = {"mode": "montecarlo", "region_side": 800, "steps": steps, "seed": seed}
+@pytest.mark.parametrize("seed, steps, extra", [pytest.param(5, 75, {}, id="5-75"), pytest.param(4, 12, {}, id="4-12"),
+                                                pytest.param(7, 12, FIELD, id="7-12-field")])
+def test_montecarlo_decisions_do_not_depend_on_the_blas_kernel(seed, steps, extra):
+    config = {"mode": "montecarlo", "region_side": 800, "steps": steps, "seed": seed, **extra}
     a, b = (_run(config, kernel) for kernel in KERNELS)
     assert len(a["columns"]["t_update"]) == steps
     _assert_same_decisions(a, b)
