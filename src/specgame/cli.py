@@ -331,9 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 config = apply_overrides(config, args.overrides)
             write_sweep_outputs((args.delta, args.nu, args.kappa), config, args.out, None)
             return 0
-        if args.command == "plotdata":
-            return emit_plotdata(args.metrics, args.out, args.manifest)
-        raise UsageError(f"unknown command {args.command!r}")
+        return emit_plotdata(args.metrics, args.out, args.manifest)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

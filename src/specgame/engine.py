@@ -706,9 +706,9 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
                 f = rng.exponential(1.0, size=k)
                 # summed over the attackers in order, without BLAS
                 field[:, s] = np.add.reduce(np.multiply(field_gain, (ch.mu_power * f)[:, None], out=field_gain), axis=0)
-                if not saturated:
-                    near, _ = pairs_within(topo.world.sus, pos, config.sensing_radius, region)
-                    neighbor_active[near, s] = True
+                if not saturated:  # about one attacker: a distance to every SU beats a cell grid over them
+                    neighbor_active[:, s] |= (pairwise_toroidal(pos, topo.world.sus, region)
+                                              <= config.sensing_radius).any(axis=0)
 
         # the desired fading of the PRs, then of the SU receivers
         signals = desired[0] * fade[n_su + n_pt:n_su + 2 * n_pt], desired[1] * fade[n_su + 2 * n_pt:]

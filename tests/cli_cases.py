@@ -139,6 +139,8 @@ OTHER_CASES = [
     invalid("run", "fig6-region", "--mode", "montecarlo", message=MC_SWEEP),
     invalid("sweep", "--set", "mode=montecarlo", message=MC_SWEEP),
     invalid(*MC, "--set", "lambda_su=0", message="lambda_su must be positive in Monte Carlo mode"),
+    # a command the parser does not know: its required subparsers refuse it
+    Case(("frobnicate",), 1, r"usage error: argument command: invalid choice: [^\n]*\n", True),
     # an override that is no key=value pair, a key no config has, an x0 of the wrong length, a missing config file
     Case(("run", "fig3-population", "--set", "steps"), 1,
          re.escape("usage error: --set expects key=value, got 'steps'\n"), True),

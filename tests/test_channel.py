@@ -82,6 +82,12 @@ def test_success_prob_limit_one():
     assert success_prob(15.0, 0.3, 1e-6, [], tiny) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+def test_success_prob_refuses_a_threshold_not_above_zero(eta):
+    with pytest.raises(ValueError, match="eta must be positive"):
+        success_prob(15.0, 0.3, eta, [InterfererField(4e-5, 0.1)], PARAMS)
+
+
 def test_success_prob_bounds_and_monotonicity():
     base = success_prob(15.0, 0.3, 3.0, [InterfererField(4e-5, 0.1)], PARAMS)
     assert 0.0 <= base <= 1.0

@@ -574,3 +574,18 @@ def test_sweep_region_csv_reports_failed_cells(tmp_path):
     assert [(r["classification"], r["error"]) for r in rows][0] == ("fragile", "")
     assert rows[1]["classification"] == "error"
     assert rows[1]["error"].startswith("replicator step could not keep shares nonnegative")
+
+
+def test_a_failed_replace_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    import specgame.cli as cli
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    path = tmp_path / "metrics.csv"
+    path.write_bytes(b"old\n")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        cli._atomic_write(str(path), ["new\n", "rows\n"])
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]

@@ -3,10 +3,12 @@ files from them alone; `RunResult.records`, one row per step with an
 attribute per column (`mu_phase` as the phase's name), is a view built on
 first access for readers outside the package, which `benchmarks/run.py` and
 `benchmarks/checks.py` are, together with the other names they bind. The
-package's public names are pinned, so that adding or removing one is a
-deliberate change."""
+package root's public names are the README's Library-use block, which tier-1
+runs, so that adding or removing one is a deliberate change to that block."""
+import ast
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from specgame.attack import PHASES
 from specgame.cli import build_presets, main
 from specgame.engine import RunResult, run
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 FIG3 = build_presets()["fig3-population"]
 FIG3_MC = replace(FIG3, mode="montecarlo", region_side=600.0, steps=6, seed=3)
 
@@ -42,16 +45,34 @@ def test_the_names_the_benchmark_binds_exist():
     assert callable(specgame.channel.InterfererField)
 
 
+def library_block() -> str:
+    """The README's Library-use code block: the one list of the package root's names."""
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def root_imports(tree: ast.Module) -> list:
+    [imported] = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "specgame"]
+    return [alias.name for alias in imported.names]
+
+
 def test_the_public_names_are_pinned():
     names = sorted(name for name, value in vars(specgame).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert names + ["__version__"] == [
-        "AttackController", "AttackPhase", "ChannelParams", "ConfigError", "GameEnv", "MuDrive",
-        "PayoffParams", "Region", "RunResult", "ScenarioConfig", "SimulationError", "World", "attach_receivers",
-        "classify_operating_point", "decide_launch", "max_allowable_su_density", "path_gain", "replicator_step",
-        "run", "run_dynamics", "run_meanfield", "run_montecarlo", "sample_ppp", "sample_world", "sweep_region",
-        "__version__",
-    ]
+    assert names == sorted(root_imports(ast.parse(library_block())))
+    assert isinstance(specgame.__version__, str)
+
+
+def test_the_readme_library_block_uses_each_root_name_and_runs(capsys):
+    block = library_block()
+    tree = ast.parse(block)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert set(root_imports(tree)) <= used
+    exec(compile(tree, f"{README}: Library use", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("withdrew at step ")
+    assert lines[1:3] == ["0.0 fragile", "8.0 robust"]
+    assert lines[3] == "refused: steps must be at least 1" and len(lines) == 4
 
 
 @pytest.mark.parametrize("argv", [

@@ -290,16 +290,16 @@ def test_ephemeral_attackers_are_perceived_within_the_sensing_radius(monkeypatch
 
     cfg = mf_config(mode="montecarlo", region_side=600.0, lambda_mu=3e-6, inducing_perception=0.5,
                     launch_policy="always", steps=12, seed=7)
-    calls, windows = [], []  # the pairs_within calls of the window under way; per window (field, attackers, perceived)
-    real_pairs, real_sinr, real_payoffs = engine.pairs_within, engine._Topology.sinr, engine._slot_payoffs
+    calls, windows = [], []  # the distance calls of the window under way; per window (field, attackers, perceived)
+    real_pairwise, real_sinr, real_payoffs = engine.pairwise_toroidal, engine._Topology.sinr, engine._slot_payoffs
 
-    def pairs(a, b, radius, region):
-        if not (a.shape == b.shape and np.array_equal(a, b)):  # not the sensing relation the topology builds
-            calls.append((a, b))
-        return real_pairs(a, b, radius, region)
+    def pairwise(a, b, region):
+        calls.append((a, b))
+        return real_pairwise(a, b, region)
 
     def sinr(self, load, signals, noise, thresholds, extra=None):
-        windows.append([extra, calls[:]])
+        # the attackers' distances to the SUs, not to the receivers or those the topology builds
+        windows.append([extra, [(b, a) for a, b in calls if b is self.world.sus]])
         calls.clear()
         return real_sinr(self, load, signals, noise, thresholds, extra)
 
@@ -307,7 +307,7 @@ def test_ephemeral_attackers_are_perceived_within_the_sensing_radius(monkeypatch
         windows[-1].append(perceived.copy())
         return real_payoffs(table, access, perceived, su_ok)
 
-    monkeypatch.setattr(engine, "pairs_within", pairs)
+    monkeypatch.setattr(engine, "pairwise_toroidal", pairwise)
     monkeypatch.setattr(engine._Topology, "sinr", sinr)
     monkeypatch.setattr(engine, "_slot_payoffs", slot_payoffs)
     result = run_montecarlo(cfg)
@@ -343,6 +343,11 @@ def test_run_dispatches_on_mode():
     assert len(mf.columns["t_update"]) == 3 and "strategy_counts" not in mf.columns
     mc = run(mf_config(mode="montecarlo", region_side=600.0, steps=2, window=4, seed=2))
     assert len(mc.columns["t_update"]) == 2 and mc.columns["strategy_counts"].shape == (2, 2)
+    # each path refuses the other mode's config, a small one, so that a path that ran it anyway ends fast
+    with pytest.raises(ConfigError, match="run_meanfield requires mode='meanfield'"):
+        run_meanfield(mc.config)
+    with pytest.raises(ConfigError, match="run_montecarlo requires mode='montecarlo'"):
+        run_montecarlo(replace(mc.config, mode="meanfield"))
 
 
 def test_metrics_columns_schema():

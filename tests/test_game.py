@@ -6,7 +6,7 @@ import pytest
 
 from specgame.attack import AttackController
 from specgame.channel import ChannelParams, max_allowable_su_density
-from specgame.engine import ScenarioConfig
+from specgame.engine import ConfigError, ScenarioConfig
 from specgame.game import (
     GameEnv,
     MuDrive,
@@ -61,6 +61,13 @@ def test_payoff_params_invariants():
         PayoffParams(nu=-0.1)
     with pytest.raises(ValueError):
         PayoffParams(kappa=-1.0)
+
+
+def test_a_per_cell_array_of_the_wrong_dtype_names_the_key_and_the_dtype():
+    with pytest.raises(ConfigError, match=r"^payoffs\.delta must hold numbers, got bool$"):
+        PayoffParams(delta=np.array([True]))
+    with pytest.raises(ConfigError, match=r"^hysteresis must hold integers, got float64$"):
+        AttackController(1e-7, CAP, hysteresis=np.array([5.0]))
 
 
 def test_perception_prob_basics():
@@ -187,6 +194,24 @@ def test_a_step_size_not_above_zero_is_refused_before_the_first_step(h, freeze_s
     assert calls == []
     with pytest.raises(ValueError, match="step size must be positive"):
         replicator_step(np.array([0.5, 0.5]), np.array([1.0, 0.0]), h)
+
+
+def test_no_step_and_a_batch_with_a_payoff_source_are_refused_before_the_schedule_runs():
+    calls = []
+
+    def recording(t, density):
+        calls.append(t)
+        return IDLE
+
+    def source(t, x, drive, density):
+        raise AssertionError("the payoff source was called")
+
+    env = env_with(kappa=0.0)
+    with pytest.raises(ValueError, match="need at least one step"):
+        run_dynamics(np.array([0.5, 0.5]), env, recording, 0, 0.1)
+    with pytest.raises(ValueError, match="a payoff source drives a single run"):
+        run_dynamics(np.array([[0.5, 0.5], [0.9, 0.1]]), env, recording, 3, 0.1, payoff_source=source)
+    assert calls == []
 
 
 def test_replicator_hand_step():
