@@ -154,8 +154,8 @@ class LinkBudget(NamedTuple):
 
         The left side is convex and increasing in u = ln v; Newton's method
         started above the root (at the smaller of the two one-term roots)
-        descends onto it monotonically. Raises if a median falls outside
-        [1e-6, 1e9].
+        descends onto it monotonically, so it needs no bracket. Raises if a
+        median is not a positive finite float, as when it underflows.
         """
         a, b, k = self.noise, np.asarray(self.exponent(densities, 0.0), dtype=float), self.k
         ln2 = math.log(2.0)
@@ -173,8 +173,8 @@ class LinkBudget(NamedTuple):
                 if not np.any(moving):
                     break
             eta = self.threshold * np.exp(u)
-        if not np.all((eta >= 1e-6) & (eta <= 1e9)):
-            raise ValueError("median SINR outside bracket [1e-6, 1e9]")
+        if not np.all((eta > 0) & (eta < math.inf)):
+            raise ValueError("median SINR is not a positive finite float")
         return eta if eta.ndim else float(eta)
 
 

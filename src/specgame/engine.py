@@ -31,8 +31,10 @@ from .game import (
     PayoffParams,
     SweepCell,
     Trajectory,
+    _replicate_row,
     classify_operating_point,
     run_dynamics,
+    step_failure,
 )
 from .geometry import CellGrid, Region, cells_per_axis, pairs_within, pairwise_toroidal, sample_world
 from .keys import INTERFERENCE_CUTOFF, KEYS, ConfigError, check, check_bounds
@@ -191,16 +193,15 @@ def metrics_columns(m: int) -> List[str]:
     return cols
 
 
-def _result(config: ScenarioConfig, slot: int, traj: Trajectory, events: List[PhaseEvent],
+def _result(config: ScenarioConfig, slot: int, shares: np.ndarray, payoffs: np.ndarray, events: List[PhaseEvent],
             topology: Optional[Dict[str, int]] = None, **named: np.ndarray) -> RunResult:
-    """A run's result: its trajectory's shares, payoffs and raw success rates,
-    the phases `events` set, and `named`; step t ends at slot t * window + slot."""
-    n = len(traj.shares)
+    """A run's result: its (steps, m) shares and payoffs, the phases `events`
+    set, and `named`; step t ends at slot t * window + slot."""
+    n = len(shares)
     columns = {"t_update": np.arange(n), "t_slot": np.array(range(slot, n * config.window, config.window)),
-               "mu_phase": phase_history(events, n)[:, 0], "pr_success_raw": traj.s_pr[:, 0],
-               "su_success_raw": traj.s_su[:, 0]}
+               "mu_phase": phase_history(events, n)[:, 0]}
     for i in range(len(config.access_probs)):
-        columns[f"share_s{i + 1}"], columns[f"payoff_s{i + 1}"] = traj.shares[:, 0, i], traj.payoffs[:, 0, i]
+        columns[f"share_s{i + 1}"], columns[f"payoff_s{i + 1}"] = shares[:, i], payoffs[:, i]
     return RunResult(config, columns | named, events, topology)
 
 
@@ -302,15 +303,17 @@ BYTE_PART_KEYS = {"the step history": "steps", "the nodes": "region_side", "the 
 
 def run_bytes(config: ScenarioConfig) -> Dict[str, float]:
     """A run's estimated peak bytes, by part (as BYTE_PART_KEYS names them):
-    per step, each dynamics pass's (2m + 5) float64, the metrics columns, and
-    16 values of SINR-median work or m strategy counts; a CSV block at 72 B
-    per value, and FIXED_BYTES. Monte Carlo adds, at `_most` of each mean
-    count, 64 B per node and per sensing pair; 24 B per receiver per PT, the
-    PT gains' float64 distances of every receiver at once (an upper bound:
-    the build makes them a chunk of rows at a time); 4 B per near-field
-    block entry (blocks x senders in 3 x 3 cells and the PTs x receivers in
-    a cell), 1 + GATHER_SHARE times over while a window gathers; and per
-    slot, 64 B per SU and PT and 4 B per block column."""
+    per step, (2m + 5) float64 for each dynamics pass (one in Monte Carlo),
+    the metrics columns, and 16 values of SINR-median work or, in Monte
+    Carlo, m strategy counts: an upper bound there, where a run keeps 2m
+    shares and payoffs, 9 window values and m counts per step. Then a CSV
+    block at 72 B per value, and FIXED_BYTES. Monte Carlo adds, at `_most`
+    of each mean count, 64 B per node and per sensing pair; 24 B per
+    receiver per PT, the PT gains' float64 distances of every receiver at
+    once (an upper bound: the build makes them a chunk of rows at a time);
+    4 B per near-field block entry (blocks x senders in 3 x 3 cells and the
+    PTs x receivers in a cell), 1 + GATHER_SHARE times over while a window
+    gathers; and per slot, 64 B per SU and PT and 4 B per block column."""
     m = len(config.access_probs)
     columns = len(metrics_columns(m))
     mc = config.mode == "montecarlo"
@@ -374,7 +377,9 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     su_med, pr_med = np.moveaxis(env.link_budget.median(
         (traj.active_su_density[..., None], traj.mu_density[..., None], env.lambda_pt)), -1, 0)
     pr_db, su_db = (np.array([_to_db(v) for v in med[:, 0].tolist()]) for med in (pr_med, su_med))
-    return _result(config, 0, traj, controller.events, active_su_density=traj.active_su_density[:, 0],
+    return _result(config, 0, traj.shares[:, 0], traj.payoffs[:, 0], controller.events,
+                   pr_success_raw=traj.s_pr[:, 0], su_success_raw=traj.s_su[:, 0],
+                   active_su_density=traj.active_su_density[:, 0],
                    pr_success=(traj.s_pr[:, 0] >= 1.0 - ch.pr_outage_constraint).astype(float),
                    su_success=(traj.s_su[:, 0] >= 1.0 - ch.su_outage_constraint).astype(float),
                    pr_sinr_db_mean=pr_db, pr_sinr_db_median=pr_db, su_sinr_db_mean=su_db, su_sinr_db_median=su_db)
@@ -606,148 +611,147 @@ def _sample_topology(config: ScenarioConfig, rng: np.random.Generator) -> _Topol
     return _Topology(world, config)
 
 
+# what a Monte Carlo window measures beyond its payoffs and counts, in `_window`'s order
+WINDOW_NAMES = ("active_su_density", "pr_success", "su_success", "pr_sinr_db_mean", "pr_sinr_db_median",
+                "su_sinr_db_mean", "su_sinr_db_median", "pr_success_raw", "su_success_raw")
+
+
+def _window(config: ScenarioConfig, topo: _Topology, rng: np.random.Generator, x: List[float], drive,
+            phase: AttackPhase) -> Tuple[List[float], np.ndarray, Tuple[float, ...]]:
+    """One window of `config.window` slots at shares x, under the attackers'
+    drive and phase: strategies are re-assigned per x, access and fading
+    drawn per slot (per transmitter, plus per receiver for the desired link,
+    which keeps each link's marginal law), and the SINRs at every receiver
+    scored into per-strategy mean payoffs. Returns those payoffs as floats,
+    a non-finite one included, the (m,) strategy counts and the values that
+    WINDOW_NAMES names."""
+    ch, probs, w_slots = config.channel, config.env.probs, config.window
+    m, area = len(probs), config.region_side ** 2
+    inducing = phase is AttackPhase.INDUCING
+    n_su, n_pt, n_mu = topo.n_su, topo.n_pt, topo.n_mu
+    assign = rng.choice(m, size=n_su, p=x)
+    access = rng.random((n_su, w_slots)) < probs[assign][:, None]
+    # one fill of the stream that four exponential(1.0) draws in this
+    # order would take: the same values, and the same generator state after
+    fade = rng.standard_exponential((2 * (n_su + n_pt), w_slots))
+    fade_su_tx, fade_pt_tx = fade[:n_su], fade[n_su:n_su + n_pt]
+
+    if inducing:
+        mu_tx = rng.random((n_mu, w_slots)) < config.mu_access_prob
+    elif phase is AttackPhase.INACTIVE and config.inactive_mu_behavior == "mimic-su":
+        mu_assign = rng.choice(m, size=n_mu, p=x)
+        mu_tx = rng.random((n_mu, w_slots)) < probs[mu_assign][:, None]
+    else:
+        mu_tx = np.zeros((n_mu, w_slots), dtype=bool)
+    fade_mu_tx = rng.exponential(1.0, size=(n_mu, w_slots))
+
+    load = np.concatenate([
+        access * (ch.su_power * fade_su_tx),
+        mu_tx * (ch.mu_power * fade_mu_tx),
+        ch.pt_power * fade_pt_tx,  # primaries transmit every slot
+    ])
+    # a saturating inducement makes every SU perceive an accomplice, whoever it senses
+    saturated = inducing and drive.inducement >= 1.0
+    neighbor_active = None if saturated else topo.neighbor_active(access, mu_tx)
+
+    # ephemeral attacker field: no discrete attackers were sampled, so the
+    # active density enters per slot as a freshly drawn Poisson field
+    field_density = drive.active_density if n_mu == 0 else 0.0
+    field = None
+    if field_density > 0:
+        region = topo.world.region
+        field = np.zeros((n_pt + n_su, w_slots))
+        for s in range(w_slots):
+            k = rng.poisson(field_density * area)
+            if k == 0:
+                continue
+            pos = rng.uniform(0.0, config.region_side, size=(k, 2))
+            field_gain = path_gain(pairwise_toroidal(pos, topo.receivers, region), ch)
+            f = rng.exponential(1.0, size=k)
+            # summed over the attackers in order, without BLAS
+            field[:, s] = np.add.reduce(np.multiply(field_gain, (ch.mu_power * f)[:, None], out=field_gain), axis=0)
+            if not saturated:  # about one attacker: a distance to every SU beats a cell grid over them
+                neighbor_active[:, s] |= (pairwise_toroidal(pos, topo.world.sus, region)
+                                          <= config.sensing_radius).any(axis=0)
+
+    # desired signal power per unit of fading, of a PR and of an SU receiver,
+    # times the desired fading of the PRs, then of the SU receivers
+    signals = (ch.pt_power * ch.pt_link_distance ** (-ch.alpha) * fade[n_su + n_pt:n_su + 2 * n_pt],
+               ch.su_power * ch.su_link_distance ** (-ch.alpha) * fade[n_su + 2 * n_pt:])
+    (sinr_pr, pr_thresh_ok), (sinr_su, su_ok) = topo.sinr(
+        load, signals, ch.noise, (ch.pr_sinr_threshold, ch.su_sinr_threshold), field)
+
+    if saturated:
+        perceived = np.ones((n_su, w_slots), dtype=bool)
+    elif inducing and drive.inducement > 0:
+        perceived = neighbor_active | (rng.random((n_su, w_slots)) < drive.inducement)
+    else:
+        perceived = neighbor_active
+
+    payoff = _slot_payoffs(_payoff_table(config.payoffs), access, perceived, su_ok)
+
+    counts = np.bincount(assign, minlength=m)
+    # an empty strategy scores the window's mean, and so does one that holds every SU
+    partial = (counts > 0) & (counts < n_su)
+    window_mean = math.nan if partial.all() else float(payoff.mean())
+    pi = [float(payoff[assign == i].mean()) if partial[i] else window_mean for i in range(m)]
+
+    return pi, counts, (int(np.count_nonzero(access)) / w_slots / area,
+                        _outage_met(pr_thresh_ok, ch.pr_outage_constraint) if n_pt else math.nan,
+                        _outage_met(su_ok, ch.su_outage_constraint),
+                        _to_db(float(sinr_pr.mean())) if n_pt else math.nan,
+                        _to_db(_median(sinr_pr)) if n_pt else math.nan,
+                        _to_db(float(sinr_su.mean())), _to_db(_median(sinr_su)),
+                        int(np.count_nonzero(pr_thresh_ok)) / pr_thresh_ok.size if n_pt else math.nan,
+                        int(np.count_nonzero(su_ok)) / su_ok.size)
+
+
 def run_montecarlo(config: ScenarioConfig) -> RunResult:
     """Slotted Monte Carlo run on a sampled topology (static unless resampling
     is requested), with block fading redrawn every slot.
 
-    Each update is a run_dynamics step whose payoff source is one window:
-    strategies are re-assigned per current shares, access and fading are
-    drawn per slot, SINRs are evaluated at every receiver, and per-user
-    payoffs are scored into per-strategy means. The controller observes the
-    previous window's measured density and resolves its launch after window
-    0. A failed step raises ValueError with the reason; no window follows.
-    Fading is drawn per transmitter per slot plus per receiver for the
-    desired link, which preserves the per-link marginal law.
+    Each update is one `_window` at the current shares, then one replicator
+    step of the shares on the window's mean payoffs, stepped on Python
+    floats as `game._replicate_row` steps a single mean-field run. The
+    controller observes the previous window's measured density and resolves
+    its launch after window 0. A failed step raises ValueError with the
+    reason; no window follows.
     """
     if config.mode != "montecarlo":
         raise ConfigError("run_montecarlo requires mode='montecarlo'")
-    ch = config.channel
     rng = np.random.default_rng(config.seed)
     topo = _sample_topology(config, rng)
     first_topology = {"n_pt": topo.n_pt, "n_su": topo.n_su, "n_mu": topo.n_mu,
                       "sensing_pairs": len(topo.sense_indices), "interference_pairs": topo.interference_pairs}
     area = config.region_side ** 2
-    probs = config.env.probs
-    m = len(probs)
+    m = len(config.access_probs)
     controller = config.controller(launch=None)
 
-    w_slots = config.window
-    # desired signal power per unit of fading, and SINR threshold, of a PR and of an SU receiver
-    desired = (ch.pt_power * ch.pt_link_distance ** (-ch.alpha), ch.su_power * ch.su_link_distance ** (-ch.alpha))
-    thresholds = (ch.pr_sinr_threshold, ch.su_sinr_threshold)
-    payoff_table = _payoff_table(config.payoffs)
-
-    # window w's values beyond the trajectory's, at index w
+    # window w's shares, payoffs, strategy counts and values, at index w
+    shares, payoffs = np.empty((2, config.steps, m))
     counts = np.empty((config.steps, m), dtype=np.intp)
-    names = ("active_su_density", "pr_success", "su_success", "pr_sinr_db_mean", "pr_sinr_db_median",
-             "su_sinr_db_mean", "su_sinr_db_median")
-    values = np.empty((len(names), config.steps))
-
-    def schedule(w: int, _analytic_density):
-        if w == 1:
-            # one observation window has passed; the colluding attackers now
-            # estimate each density as its count in the first topology over the area
-            n = first_topology
-            estimates = replace(config.env, lambda_pt=n["n_pt"] / area, lambda_su=n["n_su"] / area)
-            controller.resolve_launch(decide_launch(config, estimates, n["n_mu"] / area))
-        return controller(w, values[0, w - 1] if w else 0.0)
-
-    def window(w: int, x, drive, _analytic_density):
-        nonlocal topo
-        shares = x[0]
-        phase = PHASES[int(controller.phases)]
-        inducing = phase is AttackPhase.INDUCING
-        mimic = phase is AttackPhase.INACTIVE and config.inactive_mu_behavior == "mimic-su"
-
-        if config.resample_topology and w > 0:
-            topo = _sample_topology(config, rng)
-
-        n_su, n_pt, n_mu = topo.n_su, topo.n_pt, topo.n_mu
-        assign = rng.choice(m, size=n_su, p=shares)
-        p_access = probs[assign]
-
-        access = rng.random((n_su, w_slots)) < p_access[:, None]
-        # one fill of the stream that four exponential(1.0) draws in this
-        # order would take: the same values, and the same generator state after
-        fade = rng.standard_exponential((2 * (n_su + n_pt), w_slots))
-        fade_su_tx, fade_pt_tx = fade[:n_su], fade[n_su:n_su + n_pt]
-
-        if inducing:
-            mu_tx = rng.random((n_mu, w_slots)) < config.mu_access_prob
-        elif mimic:
-            mu_assign = rng.choice(m, size=n_mu, p=shares)
-            mu_tx = rng.random((n_mu, w_slots)) < probs[mu_assign][:, None]
-        else:
-            mu_tx = np.zeros((n_mu, w_slots), dtype=bool)
-        fade_mu_tx = rng.exponential(1.0, size=(n_mu, w_slots))
-
-        load = np.concatenate([
-            access * (ch.su_power * fade_su_tx),
-            mu_tx * (ch.mu_power * fade_mu_tx),
-            ch.pt_power * fade_pt_tx,  # primaries transmit every slot
-        ])
-        # a saturating inducement makes every SU perceive an accomplice, whoever it senses
-        saturated = inducing and drive.inducement >= 1.0
-        neighbor_active = None if saturated else topo.neighbor_active(access, mu_tx)
-
-        # ephemeral attacker field: no discrete attackers were sampled, so the
-        # active density enters per slot as a freshly drawn Poisson field
-        field_density = drive.active_density if n_mu == 0 else 0.0
-        field = None
-        if field_density > 0:
-            region = topo.world.region
-            field = np.zeros((n_pt + n_su, w_slots))
-            for s in range(w_slots):
-                k = rng.poisson(field_density * area)
-                if k == 0:
-                    continue
-                pos = rng.uniform(0.0, config.region_side, size=(k, 2))
-                field_gain = path_gain(pairwise_toroidal(pos, topo.receivers, region), ch)
-                f = rng.exponential(1.0, size=k)
-                # summed over the attackers in order, without BLAS
-                field[:, s] = np.add.reduce(np.multiply(field_gain, (ch.mu_power * f)[:, None], out=field_gain), axis=0)
-                if not saturated:  # about one attacker: a distance to every SU beats a cell grid over them
-                    neighbor_active[:, s] |= (pairwise_toroidal(pos, topo.world.sus, region)
-                                              <= config.sensing_radius).any(axis=0)
-
-        # the desired fading of the PRs, then of the SU receivers
-        signals = desired[0] * fade[n_su + n_pt:n_su + 2 * n_pt], desired[1] * fade[n_su + 2 * n_pt:]
-        (sinr_pr, pr_thresh_ok), (sinr_su, su_ok) = topo.sinr(load, signals, ch.noise, thresholds, field)
-
-        if saturated:
-            perceived = np.ones((n_su, w_slots), dtype=bool)
-        elif inducing and drive.inducement > 0:
-            perceived = neighbor_active | (rng.random((n_su, w_slots)) < drive.inducement)
-        else:
-            perceived = neighbor_active
-
-        payoff = _slot_payoffs(payoff_table, access, perceived, su_ok)
-
-        counts[w] = strat_counts = np.bincount(assign, minlength=m)
-        strat_pay = np.zeros((1, m))  # the payoffs of the run's one cell
-        # an empty strategy scores the window's mean, and so does one that holds every SU
-        partial = (strat_counts > 0) & (strat_counts < n_su)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean fails the replicator step
-            window_mean = math.nan if partial.all() else float(payoff.mean())
-            for i in range(m):
-                strat_pay[0, i] = float(payoff[assign == i].mean()) if partial[i] else window_mean
-
-        pr_raw = int(np.count_nonzero(pr_thresh_ok)) / pr_thresh_ok.size if n_pt else math.nan
-        su_raw = int(np.count_nonzero(su_ok)) / su_ok.size
-        values[:, w] = (int(np.count_nonzero(access)) / w_slots / area,
-                        _outage_met(pr_thresh_ok, ch.pr_outage_constraint) if n_pt else math.nan,
-                        _outage_met(su_ok, ch.su_outage_constraint),
-                        _to_db(float(sinr_pr.mean())) if n_pt else math.nan,
-                        _to_db(_median(sinr_pr)) if n_pt else math.nan,
-                        _to_db(float(sinr_su.mean())), _to_db(_median(sinr_su)))
-        return strat_pay, math.nan, su_raw, pr_raw
-
-    traj = run_dynamics(np.asarray(config.x0), config.env, schedule, config.steps, config.step_size,
-                        freeze_shares=config.freeze_shares, payoff_source=window)
-    if traj.errors[0]:
-        raise ValueError(traj.errors[0])
-    return _result(config, w_slots - 1, traj, controller.events, first_topology, strategy_counts=counts,
-                   **dict(zip(names, values)))
+    values = np.empty((len(WINDOW_NAMES), config.steps))
+    x = list(config.x0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite payoff fails its step, silently
+        for w in range(config.steps):
+            if w == 1:
+                # one observation window has passed; the colluding attackers now
+                # estimate each density as its count in the first topology over the area
+                n = first_topology
+                estimates = replace(config.env, lambda_pt=n["n_pt"] / area, lambda_su=n["n_su"] / area)
+                controller.resolve_launch(decide_launch(config, estimates, n["n_mu"] / area))
+            drive = controller(w, values[0, w - 1] if w else 0.0)
+            if config.resample_topology and w > 0:
+                topo = _sample_topology(config, rng)
+            pi, counts[w], values[:, w] = _window(config, topo, rng, x, drive, PHASES[int(controller.phases)])
+            shares[w], payoffs[w] = x, pi
+            if config.freeze_shares:
+                continue
+            x = _replicate_row(x, pi, config.step_size)
+            if x[0] != x[0]:  # NaN: the step failed
+                raise ValueError(f"{step_failure(pi)} (step {w})")
+    return _result(config, config.window - 1, shares, payoffs, controller.events, first_topology,
+                   strategy_counts=counts, **dict(zip(WINDOW_NAMES, values)))
 
 
 def run(config: ScenarioConfig) -> RunResult:

@@ -18,7 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -306,16 +306,16 @@ def _replicate_row(x: List[float], pi: List[float], h: float) -> List[float]:
 
 
 def _run_cell(x: List[float], env: GameEnv, mu_schedule: MuSchedule, steps: int, h: float, freeze_shares: bool,
-              payoff_source: Optional[Callable], history: bool) -> Trajectory:
+              history: bool) -> Trajectory:
     """run_dynamics of one cell, stepped on Python floats.
 
     Every value is the array loop's, op for op: the same operands in the
     same order, with each sum added as `_row_sum` adds it. expm1 and exp
     stay numpy calls, on buffers laid out as the array loop's operands, so
-    they run numpy's own loops. The schedule sees a (1,) density and a
-    payoff source a (1, m) share row, as in the array loop. Each step's
-    (shares, payoffs, s_su, s_pr, act, mu_density, inducement) is appended
-    to one float64 buffer, whose views the trajectory returns.
+    they run numpy's own loops. The schedule sees a (1,) density, as in
+    the array loop. Each step's (shares, payoffs, s_su, s_pr, act,
+    mu_density, inducement) is appended to one float64 buffer, whose views
+    the trajectory returns.
     """
     m = len(x)
     weights, lambda_su = env._weights, env.lambda_su
@@ -332,25 +332,20 @@ def _run_cell(x: List[float], env: GameEnv, mu_schedule: MuSchedule, steps: int,
         for term in terms[1:]:
             total += term
         act = lambda_su * total
-        density = np.array([act])
-        drive = mu_schedule(t, density)
+        drive = mu_schedule(t, np.array([act]))
         if drive is not held:  # a controller reuses its drive until a phase changes
             held = drive
             mu, not_induced = (np.asarray(v, dtype=float).item() for v in drive._step_terms)
             inducement = np.asarray(drive.inducement, dtype=float).item()
-        if payoff_source is None:
-            area_term[0] = (act + mu) * neg_area
-            np.expm1(area_term, out=q_term)
-            q = 1.0 - (1.0 + q_term.item()) * not_induced
-            exponent[0] = -(noise_su + act * su_su + mu * mu_su + pt_su)
-            exponent[1] = -(noise_pr + act * su_pr + mu * mu_pr + pt_pr)
-            np.exp(exponent, out=exponent)
-            s_su, s_pr = exponent.tolist()
-            gain = delta * s_su - nu * (1.0 - s_su)
-            pi = [c + w * q * gain for c, w in zip(compliance, probs)]
-        else:
-            pi, _, s_su, s_pr = payoff_source(t, np.array([x]), drive, density)
-            pi = pi[0].tolist()
+        area_term[0] = (act + mu) * neg_area
+        np.expm1(area_term, out=q_term)
+        q = 1.0 - (1.0 + q_term.item()) * not_induced
+        exponent[0] = -(noise_su + act * su_su + mu * mu_su + pt_su)
+        exponent[1] = -(noise_pr + act * su_pr + mu * mu_pr + pt_pr)
+        np.exp(exponent, out=exponent)
+        s_su, s_pr = exponent.tolist()
+        gain = delta * s_su - nu * (1.0 - s_su)
+        pi = [c + w * q * gain for c, w in zip(compliance, probs)]
         step = (*x, *pi, s_su, s_pr, act, mu, inducement)
         if history:
             rows.extend(step)
@@ -377,7 +372,6 @@ def run_dynamics(
     steps: int,
     h: float,
     freeze_shares: bool = False,
-    payoff_source: Optional[Callable] = None,
     history: bool = True,
 ) -> Trajectory:
     """Iterate payoff evaluation and replicator steps under a malicious-user schedule.
@@ -386,10 +380,9 @@ def run_dynamics(
     as a config's x0 is checked to be), broadcast against per-cell
     incentives in env.payoffs. Each step the schedule sees every cell's
     current active secondary density, then the payoffs and (q, s_su, s_pr)
-    come from the closed form of `payoff_vector` on env, or, for a single
-    run, from `payoff_source(t, shares, drive, act)` when given (one window
-    in a Monte Carlo run), which gets a (1, m) share row and returns a
-    (1, m) payoff row; a batch with a payoff source is refused.
+    come from the closed form of `payoff_vector` on env. (A Monte Carlo
+    run measures its payoffs instead, and steps on them with
+    `_replicate_row` in its own window loop.)
 
     A single run (1-D x0, scalar incentives) steps on Python floats
     (`_run_cell`); a batch steps its (cells, m) arrays. Both do the same
@@ -418,9 +411,7 @@ def run_dynamics(
     batch = np.broadcast_shapes(x0.shape[:-1], env.payoffs.batch_shape)
     x = np.array(np.broadcast_to(x0, batch + (m,)), ndmin=2)
     if not batch:
-        return _run_cell(x[0].tolist(), env, mu_schedule, steps, h, freeze_shares, payoff_source, history)
-    if payoff_source is not None:
-        raise ValueError("a payoff source drives a single run: a 1-D x0 with scalar incentives")
+        return _run_cell(x[0].tolist(), env, mu_schedule, steps, h, freeze_shares, history)
     cells = len(x)
     shares, payoffs = np.empty((2, steps if history else 1, cells, m))
     s_su, s_pr, act, mu_density, inducement = np.empty((5, len(shares), cells))

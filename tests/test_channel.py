@@ -187,10 +187,19 @@ def test_success_prob_broadcasts_and_decreases_in_density():
     assert probs[4] == success_prob(10.0, 0.1, 3.0, [InterfererField(densities[4], 0.1)], PARAMS)
 
 
-def test_median_sinr_bracket_failure():
-    immaculate = ChannelParams(noise=1e-300)
-    with pytest.raises(ValueError, match="bracket"):
-        median_sinr(15.0, 0.3, [], immaculate)
+@pytest.mark.parametrize("noise", [PARAMS.noise, 1e-20, 1e-300])
+def test_noise_limited_median_sinr(noise):
+    # with no field, noise * v = ln 2: however large, the median is solved, not
+    # refused; Newton works on ln v, whose last ulp at ln v ~ 680 is ~1e-13 of v
+    params = ChannelParams(noise=noise)
+    want = math.log(2.0) / (noise * 15.0 ** params.alpha / 0.3)
+    assert median_sinr(15.0, 0.3, [], params) == pytest.approx(want, rel=1e-12)
+    assert median_sinr(15.0, 0.3, [InterfererField(0.0, 0.1)], params) == pytest.approx(want, rel=1e-12)
+
+
+def test_median_sinr_that_underflows_is_refused():
+    with pytest.raises(ValueError, match="not a positive finite float"):
+        median_sinr(15.0, 0.3, [InterfererField(1e300, 0.1)], PARAMS)
 
 
 def test_empirical_success_prob_matches_closed_form_smoke():
@@ -269,16 +278,16 @@ def test_link_budget_matches_general_kernel(case):
         np.testing.assert_allclose(success[..., i], want, rtol=0 if shape else 1e-15, atol=0)
         if medians is None:
             continue
-        # Newton stops after its first step below 1e-13 * |ln eta| (<= 21 in
-        # the bracket), and converges quadratically, so the medians solved at
-        # the link threshold and at 1 agree to a few ulps
+        # Newton stops after its first step below 1e-13 * |ln eta| (below 40
+        # for these draws), and converges quadratically, so the medians solved
+        # at the link threshold and at 1 agree to a few ulps
         np.testing.assert_allclose(medians[..., i], median_sinr(r, power, fields(pt_reaches, su, mu), ch),
                                    rtol=2e-14)
         for j in np.ndindex(shape):
             d_su, d_mu, eta_j = (np.broadcast_to(a, shape)[j] for a in (su, mu, medians[..., i]))
             assert success_prob(r, power, eta_j, fields(pt_reaches, d_su, d_mu), ch) == pytest.approx(0.5, abs=5e-12)
-    if medians is None:  # some median left the bracket: the general kernel agrees
-        with pytest.raises(ValueError, match="bracket"):
+    if medians is None:  # some median is not a positive finite float: the general kernel agrees
+        with pytest.raises(ValueError, match="not a positive finite float"):
             for r, power, _, pt_reaches in links:
                 median_sinr(r, power, fields(pt_reaches, su, mu), ch)
     try:

@@ -162,8 +162,8 @@ FIG3_MC = replace(FIG3, mode="montecarlo", region_side=600.0, steps=5)
     (replace(FIG3, launch_policy="always"), 1),
     (replace(FIG3, launch_policy="never"), 1),
     (replace(FIG3, lambda_su=0.5 * CAP), 1),  # below the cap nothing is forecast
-    (replace(FIG3_MC, launch_policy="always"), 1),  # a Monte Carlo run steps through run_dynamics too
-    (FIG3_MC, 2),  # above the cap: the run and its launch forecast
+    (replace(FIG3_MC, launch_policy="always"), 0),  # a Monte Carlo run steps its own windows
+    (FIG3_MC, 1),  # above the cap: only its launch forecast
 ])
 def test_meanfield_dynamics_passes(monkeypatch, config, passes):
     calls = count_dynamics_passes(monkeypatch)

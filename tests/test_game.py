@@ -196,21 +196,15 @@ def test_a_step_size_not_above_zero_is_refused_before_the_first_step(h, freeze_s
         replicator_step(np.array([0.5, 0.5]), np.array([1.0, 0.0]), h)
 
 
-def test_no_step_and_a_batch_with_a_payoff_source_are_refused_before_the_schedule_runs():
+def test_no_step_is_refused_before_the_schedule_runs():
     calls = []
 
     def recording(t, density):
         calls.append(t)
         return IDLE
 
-    def source(t, x, drive, density):
-        raise AssertionError("the payoff source was called")
-
-    env = env_with(kappa=0.0)
     with pytest.raises(ValueError, match="need at least one step"):
-        run_dynamics(np.array([0.5, 0.5]), env, recording, 0, 0.1)
-    with pytest.raises(ValueError, match="a payoff source drives a single run"):
-        run_dynamics(np.array([[0.5, 0.5], [0.9, 0.1]]), env, recording, 3, 0.1, payoff_source=source)
+        run_dynamics(np.array([0.5, 0.5]), env_with(kappa=0.0), recording, 0, 0.1)
     assert calls == []
 
 

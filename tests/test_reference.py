@@ -5,11 +5,13 @@ are those benchmarks/README.md states for the benchmark's output checks, so
 mean-field drift fails here as well as there. fig4 runs fig3's configuration
 and is checked against fig3's files.
 
-tests/reference/ pins five seeded Monte Carlo runs; the 1500 m one is a grid
-of blocks with an interference cutoff and a mean tail, and the 70-slot window
-packs its perception into two 64-bit words, the last one partly padding. Their phase events,
-shares, payoffs, densities and success columns must match to the written
-digit. Only the SINR dB columns may differ, by the presets' SINR_DB: the
+tests/reference/ pins six seeded Monte Carlo runs; the 1500 m one is a grid
+of blocks with an interference cutoff and a mean tail, the 70-slot window
+packs its perception into two 64-bit words, the last one partly padding, and
+the ephemeral one samples no MU, so its attackers are drawn per slot and
+half-perceived. Their phase events, shares, payoffs, densities and success
+columns must match to the written digit. Only the SINR dB columns may
+differ, by the presets' SINR_DB: the
 near-field interference is a float32 product, summed in the order the BLAS
 kernel chooses, and the pinned files were written by the float64 product
 (the largest shift seen is ~2e-6 dB). Every success test near its threshold
@@ -91,6 +93,8 @@ MC = ["fig3-population", "--mode", "montecarlo"]
                                "launch_policy=always", "--set", "freeze_shares=true", "--seed", "4"]),
     ("mc-1500m", ["--set", "region_side=1500", "--set", "steps=20", "--seed", "4"]),
     ("mc-800m-window70", ["--set", "region_side=800", "--set", "window=70", "--set", "steps=20", "--seed", "9"]),
+    ("mc-600m-ephemeral", ["--set", "region_side=600", "--set", "lambda_mu=3e-6", "--set", "inducing_perception=0.5",
+                           "--set", "launch_policy=always", "--set", "steps=30", "--seed", "7"]),
 ])
 def test_montecarlo_run_matches_reference(tmp_path, reference, extra):
     assert main(["run", *MC, *extra, "--out", str(tmp_path)]) == 0
