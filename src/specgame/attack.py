@@ -87,6 +87,11 @@ class AttackController:
     (Monte Carlo observation). Phase transitions are logged to `events`,
     from which `phase_history` recovers each step's phases; `phases` holds
     the phase codes in force (index into PHASES).
+
+    A call that would change nothing returns the held silent drive without
+    stepping the machine. For one cell that is kept as a quiet bound, the
+    cap while inducing and inf otherwise, so that a float density not above
+    it is answered without numpy; NaN is not above it, as in advance_phases.
     """
 
     def __init__(
@@ -117,12 +122,19 @@ class AttackController:
         self._counting = False  # whether some cell's above_cap_run is under way
         self._drive: Optional[MuDrive] = None  # the silent drive of `phases`, once built
         self._inducing_cap = None  # with the drive: the cap on INDUCING cells, inf elsewhere; None if none induce
+        self._quiet_bound: Optional[float] = None  # one idle cell: the float density above which a call acts
         self.events: List[PhaseEvent] = []
 
     def resolve_launch(self, launch: bool) -> None:
         self._pending_launch = launch
+        self._quiet_bound = None
 
     def __call__(self, t: int, observed_active_su_density) -> MuDrive:
+        bound = self._quiet_bound
+        if bound is not None and isinstance(observed_active_su_density, float) \
+                and not observed_active_su_density > bound:
+            return self._drive
+        self._quiet_bound = None
         observed = np.asarray(observed_active_su_density, dtype=float)
         if (self._drive is not None and self._pending_launch is None and not self._counting
                 and (self._inducing_cap is None or not np.count_nonzero(observed > self._inducing_cap))):
@@ -151,5 +163,7 @@ class AttackController:
             self._drive = MuDrive(self._density[self.phases][()], self._inducement[self.phases][()])
             inducing = self.phases == INDUCING
             self._inducing_cap = np.where(inducing, self.density_cap, math.inf) if np.count_nonzero(inducing) else None
+        if self.phases.size == 1 and not self._counting:
+            self._quiet_bound = self.density_cap if self.phases == INDUCING else math.inf
         return self._drive
 

@@ -18,7 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Tuple
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -74,8 +74,9 @@ class MuDrive:
             raise ValueError("field density must be nonnegative")
         return self.active_density, 1.0 - self.inducement
 
-# (step index, currently observed active SU density per cell) -> MuDrive
-MuSchedule = Callable[[int, np.ndarray], MuDrive]
+# (step index, currently observed active SU density) -> MuDrive; the density
+# is a Python float in a single run and a (cells,) array in a batch
+MuSchedule = Callable[[int, Union[float, np.ndarray]], MuDrive]
 
 
 @dataclass(frozen=True)
@@ -293,8 +294,22 @@ def _row_sum(values) -> float:
 def _replicate_row(x: List[float], pi: List[float], h: float) -> List[float]:
     """`_replicate` of one row of Python floats, op for op. A step that
     needs halvings or would divide by a zero sum is handed to `_replicate`,
-    and so is a non-finite payoff, whose NaN factor makes the sum NaN."""
+    and so is a non-finite payoff, whose NaN factor makes the sum NaN.
+    Two strategies, the paper's game, step on scalars with the list path's
+    operations written out."""
     pi0 = pi[0]
+    if len(x) == 2:
+        a0, a1 = x
+        r0, r1 = pi0 - pi0, pi[1] - pi0
+        mean = 0.0 + a0 * r0
+        mean += a1 * r1
+        f0, f1 = h * (r0 - mean) + 1.0, h * (r1 - mean) + 1.0
+        n0, n1 = a0 * f0, a1 * f1
+        total = 0.0 + n0
+        total += n1
+        if f0 >= 0.0 and f1 >= 0.0 and total > 0.0:
+            return [n0 / total, n1 / total]
+        return _replicate(np.array([x]), np.array([pi]), h)[0].tolist()
     rel = [v - pi0 for v in pi]
     mean = _row_sum([a * r for a, r in zip(x, rel)])
     factors = [h * (r - mean) + 1.0 for r in rel]
@@ -312,8 +327,9 @@ def _run_cell(x: List[float], env: GameEnv, mu_schedule: MuSchedule, steps: int,
     Every value is the array loop's, op for op: the same operands in the
     same order, with each sum added as `_row_sum` adds it. expm1 and exp
     stay numpy calls, on buffers laid out as the array loop's operands, so
-    they run numpy's own loops. The schedule sees a (1,) density, as in
-    the array loop. Each step's (shares, payoffs, s_su, s_pr, act,
+    they run numpy's own loops. The schedule sees the density as a Python
+    float, which the controller answers without numpy on calls that change
+    nothing. Each step's (shares, payoffs, s_su, s_pr, act,
     mu_density, inducement) is appended to one float64 buffer, whose views
     the trajectory returns.
     """
@@ -332,7 +348,7 @@ def _run_cell(x: List[float], env: GameEnv, mu_schedule: MuSchedule, steps: int,
         for term in terms[1:]:
             total += term
         act = lambda_su * total
-        drive = mu_schedule(t, np.array([act]))
+        drive = mu_schedule(t, act)
         if drive is not held:  # a controller reuses its drive until a phase changes
             held = drive
             mu, not_induced = (np.asarray(v, dtype=float).item() for v in drive._step_terms)
@@ -379,7 +395,8 @@ def run_dynamics(
     The cells are the rows of x0 ((m,) or (cells, m), each on the simplex,
     as a config's x0 is checked to be), broadcast against per-cell
     incentives in env.payoffs. Each step the schedule sees every cell's
-    current active secondary density, then the payoffs and (q, s_su, s_pr)
+    current active secondary density (a float in a single run, a (cells,)
+    array in a batch), then the payoffs and (q, s_su, s_pr)
     come from the closed form of `payoff_vector` on env. (A Monte Carlo
     run measures its payoffs instead, and steps on them with
     `_replicate_row` in its own window loop.)

@@ -152,25 +152,36 @@ def observation_runs(draw):
     return hysteresis, levels, launch, resolve
 
 
+# how one cell's density reaches the controller: a (1,) array, a Python float
+# as a single mean-field run hands it, or an np.float64 as a Monte Carlo run does
+SINGLE_CELL_FORMS = {"array": lambda v: np.array([v]), "float": float, "float64": np.float64}
+
+
 @settings(max_examples=300, deadline=None)
-@given(run=observation_runs(), behavior=st.sampled_from(["silent", "mimic-su"]), scalar=st.booleans())
+@given(run=observation_runs(), behavior=st.sampled_from(["silent", "mimic-su"]),
+       form=st.sampled_from(sorted(SINGLE_CELL_FORMS)))
 # a deferred launch resolved at step 2; cell 0 withdraws at step 5, cell 1 crosses the cap
 # three times and never withdraws, cell 2 withdraws at its first observation above the cap
 @example(run=([2, 3, 1], [[1.5, 0.0, 3.0], [3.0, 3.0, 0.0], [3.0, 0.5, 3.0], [0.5, 3.0, 3.0], [3.0, 1.0, 0.0],
                           [3.0, 3.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.5, 0.0], [0.0, 3.0, 0.0]], None, (2, True)),
-         behavior="silent", scalar=False)
-def test_controller_equals_advance_phases_stepped_by_hand(run, behavior, scalar):
+         behavior="silent", form="array")
+# one cell fed floats: a deferred launch resolved after the first call, while the cell is idle
+@example(run=([3], [[0.5], [0.5], [0.5]], None, (1, True)), behavior="silent", form="float")
+# one cell fed floats: a run above the cap dips to exactly the cap, which resets it
+@example(run=([2], [[0.0], [1.5], [1.0], [1.5], [1.0], [1.5], [1.5], [0.5]], True, None), behavior="silent",
+         form="float")
+def test_controller_equals_advance_phases_stepped_by_hand(run, behavior, form):
     # the controller skips advance_phases on calls that would change nothing;
     # every call must still agree with the machine stepped by hand
     hysteresis, levels, launch, resolve = run
-    scalar = scalar and len(hysteresis) == 1  # a single cell of 0-d phases
+    scalar = form != "array" and len(hysteresis) == 1  # a single cell of 0-d phases
     hyst = hysteresis[0] if scalar else np.array(hysteresis)
     lambda_mu, lambda_su = 1e-4, 1e-3
     ctl = AttackController(lambda_mu, CAP, launch=launch, inactive_behavior=behavior, lambda_su=lambda_su,
                            mu_access_prob=0.5, hysteresis=hyst, inducement=0.75)
     phase, above, pending, events, history = np.asarray(INITIAL), np.asarray(0), launch, [], []
     for t, row in enumerate(levels):
-        observed = CAP * row[0] if scalar else CAP * np.array(row)
+        observed = SINGLE_CELL_FORMS[form](CAP * row[0]) if scalar else CAP * np.array(row)
         if resolve is not None and resolve[0] == t:
             ctl.resolve_launch(resolve[1])
             pending = resolve[1]

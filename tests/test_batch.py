@@ -19,6 +19,8 @@ from specgame.game import (
     GameEnv,
     MuDrive,
     PayoffParams,
+    _replicate,
+    _replicate_row,
     active_su_density,
     classify_operating_point,
     payoff_vector,
@@ -114,12 +116,13 @@ def _plain_loop(x0, env, schedule, steps, h, freeze_shares):
 
 
 def _poisoned(schedule, cells, step):
-    """`schedule`, advertising a NaN inducement to `cells` from `step` on."""
+    """`schedule`, advertising a NaN inducement to `cells` from `step` on;
+    a single run's float density counts as one cell."""
     def poisoned(t, observed):
         drive = schedule(t, observed)
         if t < step:
             return drive
-        inducement = np.array(np.broadcast_to(drive.inducement, np.shape(observed)))
+        inducement = np.array(np.broadcast_to(drive.inducement, np.shape(observed) or (1,)))
         inducement[cells] = math.nan
         return MuDrive(drive.active_density, inducement)
     return poisoned
@@ -313,6 +316,35 @@ def test_replicator_nonfinite_rows_come_back_nan_and_spare_the_others(case):
             assert got.tobytes() == replicator_step(row, p, h).tobytes()
         else:
             assert np.isnan(got).all()
+
+
+# payoffs that overflow a step, make it fail or need halvings, and fail it as non-finite
+edge_payoff = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda m: st.tuples(
+    # weights with exact zeros, so that shares of exactly 0.0 and 1.0 occur
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0)), min_size=m, max_size=m).filter(any),
+    st.lists(edge_payoff, min_size=m, max_size=m),
+)), st.floats(1e-3, 20.0))
+@example(([1.0, 1.0], [math.inf, 0.0]), 0.1)
+@example(([1.0, 1.0], [0.0, math.inf]), 0.1)
+@example(([1.0, 1.0], [math.inf, math.inf]), 0.1)
+@example(([1.0, 1.0], [-1e300, 1e300]), 20.0)
+@example(([1.0, 1.0], [0.0, 5.0]), 1.0)  # a factor below zero: the step needs halvings
+@example(([0.0, 1.0], [0.0, 5.0]), 0.5)  # below zero on a vacant strategy only
+def test_a_float_row_steps_as_its_array_row(case, h):
+    # _replicate_row, which a single run and a Monte Carlo run step on, gives
+    # the bits of _replicate on the same row; NaN where that row failed
+    weights, pi = case
+    x = [w / sum(weights) for w in weights]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _replicate(np.array([x]), np.array([pi]), h)[0]
+        got = np.array(_replicate_row(x, pi, h))
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_replicator_batch_marks_unsteppable_rows_nan():
