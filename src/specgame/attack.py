@@ -88,10 +88,13 @@ class AttackController:
     from which `phase_history` recovers each step's phases; `phases` holds
     the phase codes in force (index into PHASES).
 
-    A call that would change nothing returns the held silent drive without
-    stepping the machine. For one cell that is kept as a quiet bound, the
-    cap while inducing and inf otherwise, so that a float density not above
-    it is answered without numpy; NaN is not above it, as in advance_phases.
+    A silent call that leaves no launch pending and no above-cap run under
+    way holds a bound: the cap on INDUCING cells, inf on every other, as a
+    float when all cells share it and per cell otherwise. A later call whose
+    density is not above it would change nothing, so it returns the held
+    drive without stepping the machine; a float density against a float
+    bound is compared without numpy, and NaN is not above it, as in
+    advance_phases.
     """
 
     def __init__(
@@ -119,32 +122,25 @@ class AttackController:
         self._inducement = np.array([0.0, inducement, 0.0, 0.0])
         self.phases = np.asarray(INITIAL)
         self.above_cap_run = np.asarray(0)
-        self._counting = False  # whether some cell's above_cap_run is under way
         self._drive: Optional[MuDrive] = None  # the silent drive of `phases`, once built
-        self._inducing_cap = None  # with the drive: the cap on INDUCING cells, inf elsewhere; None if none induce
-        self._quiet_bound: Optional[float] = None  # one idle cell: the float density above which a call acts
+        self._bound = None  # while idle: the density above which a call steps the machine
         self.events: List[PhaseEvent] = []
 
     def resolve_launch(self, launch: bool) -> None:
         self._pending_launch = launch
-        self._quiet_bound = None
+        self._bound = None
 
     def __call__(self, t: int, observed_active_su_density) -> MuDrive:
-        bound = self._quiet_bound
-        if bound is not None and isinstance(observed_active_su_density, float) \
-                and not observed_active_su_density > bound:
-            return self._drive
-        self._quiet_bound = None
-        observed = np.asarray(observed_active_su_density, dtype=float)
-        if (self._drive is not None and self._pending_launch is None and not self._counting
-                and (self._inducing_cap is None or not np.count_nonzero(observed > self._inducing_cap))):
-            # advance_phases would change nothing: no launch to apply, no run
-            # under way, and no INDUCING cell observed above the cap
-            return self._drive
+        bound, observed = self._bound, observed_active_su_density
+        if bound is not None:
+            if not (observed > bound if isinstance(observed, float) and isinstance(bound, float)
+                    else np.count_nonzero(np.greater(observed, bound))):
+                return self._drive
+            self._bound = None
+        observed = np.asarray(observed, dtype=float)
         old = self.phases
         self.phases, self.above_cap_run = advance_phases(
             old, self.above_cap_run, observed, self.density_cap, self.hysteresis, self._pending_launch)
-        self._counting = bool(np.count_nonzero(self.above_cap_run))
         # a resolved launch moves only INITIAL cells, so once applied it would change nothing
         self._pending_launch = None
         changed = self.phases != old
@@ -161,9 +157,9 @@ class AttackController:
             return MuDrive(density[()], self._inducement[self.phases][()])
         if self._drive is None:  # a silent drive follows the phases alone
             self._drive = MuDrive(self._density[self.phases][()], self._inducement[self.phases][()])
-            inducing = self.phases == INDUCING
-            self._inducing_cap = np.where(inducing, self.density_cap, math.inf) if np.count_nonzero(inducing) else None
-        if self.phases.size == 1 and not self._counting:
-            self._quiet_bound = self.density_cap if self.phases == INDUCING else math.inf
+        if not np.count_nonzero(self.above_cap_run):
+            inducing = np.count_nonzero(self.phases == INDUCING)
+            self._bound = (math.inf if not inducing else self.density_cap if inducing == self.phases.size
+                           else np.where(self.phases == INDUCING, self.density_cap, math.inf))
         return self._drive
 

@@ -711,8 +711,8 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     is requested), with block fading redrawn every slot.
 
     Each update is one `_window` at the current shares, then one replicator
-    step of the shares on the window's mean payoffs, stepped on Python
-    floats as `game._replicate_row` steps a single mean-field run. The
+    step of the shares on the window's mean payoffs, by the
+    `game._replicate_row` that steps a single mean-field run. The
     controller observes the previous window's measured density and resolves
     its launch after window 0. A failed step raises ValueError with the
     reason; no window follows.

@@ -280,26 +280,13 @@ def transmitting_share(shares, probs) -> np.ndarray:
     return np.asarray(shares, dtype=float)[..., np.asarray(probs) > 0].sum(axis=-1)
 
 
-def _row_sum(values) -> float:
-    """np.add.reduce of one row of floats, in its order: in turn from 0.0
-    below 8 values, where numpy's pairwise sum starts its blocks."""
-    if len(values) >= 8:
-        return float(np.add.reduce(np.array(values)))
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _replicate_row(x: List[float], pi: List[float], h: float) -> List[float]:
-    """`_replicate` of one row of Python floats, op for op. A step that
-    needs halvings or would divide by a zero sum is handed to `_replicate`,
-    and so is a non-finite payoff, whose NaN factor makes the sum NaN.
-    Two strategies, the paper's game, step on scalars with the list path's
-    operations written out."""
-    pi0 = pi[0]
+    """`_replicate` of one row of Python floats, op for op. Two strategies,
+    the paper's game, step on scalars; any other width, a step that needs
+    halvings or would divide by a zero sum, and a non-finite payoff, whose
+    NaN makes the sum NaN, are handed to `_replicate`."""
     if len(x) == 2:
-        a0, a1 = x
+        (a0, a1), pi0 = x, pi[0]
         r0, r1 = pi0 - pi0, pi[1] - pi0
         mean = 0.0 + a0 * r0
         mean += a1 * r1
@@ -309,15 +296,7 @@ def _replicate_row(x: List[float], pi: List[float], h: float) -> List[float]:
         total += n1
         if f0 >= 0.0 and f1 >= 0.0 and total > 0.0:
             return [n0 / total, n1 / total]
-        return _replicate(np.array([x]), np.array([pi]), h)[0].tolist()
-    rel = [v - pi0 for v in pi]
-    mean = _row_sum([a * r for a, r in zip(x, rel)])
-    factors = [h * (r - mean) + 1.0 for r in rel]
-    new = [a * f for a, f in zip(x, factors)]
-    total = _row_sum(new)
-    if not (min(factors) >= 0.0 and total > 0.0):
-        return _replicate(np.array([x]), np.array([pi]), h)[0].tolist()
-    return [v / total for v in new]
+    return _replicate(np.array([x]), np.array([pi]), h)[0].tolist()
 
 
 def _run_cell(x: List[float], env: GameEnv, mu_schedule: MuSchedule, steps: int, h: float, freeze_shares: bool,
@@ -325,13 +304,13 @@ def _run_cell(x: List[float], env: GameEnv, mu_schedule: MuSchedule, steps: int,
     """run_dynamics of one cell, stepped on Python floats.
 
     Every value is the array loop's, op for op: the same operands in the
-    same order, with each sum added as `_row_sum` adds it. expm1 and exp
+    same order, and the replicator step of `_replicate_row`. expm1 and exp
     stay numpy calls, on buffers laid out as the array loop's operands, so
     they run numpy's own loops. The schedule sees the density as a Python
-    float, which the controller answers without numpy on calls that change
-    nothing. Each step's (shares, payoffs, s_su, s_pr, act,
-    mu_density, inducement) is appended to one float64 buffer, whose views
-    the trajectory returns.
+    float, which a controller holding a float bound answers without numpy
+    on calls that change nothing. Each step's (shares, payoffs, s_su, s_pr,
+    act, mu_density, inducement) is appended to one float64 buffer, whose
+    views the trajectory returns.
     """
     m = len(x)
     weights, lambda_su = env._weights, env.lambda_su

@@ -22,6 +22,7 @@ from specgame.attack import (
     phase_history,
 )
 from specgame.channel import ChannelParams, max_allowable_su_density
+from specgame.cli import PRESET_GRID, build_presets
 from specgame.engine import ScenarioConfig, decide_launch
 from specgame.game import GameEnv, PayoffParams, run_dynamics, transmitting_share
 from specgame.geometry import Region, sample_world
@@ -167,12 +168,23 @@ SINGLE_CELL_FORMS = {"array": lambda v: np.array([v]), "float": float, "float64"
          behavior="silent", form="array")
 # one cell fed floats: a deferred launch resolved after the first call, while the cell is idle
 @example(run=([3], [[0.5], [0.5], [0.5]], None, (1, True)), behavior="silent", form="float")
-# one cell fed floats: a run above the cap dips to exactly the cap, which resets it
-@example(run=([2], [[0.0], [1.5], [1.0], [1.5], [1.0], [1.5], [1.5], [0.5]], True, None), behavior="silent",
+# one cell fed floats: idle at exactly the cap, then a run above it dips to the cap, which resets it
+@example(run=([2], [[0.0], [1.0], [1.5], [1.0], [1.5], [1.0], [1.5], [1.5], [0.5]], True, None), behavior="silent",
          form="float")
+# every cell inducing, one float cap: calls at the cap are idle, and a dip to it resets a run
+@example(run=([2, 2, 2], [[0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [1.5, 0.5, 1.0], [1.0, 1.0, 1.0], [1.5, 1.5, 1.5],
+                          [1.5, 1.5, 1.5], [0.0, 0.0, 0.0]], True, None), behavior="silent", form="array")
+# INDUCING and INACTIVE cells mixed, a per-cell bound: cell 0 withdraws at step 1, and cell 1's
+# run starts at step 4, dips to the cap at step 5 and withdraws at step 8
+@example(run=([1, 3], [[0.5, 0.5], [1.5, 0.5], [0.5, 0.5], [3.0, 1.0], [3.0, 1.5], [0.0, 1.0], [0.0, 1.5],
+                       [0.0, 1.5], [0.0, 1.5], [3.0, 3.0]], True, None), behavior="silent", form="array")
+# no cell inducing, an inf bound: NaN is not above it, and a launch resolved to abort still acts
+@example(run=([2], [[0.5], [np.nan], [0.5], [np.nan], [3.0]], None, (2, False)), behavior="silent",
+         form="float64")
 def test_controller_equals_advance_phases_stepped_by_hand(run, behavior, form):
     # the controller skips advance_phases on calls that would change nothing;
-    # every call must still agree with the machine stepped by hand
+    # every call must still agree with the machine stepped by hand, and the
+    # machine is stepped on every call that could change something
     hysteresis, levels, launch, resolve = run
     scalar = form != "array" and len(hysteresis) == 1  # a single cell of 0-d phases
     hyst = hysteresis[0] if scalar else np.array(hysteresis)
@@ -185,7 +197,11 @@ def test_controller_equals_advance_phases_stepped_by_hand(run, behavior, form):
         if resolve is not None and resolve[0] == t:
             ctl.resolve_launch(resolve[1])
             pending = resolve[1]
-        drive = ctl(t, observed)
+        with mock.patch.object(attack, "advance_phases", wraps=advance_phases) as machine:
+            drive = ctl(t, observed)
+        acts = (t == 0 or behavior == "mimic-su" or pending is not None or np.count_nonzero(above)
+                or np.count_nonzero((phase == INDUCING) & (observed > CAP)))
+        assert machine.call_count == bool(acts)
         new, above = advance_phases(phase, above, observed, CAP, hyst, pending)
         pending = None
         old, trigger = np.broadcast_to(phase, new.shape), np.broadcast_to(observed, new.shape)
@@ -225,6 +241,29 @@ def test_silent_controller_skips_calls_that_change_nothing():
     assert phase_history(ctl.events, 21, 2).T.tolist() == [[INITIAL] * 2 + [INDUCING] * 2 + [INACTIVE] * 17,
                                                            [INITIAL] * 2 + [INDUCING] * 19]
     assert ctl.above_cap_run.tolist() == [0, 1]
+
+
+PRESETS = build_presets()
+
+
+@pytest.mark.parametrize("workload, steps_taken", [
+    # a single run's float densities, 150 steps each
+    (lambda: engine.run(PRESETS["fig3-population"]), 7),
+    (lambda: engine.run(PRESETS["fig4-sinr-kappa0"]), 7),
+    (lambda: engine.run(PRESETS["fig5-sinr-kappa8"]), 7),
+    # fig6's 72-cell sweep, (72,) arrays
+    (lambda: engine.sweep_region(PRESET_GRID["deltas"], PRESET_GRID["nus"], PRESET_GRID["kappas"],
+                                 PRESETS["fig6-region"]), 24),
+    # a Monte Carlo run's np.float64 densities, 60 updates at 800 m
+    (lambda: engine.run(replace(PRESETS["fig3-population"], mode="montecarlo", region_side=800.0, steps=60,
+                                seed=5)), 15),
+], ids=["fig3", "fig4", "fig5", "fig6-sweep", "mc-800m"])
+def test_controller_steps_the_machine_only_when_a_call_can_change_it(workload, steps_taken):
+    # idle calls return the held drive, so the machine is stepped only on the
+    # first call, to launch, and while a run above the cap starts, counts or ends
+    with mock.patch.object(attack, "advance_phases", wraps=advance_phases) as machine:
+        workload()
+    assert machine.call_count == steps_taken
 
 
 def test_decide_launch_baseline_payoffs():

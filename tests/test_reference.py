@@ -9,9 +9,10 @@ tests/reference/ pins six seeded Monte Carlo runs; the 1500 m one is a grid
 of blocks with an interference cutoff and a mean tail, the 70-slot window
 packs its perception into two 64-bit words, the last one partly padding, and
 the ephemeral one samples no MU, so its attackers are drawn per slot and
-half-perceived. Their phase events, shares, payoffs, densities and success
-columns must match to the written digit. Only the SINR dB columns may
-differ, by the presets' SINR_DB: the
+half-perceived. It also pins fig5 and a 600 m Monte Carlo run played on
+three strategies, checked the same way. Their phase events, shares,
+payoffs, densities and success columns must match to the written digit.
+Only the SINR dB columns may differ, by the presets' SINR_DB: the
 near-field interference is a float32 product, summed in the order the BLAS
 kernel chooses, and the pinned files were written by the float64 product
 (the largest shift seen is ~2e-6 dB). Every success test near its threshold
@@ -41,6 +42,17 @@ def _rows(path):
 def _close(got, ref, rel, abs_tol):
     a, b = float(got), float(ref)
     return math.isnan(a) and math.isnan(b) or math.isclose(a, b, rel_tol=rel, abs_tol=abs_tol)
+
+
+def _check_bundle(out, reference):
+    assert _rows(out / "phase_events.csv") == _rows(reference / "phase_events.csv")
+    got, ref = _rows(out / "metrics.csv"), _rows(reference / "metrics.csv")
+    assert len(got) == len(ref)
+    for i, (row, expected) in enumerate(zip(got, ref)):
+        assert list(row) == list(expected)
+        for col, want in expected.items():
+            ok = _close(row[col], want, 0.0, SINR_DB) if col in SINR else row[col] == want
+            assert ok, f"row {i} {col}: {row[col]} != reference {want}"
 
 
 @pytest.mark.parametrize("preset, reference", [
@@ -98,11 +110,18 @@ MC = ["fig3-population", "--mode", "montecarlo"]
 ])
 def test_montecarlo_run_matches_reference(tmp_path, reference, extra):
     assert main(["run", *MC, *extra, "--out", str(tmp_path)]) == 0
-    assert _rows(tmp_path / "phase_events.csv") == _rows(MC_REFERENCE / reference / "phase_events.csv")
-    got, ref = _rows(tmp_path / "metrics.csv"), _rows(MC_REFERENCE / reference / "metrics.csv")
-    assert len(got) == len(ref)
-    for i, (row, expected) in enumerate(zip(got, ref)):
-        assert list(row) == list(expected)
-        for col, want in expected.items():
-            ok = _close(row[col], want, 0.0, SINR_DB) if col in SINR else row[col] == want
-            assert ok, f"row {i} {col}: {row[col]} != reference {want}"
+    _check_bundle(tmp_path, MC_REFERENCE / reference)
+
+
+THREE = ["--set", "access_probs=[0.0,0.5,1.0]", "--set", "x0=[0.98,0.01,0.01]"]
+
+
+@pytest.mark.parametrize("reference, argv", [
+    ("fig5-kappa8-3strategies", ["fig5-sinr-kappa8", *THREE]),
+    ("mc-600m-3strategies", [*MC, "--set", "region_side=600", "--set", "steps=20", *THREE, "--seed", "3"]),
+])
+def test_three_strategy_run_matches_reference(tmp_path, reference, argv):
+    # a third strategy steps its replicator rows through the array kernel
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 0
+    _check_bundle(tmp_path, MC_REFERENCE / reference)
+
