@@ -154,7 +154,8 @@ class LinkBudget(NamedTuple):
 
         The left side is convex and increasing in u = ln v; Newton's method
         started above the root (at the smaller of the two one-term roots)
-        descends onto it monotonically, so it needs no bracket. Raises if a
+        descends onto it monotonically, so it needs no bracket, and a
+        noise-limited median ln 2 / noise is solved however large. Raises if a
         median is not a positive finite float, as when it underflows.
         """
         a, b, k = self.noise, np.asarray(self.exponent(densities, 0.0), dtype=float), self.k

@@ -233,7 +233,7 @@ def emit_plotdata(metrics_path: str, out_dir: str, manifest_path: Optional[str] 
     """Split a metrics CSV into two-column (time, value) series files.
 
     Emits mutant/nonmutant share series, the admissible-share reference line,
-    both SINR traces with the threshold reference, plus the success and
+    both median SINR traces with the threshold reference, plus the success and
     density columns. Needs the run manifest (adjacent by default) for the
     strategy set and reference levels. Both are checked before any file is
     written: a missing key or column, or a value that is no number, exits 2.
@@ -261,7 +261,7 @@ def emit_plotdata(metrics_path: str, out_dir: str, manifest_path: Optional[str] 
     share_cols = [f"share_s{i + 1}" for i in range(len(probs))]
     values = {}
     copied = ("active_su_density", "pr_success", "su_success")
-    for name in ["t_update", *share_cols, "pr_sinr_db_mean", "su_sinr_db_mean", *copied]:
+    for name in ["t_update", *share_cols, "pr_sinr_db_median", "su_sinr_db_median", *copied]:
         if name not in header:
             raise ConfigError(f"{metrics_path}: no {name!r} column")
         values[name] = []
@@ -276,8 +276,8 @@ def emit_plotdata(metrics_path: str, out_dir: str, manifest_path: Optional[str] 
         "mutant_share": [sum(values[c][i] for c in mutant_cols) for i in range(len(rows))],
         "nonmutant_share": [sum(values[c][i] for c in silent_cols) for i in range(len(rows))],
         "lambda_tilde_ref": [cap_share] * len(rows),
-        "pr_sinr_db": values["pr_sinr_db_mean"],
-        "su_sinr_db": values["su_sinr_db_mean"],
+        "pr_sinr_db": values["pr_sinr_db_median"],
+        "su_sinr_db": values["su_sinr_db_median"],
         "threshold_ref": [thresh_db] * len(rows),
         **{name: values[name] for name in copied},
     }

@@ -409,8 +409,10 @@ class _Topology:
     `rx_pos[i] // rows`. A sender entry is the path gain within the cutoff,
     and 0 beyond it, on a receiver's own link and in the padding; `far` is
     the mean tail beyond the cutoff per unit of sender load. A grid the
-    3 x 3 neighbourhood would cover anyway is one cell, whose block holds
-    every pair exactly, with no cutoff and no tail. PT entries are exact at
+    3 x 3 neighbourhood would cover anyway (a side up to 800 m) is one cell,
+    whose block holds every pair exactly, with no cutoff and no tail: there
+    blocking saves nothing, and the near field is the dense all-pairs
+    product's up to float32 rounding. PT entries are exact at
     any distance, and 0 where the config excludes them. Distances and path
     gains are float64, and `gain` stores them rounded once to float32.
     `interference` gathers only the columns of senders that transmit, and
@@ -624,7 +626,8 @@ def _window(config: ScenarioConfig, topo: _Topology, rng: np.random.Generator, x
     which keeps each link's marginal law), and the SINRs at every receiver
     scored into per-strategy mean payoffs. Returns those payoffs as floats,
     a non-finite one included, the (m,) strategy counts and the values that
-    WINDOW_NAMES names."""
+    WINDOW_NAMES names. A function, not the loop body of `run_montecarlo`,
+    so that one window's arrays are freed before the next draws its own."""
     ch, probs, w_slots = config.channel, config.env.probs, config.window
     m, area = len(probs), config.region_side ** 2
     inducing = phase is AttackPhase.INDUCING
@@ -714,8 +717,9 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
     step of the shares on the window's mean payoffs, by the
     `game._replicate_row` that steps a single mean-field run. The
     controller observes the previous window's measured density and resolves
-    its launch after window 0. A failed step raises ValueError with the
-    reason; no window follows.
+    its launch after window 0, so window 0 is played with the attack off,
+    where mean field launches at step 0. A failed step raises ValueError with
+    the reason; no window follows.
     """
     if config.mode != "montecarlo":
         raise ConfigError("run_montecarlo requires mode='montecarlo'")

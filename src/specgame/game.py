@@ -162,7 +162,8 @@ def _closed_form(terms, payoffs: PayoffParams, act, mu_density, not_induced):
     density = act + mu_density
     # no active transmitter in the sensing disk: exp(-density * pi * R^2), as 1 + expm1
     q = 1.0 - (1.0 + np.expm1(density * neg_area)) * not_induced
-    # link_budget.success, its exponent summed in the budget's own field order
+    # link_budget.success, its exponent summed in the budget's own field order:
+    # the PT term folded into the noise up front would round differently
     exponent = noise + act * c_su + mu_density * c_mu  # (link, cells)
     exponent += pt
     s_su, s_pr = np.exp(np.negative(exponent, out=exponent), out=exponent)
@@ -383,10 +384,12 @@ def run_dynamics(
     A single run (1-D x0, scalar incentives) steps on Python floats
     (`_run_cell`); a batch steps its (cells, m) arrays. Both do the same
     arithmetic in the same order, so a single run gives the bits of the
-    batch of its one cell. A cell whose payoffs turn non-finite, or whose
-    replicator step fails, is frozen at its last shares with the reason in
-    `errors`, and the other cells run on; once none is left, the trajectory
-    ends at that step.
+    batch of its one cell. Two loops, because a batch step is a few dozen
+    numpy calls whatever the cell count, which on one cell is call overhead,
+    while floats would pay per cell the Python work numpy does per call.
+    A cell whose payoffs turn non-finite, or whose replicator step fails, is
+    frozen at its last shares with the reason in `errors`, and the other
+    cells run on; once none is left, the trajectory ends at that step.
 
     With `history=False` the per-step arrays have one row, written once
     when the loop ends, from the last step run: O(cells) memory, for callers
@@ -396,7 +399,9 @@ def run_dynamics(
 
     The step size is checked once, before the first step, and each batch
     step calls the cores of `active_su_density`, `payoff_vector` and
-    `replicator_step` on the loop's own (cells, m) arrays.
+    `replicator_step` on the loop's own (cells, m) arrays, which convert and
+    check nothing. Those public functions are the checked wrappers over the
+    same cores, and the tests hold both loops to a plain loop over them.
     """
     if steps < 1:
         raise ValueError("need at least one step")

@@ -269,6 +269,20 @@ def test_plotdata_series(tmp_path):
     assert thr == pytest.approx(4.771, rel=1e-3)
 
 
+def test_plotdata_plots_a_monte_carlo_runs_median_sinr(tmp_path):
+    # Monte Carlo writes the dB of the mean linear SINR apart from the median,
+    # and the mean rides above the threshold line once the PRs collapse
+    out = tmp_path / "run"
+    run_preset("fig3-population", ["mode=montecarlo", "region_side=600", "steps=20", "seed=3"], str(out))
+    assert emit_plotdata(str(out / "metrics.csv"), str(tmp_path / "plot")) == 0
+    with open(out / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for link in ("pr", "su"):
+        series = [line.split() for line in (tmp_path / "plot" / f"{link}_sinr_db.dat").read_text().splitlines()]
+        assert series == [[row["t_update"], row[f"{link}_sinr_db_median"]] for row in rows]
+        assert any(row[f"{link}_sinr_db_mean"] != row[f"{link}_sinr_db_median"] for row in rows)
+
+
 def test_plotdata_empty_metrics(tmp_path):
     out = tmp_path / "run"
     run_preset("fig3-population", ["steps=5"], str(out))

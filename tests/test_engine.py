@@ -404,6 +404,25 @@ def test_sweep_region_memory_does_not_grow_with_steps():
     assert peak(1600) <= 2 * peak(50)
 
 
+def test_the_fragile_region_converges_with_the_dwell_held_in_replicator_time():
+    # hysteresis counts steps, so the attacker's dwell above the cap is
+    # hysteresis * step_size in replicator time: held at 0.5 over 40 time
+    # units, the labels agree as the step shrinks
+    fig6 = build_presets()["fig6-region"]
+
+    def labels(step_size, hysteresis, steps):
+        config = replace(fig6, step_size=step_size, hysteresis=hysteresis, steps=steps)
+        return {(c.delta, c.nu, c.kappa): c.classification for c in sweep_region(*PRESET_GRID.values(), config)}
+
+    limit = labels(0.05, 10, 800)
+    assert labels(0.025, 20, 1600) == limit == labels(0.0125, 40, 3200)
+    assert sum(label == "fragile" for label in limit.values()) == 38
+    # the default step (0.1, 5, 400) sits just off that limit, where the
+    # withdrawal share lies near the unstable rest point
+    default = labels(fig6.step_size, fig6.hysteresis, fig6.steps)
+    assert [cell for cell in limit if limit[cell] != default[cell]] == [(10.0, 0.5, 6.0), (10.0, 1.0, 6.0)]
+
+
 def test_sweep_region_rejects_invalid_grid_values():
     with pytest.raises(ConfigError, match="delta"):
         sweep_region([10.0, -1.0], [1.0], [0.0], mf_config())
