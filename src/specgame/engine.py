@@ -253,37 +253,33 @@ def _slot_payoffs(table: np.ndarray, access: np.ndarray, perceived: np.ndarray, 
 def decide_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> bool:
     """Whether `lambda_mu` attackers launch under config's launch policy.
 
-    "always" and "never" decide alone. A "forecast" launches iff the attack
-    can succeed on env and its mean-field forecast ends fragile: the config's
-    inducing knobs, launched at once and silent, run from its x0 on env, whose
-    SU and PT densities are the attackers' estimates and whose channel sets
-    the density cap. Pure in its inputs; raises ValueError, with the reason,
-    if the forecast's dynamics failed.
+    "always" and "never" decide alone. A "forecast" does not launch where
+    the SU population, every user on its most aggressive strategy, stays
+    within the channel's density cap. Elsewhere it launches iff its
+    mean-field forecast ends fragile: the config's inducing knobs, launched
+    at once and silent, run from its x0 on env, whose SU and PT densities
+    are the attackers' estimates. Pure in its inputs; raises ValueError,
+    with the reason, if the forecast's dynamics failed.
     """
+    return _launch(config, env, lambda_mu, history=False)[0]
+
+
+def _launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float,
+            history: bool) -> Tuple[bool, Optional[Tuple[AttackController, Trajectory]]]:
+    """`decide_launch`'s decision, and the forecast (controller, trajectory)
+    it ran, with its step `history` if asked, or None where it ran none."""
     if config.launch_policy != "forecast":
-        return config.launch_policy == "always"
-    if not _can_succeed(env):
-        return False
-    controller = AttackController(lambda_mu, max_allowable_su_density(env.channel), launch=True,
-                                  lambda_su=env.lambda_su, mu_access_prob=config.mu_access_prob,
+        return config.launch_policy == "always", None
+    cap = max_allowable_su_density(env.channel)
+    if not env.lambda_su * max(env.access_probs) > cap:
+        return False, None
+    controller = AttackController(lambda_mu, cap, launch=True, mu_access_prob=config.mu_access_prob,
                                   hysteresis=config.hysteresis, inducement=config.inducing_perception)
-    traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size, history=False)
-    return _fragile(env, traj, config.extinction_tolerance)
-
-
-def _can_succeed(env: GameEnv) -> bool:
-    """Whether an attack can succeed on env: not where the SU population, every
-    user on its most aggressive strategy, stays within the density cap."""
-    return env.lambda_su * max(env.access_probs) > max_allowable_su_density(env.channel)
-
-
-def _fragile(env: GameEnv, traj: Trajectory, extinction_tol: float) -> bool:
-    """Whether the single-run forecast `traj` on env ends fragile; raises
-    ValueError, with the reason, if its dynamics failed."""
-    [verdict] = classify_operating_point(env, traj, extinction_tol)
+    traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size, history=history)
+    [verdict] = classify_operating_point(env, traj, config.extinction_tolerance)
     if verdict.classification == "error":
         raise ValueError(verdict.error)
-    return verdict.classification == "fragile"
+    return verdict.classification == "fragile", (controller, traj)
 
 
 def _forecast_pass(config: ScenarioConfig) -> bool:
@@ -299,6 +295,13 @@ def _most(mean: float) -> float:
 # the key that scales each part of run_bytes, which a refusal names
 BYTE_PART_KEYS = {"the step history": "steps", "the nodes": "region_side", "the sensing pairs": "sensing_radius",
                   "the PT gains": "lambda_pt", "the near-field blocks": "region_side", "the window arrays": "window"}
+
+
+def _blocks_per_axis(side: float) -> int:
+    """Cells per axis of a topology's block grid: `INTERFERENCE_CUTOFF` wide,
+    or one block where the 3 x 3 neighbourhood would cover the grid anyway."""
+    nc = cells_per_axis(side, INTERFERENCE_CUTOFF)
+    return 1 if nc <= 3 else nc
 
 
 def run_bytes(config: ScenarioConfig) -> Dict[str, float]:
@@ -331,8 +334,8 @@ def run_bytes(config: ScenarioConfig) -> Dict[str, float]:
     sensing_area = min(math.pi * config.sensing_radius * float(config.sensing_radius), area)
     parts["the sensing pairs"] = 64 * n_su * (config.lambda_su + config.lambda_mu) * sensing_area
     parts["the PT gains"] = 24 * (n_pt + n_su) * n_pt
-    nc = cells_per_axis(side, INTERFERENCE_CUTOFF)
-    if nc <= 3:  # one block, as _Topology builds it
+    nc = _blocks_per_axis(side)
+    if nc == 1:
         blocks, width, rows = 1, n_su + n_mu + n_pt, n_pt + n_su
     else:
         cell = (side / nc) ** 2
@@ -357,21 +360,14 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     """
     if config.mode != "meanfield":
         raise ConfigError("run_meanfield requires mode='meanfield'")
-    ch = config.channel
-    env = config.env
-
-    def run_pass(launch: bool) -> Tuple[AttackController, Trajectory]:
-        controller = config.controller(launch)
-        return controller, run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size,
-                                        freeze_shares=config.freeze_shares)
-
-    if _forecast_pass(config) and _can_succeed(env):
-        # decide_launch would run this very controller and these dynamics, launched
-        controller, traj = run_pass(True)
-        if not _fragile(env, traj, config.extinction_tolerance):
-            controller, traj = run_pass(False)
+    ch, env, reuse = config.channel, config.env, _forecast_pass(config)
+    launch, forecast = _launch(config, env, config.lambda_mu, history=reuse)
+    if reuse and launch:  # the launched forecast is this run
+        controller, traj = forecast
     else:
-        controller, traj = run_pass(decide_launch(config, env, config.lambda_mu))
+        controller = config.controller(launch)
+        traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size,
+                            freeze_shares=config.freeze_shares)
     if traj.errors[0]:
         raise ValueError(traj.errors[0])
     su_med, pr_med = np.moveaxis(env.link_budget.median(
@@ -430,8 +426,7 @@ class _Topology:
         self.sense_indptr, self.sense_indices = _sensing_neighbours(world.sus, senders, config.sensing_radius,
                                                                     region)
 
-        nc = cells_per_axis(region.side, cutoff)
-        nc = 1 if nc <= 3 else nc  # the 3 x 3 neighbourhood would cover the grid anyway
+        nc = _blocks_per_axis(region.side)
         self.far = torus_tail(cutoff, region.side, ch.alpha) / region.area if nc > 1 else 0.0
         rx_grid, tx_grid = CellGrid(self.receivers, nc, region.side), CellGrid(senders, nc, region.side)
         blocks = np.arange(nc * nc)
@@ -772,11 +767,14 @@ def sweep_region(
 
     All cells run as one batch, one row per cell, and come back in grid order.
     A cell whose dynamics fail is labelled "error" with the reason; the other
-    cells are unaffected. A sweep runs in mean field only: a Monte Carlo
-    config is refused before any work.
+    cells are unaffected. A sweep runs in mean field on moving shares only:
+    a Monte Carlo config, or one that freezes the shares, is refused before
+    any work.
     """
     if config.mode != "meanfield":
         raise ConfigError(f"mode must be meanfield for a sweep, got {config.mode!r}")
+    if config.freeze_shares:
+        raise ConfigError("freeze_shares must be false for a sweep")
     grid = [(float(d), float(n), float(k)) for d in deltas for n in nus for k in kappas]
     if not grid:
         raise ConfigError("sweep grid is empty")

@@ -4,7 +4,7 @@ from typing import Sequence
 
 import numpy as np
 
-from specgame.channel import ChannelParams, InterfererField, path_gain
+from specgame.channel import ChannelParams, InterfererField, max_allowable_su_density, path_gain, success_prob
 from specgame.geometry import Region
 
 
@@ -111,3 +111,50 @@ def access_payoff(p, q, s, payoffs):
     """Expected payoff of access probability p given perception prob q and
     transmission success prob s: (1-p)*kappa + p*q*(delta*s - nu*(1-s))."""
     return (1.0 - p) * payoffs.kappa + p * q * (payoffs.delta * s - payoffs.nu * (1.0 - s))
+
+
+def post_withdrawal_drift(x, config, payoffs):
+    """D(x) = pi_1 - pi_0 of the two-strategy game that silent, withdrawn
+    attackers leave behind, at the share x of the second strategy (an
+    array): no attacker transmits or is advertised, so only the active SU
+    density lambda_SU * (p_0 (1 - x) + p_1 x) is perceived and interferes
+    with the SU link, beside the PT field where it reaches the SUs."""
+    ch = config.channel
+    p0, p1 = config.access_probs
+    act = config.lambda_su * (p0 * (1.0 - x) + p1 * x)
+    fields = [InterfererField(act, ch.su_power)]
+    if config.include_pt_interference_at_su:
+        fields.append(InterfererField(config.lambda_pt, ch.pt_power))
+    s = success_prob(ch.su_link_distance, ch.su_power, ch.su_sinr_threshold, fields, ch)
+    q = perception_prob(act, config.sensing_radius)
+    return access_payoff(p1, q, s, payoffs) - access_payoff(p0, q, s, payoffs)
+
+
+def rest_point_fragile(config, payoffs, withdrawn, points: int = 2001) -> bool:
+    """The m = 2 rest-point rule: whether the replicator flow x' = x (1 - x) D(x)
+    of `post_withdrawal_drift`, started at the share `withdrawn` the
+    attackers left (None if they never withdrew, which is robust), settles
+    above the density cap.
+
+    The rest points are the ends and D's sign changes on `points` even
+    samples, placed by linear interpolation; one is stable where D falls
+    through it (an end: where D points into it). Fragile when some stable
+    rest point x* has lambda_SU x* above the cap and `withdrawn` lies above
+    the largest unstable rest point below x*.
+    """
+    if withdrawn is None:
+        return False
+    x = np.linspace(0.0, 1.0, points)
+    d = post_withdrawal_drift(x, config, payoffs)
+    x, d = x[d != 0], d[d != 0]
+    cross = np.flatnonzero(np.sign(d[:-1]) != np.sign(d[1:]))
+    at = x[cross] - d[cross] * (x[cross + 1] - x[cross]) / (d[cross + 1] - d[cross])
+    rest = [(0.0, d[0] < 0), *zip(at.tolist(), (d[cross] > 0).tolist()), (1.0, d[-1] > 0)]
+    cap = max_allowable_su_density(config.channel)
+    p0, p1 = config.access_probs
+    for i, (point, stable) in enumerate(rest):
+        if stable and config.lambda_su * (p0 * (1.0 - point) + p1 * point) > cap:
+            below = [r for r, s in rest[:i] if not s]
+            if withdrawn > max(below, default=-math.inf):
+                return True
+    return False

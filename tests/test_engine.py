@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specgame.attack import PHASES
+from specgame.attack import PHASES, AttackPhase
 from specgame.channel import ChannelParams, InterfererField, max_allowable_su_density, success_prob
 from specgame.cli import PRESET_GRID, build_presets
 from specgame.engine import (
@@ -26,10 +26,10 @@ from specgame.engine import (
     run_montecarlo,
     sweep_region,
 )
-from specgame.game import PayoffParams
+from specgame.game import PayoffParams, run_dynamics
 from specgame.geometry import Region
 
-from oracles import toroidal_distance
+from oracles import rest_point_fragile, toroidal_distance
 
 CAP = max_allowable_su_density(ChannelParams())
 
@@ -187,7 +187,14 @@ def test_failed_montecarlo_draws_no_window_after_the_failing_one(monkeypatch):
     assert len(windows) == 2
 
 
-@pytest.mark.parametrize("config, fixed", [(FIG3, "always"), (KAPPA8, "never")])
+@pytest.mark.parametrize("config, fixed", [
+    (FIG3, "always"),  # the launched forecast, kept
+    (KAPPA8, "never"),  # a robust forecast, then the unlaunched run
+    (replace(FIG3, inactive_mu_behavior="mimic-su"), "always"),  # forecast apart from the run
+    (replace(FIG3, freeze_shares=True), "always"),
+    (replace(FIG3, lambda_su=1e-5), "never"),  # below the cap nothing is forecast
+    (replace(KAPPA8, inactive_mu_behavior="mimic-su"), "never"),
+])
 def test_meanfield_forecast_run_equals_its_fixed_launch(config, fixed):
     forecast, pinned = run_meanfield(config), run_meanfield(replace(config, launch_policy=fixed))
     assert same_columns(forecast, pinned)
@@ -421,6 +428,33 @@ def test_the_fragile_region_converges_with_the_dwell_held_in_replicator_time():
     # withdrawal share lies near the unstable rest point
     default = labels(fig6.step_size, fig6.hysteresis, fig6.steps)
     assert [cell for cell in limit if limit[cell] != default[cell]] == [(10.0, 0.5, 6.0), (10.0, 1.0, 6.0)]
+
+
+@pytest.mark.parametrize("grid, agree", [
+    (PRESET_GRID.values(), 72),
+    ((range(1, 26), [1.0], [k / 2 for k in range(25)]), 621),  # delta 1-25, kappa 0-12
+])
+def test_the_fragile_region_agrees_with_the_rest_point_rule(grid, agree):
+    # the m = 2 rest-point rule of the game the attackers leave behind,
+    # started at each cell's share at its first INACTIVE step, labels every
+    # cell but those whose attackers never withdraw, which it calls robust
+    # and the terminal drift rule may call fragile
+    fig6 = build_presets()["fig6-region"]
+    cells = sweep_region(*grid, fig6)
+    incentives = [(c.delta, c.nu, c.kappa) for c in cells]
+    env = replace(fig6.env, payoffs=PayoffParams(*(np.array(column) for column in zip(*incentives))))
+    controller = fig6.controller(launch=True)  # the sweep's, run with its history
+    traj = run_dynamics(np.asarray(fig6.x0), env, controller, fig6.steps, fig6.step_size)
+    withdrawn = {}
+    for ev in controller.events:
+        if ev.new_phase is AttackPhase.INACTIVE:
+            withdrawn.setdefault(ev.cell, float(traj.shares[ev.slot, ev.cell, 1]))
+    fragile = [c.classification == "fragile" for c in cells]
+    oracle = [rest_point_fragile(fig6, PayoffParams(*cell), withdrawn.get(i)) for i, cell in enumerate(incentives)]
+    assert {cells[i].classification for i in withdrawn} == {"robust", "fragile"}
+    misses = [i for i in range(len(cells)) if oracle[i] != fragile[i]]
+    assert misses == [i for i in range(len(cells)) if i not in withdrawn and fragile[i]]
+    assert len(cells) - len(misses) == agree
 
 
 def test_sweep_region_rejects_invalid_grid_values():
