@@ -184,8 +184,11 @@ def write_run_outputs(result: RunResult, out_dir: str, preset: Optional[str]) ->
 
 def write_sweep_outputs(grid: Iterable[Sequence[float]], config: ScenarioConfig, out_dir: str,
                         preset: Optional[str]) -> None:
-    """Sweep the (deltas, nus, kappas) grid under config and write region.csv and the manifest."""
+    """Sweep the (deltas, nus, kappas) grid under config and write region.csv
+    and the manifest, which records the "always" launch that the sweep applies."""
     cells = sweep_region(*grid, config)
+    if config.launch_policy != "always":
+        config = dataclasses.replace(config, launch_policy="always")
     _atomic_write(os.path.join(out_dir, "region.csv"), region_csv_text(cells))
     _atomic_write(os.path.join(out_dir, "run-manifest.json"), manifest_text(config, preset))
 

@@ -102,8 +102,7 @@ class ScenarioConfig:
     @functools.cached_property
     def env(self) -> GameEnv:
         """The game this config plays, built (and its keys checked) once."""
-        return GameEnv(self.channel, self.payoffs, self.access_probs, self.lambda_su, self.lambda_pt,
-                       self.sensing_radius, self.include_pt_interference_at_su, self.include_pt_interference_at_pr)
+        return GameEnv(self.channel, self.payoffs, **{name: getattr(self, name) for name in ENV_KEYS})
 
     def controller(self, launch: Optional[bool]) -> AttackController:
         """A fresh controller held to the channel's density cap; launch None defers to resolve_launch."""
@@ -767,14 +766,17 @@ def sweep_region(
 
     All cells run as one batch, one row per cell, and come back in grid order.
     A cell whose dynamics fail is labelled "error" with the reason; the other
-    cells are unaffected. A sweep runs in mean field on moving shares only:
-    a Monte Carlo config, or one that freezes the shares, is refused before
-    any work.
+    cells are unaffected. A sweep runs in mean field on moving shares and
+    launches every cell at once, as `launch_policy="always"` would: a Monte
+    Carlo config, one that freezes the shares, or one that never launches is
+    refused before any work.
     """
     if config.mode != "meanfield":
         raise ConfigError(f"mode must be meanfield for a sweep, got {config.mode!r}")
     if config.freeze_shares:
         raise ConfigError("freeze_shares must be false for a sweep")
+    if config.launch_policy == "never":
+        raise ConfigError("launch_policy must not be 'never' for a sweep, which launches every cell at once")
     grid = [(float(d), float(n), float(k)) for d in deltas for n in nus for k in kappas]
     if not grid:
         raise ConfigError("sweep grid is empty")

@@ -28,7 +28,8 @@ from .keys import ConfigError, check
 MAX_HALVINGS = 40
 NONNEGATIVE_FAILURE = "replicator step could not keep shares nonnegative"
 NONFINITE_FAILURE = NONNEGATIVE_FAILURE + ": non-finite payoffs"
-ENV_KEYS = ("access_probs", "lambda_su", "lambda_pt", "sensing_radius")  # the config keys a GameEnv checks
+ENV_KEYS = ("access_probs", "lambda_su", "lambda_pt", "sensing_radius", "include_pt_interference_at_su",
+            "include_pt_interference_at_pr")  # the config keys a GameEnv holds and checks
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,13 @@ class MuDrive:
 
     @cached_property
     def _step_terms(self):
-        """The active density, checked nonnegative (a failed check holds
-        nothing: every call raises), and 1 - inducement."""
+        """The active density, checked nonnegative, and 1 - inducement, its
+        inducement checked within [0, 1] (a failed check holds nothing: every
+        call raises). A NaN passes both checks, to fail the step it drives."""
         if np.count_nonzero(np.less(self.active_density, 0)):
             raise ValueError("field density must be nonnegative")
+        if np.count_nonzero(np.less(self.inducement, 0) | np.greater(self.inducement, 1)):
+            raise ValueError("inducement must lie in [0, 1]")
         return self.active_density, 1.0 - self.inducement
 
 # (step index, currently observed active SU density) -> MuDrive; the density
@@ -89,8 +93,8 @@ class GameEnv:
     lambda_su: float = 1e-3
     lambda_pt: float = 1e-5
     sensing_radius: float = 50.0
-    include_pt_at_su: bool = True
-    include_pt_at_pr: bool = False
+    include_pt_interference_at_su: bool = True
+    include_pt_interference_at_pr: bool = False
 
     def __post_init__(self) -> None:
         check({name: getattr(self, name) for name in ENV_KEYS})
@@ -116,7 +120,7 @@ class GameEnv:
         su = LinkBudget.of(ch.su_link_distance, ch.su_power, ch.su_sinr_threshold, powers, ch)
         pr = LinkBudget.of(ch.pt_link_distance, ch.pt_power, ch.pr_sinr_threshold, powers, ch)
         coefs = np.array([su.coefs, pr.coefs])  # (link, field)
-        coefs[:, 2] *= [self.include_pt_at_su, self.include_pt_at_pr]
+        coefs[:, 2] *= [self.include_pt_interference_at_su, self.include_pt_interference_at_pr]
         return LinkBudget(np.array([su.threshold, pr.threshold]), su.k, np.array([su.noise, pr.noise]),
                           tuple(coefs.T))
 

@@ -115,6 +115,7 @@ def _too_large(key: str, part: str, *argv: str) -> Case:
 MC = ("run", "fig3-population", "--mode", "montecarlo")
 MC_SWEEP = "mode must be meanfield for a sweep, got 'montecarlo'"
 FROZEN_SWEEP = "freeze_shares must be false for a sweep"
+NEVER_SWEEP = "launch_policy must not be 'never' for a sweep, which launches every cell at once"
 # the rows no older test of tests/test_cli.py runs; tier-1 runs them in test_cli_case
 OTHER_CASES = [
     Case(("run", "fig3-population"), 0, "", False, rows=150),
@@ -136,11 +137,14 @@ OTHER_CASES = [
     _too_large("region_side", "the nodes", "--mode", "montecarlo", "--set", "region_side=1e300"),
     invalid("run", "fig3-population", "--set", "sensing_radius=1" + "0" * 200,
             message="sensing_radius is too large: its square overflows"),
-    # a sweep runs in mean field on moving shares only, and a Monte Carlo run needs secondary users to sample
+    # a sweep runs in mean field on moving shares, launched at once, and a Monte Carlo run needs secondary
+    # users to sample
     invalid("run", "fig6-region", "--mode", "montecarlo", message=MC_SWEEP),
     invalid("sweep", "--set", "mode=montecarlo", message=MC_SWEEP),
     invalid("run", "fig6-region", "--set", "freeze_shares=true", message=FROZEN_SWEEP),
     invalid("sweep", "--set", "freeze_shares=true", message=FROZEN_SWEEP),
+    invalid("run", "fig6-region", "--set", "launch_policy=never", message=NEVER_SWEEP),
+    invalid("sweep", "--set", "launch_policy=never", message=NEVER_SWEEP),
     invalid(*MC, "--set", "lambda_su=0", message="lambda_su must be positive in Monte Carlo mode"),
     # a command the parser does not know: its required subparsers refuse it
     Case(("frobnicate",), 1, r"usage error: argument command: invalid choice: [^\n]*\n", True),

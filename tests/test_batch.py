@@ -261,7 +261,7 @@ def test_payoff_vector_equals_the_public_formulas(case):
     if case["per_cell_drive"] and case["cells"]:
         density, inducement = density * rng.random(n), inducement * rng.random(n)
     env = GameEnv(channel=CH, payoffs=payoffs, access_probs=case["probs"], lambda_pt=case["lambda_pt"],
-                  include_pt_at_su=case["pt_at"][0], include_pt_at_pr=case["pt_at"][1])
+                  include_pt_interference_at_su=case["pt_at"][0], include_pt_interference_at_pr=case["pt_at"][1])
     pi, q, s_su, s_pr = payoff_vector(x, env, MuDrive(density, inducement))
     act = active_su_density(x, env)
     want_q = 1.0 - (1.0 - perception_prob(act + density, env.sensing_radius)) * (1.0 - inducement)

@@ -233,7 +233,8 @@ def _budget_case(draw):
     su, mu = (draw(density) if n == 0 else np.array(draw(st.lists(density, min_size=n, max_size=n)))
               for _ in range(2))
     env = GameEnv(params, PayoffParams(), lambda_pt=draw(uniform(0.0, 1e-4)),
-                  include_pt_at_su=draw(st.booleans()), include_pt_at_pr=draw(st.booleans()))
+                  include_pt_interference_at_su=draw(st.booleans()),
+                  include_pt_interference_at_pr=draw(st.booleans()))
     return env, su, mu
 
 
@@ -253,8 +254,8 @@ def _closed_form(r, power, eta, fields, ch):
 def test_link_budget_matches_general_kernel(case):
     env, su, mu = case
     ch = env.channel
-    links = [(ch.su_link_distance, ch.su_power, ch.su_sinr_threshold, env.include_pt_at_su),
-             (ch.pt_link_distance, ch.pt_power, ch.pr_sinr_threshold, env.include_pt_at_pr)]
+    links = [(ch.su_link_distance, ch.su_power, ch.su_sinr_threshold, env.include_pt_interference_at_su),
+             (ch.pt_link_distance, ch.pt_power, ch.pr_sinr_threshold, env.include_pt_interference_at_pr)]
     shape = np.broadcast(su, mu).shape
     # the SU and PR links side by side on a trailing axis
     densities = (np.asarray(su)[..., None], np.asarray(mu)[..., None], env.lambda_pt)

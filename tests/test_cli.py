@@ -590,6 +590,19 @@ def test_sweep_region_csv_reports_failed_cells(tmp_path):
     assert rows[1]["error"].startswith("replicator step could not keep shares nonnegative")
 
 
+def test_a_sweep_records_the_launch_it_applies(tmp_path):
+    # a template that leaves launch_policy out (so "forecast") sweeps as one
+    # that says "always", and its manifest says so
+    outputs = []
+    for name, template in (("default", {"steps": 400}), ("always", {"steps": 400, "launch_policy": "always"})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(template))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        outputs.append([(tmp_path / name / file).read_text() for file in ("region.csv", "run-manifest.json")])
+    assert json.loads(outputs[0][1])["config"]["launch_policy"] == "always"
+    assert outputs[0] == outputs[1]
+
+
 def test_a_failed_replace_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
     import specgame.cli as cli
 

@@ -26,7 +26,7 @@ from specgame.engine import (
     run_montecarlo,
     sweep_region,
 )
-from specgame.game import PayoffParams, run_dynamics
+from specgame.game import MuDrive, PayoffParams, payoff_vector, run_dynamics
 from specgame.geometry import Region
 
 from oracles import rest_point_fragile, toroidal_distance
@@ -248,6 +248,29 @@ def test_montecarlo_meanfield_success_consistency():
         su_rates.extend(result.columns["su_success_raw"].tolist())
     assert abs(np.nanmean(pr_rates) - closed_pr) <= 0.02
     assert abs(np.mean(su_rates) - closed_su) <= 0.02
+
+
+@pytest.mark.parametrize("share, sd", [(0.01, 0.047), (0.03, 0.088)])
+def test_montecarlo_payoffs_under_attack_match_meanfield(share, sd):
+    # fig5 (kappa = 8) at frozen shares, launched at once: from window 1 on the
+    # attackers induce at every window, and the transmitters' mean payoff over
+    # windows 1-39 and 5 topologies lies within 3 standard errors of the
+    # closed-form payoff under the inducing drive; `sd` is that mean's spread
+    # over the 5 seeds, measured. At 1500 m, not 800 m, where the near field
+    # is one exact block and the means read about 1.2 standard errors low.
+    fig5 = build_presets()["fig5-sinr-kappa8"]
+    cfg = replace(fig5, mode="montecarlo", region_side=1500.0, launch_policy="always", freeze_shares=True, steps=40,
+                  x0=(1.0 - share, share))
+    means = []
+    for seed in range(1, 6):
+        result = run_montecarlo(replace(cfg, seed=seed))
+        assert phases(result)[1:] == ["inducing"] * 39
+        assert result.columns["payoff_s1"][1:].tolist() == [cfg.payoffs.kappa] * 39
+        means.append(result.columns["payoff_s2"][1:].mean())
+    drive = MuDrive(cfg.lambda_mu * cfg.mu_access_prob, cfg.inducing_perception)
+    meanfield = payoff_vector(list(cfg.x0), cfg.env, drive)[0]
+    assert meanfield[0] == cfg.payoffs.kappa
+    assert abs(np.mean(means) - meanfield[1]) <= 3 * sd / math.sqrt(5)
 
 
 def test_montecarlo_payoff_sample_conservation():

@@ -54,6 +54,14 @@ def test_strategy_set_invariants():
             env_with(access_probs=probs)
 
 
+@pytest.mark.parametrize("key", ["include_pt_interference_at_su", "include_pt_interference_at_pr"])
+@pytest.mark.parametrize("value", [2, "no"])
+def test_a_pt_flag_that_is_no_bool_names_the_key(key, value):
+    # 2 would scale the PT field's coefficient, "no" fail in numpy on first use
+    with pytest.raises(ConfigError, match=rf"^{key} must be true or false, got {value!r}$"):
+        env_with(**{key: value})
+
+
 def test_payoff_params_invariants():
     with pytest.raises(ValueError):
         PayoffParams(delta=0.0)
@@ -178,6 +186,19 @@ def test_a_negative_mu_density_raises_on_every_call():
     with pytest.raises(ValueError, match="nonnegative"):
         run_dynamics(x, env, late, 10, 0.1)
     assert calls == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("inducement", [2.0, -0.5, np.array([0.0, 1.0, 1.5])], ids=["2", "-0.5", "one-cell-1.5"])
+def test_an_inducement_outside_the_unit_interval_raises(inducement):
+    # no perception probability may come out above 1, nor an inducement below 0;
+    # a single run and a batch of three cells each raise, on every call
+    env = env_with(kappa=0.0)
+    bad = MuDrive(5e-8, inducement)
+    for x in (np.array([0.5, 0.5]), np.full((3, 2), 0.5), np.array([0.5, 0.5])):
+        with pytest.raises(ValueError, match=r"^inducement must lie in \[0, 1\]$"):
+            payoff_vector(x, env, bad)
+        with pytest.raises(ValueError, match=r"^inducement must lie in \[0, 1\]$"):
+            run_dynamics(x, env, lambda t, density: bad, 5, 0.1)
 
 
 @pytest.mark.parametrize("freeze_shares", [False, True])

@@ -117,37 +117,44 @@ def test_meanfield_with_partial_access_does_not_depend_on_the_blas_kernel():
     assert json.dumps(a) == json.dumps(b)
 
 
-# the CSV files the CLI writes for the fig3, fig5 and fig6 presets and the
-# 800 m seed 5 Monte Carlo run, that run's columns and events at full
-# precision, and the SIMD targets numpy dispatches to in this process
+# every file `specgame run` writes, into the directory argv[1], for the fig3,
+# fig5 and fig6 presets and for fig5 played on three strategies, whose
+# replicator rows step through the array kernel (CSV files and manifests);
+# the CSV files of the 800 m seed 5 Monte Carlo run, and that run's columns
+# and events at full precision; and the SIMD targets numpy dispatches to in
+# this process
 SIMD_SCRIPT = """
-import json
+import json, sys
+from pathlib import Path
 import numpy as np
-from specgame.cli import PRESET_GRID, apply_overrides, build_presets, events_csv_text, metrics_csv_blocks, region_csv_text
-from specgame.engine import run, sweep_region
-presets = build_presets()
-grid = (PRESET_GRID["deltas"], PRESET_GRID["nus"], PRESET_GRID["kappas"])
-csv = {"fig6-region/region.csv": region_csv_text(sweep_region(*grid, presets["fig6-region"]))}
-mc = apply_overrides(presets["fig3-population"], ["mode=montecarlo", "region_side=800", "steps=40", "seed=5"])
-for name, config in [("fig3-population", presets["fig3-population"]),
-                     ("fig5-sinr-kappa8", presets["fig5-sinr-kappa8"]), ("montecarlo", mc)]:
-    result = run(config)
-    csv[name + "/metrics.csv"] = "".join(metrics_csv_blocks(result))
-    csv[name + "/phase_events.csv"] = events_csv_text(result)
-print(json.dumps({"csv": csv, "columns": {name: column.tolist() for name, column in result.columns.items()},
+from specgame.cli import apply_overrides, build_presets, events_csv_text, main, metrics_csv_blocks
+from specgame.engine import run
+out = Path(sys.argv[1])
+three = ["--set", "access_probs=[0.0,0.5,1.0]", "--set", "x0=[0.98,0.01,0.01]"]
+for name, args in [("fig3", ["fig3-population"]), ("fig5", ["fig5-sinr-kappa8"]), ("fig6", ["fig6-region"]),
+                   ("fig5-three-strategies", ["fig5-sinr-kappa8", *three])]:
+    assert main(["run", *args, "--out", str(out / name)]) == 0
+texts = {str(path.relative_to(out)): path.read_text() for path in sorted(out.glob("*/*"))}
+result = run(apply_overrides(build_presets()["fig3-population"],
+                             ["mode=montecarlo", "region_side=800", "steps=40", "seed=5"]))
+texts["montecarlo/metrics.csv"] = "".join(metrics_csv_blocks(result))
+texts["montecarlo/phase_events.csv"] = events_csv_text(result)
+print(json.dumps({"texts": texts, "columns": {name: column.tolist() for name, column in result.columns.items()},
                   "events": [repr(e) for e in result.events],
                   "simd": np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])}))
 """
 
 
 @pytest.mark.skipif(not _simd_targets(), reason="numpy found no SIMD targets beyond its baseline")
-def test_outputs_do_not_depend_on_numpy_simd_dispatch():
+def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
     targets = _simd_targets()
-    default = _subprocess(SIMD_SCRIPT, NPY_DISABLE_CPU_FEATURES="", NPY_ENABLE_CPU_FEATURES="")
-    baseline = _subprocess(SIMD_SCRIPT, NPY_DISABLE_CPU_FEATURES=" ".join(targets), NPY_ENABLE_CPU_FEATURES="")
+    default = _subprocess(SIMD_SCRIPT, str(tmp_path / "default"), NPY_DISABLE_CPU_FEATURES="",
+                          NPY_ENABLE_CPU_FEATURES="")
+    baseline = _subprocess(SIMD_SCRIPT, str(tmp_path / "baseline"), NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+                           NPY_ENABLE_CPU_FEATURES="")
     assert default["simd"] == targets and baseline["simd"] == []
-    assert len(default["csv"]) == 7
-    for name, text in default["csv"].items():
-        assert baseline["csv"][name] == text, name
+    assert len(default["texts"]) == 13
+    for name, text in default["texts"].items():
+        assert baseline["texts"][name] == text, name
     assert len(default["columns"]["t_update"]) == 40
     _assert_same_decisions(default, baseline)
