@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -34,19 +33,13 @@ from .engine import (
     run,
     sweep_region,
 )
-from .game import SweepCell
+from .game import PayoffParams, SweepCell
 
 PRESET_GRID = {
     "deltas": [2.0, 5.0, 10.0, 20.0],
     "nus": [0.5, 1.0, 2.0],
     "kappas": [0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
 }
-
-
-def _preset_config(payoffs: Dict[str, float], **overrides) -> ScenarioConfig:
-    base = dict(mode="meanfield", steps=150)
-    base.update(overrides)
-    return ScenarioConfig.from_dict({"payoffs": payoffs, **base})
 
 
 def build_presets() -> Dict[str, ScenarioConfig]:
@@ -60,15 +53,15 @@ def build_presets() -> Dict[str, ScenarioConfig]:
 def _presets() -> Dict[str, ScenarioConfig]:
     return {
         # population takeover when compliance pays nothing
-        "fig3-population": _preset_config({"delta": 10.0, "nu": 1.0, "kappa": 0.0}),
+        "fig3-population": ScenarioConfig(payoffs=PayoffParams(delta=10.0, nu=1.0, kappa=0.0)),
         # same run, read through the SINR columns
-        "fig4-sinr-kappa0": _preset_config({"delta": 10.0, "nu": 1.0, "kappa": 0.0}),
+        "fig4-sinr-kappa0": ScenarioConfig(payoffs=PayoffParams(delta=10.0, nu=1.0, kappa=0.0)),
         # compliance reward restores the network after the attackers withdraw;
         # the attackers strike even though their own forecast is unfavorable
-        "fig5-sinr-kappa8": _preset_config({"delta": 10.0, "nu": 1.0, "kappa": 8.0},
+        "fig5-sinr-kappa8": ScenarioConfig(payoffs=PayoffParams(delta=10.0, nu=1.0, kappa=8.0),
                                            launch_policy="always"),
         # robust/fragile classification over the incentive grid
-        "fig6-region": _preset_config({"delta": 10.0, "nu": 1.0, "kappa": 0.0},
+        "fig6-region": ScenarioConfig(payoffs=PayoffParams(delta=10.0, nu=1.0, kappa=0.0),
                                       launch_policy="always", steps=400),
     }
 
@@ -119,10 +112,6 @@ def apply_overrides(config: ScenarioConfig, pairs: Sequence[str]) -> ScenarioCon
     return ScenarioConfig.from_dict(data)
 
 
-def _fmt(value) -> str:
-    return "%.12g" % value if isinstance(value, float) else str(value)
-
-
 def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
     """Write `text`, or its pieces in turn, to a temporary file that then replaces `path`."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -139,7 +128,7 @@ def _atomic_write(path: str, text: Union[str, Iterable[str]]) -> None:
 
 
 def metrics_csv_blocks(result: RunResult) -> Iterator[str]:
-    """The header, then CSV_BLOCK_ROWS steps at a time, a line each, floats written as _fmt writes them."""
+    """The header, then CSV_BLOCK_ROWS steps at a time, a line each: counts %d, names %s and floats %.12g."""
     names = metrics_columns(len(result.config.access_probs))
     line = ",".join("%s" if c == "mu_phase" else "%d" if c.startswith("t_") else "%.12g" for c in names) + "\n"
     yield ",".join(names) + "\n"
@@ -155,12 +144,8 @@ def events_csv_text(result: RunResult) -> str:
 
 
 def region_csv_text(cells: Sequence[SweepCell]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    names = [f.name for f in dataclasses.fields(SweepCell)]
-    writer.writerow(names)
-    writer.writerows([_fmt(getattr(c, name)) for name in names] for c in cells)
-    return buf.getvalue()
+    return "delta,nu,kappa,classification,terminal_mutant_share,error\n" + "".join(
+        "%.12g,%.12g,%.12g,%s,%.12g,%s\n" % dataclasses.astuple(cell) for cell in cells)
 
 
 def manifest_text(config: ScenarioConfig, preset: Optional[str], topology: Optional[Dict[str, int]] = None) -> str:
@@ -286,9 +271,18 @@ def emit_plotdata(metrics_path: str, out_dir: str, manifest_path: Optional[str] 
     }
     times = [row["t_update"] for row in rows]
     for name, series_values in series.items():
-        lines = [f"{t} {_fmt(v)}" for t, v in zip(times, series_values)]
-        _atomic_write(os.path.join(out_dir, f"{name}.dat"), "\n".join(lines) + ("\n" if lines else ""))
+        _atomic_write(os.path.join(out_dir, f"{name}.dat"),
+                      "".join("%s %.12g\n" % point for point in zip(times, series_values)))
     return 0
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an output directory that is an existing non-directory or lies under one."""
+    head = os.path.abspath(out)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise UsageError(f"--out {out}: {head} is not a directory")
 
 
 def build_parser() -> _Parser:
@@ -325,6 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         if args.command == "run":
             flags = [f"{key}={value}" for key, value in (("seed", args.seed), ("mode", args.mode)) if value is not None]
             return run_preset(args.scenario, [*args.overrides, *flags], args.out)

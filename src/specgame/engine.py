@@ -249,41 +249,42 @@ def _slot_payoffs(table: np.ndarray, access: np.ndarray, perceived: np.ndarray, 
     return np.take(table, code)
 
 
-def decide_launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float) -> bool:
-    """Whether `lambda_mu` attackers launch under config's launch policy.
+def decide_launch(config: ScenarioConfig, env: GameEnv,
+                  lambda_mu: float) -> Tuple[bool, Optional[Tuple[AttackController, Trajectory]]]:
+    """Whether `lambda_mu` attackers launch under config's launch policy, and
+    the launched forecast that a run may keep: a pair (launch, kept).
 
     "always" and "never" decide alone. A "forecast" does not launch where
     the SU population, every user on its most aggressive strategy, stays
     within the channel's density cap. Elsewhere it launches iff its
     mean-field forecast ends fragile: the config's inducing knobs, launched
     at once and silent, run from its x0 on env, whose SU and PT densities
-    are the attackers' estimates. Pure in its inputs; raises ValueError,
-    with the reason, if the forecast's dynamics failed.
+    are the attackers' estimates. `kept` is that forecast's (controller,
+    trajectory), with its step history, where config is a mean-field run
+    that is its own forecast (`_forecast_pass`) and it launched; else None.
+    Pure in its inputs; raises ValueError, with the reason, if the
+    forecast's dynamics failed.
     """
-    return _launch(config, env, lambda_mu, history=False)[0]
-
-
-def _launch(config: ScenarioConfig, env: GameEnv, lambda_mu: float,
-            history: bool) -> Tuple[bool, Optional[Tuple[AttackController, Trajectory]]]:
-    """`decide_launch`'s decision, and the forecast (controller, trajectory)
-    it ran, with its step `history` if asked, or None where it ran none."""
     if config.launch_policy != "forecast":
         return config.launch_policy == "always", None
     cap = max_allowable_su_density(env.channel)
     if not env.lambda_su * max(env.access_probs) > cap:
         return False, None
+    keep = _forecast_pass(config)
     controller = AttackController(lambda_mu, cap, launch=True, mu_access_prob=config.mu_access_prob,
                                   hysteresis=config.hysteresis, inducement=config.inducing_perception)
-    traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size, history=history)
+    traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size, history=keep)
     [verdict] = classify_operating_point(env, traj, config.extinction_tolerance)
     if verdict.classification == "error":
         raise ValueError(verdict.error)
-    return verdict.classification == "fragile", (controller, traj)
+    launch = verdict.classification == "fragile"
+    return launch, (controller, traj) if launch and keep else None
 
 
 def _forecast_pass(config: ScenarioConfig) -> bool:
     # run_meanfield's first pass is the launched forecast, and a no takes a second, unlaunched one
-    return config.launch_policy == "forecast" and config.inactive_mu_behavior == "silent" and not config.freeze_shares
+    return (config.mode == "meanfield" and config.launch_policy == "forecast"
+            and config.inactive_mu_behavior == "silent" and not config.freeze_shares)
 
 
 def _most(mean: float) -> float:
@@ -319,7 +320,7 @@ def run_bytes(config: ScenarioConfig) -> Dict[str, float]:
     m = len(config.access_probs)
     columns = len(metrics_columns(m))
     mc = config.mode == "montecarlo"
-    passes = 1 + (not mc and _forecast_pass(config))
+    passes = 1 + _forecast_pass(config)
     per_step = 8 * (passes * (2 * m + 5) + columns + (m if mc else 16))
     csv_block = min(config.steps, CSV_BLOCK_ROWS) * columns * 72
     parts = {"the step history": float(config.steps * per_step + csv_block + FIXED_BYTES)}
@@ -359,10 +360,10 @@ def run_meanfield(config: ScenarioConfig) -> RunResult:
     """
     if config.mode != "meanfield":
         raise ConfigError("run_meanfield requires mode='meanfield'")
-    ch, env, reuse = config.channel, config.env, _forecast_pass(config)
-    launch, forecast = _launch(config, env, config.lambda_mu, history=reuse)
-    if reuse and launch:  # the launched forecast is this run
-        controller, traj = forecast
+    ch, env = config.channel, config.env
+    launch, kept = decide_launch(config, env, config.lambda_mu)
+    if kept:  # the launched forecast is this run
+        controller, traj = kept
     else:
         controller = config.controller(launch)
         traj = run_dynamics(np.asarray(config.x0), env, controller, config.steps, config.step_size,
@@ -737,7 +738,7 @@ def run_montecarlo(config: ScenarioConfig) -> RunResult:
                 # estimate each density as its count in the first topology over the area
                 n = first_topology
                 estimates = replace(config.env, lambda_pt=n["n_pt"] / area, lambda_su=n["n_su"] / area)
-                controller.resolve_launch(decide_launch(config, estimates, n["n_mu"] / area))
+                controller.resolve_launch(decide_launch(config, estimates, n["n_mu"] / area)[0])
             drive = controller(w, values[0, w - 1] if w else 0.0)
             if config.resample_topology and w > 0:
                 topo = _sample_topology(config, rng)

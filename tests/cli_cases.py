@@ -4,9 +4,9 @@
 A row is a Case: the argv, the exit code, a regular expression that the
 whole of stderr must match, whether the command writes nothing, and for a
 command that writes a CSV, its number of data rows. Each runner appends
-`--out <dir>/out` to the argv and puts `<dir>` where an argument says
-`{tmp}`. The rows come in groups; each group feeds one test of
-tests/test_cli.py, and CASES is every row of every group.
+`--out <dir>/out` to the argv of a row that gives no `--out`, and puts
+`<dir>` where an argument says `{tmp}`. The rows come in groups; each group
+feeds one test of tests/test_cli.py, and CASES is every row of every group.
 """
 import re
 from pathlib import Path
@@ -160,6 +160,11 @@ OTHER_CASES = [
     Case(("run", "fig3-population", "--set", "payoffs.kappa=8"), 0, "", False, rows=150),
     Case(("run", "fig3-population", "--set", 'inactive_mu_behavior="mimic-su"'), 0, "", False, rows=150),
     Case(("run", "fig3-population", "--set", "lambda_su=1e-5"), 0, "", False, rows=150),
+    # an --out that is an existing non-directory, or lies under one, is refused before any subcommand runs:
+    # before a simulation or sweep, and before plotdata reads its input
+    *(Case((*command, "--out", out), 1, re.escape(f"usage error: --out {out}: /dev/null is not a directory\n"), True)
+      for command in (MC, ("sweep",), ("plotdata", "{tmp}/nowhere/metrics.csv"))
+      for out in ("/dev/null", "/dev/null/x")),
 ]
 
 CASES = [
@@ -186,7 +191,8 @@ def check_outputs(case: Case, out: Path) -> None:
 
 
 def argv(case: Case, tmp: Path):
-    return [arg.replace("{tmp}", str(tmp)) for arg in case.argv] + ["--out", str(tmp / "out")]
+    out = [] if "--out" in case.argv else ["--out", str(tmp / "out")]
+    return [arg.replace("{tmp}", str(tmp)) for arg in case.argv] + out
 
 
 def run_in_process(case: Case, tmp: Path, capsys) -> None:

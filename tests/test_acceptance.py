@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per release criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per release criterion, and criteria 3 and 5 again on
+a Monte Carlo seed ensemble, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Statistical checks use fixed
 seeds so the suite is deterministic.
@@ -7,14 +8,16 @@ import csv
 import math
 import time
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import empirical_success_prob
+from specgame.attack import AttackPhase
 from specgame.channel import ChannelParams, InterfererField, max_allowable_su_density, success_prob
-from specgame.cli import main, run_preset
-from specgame.engine import ScenarioConfig, run_meanfield, sweep_region
+from specgame.cli import build_presets, main, run_preset
+from specgame.engine import ScenarioConfig, run, run_meanfield, sweep_region
 from specgame.game import replicator_step
 from specgame.geometry import Region, attach_receivers, sample_ppp
 
@@ -160,6 +163,45 @@ def test_criterion_5_reward_restores_compliance(tmp_path):
         f"peak {peak:.4f} (> x0 {shares[0]}), terminal {shares[-1]:.2e} (< peak), "
         f"terminal PR success {terminal_success} (>= 0.95), terminal median PR SINR "
         f"{terminal_median_db:.1f} dB (>= {THRESHOLD_DB:.2f}), {elapsed:.1f}s",
+    )
+
+
+def _montecarlo_ensemble(preset):
+    """The preset's 800 m Monte Carlo run on each of seeds 1-10."""
+    config = build_presets()[preset]
+    return [run(replace(config, mode="montecarlo", region_side=800.0, seed=seed)) for seed in range(1, 11)]
+
+
+# Criteria 3 and 5 on Monte Carlo seed ensembles, each run read at its end:
+# the launch lags mean field's by a window (window 0 is played unlaunched),
+# which moves the crossing and the withdrawal but not where the shares end.
+# Criterion 4 is not held here: read on the median column, seed 3's PR SINR
+# peaks at 4.78 dB after the withdrawal, and seed 8 ends at PR success 0.125.
+def test_criterion_3_terminal_takeover_on_a_montecarlo_seed_ensemble():
+    readings = [(sum(e.new_phase is AttackPhase.INACTIVE for e in result.events),
+                 float(result.columns["share_s2"][-1])) for result in _montecarlo_ensemble("fig3-population")]
+    ok = all(withdrawals == 1 and share >= 0.99 for withdrawals, share in readings)
+    _report(
+        "criterion 3, Monte Carlo seeds 1-10", ok,
+        "(withdrawals, terminal share) " + ", ".join(f"({n}, {share:.4f})" for n, share in readings)
+        + " (exactly 1, >= 0.99)",
+    )
+
+
+def test_criterion_5_recovery_on_a_montecarlo_seed_ensemble():
+    readings = []
+    for result in _montecarlo_ensemble("fig5-sinr-kappa8"):
+        shares = result.columns["share_s2"]
+        readings.append((float(shares.max()), float(shares[0]), float(shares[-1]),
+                         float(result.columns["pr_success"][-1]), float(result.columns["pr_sinr_db_median"][-1])))
+    ok = all(peak > x0 and terminal < peak and success >= 0.95 and median_db >= THRESHOLD_DB
+             for peak, x0, terminal, success, median_db in readings)
+    _report(
+        "criterion 5, Monte Carlo seeds 1-10", ok,
+        "(peak, terminal share, terminal PR success, terminal median PR SINR) "
+        + ", ".join(f"({peak:.4f}, {terminal:.2e}, {success}, {median_db:.1f} dB)"
+                    for peak, _, terminal, success, median_db in readings)
+        + f" (peak > x0, terminal < peak, >= 0.95, >= {THRESHOLD_DB:.2f} dB)",
     )
 
 

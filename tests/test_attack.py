@@ -268,13 +268,13 @@ def test_controller_steps_the_machine_only_when_a_call_can_change_it(workload, s
 
 def test_decide_launch_baseline_payoffs():
     config = ScenarioConfig(steps=400)
-    assert decide_launch(config, baseline_env(kappa=0.0), 1e-7) is True
-    assert decide_launch(config, baseline_env(kappa=8.0), 1e-7) is False
+    assert decide_launch(config, baseline_env(kappa=0.0), 1e-7)[0] is True
+    assert decide_launch(config, baseline_env(kappa=8.0), 1e-7)[0] is False
 
 
 def test_decide_launch_kappa8_forecast_still_rises_first():
     env, config = baseline_env(kappa=8.0), ScenarioConfig(steps=400)
-    assert decide_launch(config, env, 1e-7) is False
+    assert decide_launch(config, env, 1e-7)[0] is False
     # the dynamics decide_launch forecasts: the config's inducing knobs launched at once on env
     controller = AttackController(1e-7, CAP, launch=True, lambda_su=env.lambda_su, mu_access_prob=config.mu_access_prob,
                                   hysteresis=config.hysteresis, inducement=config.inducing_perception)
@@ -292,7 +292,7 @@ def test_decide_launch_raises_on_a_failed_forecast():
 
 def test_decide_launch_nobody_to_induce():
     env = baseline_env(kappa=0.0, lambda_su=0.0)
-    assert decide_launch(ScenarioConfig(steps=100), env, 1e-7) is False
+    assert decide_launch(ScenarioConfig(steps=100), env, 1e-7)[0] is False
 
 
 @pytest.mark.parametrize("cap_multiple, launch", [(0.5, False), (1.0, False), (1.1, True)])
@@ -300,7 +300,7 @@ def test_decide_launch_below_the_cap_never_launches(cap_multiple, launch):
     # an SU population that stays within the cap even all transmitting cannot break
     # the primary outage constraint, whatever the forecast's drift says
     assert decide_launch(ScenarioConfig(steps=400), baseline_env(kappa=0.0, lambda_su=cap_multiple * CAP),
-                         1e-7) is launch
+                         1e-7)[0] is launch
 
 
 def test_decide_launch_guard_reads_the_most_aggressive_strategy(monkeypatch):
@@ -310,7 +310,7 @@ def test_decide_launch_guard_reads_the_most_aggressive_strategy(monkeypatch):
     monkeypatch.setattr(engine, "run_dynamics", forecast)
     # 1.5x the cap, but at most half of it can transmit
     env = replace(baseline_env(kappa=0.0, lambda_su=1.5 * CAP), access_probs=(0.0, 0.5))
-    assert decide_launch(ScenarioConfig(steps=400), env, 1e-7) is False
+    assert decide_launch(ScenarioConfig(steps=400), env, 1e-7)[0] is False
     # with every user able to transmit, the same density is above the cap, and the forecast runs
     with pytest.raises(AssertionError, match="no forecast runs below the cap"):
         decide_launch(ScenarioConfig(steps=400), replace(env, access_probs=(0.0, 1.0)), 1e-7)
@@ -318,4 +318,4 @@ def test_decide_launch_guard_reads_the_most_aggressive_strategy(monkeypatch):
 
 def test_decide_launch_replay_identical():
     args = (ScenarioConfig(steps=200), baseline_env(kappa=0.0), 1e-7)
-    assert decide_launch(*args) == decide_launch(*args) == decide_launch(*args)
+    assert decide_launch(*args)[0] == decide_launch(*args)[0] == decide_launch(*args)[0]

@@ -17,6 +17,9 @@ near-field interference is a float32 product, summed in the order the BLAS
 kernel chooses, and the pinned files were written by the float64 product
 (the largest shift seen is ~2e-6 dB). Every success test near its threshold
 is decided on exact sums, so no kernel moves the other columns.
+
+tests/reference/ also pins every `plotdata` series of fig3 and of fig5,
+byte for byte.
 """
 import csv
 import math
@@ -125,3 +128,15 @@ def test_three_strategy_run_matches_reference(tmp_path, reference, argv):
     assert main(["run", *argv, "--out", str(tmp_path)]) == 0
     _check_bundle(tmp_path, MC_REFERENCE / reference)
 
+
+
+@pytest.mark.parametrize("preset, reference", [("fig3-population", "plotdata-fig3"),
+                                               ("fig5-sinr-kappa8", "plotdata-fig5")])
+def test_plotdata_series_match_reference(tmp_path, preset, reference):
+    # mean field, whose SINR digits no BLAS kernel moves, on two strategies,
+    # so that each share series is one column, with no sum to round
+    assert main(["run", preset, "--out", str(tmp_path / "run")]) == 0
+    assert main(["plotdata", str(tmp_path / "run" / "metrics.csv"), "--out", str(tmp_path / "plot")]) == 0
+    written = {path.name: path.read_bytes() for path in (tmp_path / "plot").iterdir()}
+    assert len(written) == 9
+    assert written == {path.name: path.read_bytes() for path in (MC_REFERENCE / reference).iterdir()}
